@@ -3,7 +3,6 @@ regularizations of the accelerated-gradient ODE."""
 
 from .core import (
     CostFunction,
-    HybridState,
     HybridTime,
     SolverConfig,
     Trace,
@@ -19,21 +18,13 @@ from .core import (
 from .dynamics import (
     DisturbanceSpec,
     OdeParams,
-    hand_flow,
     limiting_integral,
-    nominal_flow_rep1,
-    nominal_flow_rep2,
-    perturbed_flow,
-    signal_eval,
 )
 from .engine import (
     ButcherTableau,
     HybridSystem,
     PerturbationSet,
-    dh_membership,
-    euler_step,
     jump_policy_decide,
-    rk_step,
     simulate,
     tableau,
 )

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import TAG_FAULT, CostFunction, HybridState, HybridTime, SolverConfig, Trace
+from .core import TAG_FAULT, CostFunction, HybridTime, SolverConfig, Trace
 from .dynamics import OdeParams, make_rep1_flow, make_rep2_flow
 from .engine import flow_only_system, simulate
 from .hands import HandParams, hand1, validate_dwell
@@ -48,10 +48,12 @@ __all__ = [
 class RateReport:
     """Outcome of a bound check over a trace.
 
-    margins are bound - value per checked sample (signed; negative means
-    violated beyond nothing), worst_margin is their minimum, and the check is
-    satisfied iff worst_margin >= -tolerance. bound_curve keeps the sampled
-    bound for plotting and offline re-checks.
+    The margin of a checked sample is bound + tolerance - value (signed;
+    negative means violated), worst_margin is their minimum, and the check is
+    satisfied iff no margin is negative. A sample whose margin is not finite
+    (nan or infinite data) is a violation and makes worst_margin nan.
+    bound_curve keeps the bound at each checked sample (the energy curve for
+    the monotonicity check).
     """
 
     label: str
@@ -75,6 +77,36 @@ class RateReport:
         }
 
 
+def _scan(margins: Iterable[float]) -> Tuple[float, List[int]]:
+    """Worst margin and the indices of violating samples. A margin that is
+    negative or not finite is a violation; a non-finite one makes the worst
+    margin nan, so garbage never reads as a pass. inf when margins is empty."""
+    worst = math.inf
+    bad = []
+    for i, margin in enumerate(margins):
+        if math.isfinite(margin):
+            if margin < worst:
+                worst = margin
+            if margin >= 0.0:
+                continue
+        else:
+            worst = math.nan
+        bad.append(i)
+    return worst, bad
+
+
+def _inverse_square_bound(beta: float, tau: float) -> float:
+    """Quadratic-decay bound beta / tau^2; nan (a violation) for tau <= 0."""
+    return beta / (tau * tau) if tau > 0.0 else math.nan
+
+
+def _exponential_bound(k_a: float, k_b: float, d_t: float, r0sq: float, s: float) -> float:
+    """Exponential-decay bound k_a exp(-k_b alpha(s)) r0sq at s = t + j, with
+    alpha(s) = max(s - dT, 0) / (dT + 1)."""
+    alpha = max(s - d_t, 0.0) / (d_t + 1.0)
+    return k_a * math.exp(-k_b * alpha) * r0sq
+
+
 def _require_minimizer(f: CostFunction):
     if f.xstar is None or f.fstar is None:
         raise ValueError("cost %r needs xstar and fstar for certificate checks" % f.name)
@@ -83,8 +115,6 @@ def _require_minimizer(f: CostFunction):
 def lyapunov(z, f: CostFunction, c: float) -> float:
     """Timer-weighted energy 0.5 |x2 - xstar|^2 + c tau^2 (f(x1) - fstar)."""
     _require_minimizer(f)
-    if isinstance(z, HybridState):
-        z = z.to_array()
     z = np.asarray(z, dtype=float)
     n = f.dim
     x1 = z[:n]
@@ -110,8 +140,6 @@ def flow_derivative(z, f: CostFunction, c: float) -> float:
     """Energy derivative along the restarting flow:
     -2 c tau (grad f(x1)' (x1 - xstar) - (f(x1) - fstar)), <= 0 for convex f."""
     _require_minimizer(f)
-    if isinstance(z, HybridState):
-        z = z.to_array()
     z = np.asarray(z, dtype=float)
     n = f.dim
     x1 = z[:n]
@@ -124,8 +152,6 @@ def jump_decrease_hand1(z, f: CostFunction, params: HandParams) -> float:
     """Closed-form energy change of a timer-reset jump:
     -c (f(x1) - fstar) (tau^2 - t_min^2)."""
     _require_minimizer(f)
-    if isinstance(z, HybridState):
-        z = z.to_array()
     z = np.asarray(z, dtype=float)
     tau = float(z[-1])
     return -params.c * f.gap(z[: f.dim]) * (tau * tau - params.t_min**2)
@@ -135,8 +161,6 @@ def jump_decrease_hand2(z, f: CostFunction, params: HandParams) -> float:
     """Closed-form energy change of a momentum-reset jump:
     0.5 |x1 - xstar|^2 - 0.5 |x2 - xstar|^2 - c (f(x1) - fstar)(tau^2 - t_min^2)."""
     _require_minimizer(f)
-    if isinstance(z, HybridState):
-        z = z.to_array()
     z = np.asarray(z, dtype=float)
     n = f.dim
     x1 = z[:n]
@@ -159,33 +183,29 @@ def check_monotonicity(trace: Trace, f: CostFunction, c: float,
     if h is None:
         raise ValueError("trace has no step size in meta; cannot scale per-step slack")
     V = lyapunov_curve(trace, f, c)
-    worst = math.inf
-    violations: List[HybridTime] = []
-    checked = 0
+    rows = []
+    margins = []
     for k in range(1, len(trace)):
         if trace.tags[k] == TAG_FAULT or trace.tags[k - 1] == TAG_FAULT:
             continue
         dv = V[k] - V[k - 1]
         if trace.js[k] == trace.js[k - 1]:
             steps = max(1, int(round((trace.ts[k] - trace.ts[k - 1]) / h)))
-            margin = slack_per_step * steps - dv
+            margins.append(slack_per_step * steps - dv)
         else:
-            margin = jump_tol - dv
-        checked += 1
-        if margin < worst:
-            worst = margin
-        if margin < 0.0:
-            violations.append(trace.time(k))
-    if checked == 0:
+            margins.append(jump_tol - dv)
+        rows.append(k)
+    worst, bad = _scan(margins)
+    if not rows:
         worst = 0.0
     return RateReport(
         label="energy-monotonicity",
-        satisfied=len(violations) == 0,
+        satisfied=not bad,
         worst_margin=worst,
         tolerance=0.0,
-        violation_times=violations,
+        violation_times=[trace.time(rows[i]) for i in bad],
         bound_curve=V,
-        checked=checked,
+        checked=len(rows),
         detail={"slack_per_step": slack_per_step, "jump_tol": jump_tol},
     )
 
@@ -226,39 +246,23 @@ def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
     t + t_min. use_clock=False checks the weaker beta / t^2 form instead
     (implied by the timer form since tau > t; reported for reference)."""
     _require_minimizer(f)
-    t_min = trace.meta.get("t_min")
-    _check_rate_ics(trace, f, t_min)
-    worst = math.inf
-    violations: List[HybridTime] = []
-    bounds = []
-    checked = 0
-    for k in range(len(trace)):
-        if trace.js[k] != 0 or trace.tags[k] == TAG_FAULT:
-            continue
-        t = float(trace.ts[k])
-        denom = float(trace.zs[k, -1]) if use_clock else t
-        if denom <= 0.0:
-            bounds.append(math.inf)
-            continue
-        bound = beta / (denom * denom)
-        bounds.append(bound)
-        gap = f.gap(trace.zs[k, : f.dim])
-        margin = bound + tol - gap
-        checked += 1
-        if margin < worst:
-            worst = margin
-        if margin < 0.0:
-            violations.append(trace.time(k))
-    if checked == 0:
+    _check_rate_ics(trace, f, trace.meta.get("t_min"))
+    denoms = trace.zs[:, -1] if use_clock else trace.ts
+    # the t-form has no bound at t = 0
+    rows = [k for k in range(len(trace))
+            if trace.js[k] == 0 and trace.tags[k] != TAG_FAULT and denoms[k] > 0.0]
+    if not rows:
         raise ValueError("trace has no first-flow samples to check")
+    bounds = [_inverse_square_bound(beta, float(denoms[k])) for k in rows]
+    worst, bad = _scan([bound + tol - f.gap(trace.zs[k, : f.dim]) for bound, k in zip(bounds, rows)])
     return RateReport(
         label="quadratic-decay" + ("" if use_clock else "-tform"),
-        satisfied=len(violations) == 0,
+        satisfied=not bad,
         worst_margin=worst,
         tolerance=tol,
-        violation_times=violations,
+        violation_times=[trace.time(rows[i]) for i in bad],
         bound_curve=np.asarray(bounds),
-        checked=checked,
+        checked=len(rows),
         detail={"beta": beta, "use_clock": use_clock},
     )
 
@@ -306,32 +310,17 @@ def check_exponential_rate(trace: Trace, f: CostFunction, params: HandParams, to
     dT = params.t_max - params.t_min
     r0sq = float(np.sum((x1_0 - f.xstar) ** 2))
     kb = 1.0 - k0
-    worst = math.inf
-    violations: List[HybridTime] = []
-    bounds = np.empty(len(trace))
-    checked = 0
-    for k in range(len(trace)):
-        if trace.tags[k] == TAG_FAULT:
-            bounds[k] = math.nan
-            continue
-        s = float(trace.ts[k]) + float(trace.js[k])
-        alpha = max(s - dT, 0.0) / (dT + 1.0)
-        bound = k_a * math.exp(-kb * alpha) * r0sq
-        bounds[k] = bound
-        margin = bound + tol - f.gap(trace.zs[k, : f.dim])
-        checked += 1
-        if margin < worst:
-            worst = margin
-        if margin < 0.0:
-            violations.append(trace.time(k))
+    rows = [k for k in range(len(trace)) if trace.tags[k] != TAG_FAULT]
+    bounds = [_exponential_bound(k_a, kb, dT, r0sq, float(trace.ts[k]) + float(trace.js[k])) for k in rows]
+    worst, bad = _scan([bound + tol - f.gap(trace.zs[k, : f.dim]) for bound, k in zip(bounds, rows)])
     return RateReport(
         label="exponential-decay",
-        satisfied=len(violations) == 0,
+        satisfied=not bad,
         worst_margin=worst,
         tolerance=tol,
-        violation_times=violations,
-        bound_curve=bounds,
-        checked=checked,
+        violation_times=[trace.time(rows[i]) for i in bad],
+        bound_curve=np.asarray(bounds),
+        checked=len(rows),
         detail={"k0": k0, "k_a": k_a, "k_b": kb, "dT": dT, "r0sq": r0sq},
     )
 
@@ -346,9 +335,9 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
         raise ValueError("contraction check needs mu on the cost")
     k0 = k0_constant(params.c, f.mu, params.t_min, params.t_max)
     n = f.dim
-    worst = math.inf
-    violations: List[HybridTime] = []
     ratios = []
+    margins = []
+    times = []
     start_x1 = trace.zs[0, :n]
     for rec in trace.events:
         gap_start = f.gap(start_x1)
@@ -360,19 +349,17 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
             continue
         ratio = gap_end / gap_start
         ratios.append(ratio)
-        margin = (k0 + slack) - ratio
-        if margin < worst:
-            worst = margin
-        if margin < 0.0:
-            violations.append(HybridTime(rec.t, rec.j_pre))
+        margins.append((k0 + slack) - ratio)
+        times.append(HybridTime(rec.t, rec.j_pre))
+    worst, bad = _scan(margins)
     if not trace.events:
         worst = 0.0
     return RateReport(
         label="per-period-contraction",
-        satisfied=len(violations) == 0,
+        satisfied=not bad,
         worst_margin=worst,
         tolerance=slack,
-        violation_times=violations,
+        violation_times=[times[i] for i in bad],
         bound_curve=np.asarray(ratios),
         checked=len(ratios),
         detail={"k0": k0, "slack": slack},

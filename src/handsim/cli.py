@@ -19,7 +19,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .io import read_summary_json, read_trace_csv
+from .analysis import _exponential_bound, _inverse_square_bound, _scan
+from .io import read_summary_json, read_trace_csv, write_summary_json
 from .scenarios import ConfigError, apply_override, load_config, run_scenario
 
 __all__ = ["main"]
@@ -125,16 +126,23 @@ def _thread_cap(n_jobs: int) -> int:
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
     values = _parse_values(args.values)
+    tokens = [_value_token(v) for v in values]
+    # each token names one run's directory under the parent: reject tokens
+    # that repeat or that would climb out of it, before anything runs
+    for token in tokens:
+        if token in (".", "..") or "/" in token or os.sep in token:
+            raise ConfigError("sweep value %r cannot name an output directory" % token)
+        if tokens.count(token) > 1:
+            raise ConfigError("sweep value %r is listed more than once" % token)
     parent = args.out if args.out is not None else base["out_dir"]
-    os.makedirs(parent, exist_ok=True)
     param_slug = args.param.replace(".", "-")
 
     jobs = []
-    for value in values:
+    for value, token in zip(values, tokens):
         cfg = apply_override(base, args.param, value)
-        token = _value_token(value)
         out_dir = os.path.join(parent, "%s=%s" % (param_slug, token))
         jobs.append((token, cfg, out_dir))
+    os.makedirs(parent, exist_ok=True)
 
     results = {}
     workers = _thread_cap(len(jobs))
@@ -150,7 +158,7 @@ def _cmd_sweep(args) -> int:
     # merge in sorted-key order so the artifact is independent of scheduling
     merged = {
         "param": args.param,
-        "values": [_value_token(v) for v in values],
+        "values": tokens,
         "runs": {
             token: {"out_dir": os.path.relpath(results[token][0], parent),
                     "exit_status": results[token][1],
@@ -158,8 +166,6 @@ def _cmd_sweep(args) -> int:
             for token in sorted(results)
         },
     }
-    from .io import write_summary_json
-
     write_summary_json(os.path.join(parent, "sweep_summary.json"), merged)
     if not args.quiet:
         for token in sorted(results):
@@ -192,33 +198,27 @@ def _cmd_check(args) -> int:
     except OSError as e:
         raise ConfigError("cannot read trace %s: %s" % (args.trace, e.strerror or e))
 
-    tol = float(bc["tol"])
-    worst = -math.inf
-    checked = 0
+    # rows the bound covers: non-fault samples, for the quadratic bound only
+    # the first flow interval; bounds and margins come from the same
+    # functions as the in-run monitors, so a non-finite row is a violation
+    covered = np.array([event != "fault" for event in table.event], dtype=bool)
     if args.bound == "inverse-square":
+        covered &= table.j == 0
         beta = float(bc["beta"])
-        mask = (table.j == 0) & np.array([ev != "fault" for ev in table.event])
-        for k in np.nonzero(mask)[0]:
-            bound = beta / (table.tau[k] ** 2) + tol
-            worst = max(worst, table.f_gap[k] - bound)
-            checked += 1
+        bounds = (_inverse_square_bound(beta, tau) for tau in table.tau[covered].tolist())
     else:
-        k_a = float(bc["k_a"])
-        k_b = float(bc["k_b"])
-        d_t = float(bc["delta_t"])
-        r0_sq = float(bc["r0_sq"])
-        for k in range(len(table.t)):
-            if table.event[k] == "fault":
-                continue
-            s = table.t[k] + table.j[k]
-            alpha = max(s - d_t, 0.0) / (d_t + 1.0)
-            bound = k_a * math.exp(-k_b * alpha) * r0_sq + tol
-            worst = max(worst, table.f_gap[k] - bound)
-            checked += 1
-    ok = checked > 0 and worst <= 0.0
+        k_a, k_b, d_t, r0_sq = (float(bc[key]) for key in ("k_a", "k_b", "delta_t", "r0_sq"))
+        bounds = (_exponential_bound(k_a, k_b, d_t, r0_sq, s)
+                  for s in (table.t[covered] + table.j[covered]).tolist())
+    tol = float(bc["tol"])
+    gaps = table.f_gap[covered].tolist()
+    worst, bad = _scan(bound + tol - gap for bound, gap in zip(bounds, gaps))
+    ok = bool(gaps) and not bad
+    # printed as the gap's worst excess over the bound; 0.0 - m rather
+    # than -m so that an exact hit prints 0, not -0
     print("%s bound on %s: %s (%d samples, worst margin %.6g)"
-          % (args.bound, table_key, "holds" if ok else "VIOLATED", checked,
-             worst if checked else math.nan))
+          % (args.bound, table_key, "holds" if ok else "VIOLATED", len(gaps),
+             0.0 - worst if gaps else math.nan))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

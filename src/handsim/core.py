@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "CostFunction",
     "HybridTime",
-    "HybridState",
     "JumpRecord",
     "FaultRecord",
     "Trace",
@@ -81,24 +80,6 @@ class HybridTime(NamedTuple):
     j: int
 
 
-class HybridState(NamedTuple):
-    """State (x1, x2, tau): position, momentum-like variable, timer."""
-
-    x1: np.ndarray
-    x2: np.ndarray
-    tau: float
-
-    def to_array(self) -> np.ndarray:
-        return np.concatenate([self.x1, self.x2, [self.tau]])
-
-    @staticmethod
-    def from_array(z: np.ndarray, dim: int) -> "HybridState":
-        z = np.asarray(z, dtype=float)
-        if z.shape != (2 * dim + 1,):
-            raise ValueError("expected packed state of length %d, got shape %r" % (2 * dim + 1, z.shape))
-        return HybridState(z[:dim].copy(), z[dim : 2 * dim].copy(), float(z[-1]))
-
-
 class JumpRecord(NamedTuple):
     """One jump event: pre/post packed states at hybrid time (t, j_pre)."""
 
@@ -123,7 +104,7 @@ TAG_FLOW = 0
 TAG_JUMP = 1
 TAG_FAULT = 2
 
-_TAG_NAMES = {TAG_FLOW: "flow", TAG_JUMP: "jump", TAG_FAULT: "fault"}
+TAG_NAMES = {TAG_FLOW: "flow", TAG_JUMP: "jump", TAG_FAULT: "fault"}
 
 
 @dataclass
@@ -131,8 +112,8 @@ class Trace:
     """Recorded solution of a hybrid system.
 
     Packed rows zs[k] = [x1, x2, tau] at hybrid time (ts[k], js[k]); tags mark
-    how each point was produced (flow sample, post-jump state, fault marker).
-    points/events give the record as (HybridTime, HybridState) pairs.
+    how each point was produced (flow sample, post-jump state, fault marker);
+    events holds one JumpRecord per jump.
     """
 
     dim: int
@@ -148,18 +129,11 @@ class Trace:
     def __len__(self):
         return len(self.ts)
 
-    def state(self, k: int) -> HybridState:
-        return HybridState.from_array(self.zs[k], self.dim)
-
     def time(self, k: int) -> HybridTime:
         return HybridTime(float(self.ts[k]), int(self.js[k]))
 
-    @property
-    def points(self):
-        return [(self.time(k), self.state(k)) for k in range(len(self.ts))]
-
     def tag_name(self, k: int) -> str:
-        return _TAG_NAMES[int(self.tags[k])]
+        return TAG_NAMES[int(self.tags[k])]
 
     def x1s(self) -> np.ndarray:
         return self.zs[:, : self.dim]

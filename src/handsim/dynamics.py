@@ -2,9 +2,12 @@
 state-space forms, the timer-based restarting flow, disturbance signals, and
 the damping-integral diagnostic behind the non-uniformity probe.
 
-Public evaluators (nominal_flow_rep1, hand_flow, ...) validate inputs and
-allocate; the make_* factories return allocation-free closures with signature
-flow(z, out) for the simulation loop, which assumes in-domain states.
+Each field (restarting flow, velocity form, averaged form) is built by its
+make_* factory as an allocation-light closure flow(z, out) on packed states
+z = [x1, x2, tau or clock]: a float fast path for 1-d costs with a scalar
+gradient, an array path otherwise. The closures assume in-domain states
+(positive timer or clock); simulate is their caller and applies the
+disturbance channels around them.
 """
 
 from __future__ import annotations
@@ -20,15 +23,10 @@ from .core import CostFunction
 __all__ = [
     "OdeParams",
     "DisturbanceSpec",
-    "signal_eval",
     "make_signal",
-    "nominal_flow_rep1",
-    "nominal_flow_rep2",
-    "hand_flow",
     "make_rep1_flow",
     "make_rep2_flow",
     "make_hand_flow",
-    "perturbed_flow",
     "limiting_integral",
 ]
 
@@ -173,64 +171,15 @@ def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
     return uniform
 
 
-def signal_eval(spec: DisturbanceSpec, t: float) -> np.ndarray:
-    """One-shot evaluation of the signal at time t >= 0."""
-    if t < 0.0:
-        raise ValueError("signals are defined for t >= 0, got t=%g" % t)
-    return make_signal(spec)(t).copy()
+def make_hand_flow(c: float, f: CostFunction) -> Callable[[np.ndarray, np.ndarray], None]:
+    """Restarting field flow(z, out) on packed z = [x1, x2, tau]:
 
-
-def _check_ode_time(t: float):
-    if not (t > 0.0):
-        raise ValueError("ODE fields are defined for t > 0, got t=%g" % t)
-
-
-def nominal_flow_rep1(t: float, x1, x2, params: OdeParams, f: CostFunction):
-    """Velocity form: (dx1, dx2) = (x2, -(ell/t) x2 - c p^2 t^(p-2) grad f(x1))."""
-    _check_ode_time(t)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    dx1 = x2.copy()
-    dx2 = -(params.ell / t) * x2 - params.c * params.p**2 * t ** (params.p - 2.0) * f.gradient(x1)
-    return dx1, dx2
-
-
-def nominal_flow_rep2(t: float, x1, x2, params: OdeParams, f: CostFunction):
-    """Averaged form: dx1 = ((ell-1)/t)(x2-x1), dx2 = -(c p^2 t^(p-1)/(ell-1)) grad f(x1)."""
-    _check_ode_time(t)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    dx1 = ((params.ell - 1.0) / t) * (x2 - x1)
-    dx2 = -(params.c * params.p**2 * t ** (params.p - 1.0) / (params.ell - 1.0)) * f.gradient(x1)
-    return dx1, dx2
-
-
-def hand_flow(z, c: float, f: CostFunction, p: float = 2.0) -> np.ndarray:
-    """Restarting flow field on packed z = [x1, x2, tau]:
-
-        dz = ((p/tau)(x2 - x1), -c p tau^(p-1) grad f(x1), 1)
-
-    which for p = 2 is ((2/tau)(x2-x1), -2 c tau grad f(x1), 1). tau <= 0 is
-    outside the flow set and rejected.
+        dz = ((2/tau)(x2 - x1), -2 c tau grad f(x1), 1)
     """
-    z = np.asarray(z, dtype=float)
-    n = f.dim
-    if z.shape != (2 * n + 1,):
-        raise ValueError("packed state must have length %d, got shape %r" % (2 * n + 1, z.shape))
-    tau = float(z[-1])
-    if not (tau > 0.0):
-        raise ValueError("timer must be positive, got tau=%g" % tau)
-    out = np.empty(2 * n + 1)
-    make_hand_flow(c, f, p=p)(z, out)
-    return out
-
-
-def make_hand_flow(c: float, f: CostFunction, p: float = 2.0) -> Callable[[np.ndarray, np.ndarray], None]:
-    """Allocation-light closure flow(z, out) for the restarting field."""
     n = f.dim
     if not (c > 0.0):
         raise ValueError("c must be positive, got %r" % (c,))
-    if p == 2.0 and n == 1 and f.gradient_scalar is not None:
+    if n == 1 and f.gradient_scalar is not None:
         g = f.gradient_scalar
         two_c = 2.0 * c
 
@@ -242,29 +191,17 @@ def make_hand_flow(c: float, f: CostFunction, p: float = 2.0) -> Callable[[np.nd
 
         return flow1
     grad = f.gradient
-    if p == 2.0:
 
-        def flow2(z, out, _grad=grad, _c=c, _n=n):
-            tau = z[2 * _n]
-            x1 = z[:_n]
-            np.subtract(z[_n : 2 * _n], x1, out=out[:_n])
-            out[:_n] *= 2.0 / tau
-            out[_n : 2 * _n] = _grad(x1)
-            out[_n : 2 * _n] *= -2.0 * _c * tau
-            out[2 * _n] = 1.0
-
-        return flow2
-
-    def flowp(z, out, _grad=grad, _c=c, _n=n, _p=p):
+    def flow2(z, out, _grad=grad, _c=c, _n=n):
         tau = z[2 * _n]
         x1 = z[:_n]
         np.subtract(z[_n : 2 * _n], x1, out=out[:_n])
-        out[:_n] *= _p / tau
+        out[:_n] *= 2.0 / tau
         out[_n : 2 * _n] = _grad(x1)
-        out[_n : 2 * _n] *= -_c * _p * tau ** (_p - 1.0)
+        out[_n : 2 * _n] *= -2.0 * _c * tau
         out[2 * _n] = 1.0
 
-    return flowp
+    return flow2
 
 
 def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
@@ -276,23 +213,14 @@ def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
         coef = c * p * p
         if scalar:
             g = f.gradient_scalar
-            if p == 2.0:
 
-                def r1s(z, out, _g=g, _coef=coef, _ell=ell):
-                    t = z[2]
-                    out[0] = z[1]
-                    out[1] = -(_ell / t) * z[1] - _coef * _g(z[0])
-                    out[2] = 1.0
-
-                return r1s
-
-            def r1sp(z, out, _g=g, _coef=coef, _ell=ell, _p=p):
+            def r1s(z, out, _g=g, _coef=coef, _ell=ell, _p=p):
                 t = z[2]
                 out[0] = z[1]
                 out[1] = -(_ell / t) * z[1] - _coef * t ** (_p - 2.0) * _g(z[0])
                 out[2] = 1.0
 
-            return r1sp
+            return r1s
 
         grad = f.gradient
 
@@ -332,39 +260,15 @@ def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
 
 
 def make_rep1_flow(params: OdeParams, f: CostFunction) -> Callable:
-    """flow(z, out) for the velocity form; z = [x1, x2, clock], clock is absolute time."""
+    """flow(z, out) for the velocity form on z = [x1, x2, t], t the absolute
+    time: dz = (x2, -(ell/t) x2 - c p^2 t^(p-2) grad f(x1), 1)."""
     return _make_rep_flow(params, f, rep1=True)
 
 
 def make_rep2_flow(params: OdeParams, f: CostFunction) -> Callable:
-    """flow(z, out) for the averaged form; z = [x1, x2, clock]."""
+    """flow(z, out) for the averaged form on z = [x1, x2, t]:
+    dz = (((ell-1)/t)(x2 - x1), -(c p^2 t^(p-1)/(ell-1)) grad f(x1), 1)."""
     return _make_rep_flow(params, f, rep1=False)
-
-
-def perturbed_flow(F: Callable, e_s: Optional[DisturbanceSpec], e_a: Optional[DisturbanceSpec]):
-    """Wrap a time-varying field F(t, x) as F(t, x + e_s(t)) + e_a(t).
-
-    State and signal dimensions must agree; a None signal means zero.
-    """
-    sig_s = make_signal(e_s) if e_s is not None else None
-    sig_a = make_signal(e_a) if e_a is not None else None
-
-    def field(t, x):
-        x = np.asarray(x, dtype=float)
-        if sig_s is not None:
-            es = sig_s(t)
-            if es.shape != x.shape:
-                raise ValueError("state perturbation dim %r does not match state %r" % (es.shape, x.shape))
-            x = x + es
-        dx = np.asarray(F(t, x), dtype=float)
-        if sig_a is not None:
-            ea = sig_a(t)
-            if ea.shape != dx.shape:
-                raise ValueError("dynamics perturbation dim %r does not match state %r" % (ea.shape, dx.shape))
-            dx = dx + ea
-        return dx
-
-    return field
 
 
 def limiting_integral(ell2: float, s_k: float, r: float) -> float:

@@ -38,9 +38,6 @@ __all__ = [
     "HybridSystem",
     "PerturbationSet",
     "flow_only_system",
-    "euler_step",
-    "rk_step",
-    "dh_membership",
     "jump_policy_decide",
     "simulate",
 ]
@@ -151,59 +148,6 @@ class PerturbationSet:
 
     def any_active(self) -> bool:
         return any(e is not None and not e.is_zero() for e in self.channels())
-
-
-def euler_step(F: Callable, z: np.ndarray, h: float) -> np.ndarray:
-    """One explicit Euler step z + h F(z); faults on non-finite output."""
-    z = np.asarray(z, dtype=float)
-    dz = np.empty_like(z)
-    F(z, dz)
-    out = z + h * dz
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("euler step produced non-finite state at |z|=%g" % float(np.abs(z).max()))
-    return out
-
-
-def rk_step(F: Callable, z: np.ndarray, h: float, tab: ButcherTableau) -> np.ndarray:
-    """One explicit Runge-Kutta step with stages evaluated in tableau order."""
-    z = np.asarray(z, dtype=float)
-    m = z.shape[0]
-    s = tab.stages
-    K = np.empty((s, m))
-    g = np.empty(m)
-    for k in range(s):
-        if k == 0:
-            F(z, K[0])
-            continue
-        g[:] = 0.0
-        for j, akj in enumerate(tab.a[k]):
-            if akj != 0.0:
-                g += akj * K[j]
-        g *= h
-        g += z
-        F(g, K[k])
-    dz = np.zeros(m)
-    for k in range(s):
-        if tab.b[k] != 0.0:
-            dz += tab.b[k] * K[k]
-    out = z + h * dz
-    if not np.all(np.isfinite(out)):
-        raise FloatingPointError("rk step produced non-finite state at |z|=%g" % float(np.abs(z).max()))
-    return out
-
-
-def dh_membership(sys: HybridSystem, z: np.ndarray, from_flow_step: bool = False,
-                  inflation_c: float = 0.0, inflation_d: float = 0.0) -> bool:
-    """Membership in the discretized jump set D_h.
-
-    True iff z is in D, or z carries flow-step provenance (it was produced by
-    one integrator step from a state inside C) and has left C. The provenance
-    flag is how the simulation loop realizes the one-step-overshoot part of
-    D_h without inverting the step map.
-    """
-    if sys.in_D(z, inflation_d):
-        return True
-    return from_flow_step and not sys.in_C(z, inflation_c)
 
 
 def jump_policy_decide(policy: str, z: np.ndarray, sys: HybridSystem, h: float,

@@ -18,11 +18,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
-from .core import CostFunction, HybridState
+from .core import CostFunction
 from .dynamics import make_hand_flow
 from .engine import HybridSystem
 
@@ -91,7 +91,7 @@ def _timer_sets(params: HandParams, d_lo: float, d_hi: float, point_jump: bool):
     return in_C, in_D
 
 
-def hand1(f: CostFunction, params: HandParams, p: float = 2.0) -> HybridSystem:
+def hand1(f: CostFunction, params: HandParams) -> HybridSystem:
     """Timer-reset restarting system: jumps keep the state, reset the timer.
 
     Jumps may fire anywhere in tau in [t_med, t_max] (policy decides where);
@@ -101,7 +101,7 @@ def hand1(f: CostFunction, params: HandParams, p: float = 2.0) -> HybridSystem:
     if not (params.t_min < t_med <= params.t_max):
         raise ValueError("need t_min < t_med <= t_max")
     n = f.dim
-    flow = make_hand_flow(params.c, f, p=p)
+    flow = make_hand_flow(params.c, f)
 
     def G(z, _n=n, _t_min=params.t_min):
         out = np.array(z, dtype=float)
@@ -115,13 +115,12 @@ def hand1(f: CostFunction, params: HandParams, p: float = 2.0) -> HybridSystem:
         "t_med": t_med,
         "t_max": params.t_max,
         "c": params.c,
-        "p": p,
         "cost": f.name,
     }
     return HybridSystem(dim=n, F=flow, G=G, in_C=in_C, in_D=in_D, meta=meta)
 
 
-def hand2(f: CostFunction, params: HandParams, p: float = 2.0) -> HybridSystem:
+def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
     """Momentum-reset restarting system: at tau = t_max, set x2+ = x1 and
     reset the timer.
 
@@ -139,7 +138,7 @@ def hand2(f: CostFunction, params: HandParams, p: float = 2.0) -> HybridSystem:
             % (params.t_max**2 - params.t_min**2, 1.0 / (f.mu * params.c))
         )
     n = f.dim
-    flow = make_hand_flow(params.c, f, p=p)
+    flow = make_hand_flow(params.c, f)
 
     def G(z, _n=n, _t_min=params.t_min):
         out = np.empty(2 * _n + 1)
@@ -155,7 +154,6 @@ def hand2(f: CostFunction, params: HandParams, p: float = 2.0) -> HybridSystem:
         "t_med": params.t_max,
         "t_max": params.t_max,
         "c": params.c,
-        "p": p,
         "cost": f.name,
     }
     return HybridSystem(dim=n, F=flow, G=G, in_C=in_C, in_D=in_D, meta=meta)
@@ -175,14 +173,12 @@ def strong_dwell(params: HandParams, mu: float) -> bool:
     return (params.t_max - params.t_min) ** 2 - params.t_min**2 > 1.0 / (mu * params.c)
 
 
-def target_distance(z: Union[np.ndarray, HybridState], xstar: np.ndarray, params: HandParams) -> float:
+def target_distance(z: np.ndarray, xstar: np.ndarray, params: HandParams) -> float:
     """Distance to the attractor {xstar} x {xstar} x [t_min, t_max].
 
     Euclidean in (x1, x2) when the timer is inside its window; otherwise the
     timer's distance to the window enters in quadrature.
     """
-    if isinstance(z, HybridState):
-        z = z.to_array()
     z = np.asarray(z, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
     n = xstar.shape[0]

@@ -9,7 +9,6 @@ a scenario with the same config must reproduce each artifact byte for byte.
 from __future__ import annotations
 
 import csv
-import io as _io
 import json
 import math
 from dataclasses import dataclass
@@ -17,7 +16,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .core import TAG_FAULT, TAG_FLOW, TAG_JUMP, CostFunction, Trace
+from .core import TAG_NAMES, CostFunction, Trace
 
 __all__ = [
     "format_float",
@@ -29,9 +28,6 @@ __all__ = [
     "write_table_csv",
     "write_text",
 ]
-
-_EVENT_NAMES = {TAG_FLOW: "flow", TAG_JUMP: "jump", TAG_FAULT: "fault"}
-
 
 def format_float(x: float) -> str:
     """17-significant-digit decimal form; round-trips every finite double."""
@@ -84,7 +80,7 @@ def write_trace_csv(path: str, trace: Trace, f: CostFunction, c: float,
                    + [format_float(val) for val in x1]
                    + [format_float(val) for val in x2]
                    + [format_float(gap), format_float(v), format_float(d),
-                      _EVENT_NAMES[int(trace.tags[k])]])
+                      TAG_NAMES[int(trace.tags[k])]])
             w.writerow(row)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,13 +29,10 @@ from .analysis import (
     check_exponential_rate,
     convergence_time_estimate,
     hand1_phase_probe,
-    jump_decrease_hand1,
     jump_decrease_hand2,
-    k0_constant,
     k1_constant,
     lyapunov,
     optimal_restart,
-    time_to_epsilon,
     uniformity_probe,
 )
 from .core import CostFunction, SolverConfig, Trace, corpus
@@ -497,6 +494,23 @@ def _finish(out_dir: str, summary: dict, plot: str, quiet: bool) -> int:
     return 0 if summary["pass"] else 1
 
 
+def _hand2_checks(trace: Trace, f: CostFunction, hp: HandParams, p: dict, h: float):
+    """The momentum-reset certificate bundle on one run: exponential rate,
+    per-period contraction and energy monotonicity reports, plus the worst
+    relative error of the closed-form jump identity over the run's jumps."""
+    rep = check_exponential_rate(trace, f, hp, tol=float(p["tol"]))
+    con = check_period_contraction(trace, f, hp, slack=float(p["contraction_slack"]))
+    mono = check_monotonicity(trace, f, hp.c,
+                              slack_per_step=float(p["mono_slack_scale"]) * f.lipschitz * h)
+    worst_rel = 0.0
+    for rec in trace.events:
+        dv_sim = lyapunov(rec.z_post, f, hp.c) - lyapunov(rec.z_pre, f, hp.c)
+        dv_form = jump_decrease_hand2(rec.z_pre, f, hp)
+        if abs(dv_form) > 1e-300:
+            worst_rel = max(worst_rel, abs(dv_sim - dv_form) / abs(dv_form))
+    return rep, con, mono, worst_rel
+
+
 def _ode_system(rep: str, params: OdeParams, f: CostFunction) -> HybridSystem:
     flow = make_rep1_flow(params, f) if rep == "rep1" else make_rep2_flow(params, f)
     return flow_only_system(flow, f.dim, meta={"kind": "ode-" + rep, "t0": params.t0})
@@ -725,16 +739,7 @@ def _run_hand2_rate(config: dict, out_dir: str, quiet: bool) -> int:
     sys = hand2(f, hp)
     z0 = _hand_z0(f, _x_offset(f, p["x0"]), hp.t_min)
     trace = simulate(sys, z0, cfg)
-    rep = check_exponential_rate(trace, f, hp, tol=float(p["tol"]))
-    con = check_period_contraction(trace, f, hp, slack=float(p["contraction_slack"]))
-    mono = check_monotonicity(trace, f, hp.c,
-                              slack_per_step=float(p["mono_slack_scale"]) * f.lipschitz * cfg.h)
-    worst_rel = 0.0
-    for rec in trace.events:
-        dv_sim = lyapunov(rec.z_post, f, hp.c) - lyapunov(rec.z_pre, f, hp.c)
-        dv_form = jump_decrease_hand2(rec.z_pre, f, hp)
-        if abs(dv_form) > 1e-300:
-            worst_rel = max(worst_rel, abs(dv_sim - dv_form) / abs(dv_form))
+    rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, cfg.h)
     closed_ok = worst_rel <= float(p["closed_form_tol"])
     fname = "trace.csv"
     write_trace_csv(os.path.join(out_dir, fname), trace, f, hp.c,
@@ -939,16 +944,7 @@ def _run_discretization_order(config: dict, out_dir: str, quiet: bool) -> int:
                                integrator=integ, jump_policy="latest",
                                record_stride=max(1, int(round(0.01 / h))))
             trace = simulate(sys2, z0, cfg)
-            rep = check_exponential_rate(trace, f, hp, tol=float(p["tol"]))
-            con = check_period_contraction(trace, f, hp, slack=float(p["contraction_slack"]))
-            mono = check_monotonicity(trace, f, hp.c,
-                                      slack_per_step=float(p["mono_slack_scale"]) * f.lipschitz * h)
-            worst_rel = 0.0
-            for rec in trace.events:
-                dv_sim = lyapunov(rec.z_post, f, hp.c) - lyapunov(rec.z_pre, f, hp.c)
-                dv_form = jump_decrease_hand2(rec.z_pre, f, hp)
-                if abs(dv_form) > 1e-300:
-                    worst_rel = max(worst_rel, abs(dv_sim - dv_form) / abs(dv_form))
+            rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, h)
             ok = (rep.satisfied and con.satisfied and mono.satisfied
                   and worst_rel <= float(p["closed_form_tol"]))
             pass_h[(integ, h)] = ok

@@ -207,6 +207,21 @@ def test_check_exponential_rate_and_contraction():
     assert con.checked >= 30
 
 
+def test_nonfinite_sample_is_a_violation():
+    # a nan state must fail the monitors, not slip past the running minimum
+    f = sphere_cost(1)
+    params = HandParams(t_min=1.0, t_max=2.0, c=1.0)
+    tr = _hand2_trace(f, params, np.array([5.0]), t_end=5.0)
+    assert check_exponential_rate(tr, f, params).satisfied
+    tr.zs[5, 0] = math.nan
+    rep = check_exponential_rate(tr, f, params)
+    assert not rep.satisfied and math.isnan(rep.worst_margin)
+    assert rep.violation_times == [tr.time(5)]
+    mono = check_monotonicity(tr, f, params.c, slack_per_step=1.0)
+    assert not mono.satisfied and math.isnan(mono.worst_margin)
+    assert mono.violation_times == [tr.time(5), tr.time(6)]
+
+
 def test_check_exponential_rate_needs_strong_convexity_metadata():
     f = sphere_cost(1)
     bare = make_quadratic([[1.0]], [0.0])

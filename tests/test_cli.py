@@ -184,3 +184,51 @@ def test_cli_sweep_empty_values(tmp_path):
     assert main(["sweep", path, "--param", "solver.h", "--values", "", "--out", out, "--quiet"]) == 0
     merged = json.loads((tmp_path / "sweep0" / "sweep_summary.json").read_text())
     assert merged["runs"] == {}
+
+
+def _set_gap_cells(trace, rows, value):
+    """Overwrite the f_gap cell of the given data rows (1-based after the header)."""
+    lines = trace.read_text().splitlines(keepends=True)
+    gap_col = lines[0].split(",").index("f_gap")
+    for k in rows:
+        cells = lines[k].rstrip("\n").split(",")
+        cells[gap_col] = value
+        lines[k] = ",".join(cells) + "\n"
+    trace.write_text("".join(lines))
+
+
+def test_cli_check_rejects_nan_gaps(tmp_path, capsys):
+    path = _fast_hand2(tmp_path)
+    assert main(["run", path, "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    pristine = trace.read_text()
+    assert main(["check", str(trace), "--bound", "exponential"]) == 0
+    assert "holds" in capsys.readouterr().out
+    # every cell nan: no margin is finite, so no row may count as passing
+    _set_gap_cells(trace, range(1, len(pristine.splitlines())), "nan")
+    assert main(["check", str(trace), "--bound", "exponential"]) == 1
+    out = capsys.readouterr().out
+    assert "VIOLATED" in out and "worst margin nan" in out
+    # one nan cell among finite ones is enough
+    trace.write_text(pristine)
+    _set_gap_cells(trace, [40], "nan")
+    assert main(["check", str(trace), "--bound", "exponential"]) == 1
+    assert "VIOLATED" in capsys.readouterr().out
+
+
+def test_cli_sweep_rejects_duplicate_values(tmp_path):
+    path = _fast_hand2(tmp_path)
+    out = tmp_path / "sweep"
+    # 0.02 and 0.020 are the same value and would share one run directory
+    assert main(["sweep", path, "--param", "solver.h", "--values", "0.02,0.020",
+                 "--out", str(out), "--quiet"]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize("token", ["../../x", "a/b", ".", ".."])
+def test_cli_sweep_rejects_unsafe_values(tmp_path, token):
+    path = _fast_hand2(tmp_path)
+    out = tmp_path / "sweep" / "inner"
+    assert main(["sweep", path, "--param", "solver.integrator", "--values", "rk4," + token,
+                 "--out", str(out), "--quiet"]) == 2
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]

@@ -7,7 +7,6 @@ import pytest
 
 from handsim import (
     CostFunction,
-    HybridState,
     HybridTime,
     SolverConfig,
     Trace,
@@ -111,24 +110,6 @@ def test_named_costs_dimensions():
     assert f.value(np.array([2.0])) == pytest.approx(0.5)
 
 
-def test_hybrid_state_pack_roundtrip():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        dim = int(rng.integers(1, 5))
-        s = HybridState(rng.standard_normal(dim), rng.standard_normal(dim), float(rng.uniform(0.5, 3.0)))
-        z = s.to_array()
-        assert z.shape == (2 * dim + 1,)
-        back = HybridState.from_array(z, dim)
-        assert np.array_equal(back.x1, s.x1)
-        assert np.array_equal(back.x2, s.x2)
-        assert back.tau == s.tau
-
-
-def test_hybrid_state_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        HybridState.from_array(np.zeros(4), 2)
-
-
 def test_solver_config_validation():
     SolverConfig(h=1e-3, t_end=1.0)
     with pytest.raises(ValueError):
@@ -166,8 +147,7 @@ def test_trace_accessors():
     assert tr.tag_name(2) == "jump"
     assert np.array_equal(tr.x1s()[:, 0], [1.0, 0.9, 0.9, 0.8])
     assert np.array_equal(tr.taus(), [1.0, 1.5, 1.0, 1.5])
-    s = tr.state(0)
-    assert s.x1[0] == 1.0 and s.x2[0] == 1.0 and s.tau == 1.0
+    assert tr.x1s()[0, 0] == 1.0 and tr.x2s()[0, 0] == 1.0 and tr.taus()[0] == 1.0
 
 
 def test_validate_trace_accepts_well_formed():

@@ -9,62 +9,66 @@ from scipy.integrate import quad
 from handsim import (
     DisturbanceSpec,
     OdeParams,
+    PerturbationSet,
     SolverConfig,
     example1_cost,
-    hand_flow,
     limiting_integral,
     make_quadratic,
-    nominal_flow_rep1,
-    nominal_flow_rep2,
-    signal_eval,
     simulate,
     sphere_cost,
 )
-from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow, perturbed_flow
+from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow, make_signal
 from handsim.engine import flow_only_system
+
+
+def _field(flow, z):
+    """Evaluate a flow closure at packed state z = [x1, x2, tau or clock]."""
+    out = np.empty(len(z))
+    flow(np.asarray(z, dtype=float), out)
+    return out
 
 
 def test_rep1_field_hand_values():
     # second-order form at t=1, x=2, xdot=0 with f(x)=x^2/8, c=1
     f = make_quadratic([[0.25]], [0.0])
     params = OdeParams(p=2.0, c=1.0, t0=1.0)
-    dx1, dx2 = nominal_flow_rep1(1.0, np.array([2.0]), np.array([0.0]), params, f)
-    assert dx1[0] == pytest.approx(0.0, abs=1e-15)
-    assert dx2[0] == pytest.approx(-2.0, abs=1e-12)
+    dz = _field(make_rep1_flow(params, f), [2.0, 0.0, 1.0])
+    assert dz[0] == pytest.approx(0.0, abs=1e-15)
+    assert dz[1] == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_rep1_damping_only():
     # at the minimizer the gradient term drops; -(3/t) xdot remains
     f = make_quadratic([[0.25]], [0.0])
     params = OdeParams(p=2.0, c=1.0, t0=1.0)
-    dx1, dx2 = nominal_flow_rep1(10.0, np.array([0.0]), np.array([1.0]), params, f)
-    assert dx1[0] == pytest.approx(1.0)
-    assert dx2[0] == pytest.approx(-0.3, abs=1e-12)
+    dz = _field(make_rep1_flow(params, f), [0.0, 1.0, 10.0])
+    assert dz[0] == pytest.approx(1.0)
+    assert dz[1] == pytest.approx(-0.3, abs=1e-12)
 
 
 def test_rep1_equilibrium():
     f = sphere_cost(2)
     params = OdeParams(p=2.0, c=1.0, t0=1.0)
-    dx1, dx2 = nominal_flow_rep1(7.0, f.xstar.copy(), np.zeros(2), params, f)
-    assert np.all(dx1 == 0.0)
-    assert np.all(dx2 == 0.0)
+    dz = _field(make_rep1_flow(params, f), np.concatenate([f.xstar, np.zeros(2), [7.0]]))
+    assert np.all(dz[:2] == 0.0)
+    assert np.all(dz[2:4] == 0.0)
 
 
 def test_rep2_field_hand_values():
     # averaged form at t=2, x1=1, x2=3 with f(x)=x^2/2, c=1
     f = sphere_cost(1)
     params = OdeParams(p=2.0, c=1.0, t0=1.0)
-    dx1, dx2 = nominal_flow_rep2(2.0, np.array([1.0]), np.array([3.0]), params, f)
-    assert dx1[0] == pytest.approx(2.0, abs=1e-12)
-    assert dx2[0] == pytest.approx(-4.0, abs=1e-12)
+    dz = _field(make_rep2_flow(params, f), [1.0, 3.0, 2.0])
+    assert dz[0] == pytest.approx(2.0, abs=1e-12)
+    assert dz[1] == pytest.approx(-4.0, abs=1e-12)
 
 
 def test_rep2_equilibrium():
     f = sphere_cost(2)
     params = OdeParams(p=2.0, c=1.0, t0=1.0)
-    dx1, dx2 = nominal_flow_rep2(3.0, f.xstar.copy(), f.xstar.copy(), params, f)
-    assert np.all(dx1 == 0.0)
-    assert np.all(dx2 == 0.0)
+    dz = _field(make_rep2_flow(params, f), np.concatenate([f.xstar, f.xstar, [3.0]]))
+    assert np.all(dz[:2] == 0.0)
+    assert np.all(dz[2:4] == 0.0)
 
 
 def test_rep_equivalence_along_trajectory():
@@ -86,14 +90,14 @@ def test_rep_equivalence_along_trajectory():
 
 def test_hand_flow_hand_values():
     f = sphere_cost(1)
-    dz = hand_flow(np.array([1.0, 3.0, 2.0]), c=1.0, f=f)
+    dz = _field(make_hand_flow(1.0, f), [1.0, 3.0, 2.0])
     assert np.allclose(dz, [2.0, -4.0, 1.0], atol=1e-12)
 
 
 def test_hand_flow_equilibrium_clock_still_runs():
     f = sphere_cost(2)
     z = np.concatenate([f.xstar, f.xstar, [1.7]])
-    dz = hand_flow(z, c=1.0, f=f)
+    dz = _field(make_hand_flow(1.0, f), z)
     assert np.all(dz[:-1] == 0.0)
     assert dz[-1] == 1.0
 
@@ -103,14 +107,17 @@ def test_hand_flow_matches_rep2_with_clock():
     rng = np.random.default_rng(5)
     f = make_quadratic(np.diag([1.0, 4.0]), np.array([1.0, 0.0]))
     params = OdeParams(p=2.0, c=0.7, t0=1.0)
+    hand = make_hand_flow(0.7, f)
+    rep2 = make_rep2_flow(params, f)
     for _ in range(1000):
         x1 = rng.standard_normal(2) * 3.0
         x2 = rng.standard_normal(2) * 3.0
         tau = float(rng.uniform(0.2, 9.0))
-        dz = hand_flow(np.concatenate([x1, x2, [tau]]), c=0.7, f=f)
-        dx1, dx2 = nominal_flow_rep2(tau, x1, x2, params, f)
-        assert np.allclose(dz[:2], dx1, atol=1e-12)
-        assert np.allclose(dz[2:4], dx2, atol=1e-12)
+        z = np.concatenate([x1, x2, [tau]])
+        dz = _field(hand, z)
+        dz2 = _field(rep2, z)
+        assert np.allclose(dz[:2], dz2[:2], atol=1e-12)
+        assert np.allclose(dz[2:4], dz2[2:4], atol=1e-12)
         assert dz[-1] == 1.0
 
 
@@ -125,19 +132,21 @@ def test_make_hand_flow_writes_in_place():
 
 def test_square_wave_levels():
     spec = DisturbanceSpec.square_wave(dim=3, eps=1e-3, period=10.0, axis=[0.0, 1.0, 0.0])
-    e = signal_eval(spec, 2.0)
+    sig = make_signal(spec)
+    e = sig(2.0)
     assert e.shape == (3,)
     assert np.max(np.abs(e)) == pytest.approx(1e-3)
-    e_late = signal_eval(spec, 7.0)
+    e_late = sig(7.0)
     assert np.allclose(e_late, -e)
     # period boundary wraps back to the high level
-    assert np.allclose(signal_eval(spec, 10.0), e)
+    assert np.allclose(sig(10.0), e)
 
 
 def test_zero_signal():
     spec = DisturbanceSpec.zero(4)
+    sig = make_signal(spec)
     for t in (0.0, 1.3, 99.0):
-        assert np.all(signal_eval(spec, t) == 0.0)
+        assert np.all(sig(t) == 0.0)
     assert spec.is_zero()
 
 
@@ -146,8 +155,9 @@ def test_uniform_random_signal_deterministic_and_bounded():
     rng = np.random.default_rng(0)
     for _ in range(100):
         t = float(rng.uniform(0.0, 1e4))
-        a = signal_eval(spec, t)
-        b = signal_eval(spec, t)
+        # two independent closures: the draw is a pure function of (seed, t)
+        a = make_signal(spec)(t)
+        b = make_signal(spec)(t)
         assert np.array_equal(a, b)
         assert np.linalg.norm(a) <= 0.05 + 1e-12
 
@@ -155,53 +165,58 @@ def test_uniform_random_signal_deterministic_and_bounded():
 def test_sinusoid_period():
     spec = DisturbanceSpec.sinusoid(dim=1, eps=0.2, period=4.0, axis=[1.0])
     rng = np.random.default_rng(1)
+    sig = make_signal(spec)
     for _ in range(50):
         t = float(rng.uniform(0.0, 40.0))
-        a = signal_eval(spec, t)
-        b = signal_eval(spec, t + 4.0)
+        a = sig(t)
+        b = sig(t + 4.0)
         assert np.allclose(a, b, atol=1e-9)
         assert np.linalg.norm(a) <= 0.2 + 1e-12
 
 
-def _hand_field(f, c):
-    # functional form F(t, z) of the autonomous restarting flow
-    return lambda t, z: hand_flow(z, c, f)
+def _run(f, z0, h, n, pert=None):
+    """Recorded states of n euler steps of the restarting flow via simulate."""
+    sys = flow_only_system(make_hand_flow(1.0, f), f.dim)
+    cfg = SolverConfig(h=h, t_end=n * h, integrator="euler")
+    return simulate(sys, np.asarray(z0, dtype=float), cfg, pert=pert)
 
 
 def test_perturbed_flow_zero_is_identity():
     f = sphere_cost(2)
-    F = _hand_field(f, 1.0)
-    pf = perturbed_flow(F, DisturbanceSpec.zero(5), DisturbanceSpec.zero(5))
+    zero = PerturbationSet(e1=DisturbanceSpec.zero(5), e2=DisturbanceSpec.zero(5))
     rng = np.random.default_rng(9)
     for _ in range(25):
         z = rng.standard_normal(5)
         z[-1] = abs(z[-1]) + 0.1
-        assert np.array_equal(pf(0.37, z), F(0.37, z))
+        assert np.array_equal(_run(f, z, 0.01, 3, zero).zs, _run(f, z, 0.01, 3).zs)
 
 
 def test_perturbed_flow_additive_shift():
-    # additive channel shifts the field by the signal value on its axis
+    # additive channel shifts the field by the signal value on its axis,
+    # read at each step's start time
     f = sphere_cost(1)
-    F = _hand_field(f, 1.0)
-    e_a = DisturbanceSpec.square_wave(dim=3, eps=1e-3, period=1e4, axis=[0.0, 1.0, 0.0])
-    pf = perturbed_flow(F, None, e_a)
-    z = np.array([1.0, 3.0, 2.0])
-    base = F(0.0, z)
-    assert np.allclose(pf(1.0, z) - base, [0.0, 1e-3, 0.0], atol=1e-15)
-    # second half-period flips the sign
-    assert np.allclose(pf(6e3, z) - base, [0.0, -1e-3, 0.0], atol=1e-15)
+    F = make_hand_flow(1.0, f)
+    e_a = DisturbanceSpec.square_wave(dim=3, eps=1e-3, period=0.4, axis=[0.0, 1.0, 0.0])
+    h = 0.1
+    tr = _run(f, [1.0, 3.0, 2.0], h, 4, PerturbationSet(e2=e_a))
+    assert len(tr) == 5
+    for k, sign in enumerate((1.0, 1.0, -1.0, -1.0)):
+        shift = (tr.zs[k + 1] - tr.zs[k]) / h - _field(F, tr.zs[k])
+        # second half-period flips the sign
+        assert np.allclose(shift, [0.0, sign * 1e-3, 0.0], atol=1e-12)
 
 
 def test_perturbed_flow_state_shift_moves_gradient_argument():
     # state channel on x1 evaluates the field at x1 + delta
     f = sphere_cost(1)
-    F = _hand_field(f, 1.0)
+    F = make_hand_flow(1.0, f)
     delta = 0.25
     e_s = DisturbanceSpec.constant(np.array([delta, 0.0, 0.0]))
-    pf = perturbed_flow(F, e_s, None)
     z = np.array([1.0, 3.0, 2.0])
+    h = 0.1
+    z1 = _run(f, z, h, 1, PerturbationSet(e1=e_s)).zs[-1]
     shifted = np.array([1.0 + delta, 3.0, 2.0])
-    assert np.allclose(pf(0.0, z), F(0.0, shifted), atol=1e-15)
+    assert np.allclose((z1 - z) / h, _field(F, shifted), atol=1e-12)
 
 
 def test_limiting_integral_empty_window():

@@ -10,11 +10,8 @@ from handsim import (
     HandParams,
     PerturbationSet,
     SolverConfig,
-    dh_membership,
-    euler_step,
     hand2,
     jump_policy_decide,
-    rk_step,
     simulate,
     sphere_cost,
     tableau,
@@ -26,10 +23,19 @@ from handsim.engine import flow_only_system
 from handsim.hands import hand1
 
 
+def _steps(F, z0, h, n=1, integrator="euler"):
+    """n integrator steps through simulate: a flow-only system run to t_end = n h."""
+    z0 = np.asarray(z0, dtype=float)
+    sys = flow_only_system(F, (len(z0) - 1) // 2)
+    tr = simulate(sys, z0, SolverConfig(h=h, t_end=n * h, integrator=integrator))
+    assert tr.termination == "horizon" and tr.meta["flow_steps"] == n
+    return tr.zs[-1]
+
+
 def test_euler_step_hand_values():
     f = sphere_cost(1)
     F = make_hand_flow(1.0, f)
-    z1 = euler_step(F, np.array([1.0, 3.0, 2.0]), 0.1)
+    z1 = _steps(F, [1.0, 3.0, 2.0], 0.1)
     assert np.allclose(z1, [1.2, 2.6, 2.1], atol=1e-14)
 
 
@@ -38,15 +44,18 @@ def test_euler_step_zero_field():
         out[:] = 0.0
 
     z = np.array([2.0, -1.0, 0.5])
-    assert np.array_equal(euler_step(F, z, 0.3), z)
+    assert np.array_equal(_steps(F, z, 0.3), z)
 
 
 def test_euler_step_faults_on_nonfinite():
     def F(z, out):
         out[:] = math.inf
 
-    with pytest.raises(FloatingPointError):
-        euler_step(F, np.zeros(2), 0.1)
+    tr = simulate(flow_only_system(F, 1), np.zeros(3), SolverConfig(h=0.1, t_end=0.1))
+    assert tr.termination == "fault"
+    assert tr.fault.kind == "blowup"
+    # the fault row keeps the last finite state
+    assert np.array_equal(tr.zs[-1], np.zeros(3))
 
 
 def test_euler_half_steps_differ_second_order():
@@ -60,8 +69,8 @@ def test_euler_half_steps_differ_second_order():
     z0 = rng.standard_normal(3)
     gaps = []
     for h in (0.1, 0.05, 0.025):
-        one = euler_step(F, z0, h)
-        two = euler_step(F, euler_step(F, z0, h / 2), h / 2)
+        one = _steps(F, z0, h)
+        two = _steps(F, z0, h / 2, n=2)
         gaps.append(float(np.linalg.norm(one - two)))
     # halving h shrinks the gap by ~4
     assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.15)
@@ -77,7 +86,9 @@ def test_degenerate_tableau_is_euler():
     for _ in range(20):
         z = rng.standard_normal(3)
         z[-1] = abs(z[-1]) + 0.1
-        assert np.allclose(rk_step(F, z, 0.05, tab), euler_step(F, z, 0.05), atol=1e-15)
+        dz = np.empty(3)
+        F(z, dz)
+        assert np.allclose(_steps(F, z, 0.05), z + 0.05 * dz, atol=1e-15)
 
 
 def test_rk4_exponential_value():
@@ -85,10 +96,14 @@ def test_rk4_exponential_value():
     def F(z, out):
         out[:] = z
 
-    z1 = rk_step(F, np.array([1.0]), 0.1, tableau("rk4"))
-    assert z1[0] == pytest.approx(1.1051708333333332, abs=1e-12)
+    z1 = _steps(F, np.ones(3), 0.1, integrator="rk4")
+    assert z1 == pytest.approx(np.full(3, 1.1051708333333332), abs=1e-12)
     # local truncation error h^5/5! ~ 8.3e-8
-    assert abs(z1[0] - math.exp(0.1)) < 1e-7
+    assert np.all(np.abs(z1 - math.exp(0.1)) < 1e-7)
+    # the generic tableau path: both second-order schemes give 1 + h + h^2/2
+    for integrator in ("heun", "midpoint"):
+        z1 = _steps(F, np.ones(3), 0.1, integrator=integrator)
+        assert z1 == pytest.approx(np.full(3, 1.105), abs=1e-12), integrator
 
 
 def test_rk4_global_error_fourth_order():
@@ -112,14 +127,21 @@ def test_unknown_tableau_rejected():
 def test_dh_membership_cases():
     f = sphere_cost(1)
     sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))
-    in_D = np.array([0.5, 0.5, 2.0])
-    assert dh_membership(sys, in_D) is True
-    overshoot = np.array([0.5, 0.5, 2.003])
-    # reachable in one flow step from C, outside C: jump fires next
-    assert dh_membership(sys, overshoot, from_flow_step=True) is True
-    assert dh_membership(sys, overshoot, from_flow_step=False) is False
-    interior = np.array([0.5, 0.5, 1.2])
-    assert dh_membership(sys, interior, from_flow_step=True) is False
+    cfg = SolverConfig(h=0.006, t_end=0.012, jump_policy="earliest")
+    # in D: the jump fires before any flow
+    tr = simulate(sys, np.array([0.5, 0.5, 2.0]), cfg)
+    assert tr.events[0].t == 0.0 and tr.events[0].z_pre[-1] == 2.0
+    # one flow step from C overshoots the deadline to tau = 2.003, outside C
+    # and off the D slice: the step's provenance puts it in D_h, jump fires next
+    tr = simulate(sys, np.array([0.5, 0.5, 1.997]), cfg)
+    assert tr.events[0].t == pytest.approx(0.006)
+    assert tr.events[0].z_pre[-1] == pytest.approx(2.003)
+    # the same state without flow-step provenance is outside C union D_h
+    with pytest.raises(ValueError):
+        simulate(sys, np.array([0.5, 0.5, 2.003]), cfg)
+    # a flow step that stays inside C does not jump
+    tr = simulate(sys, np.array([0.5, 0.5, 1.194]), cfg)
+    assert tr.events == [] and tr.termination == "horizon"
 
 
 def test_jump_policy_decide_basics():
