@@ -26,6 +26,7 @@ from .engine import (
     PerturbationSet,
     jump_policy_decide,
     simulate,
+    simulate_batch,
     tableau,
 )
 from .hands import (

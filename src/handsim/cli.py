@@ -200,8 +200,12 @@ def _cmd_check(args) -> int:
 
     # rows the bound covers: non-fault samples, for the quadratic bound only
     # the first flow interval; bounds and margins come from the same
-    # functions as the in-run monitors, so a non-finite row is a violation
-    covered = np.array([event != "fault" for event in table.event], dtype=bool)
+    # functions as the in-run monitors, so a non-finite row is a violation.
+    # A run writes at most one fault row, as its last row: a fault label
+    # anywhere else would hide a sample from the bound, so it is a violation
+    fault = np.array([event == "fault" for event in table.event], dtype=bool)
+    misplaced = bool(fault[:-1].any())
+    covered = ~fault
     if args.bound == "inverse-square":
         covered &= table.j == 0
         beta = float(bc["beta"])
@@ -213,7 +217,10 @@ def _cmd_check(args) -> int:
     tol = float(bc["tol"])
     gaps = table.f_gap[covered].tolist()
     worst, bad = _scan(bound + tol - gap for bound, gap in zip(bounds, gaps))
-    ok = bool(gaps) and not bad
+    ok = bool(gaps) and not bad and not misplaced
+    if misplaced:
+        print("fault label on data row %d of %d; a run writes its one fault row last"
+              % (int(np.flatnonzero(fault[:-1])[0]) + 1, len(fault)))
     # printed as the gap's worst excess over the bound; 0.0 - m rather
     # than -m so that an exact hit prints 0, not -0
     print("%s bound on %s: %s (%d samples, worst margin %.6g)"

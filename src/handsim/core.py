@@ -36,9 +36,11 @@ _SYM_TOL = 1e-12
 class CostFunction:
     """Smooth cost with optional convexity metadata.
 
-    value/gradient take a shape-(dim,) float64 vector. mu and lipschitz are
-    strong-convexity and gradient-Lipschitz constants when known; xstar/fstar
-    are the minimizer and minimum, required by any sub-optimality reporting.
+    value/gradient take a shape-(dim,) float64 vector (make_quadratic's
+    gradient also takes a column-stacked (dim, B) block). mu and lipschitz
+    are strong-convexity and gradient-Lipschitz constants when known;
+    xstar/fstar are the minimizer and minimum, required by any
+    sub-optimality reporting.
     gradient_scalar is an optional float->float fast path for dim == 1.
     """
 
@@ -213,7 +215,13 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
         return float(0.5 * x.dot(_Q.dot(x)) + _b.dot(x))
 
     def gradient(x, _Q=Q, _b=b):
-        return _Q.dot(np.asarray(x, dtype=float)) + _b
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return _Q.dot(x) + _b
+        # a column-stacked block (n, B): one matrix-vector product per
+        # column, the same product a single state gets; a matrix-matrix
+        # product can round differently (its FMAs run in another order)
+        return np.matmul(_Q, x.T[:, :, None])[:, :, 0].T + _b[:, None]
 
     gradient_scalar = None
     if n == 1:

@@ -40,6 +40,7 @@ __all__ = [
     "flow_only_system",
     "jump_policy_decide",
     "simulate",
+    "simulate_batch",
 ]
 
 
@@ -186,6 +187,87 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
     return make_signal(spec)
 
 
+def _rk_increment(F, tab: ButcherTableau, h: float, src, out, K, gbuf, scratch) -> None:
+    """out = sum_k b_k K_k, the increment per unit step of one explicit
+    Runge-Kutta step of F from src. Works on a packed state or on a
+    column-stacked block of them; K (one row per stage), gbuf and scratch
+    are caller-owned buffers shaped like src."""
+    F(src, K[0])
+    for k in range(1, tab.stages):
+        row = tab.a[k]
+        gbuf[:] = 0.0
+        for jj in range(k):
+            akj = row[jj]
+            if akj != 0.0:
+                np.multiply(K[jj], akj, out=scratch)
+                gbuf += scratch
+        gbuf *= h
+        gbuf += src
+        F(gbuf, K[k])
+    b_w = tab.b
+    np.multiply(K[0], b_w[0], out=out)
+    for k in range(1, tab.stages):
+        if b_w[k] != 0.0:
+            np.multiply(K[k], b_w[k], out=scratch)
+            out += scratch
+
+
+class _Rows:
+    """Recorded samples of one run: hybrid times, packed states, tags."""
+
+    def __init__(self):
+        self.ts = []
+        self.js = []
+        self.zs = []
+        self.tags = []
+
+    def add(self, t, j, z, tag):
+        self.ts.append(t)
+        self.js.append(j)
+        self.zs.append(z.copy())
+        self.tags.append(tag)
+
+
+def _close(sys: HybridSystem, cfg: SolverConfig, rows: _Rows, events: list, termination: str,
+           fault: Optional[FaultRecord], t: float, j: int, z: np.ndarray, since_record: int,
+           flow_steps: int) -> Trace:
+    """Final sample and Trace of a finished run: the fault row, or the last
+    state z at (t, j) when flow steps since the last sample went unrecorded
+    (a non-finite one turns the run into a fault)."""
+    if termination == "fault":
+        rows.add(fault.t, fault.j, fault.z_last, TAG_FAULT)
+    elif since_record > 0:
+        if np.all(np.isfinite(z)):
+            rows.add(t, j, z, TAG_FLOW)
+        else:
+            fault = FaultRecord(t, j, "blowup", "non-finite state at horizon", rows.zs[-1].copy())
+            termination = "fault"
+            rows.add(fault.t, fault.j, fault.z_last, TAG_FAULT)
+    meta = dict(sys.meta)
+    meta.update(
+        h=cfg.h,
+        t_end=cfg.t_end,
+        max_jumps=cfg.max_jumps,
+        integrator=cfg.integrator,
+        jump_policy=cfg.jump_policy,
+        policy_seed=cfg.policy_seed,
+        record_stride=cfg.record_stride,
+        dim=sys.dim,
+        flow_steps=flow_steps,
+    )
+    return Trace(
+        dim=sys.dim,
+        ts=np.asarray(rows.ts, dtype=float),
+        js=np.asarray(rows.js, dtype=np.int64),
+        zs=np.asarray(rows.zs, dtype=float),
+        tags=np.asarray(rows.tags, dtype=np.int8),
+        events=events,
+        meta=meta,
+        termination=termination,
+        fault=fault,
+    )
+
+
 def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
              pert: Optional[PerturbationSet] = None,
              stop_condition: Optional[Callable[[float, int, np.ndarray], bool]] = None) -> Trace:
@@ -231,10 +313,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     rng = np.random.default_rng(cfg.policy_seed) if policy == "uniform" else None
 
     tab = TABLEAUS[cfg.integrator]
-    s = tab.stages
-    a_rows = [np.asarray(row) for row in tab.a]
-    b_w = tab.b
-    K = np.empty((s, m))
+    K = np.empty((tab.stages, m))
     gbuf = np.empty(m)
     dz = np.empty(m)
     zin = np.empty(m)
@@ -249,25 +328,17 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         if not (in_C(z, infl(sig3, 0.0)) or in_D(z, infl(sig6, 0.0))):
             raise ValueError("initial state outside C union D (tau=%g)" % float(z[-1]))
 
-    ts: list = []
-    js: list = []
-    zs: list = []
-    tags: list = []
+    rows = _Rows()
+    record = rows.add
+    zs = rows.zs
     events: list = []
     fault: Optional[FaultRecord] = None
     termination = "horizon"
 
     stop_hit = False
 
-    def record(t, j, zarr, tag):
-        ts.append(t)
-        js.append(j)
-        zs.append(zarr.copy())
-        tags.append(tag)
-
     def flow_field(t, zcur, out):
         """out = F(zcur + e1(t)) + e2(t) via one integrator step increment."""
-        nonlocal gbuf
         if sig1 is not None:
             np.add(zcur, sig1(t), out=zin)
             src = zin
@@ -276,23 +347,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         if euler:
             F(src, out)
         else:
-            F(src, K[0])
-            for k in range(1, s):
-                row = a_rows[k]
-                gbuf[:] = 0.0
-                for jj in range(k):
-                    akj = row[jj]
-                    if akj != 0.0:
-                        np.multiply(K[jj], akj, out=scratch)
-                        gbuf += scratch
-                gbuf *= h
-                gbuf += src
-                F(gbuf, K[k])
-            np.multiply(K[0], b_w[0], out=out)
-            for k in range(1, s):
-                if b_w[k] != 0.0:
-                    np.multiply(K[k], b_w[k], out=scratch)
-                    out += scratch
+            _rk_increment(F, tab, h, src, out, K, gbuf, scratch)
         if sig2 is not None:
             out += sig2(t)
 
@@ -403,37 +458,167 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
 
     if stop_hit:
         termination = "condition"
+    return _close(sys, cfg, rows, events, termination, fault, t, j, z, since_record, k_step)
 
-    if termination == "fault":
-        record(fault.t, fault.j, fault.z_last, TAG_FAULT)
-    elif since_record > 0:
-        if np.all(np.isfinite(z)):
-            record(t, j, z, TAG_FLOW)
+
+class _Member:
+    """Control state of one trajectory in a lockstep batch."""
+
+    def __init__(self, sys: HybridSystem, cfg: SolverConfig):
+        self.sys = sys
+        self.empty_jump_set = bool(sys.meta.get("empty_jump_set", False))
+        self.rng = np.random.default_rng(cfg.policy_seed) if cfg.jump_policy == "uniform" else None
+        self.rows = _Rows()
+        self.events: list = []
+        self.fault: Optional[FaultRecord] = None
+        self.termination = "horizon"
+        self.t = 0.0
+        self.j = 0
+        self.k_step = 0
+        self.from_flow = False
+        self.since_record = 0
+        self.trace: Optional[Trace] = None
+
+    def fail(self, kind: str, detail: str, z_last: np.ndarray) -> None:
+        self.fault = FaultRecord(self.t, self.j, kind, detail, z_last.copy())
+        self.termination = "fault"
+
+
+def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
+    """Run B hybrid systems in lockstep and return their B Traces.
+
+    The systems share one flow closure F (the same object) and one packed
+    length; F must accept a column-stacked (2*dim + 1, B) block and compute
+    each column exactly as it computes a single packed state. Each loop
+    iteration evaluates one batched integrator increment for every live
+    member, then every member does what simulate's loop would do next on its
+    own: one jump, or one flow step read from the increment (which is also
+    its `latest` lookahead). Each member keeps its own D_h provenance,
+    `uniform` RNG stream seeded from cfg.policy_seed, jump budget, recording
+    stride, termination and fault record; members that finish leave the
+    block while the others run on. Trace i equals
+    simulate(systems[i], z0s[i], cfg).
+    """
+    systems = list(systems)
+    if len(z0s) != len(systems):
+        raise ValueError("need one initial state per system: %d systems, %d states" % (len(systems), len(z0s)))
+    if not systems:
+        return []
+    F = systems[0].F
+    m = systems[0].packed_len
+    for sys in systems:
+        if sys.F is not F:
+            raise ValueError("batched systems must share one flow closure F")
+        if sys.packed_len != m:
+            raise ValueError("batched systems must share one packed length, got %d and %d" % (m, sys.packed_len))
+    Z = np.empty((m, len(systems)))
+    for col, (sys, z0) in enumerate(zip(systems, z0s)):
+        z = np.array(z0, dtype=float).reshape(m)
+        if not np.all(np.isfinite(z)):
+            raise ValueError("initial state must be finite")
+        if not sys.meta.get("empty_jump_set", False) and not (sys.in_C(z, 0.0) or sys.in_D(z, 0.0)):
+            raise ValueError("initial state outside C union D (tau=%g)" % float(z[-1]))
+        Z[:, col] = z
+    members = [_Member(sys, cfg) for sys in systems]
+    for col, mem in enumerate(members):
+        mem.rows.add(0.0, 0, Z[:, col], TAG_FLOW)
+
+    h = cfg.h
+    max_jumps = cfg.max_jumps
+    stride = cfg.record_stride
+    policy = cfg.jump_policy
+    tab = TABLEAUS[cfg.integrator]
+    euler = cfg.integrator == "euler"
+    t_stop = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)  # simulate's horizon test
+
+    def buffers(B):
+        """Next states, increments, stage values and two work blocks."""
+        return (np.empty((m, B)), np.empty((m, B)), np.empty((tab.stages, m, B)),
+                np.empty((m, B)), np.empty((m, B)))
+
+    live = members  # the member of each block column
+    Znew, dZ, K, gbuf, scratch = buffers(len(live))
+    while live:
+        if euler:
+            F(Z, dZ)
         else:
-            fault = FaultRecord(t, j, "blowup", "non-finite state at horizon", zs[-1].copy())
-            termination = "fault"
-            record(fault.t, fault.j, fault.z_last, TAG_FAULT)
+            _rk_increment(F, tab, h, Z, dZ, K, gbuf, scratch)
+        np.multiply(dZ, h, out=scratch)
+        np.add(Z, scratch, out=Znew)
 
-    meta = dict(sys.meta)
-    meta.update(
-        h=h,
-        t_end=t_end,
-        max_jumps=max_jumps,
-        integrator=cfg.integrator,
-        jump_policy=cfg.jump_policy,
-        policy_seed=cfg.policy_seed,
-        record_stride=stride,
-        dim=sys.dim,
-        flow_steps=k_step,
-    )
-    return Trace(
-        dim=sys.dim,
-        ts=np.asarray(ts, dtype=float),
-        js=np.asarray(js, dtype=np.int64),
-        zs=np.asarray(zs, dtype=float),
-        tags=np.asarray(tags, dtype=np.int8),
-        events=events,
-        meta=meta,
-        termination=termination,
-        fault=fault,
-    )
+        done = []
+        for col, mem in enumerate(live):
+            z = Z[:, col]
+            if mem.t >= t_stop:
+                done.append(col)
+                continue
+            do_jump = False
+            if not mem.empty_jump_set:
+                c_now = mem.sys.in_C(z, 0.0)
+                if mem.sys.in_D(z, 0.0) or (mem.from_flow and not c_now):
+                    if not c_now:
+                        do_jump = True
+                    elif policy == "latest":
+                        # the block's step is this member's lookahead
+                        do_jump = jump_policy_decide(policy, z, mem.sys, h,
+                                                     flow_exits=not mem.sys.in_C(Znew[:, col], 0.0))
+                    else:
+                        do_jump = jump_policy_decide(policy, z, mem.sys, h, rng=mem.rng)
+                elif not c_now:
+                    mem.fail("escaped", "state outside C union D_h (tau=%g)" % float(z[-1]), z)
+                    done.append(col)
+                    continue
+
+            if do_jump:
+                # as in simulate: the budget gates jumps, and the pre-jump
+                # state becomes the final sample
+                if mem.j >= max_jumps:
+                    mem.termination = "jump_cap"
+                    done.append(col)
+                    continue
+                if mem.since_record > 0:
+                    if not np.all(np.isfinite(z)):
+                        mem.fail("blowup", "non-finite state before jump", mem.rows.zs[-1])
+                        done.append(col)
+                        continue
+                    mem.rows.add(mem.t, mem.j, z, TAG_FLOW)
+                z_post = np.array(mem.sys.G(z), dtype=float).reshape(m)
+                if not np.all(np.isfinite(z_post)):
+                    mem.fail("blowup", "jump map produced non-finite state", z)
+                    done.append(col)
+                    continue
+                mem.events.append(JumpRecord(mem.t, mem.j, z.copy(), z_post.copy()))
+                mem.j += 1
+                mem.from_flow = False
+                mem.rows.add(mem.t, mem.j, z_post, TAG_JUMP)
+                mem.since_record = 0
+                if not (mem.sys.in_C(z_post, 0.0) or mem.sys.in_D(z_post, 0.0)):
+                    mem.fail("escaped", "jump landed outside C union D (tau=%g)" % float(z_post[-1]), z_post)
+                    done.append(col)
+                    continue
+                Znew[:, col] = z_post
+                continue
+
+            mem.k_step += 1
+            mem.t = mem.k_step * h
+            mem.from_flow = True
+            mem.since_record += 1
+            z = Znew[:, col]
+            if not math.isfinite(z[0]) or (mem.since_record >= stride and not np.all(np.isfinite(z))):
+                mem.fail("blowup", "non-finite state during flow at t=%g" % mem.t, mem.rows.zs[-1])
+                done.append(col)
+            elif mem.since_record >= stride:
+                mem.rows.add(mem.t, mem.j, z, TAG_FLOW)
+                mem.since_record = 0
+
+        for col in done:
+            mem = live[col]
+            mem.trace = _close(mem.sys, cfg, mem.rows, mem.events, mem.termination, mem.fault,
+                               mem.t, mem.j, Z[:, col], mem.since_record, mem.k_step)
+        Z, Znew = Znew, Z
+        if done:
+            keep = [col for col in range(len(live)) if col not in done]
+            Z = Z[:, keep]
+            live = [live[col] for col in keep]
+            Znew, dZ, K, gbuf, scratch = buffers(len(live))
+    return [mem.trace for mem in members]

@@ -15,6 +15,7 @@ for config errors (raised here as ConfigError).
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import os
 from typing import Optional, Tuple
@@ -44,7 +45,7 @@ from .dynamics import (
     make_rep1_flow,
     make_rep2_flow,
 )
-from .engine import HybridSystem, PerturbationSet, flow_only_system, simulate
+from .engine import HybridSystem, PerturbationSet, flow_only_system, simulate, simulate_batch
 from .hands import HandParams, hand1, hand2, target_distance_fn
 from .io import (
     format_float,
@@ -808,21 +809,22 @@ def _run_restart_sweep(config: dict, out_dir: str, quiet: bool) -> int:
     rows = []
     measured = np.full(n, math.inf)
     bound = np.full(n, math.inf)
-    for i, dT in enumerate(grid):
-        hp = HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)
-        sysd = hand2(f, hp)
-        z0 = _hand_z0(f, x0, t_min)
-        cfg = _solver_from(config["solver"])
-        trace = simulate(sysd, z0, cfg)
+    # one lockstep batch over the grid: every period flows the same field
+    flow = make_hand_flow(c, f)
+    systems = [dataclasses.replace(hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)), F=flow)
+               for dT in grid]
+    z0 = _hand_z0(f, x0, t_min)
+    traces = simulate_batch(systems, [z0] * n, _solver_from(config["solver"]))
+    for i, (dT, trace) in enumerate(zip(grid, traces)):
         # end-of-period samples: the gap just before each reset, which x1
         # carries unchanged through the jump to hybrid time (t, j) = ((k+1)dT, k+1)
         gaps = np.array([f.gap(rec.z_pre[:f.dim]) for rec in trace.events])
         k1 = k1_constant(c, f.mu, t_min, float(dT))
-        hit_j = None
-        for k in range(len(gaps)):
-            if np.all(gaps[k:] <= eps):
-                hit_j = k + 1
-                break
+        # first period after the last one not yet within eps (a nan gap is
+        # not within eps)
+        late = np.flatnonzero(~(gaps <= eps))
+        first = int(late[-1]) + 1 if late.size else 0
+        hit_j = first + 1 if first < len(gaps) else None
         if hit_j is not None:
             measured[i] = hit_j * float(dT)
         if k1 < 1.0 and gap0 > eps:

@@ -186,13 +186,13 @@ def test_cli_sweep_empty_values(tmp_path):
     assert merged["runs"] == {}
 
 
-def _set_gap_cells(trace, rows, value):
-    """Overwrite the f_gap cell of the given data rows (1-based after the header)."""
+def _set_cells(trace, rows, value, column="f_gap"):
+    """Overwrite one column's cell in the given data rows (1-based after the header)."""
     lines = trace.read_text().splitlines(keepends=True)
-    gap_col = lines[0].split(",").index("f_gap")
+    col = lines[0].rstrip("\n").split(",").index(column)
     for k in rows:
         cells = lines[k].rstrip("\n").split(",")
-        cells[gap_col] = value
+        cells[col] = value
         lines[k] = ",".join(cells) + "\n"
     trace.write_text("".join(lines))
 
@@ -205,13 +205,13 @@ def test_cli_check_rejects_nan_gaps(tmp_path, capsys):
     assert main(["check", str(trace), "--bound", "exponential"]) == 0
     assert "holds" in capsys.readouterr().out
     # every cell nan: no margin is finite, so no row may count as passing
-    _set_gap_cells(trace, range(1, len(pristine.splitlines())), "nan")
+    _set_cells(trace, range(1, len(pristine.splitlines())), "nan")
     assert main(["check", str(trace), "--bound", "exponential"]) == 1
     out = capsys.readouterr().out
     assert "VIOLATED" in out and "worst margin nan" in out
     # one nan cell among finite ones is enough
     trace.write_text(pristine)
-    _set_gap_cells(trace, [40], "nan")
+    _set_cells(trace, [40], "nan")
     assert main(["check", str(trace), "--bound", "exponential"]) == 1
     assert "VIOLATED" in capsys.readouterr().out
 
@@ -232,3 +232,20 @@ def test_cli_sweep_rejects_unsafe_values(tmp_path, token):
     assert main(["sweep", path, "--param", "solver.integrator", "--values", "rk4," + token,
                  "--out", str(out), "--quiet"]) == 2
     assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+def test_cli_check_rejects_fault_label_before_last_row(tmp_path, capsys):
+    path = _fast_hand2(tmp_path, t_end=20.0)
+    assert main(["run", path, "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    assert main(["check", str(trace), "--bound", "exponential"]) == 0
+    assert "holds" in capsys.readouterr().out
+    _set_cells(trace, [40], "1e9")
+    assert main(["check", str(trace), "--bound", "exponential"]) == 1
+    assert "VIOLATED" in capsys.readouterr().out
+    # relabelling the violating row as a fault must not hide it: a run
+    # writes its one fault row last
+    _set_cells(trace, [40], "fault", column="event")
+    assert main(["check", str(trace), "--bound", "exponential"]) == 1
+    out = capsys.readouterr().out
+    assert "VIOLATED" in out and "fault" in out

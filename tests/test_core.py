@@ -59,6 +59,19 @@ def test_quadratic_gap_bounds_random():
             assert gap <= 0.5 * f.lipschitz * d2 + 1e-9 * max(1.0, d2)
 
 
+def test_quadratic_gradient_on_column_block():
+    # a (n, B) block of states gets b added per column and every column
+    # bit for bit as a single state gets it, also at B = n
+    rng = np.random.default_rng(8)
+    for f in (coupled_cost(), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3])):
+        for B in (2, 3, 15):
+            X = rng.standard_normal((2, B)) * 10.0 ** rng.integers(-6, 6, size=B)
+            G = f.gradient(X)
+            assert G.shape == (2, B)
+            for i in range(B):
+                assert np.array_equal(G[:, i], f.gradient(X[:, i]))
+
+
 def test_grad_check_exact_for_quadratic():
     f = make_quadratic(np.eye(2), np.zeros(2))
     assert grad_check(f, np.array([1.0, 1.0]), fd_step=1e-5) <= 1e-8

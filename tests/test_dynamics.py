@@ -121,6 +121,25 @@ def test_hand_flow_matches_rep2_with_clock():
         assert dz[-1] == 1.0
 
 
+@pytest.mark.parametrize("make", [lambda f: make_hand_flow(1.0, f),
+                                  lambda f: make_rep1_flow(OdeParams(), f),
+                                  lambda f: make_rep2_flow(OdeParams(), f)],
+                         ids=["hand", "rep1", "rep2"])
+@pytest.mark.parametrize("f", [sphere_cost(1), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3])],
+                         ids=["dim1", "dim2"])
+def test_flow_closures_on_column_block(make, f):
+    # a column-stacked block of packed states, as simulate_batch passes it:
+    # each column of the field equals the field of that column alone
+    flow = make(f)
+    rng = np.random.default_rng(4)
+    Z = rng.standard_normal((2 * f.dim + 1, 5))
+    Z[-1] = rng.uniform(0.5, 3.0, size=5)
+    out = np.empty_like(Z)
+    flow(Z, out)
+    for i in range(5):
+        assert np.array_equal(out[:, i], _field(flow, Z[:, i]))
+
+
 def test_make_hand_flow_writes_in_place():
     f = sphere_cost(1)
     F = make_hand_flow(1.0, f)

@@ -1,6 +1,8 @@
 """Integrator steps, jump handling, and the hybrid simulation loop."""
 
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from handsim import (
     SolverConfig,
     hand2,
     jump_policy_decide,
+    make_quadratic,
     simulate,
+    simulate_batch,
     sphere_cost,
     tableau,
     validate_trace,
@@ -273,3 +277,67 @@ def test_jump_rows_tagged():
     assert len(jump_rows) == len(tr.events)
     for k in jump_rows:
         assert tr.zs[k, -1] == pytest.approx(1.0, abs=1e-12)  # post-jump timer
+
+
+def _assert_same_trace(a, b):
+    assert np.array_equal(a.ts, b.ts)
+    assert np.array_equal(a.js, b.js)
+    assert np.array_equal(a.zs, b.zs)
+    assert np.array_equal(a.tags, b.tags)
+    assert a.termination == b.termination
+    assert a.meta == b.meta
+    assert len(a.events) == len(b.events)
+    for x, y in zip(a.events, b.events):
+        assert (x.t, x.j_pre) == (y.t, y.j_pre)
+        assert np.array_equal(x.z_pre, y.z_pre) and np.array_equal(x.z_post, y.z_post)
+    assert (a.fault is None) == (b.fault is None)
+    if a.fault is not None:
+        assert tuple(a.fault[:4]) == tuple(b.fault[:4])
+        assert np.array_equal(a.fault.z_last, b.fault.z_last)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "heun", "rk4"])
+@pytest.mark.parametrize("policy", ["earliest", "latest", "uniform"])
+@pytest.mark.parametrize("f", [sphere_cost(1), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3], name="q2")],
+                         ids=["dim1", "dim2"])
+def test_simulate_batch_equals_single_runs(integrator, policy, f):
+    # hand1 and hand2 members with different timer windows share one flow
+    # closure; short periods hit the jump budget, the last member starts at
+    # the edge of the floats and blows up a few steps in, the rest run on
+    flow = make_hand_flow(1.0, f)
+    systems, z0s = [], []
+    for k, t_max in enumerate((1.5, 2.3, 2.9, 3.5, 4.4, 1.8)):
+        hp = HandParams(t_min=0.5, t_max=t_max, c=1.0, t_med=None if k % 2 else 0.5 * (0.5 + t_max))
+        systems.append(dataclasses.replace((hand2 if k % 2 else hand1)(f, hp), F=flow))
+        x = f.xstar + (1.5e308 if k == 5 else 1.0 + 0.25 * k)
+        z0s.append(np.concatenate([x, x, [0.5]]))
+    cfg = SolverConfig(h=0.01, t_end=12.0, max_jumps=5, integrator=integrator, jump_policy=policy,
+                       policy_seed=3, record_stride=7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        batch = simulate_batch(systems, z0s, cfg)
+        singles = [simulate(sys, z0, cfg) for sys, z0 in zip(systems, z0s)]
+    for tr, ref in zip(batch, singles):
+        _assert_same_trace(tr, ref)
+        validate_trace(tr)
+    endings = [tr.termination for tr in batch]
+    assert "jump_cap" in endings and "horizon" in endings
+    assert endings[5] == "fault" and batch[5].fault.kind == "blowup"
+    assert 0 < batch[5].meta["flow_steps"] < min(tr.meta["flow_steps"] for tr in batch[:5])
+
+
+def test_simulate_batch_rejects_mixed_systems():
+    f = sphere_cost(1)
+    hp = HandParams(t_min=1.0, t_max=2.0, c=1.0)
+    cfg = SolverConfig(h=0.01, t_end=1.0)
+    z0 = np.array([1.0, 1.0, 1.0])
+    # each hand2 call builds its own flow closure
+    with pytest.raises(ValueError, match="flow closure"):
+        simulate_batch([hand2(f, hp), hand2(f, hp)], [z0, z0], cfg)
+    a = hand2(f, hp)
+    b = dataclasses.replace(hand2(sphere_cost(2), hp), F=a.F)
+    with pytest.raises(ValueError, match="packed length"):
+        simulate_batch([a, b], [z0, np.ones(5)], cfg)
+    with pytest.raises(ValueError):
+        simulate_batch([a], [z0, z0], cfg)
+    assert simulate_batch([], [], cfg) == []
