@@ -8,7 +8,7 @@ All numerics are float64, scalars are dim-1 vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -36,23 +36,23 @@ _SYM_TOL = 1e-12
 class CostFunction:
     """Smooth cost with optional convexity metadata.
 
-    value/gradient take a shape-(dim,) float64 vector (make_quadratic's
-    gradient also takes a column-stacked (dim, B) block). mu and lipschitz
+    value takes a shape-(dim,) float64 vector. gradient takes a sequence of
+    dim components and returns a sequence of dim components; the flow
+    closures pass it a list of floats, or the rows of a (dim, B) block, so a
+    gradient computed component by component serves both. mu and lipschitz
     are strong-convexity and gradient-Lipschitz constants when known;
     xstar/fstar are the minimizer and minimum, required by any
     sub-optimality reporting.
-    gradient_scalar is an optional float->float fast path for dim == 1.
     """
 
     dim: int
     value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
+    gradient: Callable[[Sequence], Sequence]
     mu: Optional[float] = None
     lipschitz: Optional[float] = None
     xstar: Optional[np.ndarray] = None
     fstar: Optional[float] = None
     name: str = ""
-    gradient_scalar: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -214,20 +214,20 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x.dot(_Q.dot(x)) + _b.dot(x))
 
-    def gradient(x, _Q=Q, _b=b):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return _Q.dot(x) + _b
-        # a column-stacked block (n, B): one matrix-vector product per
-        # column, the same product a single state gets; a matrix-matrix
-        # product can round differently (its FMAs run in another order)
-        return np.matmul(_Q, x.T[:, :, None])[:, :, 0].T + _b[:, None]
+    # component i is sum_j Q[i][j] x[j] taken left to right, then + b[i]; on
+    # the corpus costs every product is exact, so this equals Q.dot(x) + b
+    # bit for bit whatever order a BLAS kernel sums in
+    terms = [(q[0], tuple(enumerate(q))[1:], bi) for q, bi in zip(Q.tolist(), b.tolist())]
 
-    gradient_scalar = None
-    if n == 1:
-        q00 = float(Q[0, 0])
-        b0 = float(b[0])
-        gradient_scalar = lambda x, _q=q00, _b=b0: _q * x + _b  # noqa: E731
+    def gradient(x, _terms=terms):
+        x0 = x[0]
+        g = []
+        for q0, rest, bi in _terms:
+            s = q0 * x0
+            for j, qj in rest:
+                s = s + qj * x[j]
+            g.append(s + bi)
+        return g
 
     singular = lam_min <= _SYM_TOL * scale
     if not singular:
@@ -241,7 +241,6 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
             xstar=xstar,
             fstar=value(xstar),
             name=name,
-            gradient_scalar=gradient_scalar,
         )
 
     # singular: a minimizer exists iff the stationarity system Qx = -b is consistent
@@ -257,7 +256,6 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
         xstar=None,
         fstar=value(x_ls),
         name=name,
-        gradient_scalar=gradient_scalar,
     )
 
 

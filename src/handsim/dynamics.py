@@ -3,18 +3,20 @@ state-space forms, the timer-based restarting flow, disturbance signals, and
 the damping-integral diagnostic behind the non-uniformity probe.
 
 Each field (restarting flow, velocity form, averaged form) is built by its
-make_* factory as an allocation-light closure flow(z, out) on packed states
-z = [x1, x2, tau or clock]: a float fast path for 1-d costs with a scalar
-gradient, an array path otherwise. The closures assume in-domain states
-(positive timer or clock); simulate is their caller and applies the
-disturbance channels around them.
+make_* factory as one closure F(z) on packed states z = [x1, x2, tau or
+clock] that returns the 2*dim + 1 field components as a list, computed
+component by component: simulate passes a list of floats, simulate_batch the
+rows of a (2*dim + 1, B) block, and each column of the block result equals
+the float result bit for bit. The closures assume in-domain states (positive
+timer or clock); the engine is their caller and applies the disturbance
+channels around them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -171,102 +173,88 @@ def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
     return uniform
 
 
-def make_hand_flow(c: float, f: CostFunction) -> Callable[[np.ndarray, np.ndarray], None]:
-    """Restarting field flow(z, out) on packed z = [x1, x2, tau]:
+def make_hand_flow(c: float, f: CostFunction) -> Callable[[Sequence], list]:
+    """Restarting field F(z) on packed z = [x1, x2, tau]:
 
         dz = ((2/tau)(x2 - x1), -2 c tau grad f(x1), 1)
     """
     n = f.dim
     if not (c > 0.0):
         raise ValueError("c must be positive, got %r" % (c,))
-    if n == 1 and f.gradient_scalar is not None:
-        g = f.gradient_scalar
-        two_c = 2.0 * c
-
-        def flow1(z, out, _g=g, _two_c=two_c):
-            tau = z[2]
-            out[0] = (2.0 / tau) * (z[1] - z[0])
-            out[1] = -_two_c * tau * _g(z[0])
-            out[2] = 1.0
-
-        return flow1
     grad = f.gradient
+    two_c = 2.0 * c
 
-    def flow2(z, out, _grad=grad, _c=c, _n=n):
+    def flow(z, _grad=grad, _two_c=two_c, _n=n, _r=range(n)):
         tau = z[2 * _n]
-        x1 = z[:_n]
-        np.subtract(z[_n : 2 * _n], x1, out=out[:_n])
-        out[:_n] *= 2.0 / tau
-        out[_n : 2 * _n] = _grad(x1)
-        out[_n : 2 * _n] *= -2.0 * _c * tau
-        out[2 * _n] = 1.0
+        s = 2.0 / tau
+        k = -_two_c * tau
+        out = []
+        for i in _r:
+            out.append(s * (z[_n + i] - z[i]))
+        for g in _grad(z[:_n]):
+            out.append(k * g)
+        out.append(1.0)
+        return out
 
-    return flow2
+    return flow
 
 
 def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
-    """Shared factory for the two ODE forms on packed z = [x1, x2, clock]."""
+    """Shared factory for the two ODE forms on packed z = [x1, x2, clock].
+
+    The clock power t ** e is numpy's: a negative float clock (reachable
+    only through a state disturbance) with a fractional e gives nan, where
+    Python's power would give a complex number."""
     n = f.dim
     p, c, ell = params.p, params.c, params.ell
-    scalar = n == 1 and f.gradient_scalar is not None
+    grad = f.gradient
     if rep1:
         coef = c * p * p
-        if scalar:
-            g = f.gradient_scalar
 
-            def r1s(z, out, _g=g, _coef=coef, _ell=ell, _p=p):
-                t = z[2]
-                out[0] = z[1]
-                out[1] = -(_ell / t) * z[1] - _coef * t ** (_p - 2.0) * _g(z[0])
-                out[2] = 1.0
-
-            return r1s
-
-        grad = f.gradient
-
-        def r1v(z, out, _grad=grad, _coef=coef, _ell=ell, _p=p, _n=n):
+        def r1(z, _grad=grad, _coef=coef, _ell=ell, _e=p - 2.0, _n=n):
             t = z[2 * _n]
-            out[:_n] = z[_n : 2 * _n]
-            out[_n : 2 * _n] = _grad(z[:_n])
-            out[_n : 2 * _n] *= -_coef * t ** (_p - 2.0)
-            out[_n : 2 * _n] -= (_ell / t) * z[_n : 2 * _n]
-            out[2 * _n] = 1.0
+            tp = t ** _e
+            if tp.__class__ is complex:
+                tp = math.nan
+            d = _ell / t
+            k = _coef * tp
+            x2 = z[_n : 2 * _n]
+            out = list(x2)
+            for v, g in zip(x2, _grad(z[:_n])):
+                out.append(-d * v - k * g)
+            out.append(1.0)
+            return out
 
-        return r1v
+        return r1
 
     coef = c * p * p / (ell - 1.0)
-    if scalar:
-        g = f.gradient_scalar
 
-        def r2s(z, out, _g=g, _coef=coef, _ell=ell, _p=p):
-            t = z[2]
-            out[0] = ((_ell - 1.0) / t) * (z[1] - z[0])
-            out[1] = -_coef * t ** (_p - 1.0) * _g(z[0])
-            out[2] = 1.0
-
-        return r2s
-
-    grad = f.gradient
-
-    def r2v(z, out, _grad=grad, _coef=coef, _ell=ell, _p=p, _n=n):
+    def r2(z, _grad=grad, _coef=coef, _ell=ell, _e=p - 1.0, _n=n, _r=range(n)):
         t = z[2 * _n]
-        np.subtract(z[_n : 2 * _n], z[:_n], out=out[:_n])
-        out[:_n] *= (_ell - 1.0) / t
-        out[_n : 2 * _n] = _grad(z[:_n])
-        out[_n : 2 * _n] *= -_coef * t ** (_p - 1.0)
-        out[2 * _n] = 1.0
+        tp = t ** _e
+        if tp.__class__ is complex:
+            tp = math.nan
+        s = (_ell - 1.0) / t
+        k = -_coef * tp
+        out = []
+        for i in _r:
+            out.append(s * (z[_n + i] - z[i]))
+        for g in _grad(z[:_n]):
+            out.append(k * g)
+        out.append(1.0)
+        return out
 
-    return r2v
+    return r2
 
 
 def make_rep1_flow(params: OdeParams, f: CostFunction) -> Callable:
-    """flow(z, out) for the velocity form on z = [x1, x2, t], t the absolute
+    """F(z) for the velocity form on z = [x1, x2, t], t the absolute
     time: dz = (x2, -(ell/t) x2 - c p^2 t^(p-2) grad f(x1), 1)."""
     return _make_rep_flow(params, f, rep1=True)
 
 
 def make_rep2_flow(params: OdeParams, f: CostFunction) -> Callable:
-    """flow(z, out) for the averaged form on z = [x1, x2, t]:
+    """F(z) for the averaged form on z = [x1, x2, t]:
     dz = (((ell-1)/t)(x2 - x1), -(c p^2 t^(p-1)/(ell-1)) grad f(x1), 1)."""
     return _make_rep_flow(params, f, rep1=False)
 

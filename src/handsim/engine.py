@@ -14,9 +14,10 @@ C intersect D are resolved by a jump policy; "escaped hybrid domain" and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -94,18 +95,21 @@ def tableau(name: str) -> ButcherTableau:
 class HybridSystem:
     """Hybrid system on packed states z = [x1, x2, tau] of length 2*dim + 1.
 
-    F(z, out) writes the flow field; G(z) returns the post-jump state;
-    in_C(z, inflation) / in_D(z, inflation) test set membership, where
-    inflation >= 0 widens the timer bounds (used to realize membership
-    perturbations). meta carries timer bounds and labels for policies,
-    reporting, and fast paths ("empty_jump_set" marks D = empty).
+    All four maps take z as any sequence of its components. F(z) returns
+    the 2*dim + 1 flow-field components, computed component by component:
+    simulate hands it a list of floats, simulate_batch the rows of a
+    column-stacked block. G(z) returns the post-jump state; in_C(z,
+    inflation) / in_D(z, inflation) test set membership, where inflation >=
+    0 widens the timer bounds (used to realize membership perturbations).
+    meta carries timer bounds and labels for policies, reporting, and fast
+    paths ("empty_jump_set" marks D = empty).
     """
 
     dim: int
-    F: Callable[[np.ndarray, np.ndarray], None]
-    G: Callable[[np.ndarray], np.ndarray]
-    in_C: Callable[[np.ndarray, float], bool]
-    in_D: Callable[[np.ndarray, float], bool]
+    F: Callable[[Sequence], Sequence]
+    G: Callable[[Sequence], Sequence]
+    in_C: Callable[[Sequence, float], bool]
+    in_D: Callable[[Sequence, float], bool]
     meta: dict = field(default_factory=dict)
 
     @property
@@ -120,7 +124,7 @@ def flow_only_system(flow: Callable, dim: int, meta: Optional[dict] = None) -> H
     return HybridSystem(
         dim=dim,
         F=flow,
-        G=lambda z: z.copy(),
+        G=list,
         in_C=lambda z, inflation=0.0: True,
         in_D=lambda z, inflation=0.0: False,
         meta=m,
@@ -187,33 +191,42 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
     return make_signal(spec)
 
 
-def _rk_increment(F, tab: ButcherTableau, h: float, src, out, K, gbuf, scratch) -> None:
-    """out = sum_k b_k K_k, the increment per unit step of one explicit
-    Runge-Kutta step of F from src. Works on a packed state or on a
-    column-stacked block of them; K (one row per stage), gbuf and scratch
-    are caller-owned buffers shaped like src."""
-    F(src, K[0])
-    for k in range(1, tab.stages):
-        row = tab.a[k]
-        gbuf[:] = 0.0
-        for jj in range(k):
-            akj = row[jj]
+def _rk_increment(F, tab: ButcherTableau, h: float, src) -> list:
+    """sum_k b_k K_k, the increment per unit step of one explicit
+    Runge-Kutta step of F from src, combined component by component in a
+    fixed order of operations: src is a sequence of components, the floats
+    of a packed state or one whole column-stacked block, and F maps such a
+    sequence to another."""
+    r = range(len(src))
+    K = [F(src)]
+    for row in tab.a[1:]:
+        g = [0.0] * len(src)
+        for Kj, akj in zip(K, row):
             if akj != 0.0:
-                np.multiply(K[jj], akj, out=scratch)
-                gbuf += scratch
-        gbuf *= h
-        gbuf += src
-        F(gbuf, K[k])
+                for i in r:
+                    g[i] = g[i] + Kj[i] * akj
+        for i in r:
+            g[i] = g[i] * h + src[i]
+        K.append(F(g))
     b_w = tab.b
-    np.multiply(K[0], b_w[0], out=out)
-    for k in range(1, tab.stages):
-        if b_w[k] != 0.0:
-            np.multiply(K[k], b_w[k], out=scratch)
-            out += scratch
+    out = [k * b_w[0] for k in K[0]]
+    for Kk, bk in zip(K[1:], b_w[1:]):
+        if bk != 0.0:
+            for i in r:
+                out[i] = out[i] + Kk[i] * bk
+    return out
+
+
+def _increment(F, cfg: SolverConfig):
+    """src -> the integrator's increment per unit step of F from src."""
+    if cfg.integrator == "euler":
+        return F
+    return functools.partial(_rk_increment, F, TABLEAUS[cfg.integrator], cfg.h)
 
 
 class _Rows:
-    """Recorded samples of one run: hybrid times, packed states, tags."""
+    """Recorded samples of one run: hybrid times, packed states, tags. A
+    state is kept as given, so callers hand over one they never mutate."""
 
     def __init__(self):
         self.ts = []
@@ -224,12 +237,16 @@ class _Rows:
     def add(self, t, j, z, tag):
         self.ts.append(t)
         self.js.append(j)
-        self.zs.append(z.copy())
+        self.zs.append(z)
         self.tags.append(tag)
 
 
+def _all_finite(z) -> bool:
+    return all(map(math.isfinite, z))
+
+
 def _close(sys: HybridSystem, cfg: SolverConfig, rows: _Rows, events: list, termination: str,
-           fault: Optional[FaultRecord], t: float, j: int, z: np.ndarray, since_record: int,
+           fault: Optional[FaultRecord], t: float, j: int, z, since_record: int,
            flow_steps: int) -> Trace:
     """Final sample and Trace of a finished run: the fault row, or the last
     state z at (t, j) when flow steps since the last sample went unrecorded
@@ -237,10 +254,10 @@ def _close(sys: HybridSystem, cfg: SolverConfig, rows: _Rows, events: list, term
     if termination == "fault":
         rows.add(fault.t, fault.j, fault.z_last, TAG_FAULT)
     elif since_record > 0:
-        if np.all(np.isfinite(z)):
+        if _all_finite(z):
             rows.add(t, j, z, TAG_FLOW)
         else:
-            fault = FaultRecord(t, j, "blowup", "non-finite state at horizon", rows.zs[-1].copy())
+            fault = FaultRecord(t, j, "blowup", "non-finite state at horizon", np.array(rows.zs[-1]))
             termination = "fault"
             rows.add(fault.t, fault.j, fault.z_last, TAG_FAULT)
     meta = dict(sys.meta)
@@ -270,14 +287,16 @@ def _close(sys: HybridSystem, cfg: SolverConfig, rows: _Rows, events: list, term
 
 def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
              pert: Optional[PerturbationSet] = None,
-             stop_condition: Optional[Callable[[float, int, np.ndarray], bool]] = None) -> Trace:
+             stop_condition: Optional[Callable[[float, int, list], bool]] = None) -> Trace:
     """Run the hybrid simulation loop and return the recorded Trace.
 
     Each loop iteration does exactly one of: a jump z+ = G(z + e4) + e5 when
     the (perturbed) discretized jump set is hit and the policy elects it, or
     one integrator step of dz = F(z + e1) + e2 advancing t by h. Jumps never
     advance t, flow steps never advance j. Disturbance signals are evaluated
-    at the step-start time and held constant over the step.
+    at the step-start time and held constant over the step. The loop keeps
+    the packed state as a list of floats and steps it component by
+    component; F, G, in_C, in_D and stop_condition are handed that list.
 
     Recording: the initial state, every record_stride-th flow step, both
     sides of every jump, and the final state. stop_condition(t, j, z) is
@@ -288,9 +307,10 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     with the fault kind and last finite state kept on the trace).
     """
     m = sys.packed_len
-    z = np.array(z0, dtype=float).reshape(m).copy()
+    z = np.array(z0, dtype=float).reshape(m)
     if not np.all(np.isfinite(z)):
         raise ValueError("initial state must be finite")
+    z = z.tolist()
     h = cfg.h
     t_end = cfg.t_end
     max_jumps = cfg.max_jumps
@@ -312,13 +332,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     policy = cfg.jump_policy
     rng = np.random.default_rng(cfg.policy_seed) if policy == "uniform" else None
 
-    tab = TABLEAUS[cfg.integrator]
-    K = np.empty((tab.stages, m))
-    gbuf = np.empty(m)
-    dz = np.empty(m)
-    zin = np.empty(m)
-    scratch = np.empty(m)
-    euler = cfg.integrator == "euler"
+    increment = _increment(F, cfg)
 
     def infl(sig, t):
         return float(np.linalg.norm(sig(t))) if sig is not None else 0.0
@@ -326,7 +340,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     # initial state must sit in the (inflated) hybrid domain
     if not empty_jump_set:
         if not (in_C(z, infl(sig3, 0.0)) or in_D(z, infl(sig6, 0.0))):
-            raise ValueError("initial state outside C union D (tau=%g)" % float(z[-1]))
+            raise ValueError("initial state outside C union D (tau=%g)" % z[-1])
 
     rows = _Rows()
     record = rows.add
@@ -337,19 +351,24 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
 
     stop_hit = False
 
-    def flow_field(t, zcur, out):
-        """out = F(zcur + e1(t)) + e2(t) via one integrator step increment."""
-        if sig1 is not None:
-            np.add(zcur, sig1(t), out=zin)
-            src = zin
+    def flow_step(t, z):
+        """z + h (F(z + e1(t)) + e2(t)) for one integrator step."""
+        src = z if sig1 is None else [a + e for a, e in zip(z, sig1(t).tolist())]
+        try:
+            dz = increment(src)
+        except (ZeroDivisionError, OverflowError):
+            # a float division by zero or an overflowing power raises where
+            # numpy scalars give inf or nan: redo the step on numpy scalars,
+            # so the run ends as the recorded fault it always was
+            dz = increment([np.float64(v) for v in src])
+        out = []
+        if sig2 is None:
+            for a, d in zip(z, dz):
+                out.append(a + d * h)
         else:
-            src = zcur
-        if euler:
-            F(src, out)
-        else:
-            _rk_increment(F, tab, h, src, out, K, gbuf, scratch)
-        if sig2 is not None:
-            out += sig2(t)
+            for a, d, e in zip(z, dz, sig2(t).tolist()):
+                out.append(a + (d + e) * h)
+        return out
 
     record(0.0, 0, z, TAG_FLOW)
     if stop_condition is not None and stop_condition(0.0, 0, z):
@@ -361,14 +380,14 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     from_flow = False
     since_record = 0
 
-    eps_t = 1e-12 * max(1.0, t_end)
+    t_stop = t_end - 1e-12 * max(1.0, t_end)
     while not stop_hit:
-        if t >= t_end - eps_t:
+        if t >= t_stop:
             termination = "horizon"
             break
 
         do_jump = False
-        trial_ready = False
+        trial = None
         if not empty_jump_set:
             i3 = float(np.linalg.norm(sig3(t))) if sig3 is not None else 0.0
             i6 = float(np.linalg.norm(sig6(t))) if sig6 is not None else 0.0
@@ -379,16 +398,12 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                     do_jump = True
                 elif policy == "latest":
                     # lookahead: jump only if the flow step would leave C
-                    flow_field(t, z, dz)
-                    np.multiply(dz, h, out=scratch)
-                    np.add(z, scratch, out=gbuf)
-                    trial_exits = not in_C(gbuf, i3)
-                    do_jump = jump_policy_decide(policy, z, sys, h, flow_exits=trial_exits)
-                    trial_ready = not do_jump
+                    trial = flow_step(t, z)
+                    do_jump = jump_policy_decide(policy, z, sys, h, flow_exits=not in_C(trial, i3))
                 else:
                     do_jump = jump_policy_decide(policy, z, sys, h, rng=rng)
             elif not c_now:
-                fault = FaultRecord(t, j, "escaped", "state outside C union D_h (tau=%g)" % float(z[-1]), z.copy())
+                fault = FaultRecord(t, j, "escaped", "state outside C union D_h (tau=%g)" % z[-1], np.array(z))
                 termination = "fault"
                 break
 
@@ -399,56 +414,48 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                 termination = "jump_cap"
                 break
             if since_record > 0:
-                if not np.all(np.isfinite(z)):
-                    fault = FaultRecord(t, j, "blowup", "non-finite state before jump", zs[-1].copy())
+                if not _all_finite(z):
+                    fault = FaultRecord(t, j, "blowup", "non-finite state before jump", np.array(zs[-1]))
                     termination = "fault"
                     break
                 record(t, j, z, TAG_FLOW)
                 since_record = 0
-            if sig4 is not None:
-                np.add(z, sig4(t), out=zin)
-                z_pre_eff = zin
-            else:
-                z_pre_eff = z
-            z_post = np.array(G(z_pre_eff), dtype=float).reshape(m)
+            z_pre = np.array(z)
+            z_in = z if sig4 is None else [a + e for a, e in zip(z, sig4(t).tolist())]
+            z_post = np.array(G(z_in), dtype=float).reshape(m)
             if sig5 is not None:
                 z_post = z_post + sig5(t)
             if not np.all(np.isfinite(z_post)):
-                fault = FaultRecord(t, j, "blowup", "jump map produced non-finite state", z.copy())
+                fault = FaultRecord(t, j, "blowup", "jump map produced non-finite state", z_pre)
                 termination = "fault"
                 break
-            events.append(JumpRecord(t, j, z.copy(), z_post.copy()))
+            events.append(JumpRecord(t, j, z_pre, z_post))
             j += 1
-            z = z_post
+            z = z_post.tolist()
             from_flow = False
             record(t, j, z, TAG_JUMP)
             since_record = 0
             if not (in_C(z, infl(sig3, t)) or in_D(z, infl(sig6, t))):
-                fault = FaultRecord(t, j, "escaped", "jump landed outside C union D (tau=%g)" % float(z[-1]), z.copy())
+                fault = FaultRecord(t, j, "escaped", "jump landed outside C union D (tau=%g)" % z[-1], z_post)
                 termination = "fault"
                 break
             if stop_condition is not None and stop_condition(t, j, z):
                 stop_hit = True
             continue
 
-        # one flow step
-        if trial_ready:
-            z, gbuf = gbuf, z  # trial step already computed into gbuf
-        else:
-            flow_field(t, z, dz)
-            np.multiply(dz, h, out=scratch)
-            z += scratch
+        # one flow step (the lookahead's, when one was taken)
+        z = trial if trial is not None else flow_step(t, z)
         k_step += 1
         t = k_step * h
         from_flow = True
         since_record += 1
         if not math.isfinite(z[0]):
-            fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t, zs[-1].copy())
+            fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t, np.array(zs[-1]))
             termination = "fault"
             break
         if since_record >= stride:
-            if not np.all(np.isfinite(z)):
-                fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t, zs[-1].copy())
+            if not _all_finite(z):
+                fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t, np.array(zs[-1]))
                 termination = "fault"
                 break
             record(t, j, z, TAG_FLOW)
@@ -479,8 +486,8 @@ class _Member:
         self.since_record = 0
         self.trace: Optional[Trace] = None
 
-    def fail(self, kind: str, detail: str, z_last: np.ndarray) -> None:
-        self.fault = FaultRecord(self.t, self.j, kind, detail, z_last.copy())
+    def fail(self, kind: str, detail: str, z_last) -> None:
+        self.fault = FaultRecord(self.t, self.j, kind, detail, np.array(z_last, dtype=float))
         self.termination = "fault"
 
 
@@ -488,12 +495,13 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
     """Run B hybrid systems in lockstep and return their B Traces.
 
     The systems share one flow closure F (the same object) and one packed
-    length; F must accept a column-stacked (2*dim + 1, B) block and compute
-    each column exactly as it computes a single packed state. Each loop
-    iteration evaluates one batched integrator increment for every live
-    member, then every member does what simulate's loop would do next on its
-    own: one jump, or one flow step read from the increment (which is also
-    its `latest` lookahead). Each member keeps its own D_h provenance,
+    length; F is handed the column-stacked (2*dim + 1, B) block, whose rows
+    are the packed components, and must compute each column exactly as it
+    computes a single packed state. Each loop iteration evaluates one
+    batched integrator increment for every live member, then every member
+    does what simulate's loop would do next on its own: one jump, or one
+    flow step read from the increment (which is also its `latest`
+    lookahead). Each member keeps its own D_h provenance,
     `uniform` RNG stream seeded from cfg.policy_seed, jump budget, recording
     stride, termination and fault record; members that finish leave the
     block while the others run on. Trace i equals
@@ -521,34 +529,35 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
         Z[:, col] = z
     members = [_Member(sys, cfg) for sys in systems]
     for col, mem in enumerate(members):
-        mem.rows.add(0.0, 0, Z[:, col], TAG_FLOW)
+        mem.rows.add(0.0, 0, Z[:, col].tolist(), TAG_FLOW)
 
     h = cfg.h
     max_jumps = cfg.max_jumps
     stride = cfg.record_stride
     policy = cfg.jump_policy
-    tab = TABLEAUS[cfg.integrator]
-    euler = cfg.integrator == "euler"
+
+    def block_field(src):
+        """F on a block handed over as one component: F reads and returns
+        the block's rows."""
+        out = np.empty_like(src[0])
+        for i, row in enumerate(F(src[0])):
+            out[i] = row
+        return [out]
+
+    increment = _increment(block_field, cfg)
     t_stop = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)  # simulate's horizon test
 
-    def buffers(B):
-        """Next states, increments, stage values and two work blocks."""
-        return (np.empty((m, B)), np.empty((m, B)), np.empty((tab.stages, m, B)),
-                np.empty((m, B)), np.empty((m, B)))
-
     live = members  # the member of each block column
-    Znew, dZ, K, gbuf, scratch = buffers(len(live))
+    Znew = np.empty_like(Z)
     while live:
-        if euler:
-            F(Z, dZ)
-        else:
-            _rk_increment(F, tab, h, Z, dZ, K, gbuf, scratch)
-        np.multiply(dZ, h, out=scratch)
-        np.add(Z, scratch, out=Znew)
+        dZ, = increment([Z])
+        np.add(Z, dZ * h, out=Znew)
 
         done = []
+        # member control reads each column as a list of floats
+        cols, new_cols = Z.T.tolist(), Znew.T.tolist()
         for col, mem in enumerate(live):
-            z = Z[:, col]
+            z = cols[col]
             if mem.t >= t_stop:
                 done.append(col)
                 continue
@@ -561,11 +570,11 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
                     elif policy == "latest":
                         # the block's step is this member's lookahead
                         do_jump = jump_policy_decide(policy, z, mem.sys, h,
-                                                     flow_exits=not mem.sys.in_C(Znew[:, col], 0.0))
+                                                     flow_exits=not mem.sys.in_C(new_cols[col], 0.0))
                     else:
                         do_jump = jump_policy_decide(policy, z, mem.sys, h, rng=mem.rng)
                 elif not c_now:
-                    mem.fail("escaped", "state outside C union D_h (tau=%g)" % float(z[-1]), z)
+                    mem.fail("escaped", "state outside C union D_h (tau=%g)" % z[-1], z)
                     done.append(col)
                     continue
 
@@ -577,7 +586,7 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
                     done.append(col)
                     continue
                 if mem.since_record > 0:
-                    if not np.all(np.isfinite(z)):
+                    if not _all_finite(z):
                         mem.fail("blowup", "non-finite state before jump", mem.rows.zs[-1])
                         done.append(col)
                         continue
@@ -587,7 +596,7 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
                     mem.fail("blowup", "jump map produced non-finite state", z)
                     done.append(col)
                     continue
-                mem.events.append(JumpRecord(mem.t, mem.j, z.copy(), z_post.copy()))
+                mem.events.append(JumpRecord(mem.t, mem.j, np.array(z), z_post.copy()))
                 mem.j += 1
                 mem.from_flow = False
                 mem.rows.add(mem.t, mem.j, z_post, TAG_JUMP)
@@ -603,8 +612,8 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
             mem.t = mem.k_step * h
             mem.from_flow = True
             mem.since_record += 1
-            z = Znew[:, col]
-            if not math.isfinite(z[0]) or (mem.since_record >= stride and not np.all(np.isfinite(z))):
+            z = new_cols[col]
+            if not math.isfinite(z[0]) or (mem.since_record >= stride and not _all_finite(z)):
                 mem.fail("blowup", "non-finite state during flow at t=%g" % mem.t, mem.rows.zs[-1])
                 done.append(col)
             elif mem.since_record >= stride:
@@ -614,11 +623,11 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
         for col in done:
             mem = live[col]
             mem.trace = _close(mem.sys, cfg, mem.rows, mem.events, mem.termination, mem.fault,
-                               mem.t, mem.j, Z[:, col], mem.since_record, mem.k_step)
+                               mem.t, mem.j, cols[col], mem.since_record, mem.k_step)
         Z, Znew = Znew, Z
         if done:
             keep = [col for col in range(len(live)) if col not in done]
             Z = Z[:, keep]
             live = [live[col] for col in keep]
-            Znew, dZ, K, gbuf, scratch = buffers(len(live))
+            Znew = np.empty_like(Z)
     return [mem.trace for mem in members]

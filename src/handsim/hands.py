@@ -103,10 +103,8 @@ def hand1(f: CostFunction, params: HandParams) -> HybridSystem:
     n = f.dim
     flow = make_hand_flow(params.c, f)
 
-    def G(z, _n=n, _t_min=params.t_min):
-        out = np.array(z, dtype=float)
-        out[-1] = _t_min
-        return out
+    def G(z, _t_min=params.t_min):
+        return [*z[:-1], _t_min]
 
     in_C, in_D = _timer_sets(params, t_med, params.t_max, point_jump=False)
     meta = {
@@ -141,11 +139,7 @@ def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
     flow = make_hand_flow(params.c, f)
 
     def G(z, _n=n, _t_min=params.t_min):
-        out = np.empty(2 * _n + 1)
-        out[:_n] = z[:_n]
-        out[_n : 2 * _n] = z[:_n]
-        out[-1] = _t_min
-        return out
+        return [*z[:_n], *z[:_n], _t_min]
 
     in_C, in_D = _timer_sets(params, params.t_max, params.t_max, point_jump=True)
     meta = {

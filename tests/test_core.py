@@ -34,7 +34,7 @@ def test_quadratic_centered_identity():
     f = make_quadratic(np.eye(2), np.zeros(2))
     x = np.zeros(2)
     assert f.value(x) == 0.0
-    assert np.all(f.gradient(x) == 0.0)
+    assert np.all(np.asarray(f.gradient(x)) == 0.0)
 
 
 def test_quadratic_shifted_minimizer():
@@ -60,16 +60,40 @@ def test_quadratic_gap_bounds_random():
 
 
 def test_quadratic_gradient_on_column_block():
-    # a (n, B) block of states gets b added per column and every column
-    # bit for bit as a single state gets it, also at B = n
+    # the rows of a (n, B) block of states get b added per column and every
+    # column bit for bit as a single state, handed over as a list of
+    # floats, gets it, also at B = n
     rng = np.random.default_rng(8)
     for f in (coupled_cost(), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3])):
         for B in (2, 3, 15):
             X = rng.standard_normal((2, B)) * 10.0 ** rng.integers(-6, 6, size=B)
-            G = f.gradient(X)
+            G = np.array(f.gradient(X))
             assert G.shape == (2, B)
             for i in range(B):
                 assert np.array_equal(G[:, i], f.gradient(X[:, i]))
+                assert np.array_equal(G[:, i], f.gradient(X[:, i].tolist()))
+
+
+def test_quadratic_gradient_equals_matrix_product():
+    # the component formula sum_j Q[i][j] x[j] + b[i] is Q.dot(x) + b bit
+    # for bit on every corpus cost (its products are exact), which keeps
+    # the artifacts of the numpy engine
+    terms = {
+        "example1": ([[0.25]], [0.0]),
+        "sphere1": ([[1.0]], [0.0]),
+        "sphere2": (np.eye(2), [0.0, 0.0]),
+        "aniso2": (np.diag([1.0, 4.0]), [1.0, 0.0]),
+        "coupled2": ([[2.0, 0.5], [0.5, 1.0]], [-1.0, 2.0]),
+    }
+    assert sorted(terms) == sorted(corpus())
+    rng = np.random.default_rng(17)
+    for f in corpus().values():
+        Q, b = (np.array(v, dtype=float) for v in terms[f.name])
+        for _ in range(2000):
+            x = rng.standard_normal(f.dim) * 10.0 ** rng.integers(-8, 8, size=f.dim)
+            g = f.gradient(x.tolist())
+            assert all(type(v) is float for v in g)
+            assert np.array_equal(np.array(g), Q.dot(x) + b), f.name
 
 
 def test_grad_check_exact_for_quadratic():

@@ -11,6 +11,7 @@ from handsim import (
     OdeParams,
     PerturbationSet,
     SolverConfig,
+    coupled_cost,
     example1_cost,
     limiting_integral,
     make_quadratic,
@@ -22,10 +23,9 @@ from handsim.engine import flow_only_system
 
 
 def _field(flow, z):
-    """Evaluate a flow closure at packed state z = [x1, x2, tau or clock]."""
-    out = np.empty(len(z))
-    flow(np.asarray(z, dtype=float), out)
-    return out
+    """Evaluate a flow closure at packed state z = [x1, x2, tau or clock],
+    handed over as simulate does: a list of floats."""
+    return np.array(flow([float(v) for v in z]))
 
 
 def test_rep1_field_hand_values():
@@ -123,30 +123,40 @@ def test_hand_flow_matches_rep2_with_clock():
 
 @pytest.mark.parametrize("make", [lambda f: make_hand_flow(1.0, f),
                                   lambda f: make_rep1_flow(OdeParams(), f),
-                                  lambda f: make_rep2_flow(OdeParams(), f)],
+                                  lambda f: make_rep2_flow(OdeParams(p=2.5, c=0.7), f)],
                          ids=["hand", "rep1", "rep2"])
-@pytest.mark.parametrize("f", [sphere_cost(1), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3])],
-                         ids=["dim1", "dim2"])
+@pytest.mark.parametrize("f", [sphere_cost(1), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3]),
+                               coupled_cost()],
+                         ids=["dim1", "dim2", "coupled2"])
 def test_flow_closures_on_column_block(make, f):
-    # a column-stacked block of packed states, as simulate_batch passes it:
-    # each column of the field equals the field of that column alone
+    # one closure per field serves both loops: on the rows of a
+    # column-stacked block, as simulate_batch passes it, every column of the
+    # field equals bit for bit the field of that column as a list of floats,
+    # as simulate passes it (dim2 has non-power-of-two Q entries, so its
+    # gradient products round)
     flow = make(f)
     rng = np.random.default_rng(4)
-    Z = rng.standard_normal((2 * f.dim + 1, 5))
+    Z = rng.standard_normal((2 * f.dim + 1, 5)) * 10.0 ** rng.integers(-4, 4, size=5)
     Z[-1] = rng.uniform(0.5, 3.0, size=5)
-    out = np.empty_like(Z)
-    flow(Z, out)
+    out = flow(Z)
+    assert len(out) == 2 * f.dim + 1
+    block = np.empty_like(Z)
+    for i, row in enumerate(out):
+        block[i] = row
     for i in range(5):
-        assert np.array_equal(out[:, i], _field(flow, Z[:, i]))
+        single = flow(Z[:, i].tolist())
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(block[:, i], np.array(single))
 
 
-def test_make_hand_flow_writes_in_place():
+def test_make_hand_flow_returns_components():
     f = sphere_cost(1)
     F = make_hand_flow(1.0, f)
-    z = np.array([1.0, 3.0, 2.0])
-    out = np.empty(3)
-    F(z, out)
+    z = [1.0, 3.0, 2.0]
+    out = F(z)
+    assert isinstance(out, list) and len(out) == 3
     assert np.allclose(out, [2.0, -4.0, 1.0], atol=1e-12)
+    assert z == [1.0, 3.0, 2.0]
 
 
 def test_square_wave_levels():

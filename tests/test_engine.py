@@ -10,6 +10,7 @@ import pytest
 from handsim import (
     DisturbanceSpec,
     HandParams,
+    OdeParams,
     PerturbationSet,
     SolverConfig,
     hand2,
@@ -22,7 +23,7 @@ from handsim import (
     validate_trace,
 )
 from handsim.core import TAG_JUMP
-from handsim.dynamics import make_hand_flow
+from handsim.dynamics import make_hand_flow, make_rep1_flow
 from handsim.engine import flow_only_system
 from handsim.hands import hand1
 
@@ -44,16 +45,16 @@ def test_euler_step_hand_values():
 
 
 def test_euler_step_zero_field():
-    def F(z, out):
-        out[:] = 0.0
+    def F(z):
+        return [0.0] * len(z)
 
     z = np.array([2.0, -1.0, 0.5])
     assert np.array_equal(_steps(F, z, 0.3), z)
 
 
 def test_euler_step_faults_on_nonfinite():
-    def F(z, out):
-        out[:] = math.inf
+    def F(z):
+        return [math.inf] * len(z)
 
     tr = simulate(flow_only_system(F, 1), np.zeros(3), SolverConfig(h=0.1, t_end=0.1))
     assert tr.termination == "fault"
@@ -62,13 +63,47 @@ def test_euler_step_faults_on_nonfinite():
     assert np.array_equal(tr.zs[-1], np.zeros(3))
 
 
+@pytest.mark.parametrize("case", ["timer-zero", "negative-clock-power", "overflowing-power"])
+def test_float_step_ends_in_the_numpy_fault(case):
+    # Python floats raise (x / 0.0, an overflowing **) or turn complex (a
+    # negative base to a fractional power) where numpy scalars give inf or
+    # nan; the run must still end as the recorded fault the numpy engine gave
+    f = sphere_cost(1)
+    cfg = SolverConfig(h=0.01, t_end=1.0, integrator="euler", record_stride=10)
+    pert = None
+    if case == "timer-zero":
+        # the flow sees tau + e1 = 0 at the first step
+        sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))
+        z0, cfg = [1.0, 1.0, 1.0], dataclasses.replace(cfg, integrator="rk4")
+        pert = PerturbationSet(e1=DisturbanceSpec.constant([0.0, 0.0, -1.0]))
+        t_fault, steps = 0.01, 1
+    elif case == "negative-clock-power":
+        sys = flow_only_system(make_rep1_flow(OdeParams(p=2.5), f), 1)
+        z0 = [1.0, 0.0, 1.0]
+        pert = PerturbationSet(e1=DisturbanceSpec.constant([0.0, 0.0, -3.0]))
+        t_fault, steps = 0.02, 2
+    else:
+        sys = flow_only_system(make_rep1_flow(OdeParams(p=4.0, t0=1e200), f), 1)
+        z0 = [1.0, 0.0, 1e200]
+        t_fault, steps = 0.02, 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        tr = simulate(sys, np.array(z0), cfg, pert)
+    assert tr.termination == "fault"
+    assert tr.fault.kind == "blowup"
+    assert (tr.fault.t, tr.fault.j) == (t_fault, 0)
+    assert tr.meta["flow_steps"] == steps
+    assert len(tr) == 2
+    assert np.array_equal(tr.fault.z_last, z0) and np.array_equal(tr.zs, [z0, z0])
+
+
 def test_euler_half_steps_differ_second_order():
     # two h/2 steps vs one h step on a linear field: gap scales like h^2
     rng = np.random.default_rng(13)
     A = rng.standard_normal((3, 3))
 
-    def F(z, out):
-        out[:] = A @ z
+    def F(z):
+        return (A @ np.asarray(z)).tolist()
 
     z0 = rng.standard_normal(3)
     gaps = []
@@ -90,15 +125,14 @@ def test_degenerate_tableau_is_euler():
     for _ in range(20):
         z = rng.standard_normal(3)
         z[-1] = abs(z[-1]) + 0.1
-        dz = np.empty(3)
-        F(z, dz)
+        dz = np.array(F(z.tolist()))
         assert np.allclose(_steps(F, z, 0.05), z + 0.05 * dz, atol=1e-15)
 
 
 def test_rk4_exponential_value():
     # zdot = z from 1 over one step h=0.1 matches the truncated Taylor value
-    def F(z, out):
-        out[:] = z
+    def F(z):
+        return list(z)
 
     z1 = _steps(F, np.ones(3), 0.1, integrator="rk4")
     assert z1 == pytest.approx(np.full(3, 1.1051708333333332), abs=1e-12)
@@ -236,9 +270,10 @@ def test_stop_condition_termination():
 
 def test_fault_recorded_on_blowup():
     # field grows super-exponentially until the step overflows
-    def F(z, out):
+    def F(z):
+        z = np.asarray(z)
         with np.errstate(over="ignore"):
-            out[:] = z * np.exp(np.minimum(np.abs(z), 500.0))
+            return (z * np.exp(np.minimum(np.abs(z), 500.0))).tolist()
 
     sys = flow_only_system(F, 1)
     tr = simulate(sys, np.array([1.0, 1.0, 1.0]), SolverConfig(h=0.5, t_end=1e3))
