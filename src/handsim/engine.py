@@ -64,6 +64,8 @@ class ButcherTableau:
         for k, row in enumerate(a):
             if len(row) != k:
                 raise ValueError("stage %d must have %d coefficients, got %d (explicit methods only)" % (k, k, len(row)))
+        if not all(map(math.isfinite, b + sum(a, ()))):
+            raise ValueError("tableau entries must be finite")
         if abs(math.fsum(b) - 1.0) > 1e-12:
             raise ValueError("stage weights must sum to 1, got %r" % (math.fsum(b),))
 
@@ -155,10 +157,11 @@ class PerturbationSet:
         return any(e is not None and not e.is_zero() for e in self.channels())
 
 
-def jump_policy_decide(policy: str, z: np.ndarray, sys: HybridSystem, h: float,
+def jump_policy_decide(policy: str, z: Sequence[float], sys: HybridSystem, h: float,
                        rng: Optional[np.random.Generator] = None,
                        flow_exits: Optional[bool] = None) -> bool:
-    """Resolve flow-vs-jump for a state in C intersect D.
+    """Resolve flow-vs-jump for a packed state z (a list of floats, as
+    the loops hold it) in C intersect D.
 
     earliest: jump immediately. latest: flow until flowing would leave C
     (flow_exits supplies that lookahead). uniform: jump with probability
@@ -191,37 +194,47 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
     return make_signal(spec)
 
 
-def _rk_increment(F, tab: ButcherTableau, h: float, src) -> list:
-    """sum_k b_k K_k, the increment per unit step of one explicit
-    Runge-Kutta step of F from src, combined component by component in a
-    fixed order of operations: src is a sequence of components, the floats
-    of a packed state or one whole column-stacked block, and F maps such a
-    sequence to another."""
-    r = range(len(src))
-    K = [F(src)]
-    for row in tab.a[1:]:
-        g = [0.0] * len(src)
-        for Kj, akj in zip(K, row):
-            if akj != 0.0:
-                for i in r:
-                    g[i] = g[i] + Kj[i] * akj
-        for i in r:
-            g[i] = g[i] * h + src[i]
-        K.append(F(g))
-    b_w = tab.b
-    out = [k * b_w[0] for k in K[0]]
-    for Kk, bk in zip(K[1:], b_w[1:]):
-        if bk != 0.0:
-            for i in r:
-                out[i] = out[i] + Kk[i] * bk
-    return out
+@functools.lru_cache(maxsize=None)
+def _step_kernel(tab: ButcherTableau, m: int, disturbed: bool):
+    """One explicit Runge-Kutta step of tab on m components, generated as
+    straight-line code on first use: step(F, z, src, h[, e]) returns the
+    list z_i + (K_0,i*b_0 + K_1,i*b_1 + ... [+ e_i]) * h with K_0 = F(src)
+    and stage k evaluated at (0.0 + K_0,i*a_k0 + ...) * h + src_i. Zero
+    coefficients are skipped (except b_0) and a weight 1.0 is not
+    multiplied, so every component takes a fixed order of operations. The
+    components are floats of a packed state, or one whole column-stacked
+    block at m = 1; F maps a sequence of m of them to m of them, and a
+    wrong count raises ValueError naming the m expected."""
+    r = range(m)
 
+    def names(prefix):
+        return "".join("%s%d, " % (prefix, i) for i in r)
 
-def _increment(F, cfg: SolverConfig):
-    """src -> the integrator's increment per unit step of F from src."""
-    if cfg.integrator == "euler":
-        return F
-    return functools.partial(_rk_increment, F, TABLEAUS[cfg.integrator], cfg.h)
+    lines = ["def step(F, z, src, h%s):" % (", e" if disturbed else "")]
+    if tab.stages > 1:
+        lines.append("    %s= src" % names("s"))
+    for k, row in enumerate(tab.a):
+        if k == 0:
+            arg = "src"
+        else:
+            arg = "[%s]" % ", ".join(
+                "(0.0%s) * h + s%d" % ("".join(" + k%d_%d * %r" % (j, i, a) for j, a in enumerate(row) if a != 0.0), i)
+                for i in r)
+        lines.append("    %s= F(%s)" % (names("k%d_" % k), arg))
+    lines.append("    %s= z" % names("z"))
+    if disturbed:
+        lines.append("    %s= e" % names("e"))
+    out = []
+    for i in r:
+        terms = ["k%d_%d%s" % (k, i, "" if b == 1.0 else " * %r" % b)
+                 for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
+        if disturbed:
+            terms.append("e%d" % i)
+        out.append("z%d + (%s) * h" % (i, " + ".join(terms)))
+    lines.append("    return [%s]" % ", ".join(out))
+    namespace: dict = {}
+    exec(compile("\n".join(lines), "<%s step, width %d>" % (tab.label, m), "exec"), namespace)
+    return namespace["step"]
 
 
 class _Rows:
@@ -295,8 +308,9 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     one integrator step of dz = F(z + e1) + e2 advancing t by h. Jumps never
     advance t, flow steps never advance j. Disturbance signals are evaluated
     at the step-start time and held constant over the step. The loop keeps
-    the packed state as a list of floats and steps it component by
-    component; F, G, in_C, in_D and stop_condition are handed that list.
+    the packed state as a list of floats and steps it with the
+    integrator's step kernel for 2*dim + 1 components; F, G, in_C, in_D
+    and stop_condition are handed that list.
 
     Recording: the initial state, every record_stride-th flow step, both
     sides of every jump, and the final state. stop_condition(t, j, z) is
@@ -332,7 +346,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     policy = cfg.jump_policy
     rng = np.random.default_rng(cfg.policy_seed) if policy == "uniform" else None
 
-    increment = _increment(F, cfg)
+    step = _step_kernel(TABLEAUS[cfg.integrator], m, sig2 is not None)
 
     def infl(sig, t):
         return float(np.linalg.norm(sig(t))) if sig is not None else 0.0
@@ -354,21 +368,14 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     def flow_step(t, z):
         """z + h (F(z + e1(t)) + e2(t)) for one integrator step."""
         src = z if sig1 is None else [a + e for a, e in zip(z, sig1(t).tolist())]
+        e2 = () if sig2 is None else (sig2(t).tolist(),)
         try:
-            dz = increment(src)
+            return step(F, z, src, h, *e2)
         except (ZeroDivisionError, OverflowError):
             # a float division by zero or an overflowing power raises where
             # numpy scalars give inf or nan: redo the step on numpy scalars,
             # so the run ends as the recorded fault it always was
-            dz = increment([np.float64(v) for v in src])
-        out = []
-        if sig2 is None:
-            for a, d in zip(z, dz):
-                out.append(a + d * h)
-        else:
-            for a, d, e in zip(z, dz, sig2(t).tolist()):
-                out.append(a + (d + e) * h)
-        return out
+            return step(F, z, [np.float64(v) for v in src], h, *e2)
 
     record(0.0, 0, z, TAG_FLOW)
     if stop_condition is not None and stop_condition(0.0, 0, z):
@@ -497,11 +504,12 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
     The systems share one flow closure F (the same object) and one packed
     length; F is handed the column-stacked (2*dim + 1, B) block, whose rows
     are the packed components, and must compute each column exactly as it
-    computes a single packed state. Each loop iteration evaluates one
-    batched integrator increment for every live member, then every member
-    does what simulate's loop would do next on its own: one jump, or one
-    flow step read from the increment (which is also its `latest`
-    lookahead). Each member keeps its own D_h provenance,
+    computes a single packed state. Each loop iteration takes one
+    integrator step of the whole block, through the step kernel that
+    simulate uses, at width 1 with the block as its one component; then
+    every member does what simulate's loop would do next on its own: one
+    jump, or the flow step read from the block's step (which is also its
+    `latest` lookahead). Each member keeps its own D_h provenance,
     `uniform` RNG stream seeded from cfg.policy_seed, jump budget, recording
     stride, termination and fault record; members that finish leave the
     block while the others run on. Trace i equals
@@ -539,19 +547,20 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
     def block_field(src):
         """F on a block handed over as one component: F reads and returns
         the block's rows."""
+        rows = F(src[0])
+        if len(rows) != m:
+            raise ValueError("flow field F returned %d components, expected %d" % (len(rows), m))
         out = np.empty_like(src[0])
-        for i, row in enumerate(F(src[0])):
+        for i, row in enumerate(rows):
             out[i] = row
         return [out]
 
-    increment = _increment(block_field, cfg)
+    step = _step_kernel(TABLEAUS[cfg.integrator], 1, False)
     t_stop = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)  # simulate's horizon test
 
     live = members  # the member of each block column
-    Znew = np.empty_like(Z)
     while live:
-        dZ, = increment([Z])
-        np.add(Z, dZ * h, out=Znew)
+        Znew, = step(block_field, [Z], [Z], h)
 
         done = []
         # member control reads each column as a list of floats
@@ -624,10 +633,9 @@ def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
             mem = live[col]
             mem.trace = _close(mem.sys, cfg, mem.rows, mem.events, mem.termination, mem.fault,
                                mem.t, mem.j, cols[col], mem.since_record, mem.k_step)
-        Z, Znew = Znew, Z
+        Z = Znew
         if done:
             keep = [col for col in range(len(live)) if col not in done]
             Z = Z[:, keep]
             live = [live[col] for col in keep]
-            Znew = np.empty_like(Z)
     return [mem.trace for mem in members]

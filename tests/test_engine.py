@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import struct
 import warnings
 
 import numpy as np
 import pytest
 
 from handsim import (
+    ButcherTableau,
     DisturbanceSpec,
     HandParams,
     OdeParams,
@@ -24,7 +26,7 @@ from handsim import (
 )
 from handsim.core import TAG_JUMP
 from handsim.dynamics import make_hand_flow, make_rep1_flow
-from handsim.engine import flow_only_system
+from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import hand1
 
 
@@ -119,6 +121,7 @@ def test_euler_half_steps_differ_second_order():
 def test_degenerate_tableau_is_euler():
     tab = tableau("euler")
     assert tab.stages == 1
+    step = _step_kernel(tab, 3, False)
     f = sphere_cost(1)
     F = make_hand_flow(1.0, f)
     rng = np.random.default_rng(2)
@@ -126,7 +129,119 @@ def test_degenerate_tableau_is_euler():
         z = rng.standard_normal(3)
         z[-1] = abs(z[-1]) + 0.1
         dz = np.array(F(z.tolist()))
-        assert np.allclose(_steps(F, z, 0.05), z + 0.05 * dz, atol=1e-15)
+        assert np.array_equal(step(F, z.tolist(), z.tolist(), 0.05), z + 0.05 * dz)
+        assert np.array_equal(_steps(F, z, 0.05), z + 0.05 * dz)
+
+
+def _stage_loop_step(F, tab, h, z, src, e=None):
+    """The step as the engine computed it before its kernels were generated:
+    the stage loops of the former _rk_increment (euler: F's value as the
+    increment), then z + d * h, or z + (d + e) * h under e2."""
+    if tab.stages == 1:
+        dz = F(src)
+    else:
+        r = range(len(src))
+        K = [F(src)]
+        for row in tab.a[1:]:
+            g = [0.0] * len(src)
+            for Kj, akj in zip(K, row):
+                if akj != 0.0:
+                    for i in r:
+                        g[i] = g[i] + Kj[i] * akj
+            for i in r:
+                g[i] = g[i] * h + src[i]
+            K.append(F(g))
+        dz = [k * tab.b[0] for k in K[0]]
+        for Kk, bk in zip(K[1:], tab.b[1:]):
+            if bk != 0.0:
+                for i in r:
+                    dz[i] = dz[i] + Kk[i] * bk
+    if e is None:
+        return [a + d * h for a, d in zip(z, dz)]
+    return [a + (d + ei) * h for a, d, ei in zip(z, dz, e)]
+
+
+def _mixing_field(z):
+    """A component-wise field on floats, numpy scalars or block rows that
+    mixes neighbouring components, so each output depends on the order of
+    every stage's operations. Its outputs are products, so on signed zeros
+    the sign of each zero carries on to the next stage."""
+    m = len(z)
+    return [(z[i] * 0.25 - 1.5) * z[i - 1] * z[(i + 1) % m] for i in range(m)]
+
+
+def _block_field(src):
+    """_mixing_field on a column-stacked block handed over as one component."""
+    return [np.array(_mixing_field(list(src[0])))]
+
+
+def _bits(v):
+    """Type and bits of a float, numpy scalar or array, with every nan as
+    one pattern: -0.0 and nan count, a nan's sign does not. Given two nan
+    operands, CPython's float + and * may return either one, and which one
+    changes as the interpreter specializes the bytecode: the stage loops
+    alone gave a nan of either sign on one input across repeated calls."""
+    if isinstance(v, np.ndarray):
+        return v.dtype.str.encode() + np.where(np.isnan(v), np.nan, v).tobytes()
+    return type(v).__name__.encode() + struct.pack("<d", math.nan if v != v else v)
+
+
+SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, math.inf, -math.inf, math.nan, 1e308, -3.5]
+
+
+@pytest.mark.parametrize("name", sorted(TABLEAUS))
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("form", ["float", "float64", "rows", "block"])
+def test_step_kernel_matches_stage_loops_bit_for_bit(name, width, form):
+    tab = TABLEAUS[name]
+    rng = np.random.default_rng(width)
+    mixed = np.concatenate([SPECIAL, rng.standard_normal(10)])
+
+    def draw(pool):
+        if form == "float":
+            return [float(v) for v in rng.choice(pool, width)]
+        if form == "float64":
+            return [np.float64(v) for v in rng.choice(pool, width)]
+        block = rng.choice(pool, (width, 6))
+        # a (width, 6) block as its rows, or (block form) as one component
+        return list(block) if form == "rows" else [block]
+
+    F = _block_field if form == "block" else _mixing_field
+    m = 1 if form == "block" else width
+    with np.errstate(all="ignore"):
+        for trial in range(60):
+            # every third trial holds signed zeros only, where the sign
+            # left by each stage sum shows in the result
+            pool = mixed if trial % 3 else np.array([0.0, -0.0])
+            z = draw(pool)
+            src = z if trial % 2 else draw(pool)
+            e = draw(pool) if trial % 4 < 2 else None
+            h = (0.1, 0.3, 1e-3, 2.0)[trial % 4]
+            args = () if e is None else (e,)
+            got = _step_kernel(tab, m, e is not None)(F, z, src, h, *args)
+            want = _stage_loop_step(F, tab, h, z, src, e)
+            assert type(got) is list and len(got) == m
+            assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, got, want)
+
+
+@pytest.mark.parametrize("a, b", [(((),), (math.nan,)), (((), (0.5,)), (math.nan, 1.0)),
+                                  (((), (math.inf,)), (0.5, 0.5)), (((), (0.5,)), (0.5, -math.inf))])
+def test_tableau_rejects_nonfinite_entries(a, b):
+    with pytest.raises(ValueError, match="finite"):
+        ButcherTableau("bad", a=a, b=b)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("flow", [lambda z: [z[1], -z[0]], lambda z: [z[1], -z[0], 1.0, 0.0]], ids=["short", "long"])
+def test_flow_with_wrong_component_count_is_rejected(integrator, flow):
+    # the packed state has 3 components, the flow returns 2 or 4
+    sys = flow_only_system(flow, 1)
+    cfg = SolverConfig(h=0.01, t_end=1.0, integrator=integrator)
+    z0 = np.array([1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="expected 3"):
+        simulate(sys, z0, cfg)
+    with pytest.raises(ValueError, match="expected 3"):
+        simulate_batch([sys, dataclasses.replace(sys)], [z0, z0], cfg)
 
 
 def test_rk4_exponential_value():

@@ -1,18 +1,44 @@
-"""Artifacts pinned to recorded sha256 digests.
+"""Artifacts and engine runs pinned to recorded sha256 digests.
 
 Reruns being identical (acceptance criterion 10) does not show that a change
-to the engine kept its numbers. These digests were recorded from the numpy
-engine that preceded the float stepper (Python 3.11.7, numpy 2.4.6, x86-64
-Linux); a last-bit change anywhere in a trajectory changes a CSV cell and
-fails this test. The configs are the bundled ones shrunk by overrides so the
-four runs take about two seconds.
+to the engine kept its numbers. The artifact digests were recorded from the
+numpy engine that preceded the float stepper (Python 3.11.7, numpy 2.4.6,
+x86-64 Linux); a last-bit change anywhere in a trajectory changes a CSV cell
+and fails this test. The configs are the bundled ones shrunk by overrides so
+the four runs take about two seconds.
+
+The engine cross-check grid below pins the engine paths the shrunk configs
+may leave out: every integrator and jump policy, a square wave on each of
+the six disturbance channels, the three flow fields in dimensions 1 and 2,
+lockstep batches, and the runs whose float step falls back to numpy
+scalars. Its digest was recorded from the stage-loop Runge-Kutta step that
+preceded the generated step kernels (same platform as above).
 """
 
+import dataclasses
 import hashlib
 import os
+import struct
+import warnings
 
+import numpy as np
 import pytest
 
+from handsim import (
+    DisturbanceSpec,
+    HandParams,
+    OdeParams,
+    PerturbationSet,
+    SolverConfig,
+    hand1,
+    hand2,
+    make_quadratic,
+    simulate,
+    simulate_batch,
+    sphere_cost,
+)
+from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow
+from handsim.engine import flow_only_system
 from handsim.scenarios import apply_override, load_config, run_scenario
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
@@ -65,3 +91,85 @@ def test_artifacts_match_recorded_digests(scenario, tmp_path):
         with open(tmp_path / name, "rb") as fh:
             digests[name] = hashlib.sha256(fh.read()).hexdigest()
     assert digests == DIGESTS[scenario]
+
+
+INTEGRATORS = ("euler", "heun", "midpoint", "rk4")
+POLICIES = ("earliest", "latest", "uniform")
+CHANNELS = ("e1", "e2", "e3", "e4", "e5", "e6")
+
+
+def _grid_runs():
+    """Yield (label, Trace) for every run of the engine cross-check grid."""
+    hp = HandParams(t_min=0.5, t_max=1.5, c=1.0, t_med=1.0)
+    hp2 = HandParams(t_min=0.5, t_max=1.5, c=1.0)
+    costs = (sphere_cost(1), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3], name="q2"))
+    for f in costs:
+        m = 2 * f.dim + 1
+        x = f.xstar + 1.0
+        z0 = np.concatenate([x, x - 0.5, [0.5]])
+        shift = np.concatenate([np.full(2 * f.dim, 0.25), [0.0]])
+        axis = np.full(m, 1.0 / np.sqrt(m))
+        wave = DisturbanceSpec.square_wave(m, 0.02, 0.3, axis)
+        flow = make_hand_flow(1.0, f)
+        members = [dataclasses.replace(hand1(f, hp), F=flow),
+                   dataclasses.replace(hand2(f, hp2), F=flow),
+                   dataclasses.replace(hand1(f, dataclasses.replace(hp, t_max=2.0)), F=flow)]
+        for integrator in INTEGRATORS:
+            cfg = SolverConfig(h=0.01, t_end=4.0, max_jumps=6, integrator=integrator, policy_seed=7,
+                               record_stride=3)
+            for policy in POLICIES:
+                pcfg = dataclasses.replace(cfg, jump_policy=policy)
+                label = "%s/%s/%s" % (f.name, integrator, policy)
+                yield label + "/hand1", simulate(hand1(f, hp), z0, pcfg)
+                for k, tr in enumerate(simulate_batch(members, [z0, z0 + shift, z0 - shift], pcfg)):
+                    yield label + "/batch%d" % k, tr
+            for ch in CHANNELS:
+                pert = PerturbationSet(**{ch: wave})
+                yield "%s/%s/hand2/%s" % (f.name, integrator, ch), simulate(hand2(f, hp2), z0, cfg, pert)
+            for rep in (make_rep1_flow, make_rep2_flow):
+                sys = flow_only_system(rep(OdeParams(p=3.0), f), f.dim)
+                zr = np.concatenate([x, x, [1.0]])
+                label = "%s/%s/%s" % (f.name, integrator, rep.__name__)
+                yield label, simulate(sys, zr, cfg)
+                yield label + "/e1e2", simulate(sys, zr, cfg, PerturbationSet(e1=wave, e2=wave))
+    # the runs whose float step raises and is redone on numpy scalars
+    f = sphere_cost(1)
+    repros = (
+        (hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0)), [1.0, 1.0, 1.0],
+         PerturbationSet(e1=DisturbanceSpec.constant([0.0, 0.0, -1.0]))),
+        (flow_only_system(make_rep1_flow(OdeParams(p=2.5), f), 1), [1.0, 0.0, 1.0],
+         PerturbationSet(e1=DisturbanceSpec.constant([0.0, 0.0, -3.0]))),
+        (flow_only_system(make_rep1_flow(OdeParams(p=4.0, t0=1e200), f), 1), [1.0, 0.0, 1e200], None),
+    )
+    for integrator in INTEGRATORS:
+        cfg = SolverConfig(h=0.01, t_end=1.0, integrator=integrator, record_stride=10)
+        for k, (sys, z0, pert) in enumerate(repros):
+            yield "fallback%d/%s" % (k, integrator), simulate(sys, np.array(z0), cfg, pert)
+
+
+def _pack(*values):
+    return struct.pack("<%dd" % len(values), *values)
+
+
+def _trace_bytes(tr):
+    parts = [tr.ts.tobytes(), tr.js.tobytes(), np.ascontiguousarray(tr.zs).tobytes(), tr.tags.tobytes(),
+             tr.termination.encode()]
+    for ev in tr.events:
+        parts += [_pack(ev.t), str(ev.j_pre).encode(), np.asarray(ev.z_pre, dtype=float).tobytes(),
+                  np.asarray(ev.z_post, dtype=float).tobytes()]
+    if tr.fault is not None:
+        parts += [_pack(tr.fault.t), str(tr.fault.j).encode(), tr.fault.kind.encode(), tr.fault.detail.encode(),
+                  np.asarray(tr.fault.z_last, dtype=float).tobytes()]
+    return b"|".join(parts)
+
+
+GRID_DIGEST = "257bc4ad3bbef5a4d9e8b357217c8cfb75926b8ff7c33ecd53ff18c9f090bbdf"
+
+
+def test_engine_grid_matches_recorded_digest():
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for label, tr in _grid_runs():
+            digest.update(label.encode() + b"\n" + _trace_bytes(tr) + b"\n")
+    assert digest.hexdigest() == GRID_DIGEST
