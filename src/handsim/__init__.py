@@ -10,7 +10,6 @@ from .core import (
     corpus,
     coupled_cost,
     example1_cost,
-    grad_check,
     make_quadratic,
     sphere_cost,
     validate_trace,
@@ -26,14 +25,12 @@ from .engine import (
     PerturbationSet,
     jump_policy_decide,
     simulate,
-    simulate_batch,
     tableau,
 )
 from .hands import (
     HandParams,
     hand1,
     hand2,
-    strong_dwell,
     target_distance,
     target_distance_fn,
     validate_dwell,
@@ -46,7 +43,6 @@ from .analysis import (
     check_period_contraction,
     check_exponential_rate,
     convergence_time_estimate,
-    flow_derivative,
     hand1_phase_probe,
     jump_decrease_hand1,
     jump_decrease_hand2,

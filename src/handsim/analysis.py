@@ -26,7 +26,6 @@ __all__ = [
     "RateReport",
     "lyapunov",
     "lyapunov_curve",
-    "flow_derivative",
     "jump_decrease_hand1",
     "jump_decrease_hand2",
     "check_monotonicity",
@@ -134,18 +133,6 @@ def lyapunov_curve(trace: Trace, f: CostFunction, c: float) -> np.ndarray:
             continue
         out[k] = lyapunov(trace.zs[k], f, c)
     return out
-
-
-def flow_derivative(z, f: CostFunction, c: float) -> float:
-    """Energy derivative along the restarting flow:
-    -2 c tau (grad f(x1)' (x1 - xstar) - (f(x1) - fstar)), <= 0 for convex f."""
-    _require_minimizer(f)
-    z = np.asarray(z, dtype=float)
-    n = f.dim
-    x1 = z[:n]
-    tau = float(z[-1])
-    g = np.asarray(f.gradient(x1), dtype=float)
-    return -2.0 * c * tau * (float(g.dot(x1 - f.xstar)) - f.gap(x1))
 
 
 def jump_decrease_hand1(z, f: CostFunction, params: HandParams) -> float:

@@ -1,8 +1,7 @@
 """Core types shared by the simulation and analysis layers.
 
-Costs are smooth convex functions with user-supplied gradients; finite
-differences are used only to cross-check gradients, never to drive dynamics.
-All numerics are float64, scalars are dim-1 vectors.
+Costs are smooth convex functions with user-supplied gradients. All
+numerics are float64, scalars are dim-1 vectors.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ __all__ = [
     "Trace",
     "SolverConfig",
     "make_quadratic",
-    "grad_check",
     "example1_cost",
     "sphere_cost",
     "aniso_cost",
@@ -38,11 +36,10 @@ class CostFunction:
 
     value takes a shape-(dim,) float64 vector. gradient takes a sequence of
     dim components and returns a sequence of dim components; the flow
-    closures pass it a list of floats, or the rows of a (dim, B) block, so a
-    gradient computed component by component serves both. mu and lipschitz
-    are strong-convexity and gradient-Lipschitz constants when known;
-    xstar/fstar are the minimizer and minimum, required by any
-    sub-optimality reporting.
+    closures pass it a list of floats, or of numpy scalars in the engine's
+    fallback step. mu and lipschitz are strong-convexity and
+    gradient-Lipschitz constants when known; xstar/fstar are the minimizer
+    and minimum, required by any sub-optimality reporting.
     """
 
     dim: int
@@ -257,26 +254,6 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
         fstar=value(x_ls),
         name=name,
     )
-
-
-def grad_check(f: CostFunction, x, fd_step: float = 1e-6) -> float:
-    """Worst relative mismatch between f.gradient and central differences at x.
-
-    Per coordinate: |cd_i - g_i| / max(1, |g_i|). Validation only; the
-    dynamics never consume finite-difference gradients.
-    """
-    if not (fd_step > 0.0):
-        raise ValueError("fd_step must be positive")
-    x = np.asarray(x, dtype=float).reshape(f.dim)
-    g = np.asarray(f.gradient(x), dtype=float).reshape(f.dim)
-    worst = 0.0
-    for i in range(f.dim):
-        e = np.zeros(f.dim)
-        e[i] = fd_step
-        cd = (f.value(x + e) - f.value(x - e)) / (2.0 * fd_step)
-        err = abs(cd - g[i]) / max(1.0, abs(g[i]))
-        worst = max(worst, err)
-    return worst
 
 
 def example1_cost() -> CostFunction:

@@ -5,9 +5,8 @@ the damping-integral diagnostic behind the non-uniformity probe.
 Each field (restarting flow, velocity form, averaged form) is built by its
 make_* factory as one closure F(z) on packed states z = [x1, x2, tau or
 clock] that returns the 2*dim + 1 field components as a list, computed
-component by component: simulate passes a list of floats, simulate_batch the
-rows of a (2*dim + 1, B) block, and each column of the block result equals
-the float result bit for bit. The closures assume in-domain states (positive
+component by component on a list of floats (numpy scalars where the engine
+redoes a step that raised). The closures assume in-domain states (positive
 timer or clock); the engine is their caller and applies the disturbance
 channels around them.
 """

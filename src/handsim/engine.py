@@ -41,7 +41,6 @@ __all__ = [
     "flow_only_system",
     "jump_policy_decide",
     "simulate",
-    "simulate_batch",
 ]
 
 
@@ -98,9 +97,9 @@ class HybridSystem:
     """Hybrid system on packed states z = [x1, x2, tau] of length 2*dim + 1.
 
     All four maps take z as any sequence of its components. F(z) returns
-    the 2*dim + 1 flow-field components, computed component by component:
-    simulate hands it a list of floats, simulate_batch the rows of a
-    column-stacked block. G(z) returns the post-jump state; in_C(z,
+    the 2*dim + 1 flow-field components, computed component by component
+    on a list of floats (numpy scalars where simulate redoes a step that
+    raised). G(z) returns the post-jump state; in_C(z,
     inflation) / in_D(z, inflation) test set membership, where inflation >=
     0 widens the timer bounds (used to realize membership perturbations).
     meta carries timer bounds and labels for policies, reporting, and fast
@@ -161,7 +160,7 @@ def jump_policy_decide(policy: str, z: Sequence[float], sys: HybridSystem, h: fl
                        rng: Optional[np.random.Generator] = None,
                        flow_exits: Optional[bool] = None) -> bool:
     """Resolve flow-vs-jump for a packed state z (a list of floats, as
-    the loops hold it) in C intersect D.
+    simulate holds it) in C intersect D.
 
     earliest: jump immediately. latest: flow until flowing would leave C
     (flow_exits supplies that lookahead). uniform: jump with probability
@@ -202,9 +201,9 @@ def _step_kernel(tab: ButcherTableau, m: int, disturbed: bool):
     and stage k evaluated at (0.0 + K_0,i*a_k0 + ...) * h + src_i. Zero
     coefficients are skipped (except b_0) and a weight 1.0 is not
     multiplied, so every component takes a fixed order of operations. The
-    components are floats of a packed state, or one whole column-stacked
-    block at m = 1; F maps a sequence of m of them to m of them, and a
-    wrong count raises ValueError naming the m expected."""
+    components are the floats of a packed state (numpy scalars in
+    simulate's fallback); F maps a sequence of m of them to m of them, and
+    a wrong count raises ValueError naming the m expected."""
     r = range(m)
 
     def names(prefix):
@@ -237,65 +236,8 @@ def _step_kernel(tab: ButcherTableau, m: int, disturbed: bool):
     return namespace["step"]
 
 
-class _Rows:
-    """Recorded samples of one run: hybrid times, packed states, tags. A
-    state is kept as given, so callers hand over one they never mutate."""
-
-    def __init__(self):
-        self.ts = []
-        self.js = []
-        self.zs = []
-        self.tags = []
-
-    def add(self, t, j, z, tag):
-        self.ts.append(t)
-        self.js.append(j)
-        self.zs.append(z)
-        self.tags.append(tag)
-
-
 def _all_finite(z) -> bool:
     return all(map(math.isfinite, z))
-
-
-def _close(sys: HybridSystem, cfg: SolverConfig, rows: _Rows, events: list, termination: str,
-           fault: Optional[FaultRecord], t: float, j: int, z, since_record: int,
-           flow_steps: int) -> Trace:
-    """Final sample and Trace of a finished run: the fault row, or the last
-    state z at (t, j) when flow steps since the last sample went unrecorded
-    (a non-finite one turns the run into a fault)."""
-    if termination == "fault":
-        rows.add(fault.t, fault.j, fault.z_last, TAG_FAULT)
-    elif since_record > 0:
-        if _all_finite(z):
-            rows.add(t, j, z, TAG_FLOW)
-        else:
-            fault = FaultRecord(t, j, "blowup", "non-finite state at horizon", np.array(rows.zs[-1]))
-            termination = "fault"
-            rows.add(fault.t, fault.j, fault.z_last, TAG_FAULT)
-    meta = dict(sys.meta)
-    meta.update(
-        h=cfg.h,
-        t_end=cfg.t_end,
-        max_jumps=cfg.max_jumps,
-        integrator=cfg.integrator,
-        jump_policy=cfg.jump_policy,
-        policy_seed=cfg.policy_seed,
-        record_stride=cfg.record_stride,
-        dim=sys.dim,
-        flow_steps=flow_steps,
-    )
-    return Trace(
-        dim=sys.dim,
-        ts=np.asarray(rows.ts, dtype=float),
-        js=np.asarray(rows.js, dtype=np.int64),
-        zs=np.asarray(rows.zs, dtype=float),
-        tags=np.asarray(rows.tags, dtype=np.int8),
-        events=events,
-        meta=meta,
-        termination=termination,
-        fault=fault,
-    )
 
 
 def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
@@ -356,9 +298,15 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         if not (in_C(z, infl(sig3, 0.0)) or in_D(z, infl(sig6, 0.0))):
             raise ValueError("initial state outside C union D (tau=%g)" % z[-1])
 
-    rows = _Rows()
-    record = rows.add
-    zs = rows.zs
+    ts, js, zs, tags = [], [], [], []
+
+    def record(t, j, z, tag):
+        # a state is kept as given: the loop never mutates one it recorded
+        ts.append(t)
+        js.append(j)
+        zs.append(z)
+        tags.append(tag)
+
     events: list = []
     fault: Optional[FaultRecord] = None
     termination = "horizon"
@@ -472,170 +420,37 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
 
     if stop_hit:
         termination = "condition"
-    return _close(sys, cfg, rows, events, termination, fault, t, j, z, since_record, k_step)
-
-
-class _Member:
-    """Control state of one trajectory in a lockstep batch."""
-
-    def __init__(self, sys: HybridSystem, cfg: SolverConfig):
-        self.sys = sys
-        self.empty_jump_set = bool(sys.meta.get("empty_jump_set", False))
-        self.rng = np.random.default_rng(cfg.policy_seed) if cfg.jump_policy == "uniform" else None
-        self.rows = _Rows()
-        self.events: list = []
-        self.fault: Optional[FaultRecord] = None
-        self.termination = "horizon"
-        self.t = 0.0
-        self.j = 0
-        self.k_step = 0
-        self.from_flow = False
-        self.since_record = 0
-        self.trace: Optional[Trace] = None
-
-    def fail(self, kind: str, detail: str, z_last) -> None:
-        self.fault = FaultRecord(self.t, self.j, kind, detail, np.array(z_last, dtype=float))
-        self.termination = "fault"
-
-
-def simulate_batch(systems, z0s, cfg: SolverConfig) -> list:
-    """Run B hybrid systems in lockstep and return their B Traces.
-
-    The systems share one flow closure F (the same object) and one packed
-    length; F is handed the column-stacked (2*dim + 1, B) block, whose rows
-    are the packed components, and must compute each column exactly as it
-    computes a single packed state. Each loop iteration takes one
-    integrator step of the whole block, through the step kernel that
-    simulate uses, at width 1 with the block as its one component; then
-    every member does what simulate's loop would do next on its own: one
-    jump, or the flow step read from the block's step (which is also its
-    `latest` lookahead). Each member keeps its own D_h provenance,
-    `uniform` RNG stream seeded from cfg.policy_seed, jump budget, recording
-    stride, termination and fault record; members that finish leave the
-    block while the others run on. Trace i equals
-    simulate(systems[i], z0s[i], cfg).
-    """
-    systems = list(systems)
-    if len(z0s) != len(systems):
-        raise ValueError("need one initial state per system: %d systems, %d states" % (len(systems), len(z0s)))
-    if not systems:
-        return []
-    F = systems[0].F
-    m = systems[0].packed_len
-    for sys in systems:
-        if sys.F is not F:
-            raise ValueError("batched systems must share one flow closure F")
-        if sys.packed_len != m:
-            raise ValueError("batched systems must share one packed length, got %d and %d" % (m, sys.packed_len))
-    Z = np.empty((m, len(systems)))
-    for col, (sys, z0) in enumerate(zip(systems, z0s)):
-        z = np.array(z0, dtype=float).reshape(m)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("initial state must be finite")
-        if not sys.meta.get("empty_jump_set", False) and not (sys.in_C(z, 0.0) or sys.in_D(z, 0.0)):
-            raise ValueError("initial state outside C union D (tau=%g)" % float(z[-1]))
-        Z[:, col] = z
-    members = [_Member(sys, cfg) for sys in systems]
-    for col, mem in enumerate(members):
-        mem.rows.add(0.0, 0, Z[:, col].tolist(), TAG_FLOW)
-
-    h = cfg.h
-    max_jumps = cfg.max_jumps
-    stride = cfg.record_stride
-    policy = cfg.jump_policy
-
-    def block_field(src):
-        """F on a block handed over as one component: F reads and returns
-        the block's rows."""
-        rows = F(src[0])
-        if len(rows) != m:
-            raise ValueError("flow field F returned %d components, expected %d" % (len(rows), m))
-        out = np.empty_like(src[0])
-        for i, row in enumerate(rows):
-            out[i] = row
-        return [out]
-
-    step = _step_kernel(TABLEAUS[cfg.integrator], 1, False)
-    t_stop = cfg.t_end - 1e-12 * max(1.0, cfg.t_end)  # simulate's horizon test
-
-    live = members  # the member of each block column
-    while live:
-        Znew, = step(block_field, [Z], [Z], h)
-
-        done = []
-        # member control reads each column as a list of floats
-        cols, new_cols = Z.T.tolist(), Znew.T.tolist()
-        for col, mem in enumerate(live):
-            z = cols[col]
-            if mem.t >= t_stop:
-                done.append(col)
-                continue
-            do_jump = False
-            if not mem.empty_jump_set:
-                c_now = mem.sys.in_C(z, 0.0)
-                if mem.sys.in_D(z, 0.0) or (mem.from_flow and not c_now):
-                    if not c_now:
-                        do_jump = True
-                    elif policy == "latest":
-                        # the block's step is this member's lookahead
-                        do_jump = jump_policy_decide(policy, z, mem.sys, h,
-                                                     flow_exits=not mem.sys.in_C(new_cols[col], 0.0))
-                    else:
-                        do_jump = jump_policy_decide(policy, z, mem.sys, h, rng=mem.rng)
-                elif not c_now:
-                    mem.fail("escaped", "state outside C union D_h (tau=%g)" % z[-1], z)
-                    done.append(col)
-                    continue
-
-            if do_jump:
-                # as in simulate: the budget gates jumps, and the pre-jump
-                # state becomes the final sample
-                if mem.j >= max_jumps:
-                    mem.termination = "jump_cap"
-                    done.append(col)
-                    continue
-                if mem.since_record > 0:
-                    if not _all_finite(z):
-                        mem.fail("blowup", "non-finite state before jump", mem.rows.zs[-1])
-                        done.append(col)
-                        continue
-                    mem.rows.add(mem.t, mem.j, z, TAG_FLOW)
-                z_post = np.array(mem.sys.G(z), dtype=float).reshape(m)
-                if not np.all(np.isfinite(z_post)):
-                    mem.fail("blowup", "jump map produced non-finite state", z)
-                    done.append(col)
-                    continue
-                mem.events.append(JumpRecord(mem.t, mem.j, np.array(z), z_post.copy()))
-                mem.j += 1
-                mem.from_flow = False
-                mem.rows.add(mem.t, mem.j, z_post, TAG_JUMP)
-                mem.since_record = 0
-                if not (mem.sys.in_C(z_post, 0.0) or mem.sys.in_D(z_post, 0.0)):
-                    mem.fail("escaped", "jump landed outside C union D (tau=%g)" % float(z_post[-1]), z_post)
-                    done.append(col)
-                    continue
-                Znew[:, col] = z_post
-                continue
-
-            mem.k_step += 1
-            mem.t = mem.k_step * h
-            mem.from_flow = True
-            mem.since_record += 1
-            z = new_cols[col]
-            if not math.isfinite(z[0]) or (mem.since_record >= stride and not _all_finite(z)):
-                mem.fail("blowup", "non-finite state during flow at t=%g" % mem.t, mem.rows.zs[-1])
-                done.append(col)
-            elif mem.since_record >= stride:
-                mem.rows.add(mem.t, mem.j, z, TAG_FLOW)
-                mem.since_record = 0
-
-        for col in done:
-            mem = live[col]
-            mem.trace = _close(mem.sys, cfg, mem.rows, mem.events, mem.termination, mem.fault,
-                               mem.t, mem.j, cols[col], mem.since_record, mem.k_step)
-        Z = Znew
-        if done:
-            keep = [col for col in range(len(live)) if col not in done]
-            Z = Z[:, keep]
-            live = [live[col] for col in keep]
-    return [mem.trace for mem in members]
+    # final sample: the fault row, or the last state when flow steps since
+    # the last sample went unrecorded (a non-finite one turns into a fault)
+    if termination == "fault":
+        record(fault.t, fault.j, fault.z_last, TAG_FAULT)
+    elif since_record > 0:
+        if _all_finite(z):
+            record(t, j, z, TAG_FLOW)
+        else:
+            fault = FaultRecord(t, j, "blowup", "non-finite state at horizon", np.array(zs[-1]))
+            termination = "fault"
+            record(fault.t, fault.j, fault.z_last, TAG_FAULT)
+    meta = dict(sys.meta)
+    meta.update(
+        h=h,
+        t_end=t_end,
+        max_jumps=max_jumps,
+        integrator=cfg.integrator,
+        jump_policy=policy,
+        policy_seed=cfg.policy_seed,
+        record_stride=stride,
+        dim=sys.dim,
+        flow_steps=k_step,
+    )
+    return Trace(
+        dim=sys.dim,
+        ts=np.asarray(ts, dtype=float),
+        js=np.asarray(js, dtype=np.int64),
+        zs=np.asarray(zs, dtype=float),
+        tags=np.asarray(tags, dtype=np.int8),
+        events=events,
+        meta=meta,
+        termination=termination,
+        fault=fault,
+    )

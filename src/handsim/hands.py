@@ -31,7 +31,6 @@ __all__ = [
     "hand1",
     "hand2",
     "validate_dwell",
-    "strong_dwell",
     "target_distance",
     "target_distance_fn",
 ]
@@ -158,13 +157,6 @@ def validate_dwell(params: HandParams, mu: float) -> bool:
     if mu is None or not (mu > 0.0):
         raise ValueError("strong convexity constant mu > 0 required, got %r" % (mu,))
     return params.t_max**2 - params.t_min**2 > 1.0 / (mu * params.c)
-
-
-def strong_dwell(params: HandParams, mu: float) -> bool:
-    """Stronger window condition (t_max - t_min)^2 - t_min^2 > 1/(mu c)."""
-    if mu is None or not (mu > 0.0):
-        raise ValueError("strong convexity constant mu > 0 required, got %r" % (mu,))
-    return (params.t_max - params.t_min) ** 2 - params.t_min**2 > 1.0 / (mu * params.c)
 
 
 def target_distance(z: np.ndarray, xstar: np.ndarray, params: HandParams) -> float:

@@ -15,7 +15,6 @@ for config errors (raised here as ConfigError).
 from __future__ import annotations
 
 import copy
-import dataclasses
 import math
 import os
 from typing import Optional, Tuple
@@ -45,7 +44,7 @@ from .dynamics import (
     make_rep1_flow,
     make_rep2_flow,
 )
-from .engine import HybridSystem, PerturbationSet, flow_only_system, simulate, simulate_batch
+from .engine import HybridSystem, PerturbationSet, flow_only_system, simulate
 from .hands import HandParams, hand1, hand2, target_distance_fn
 from .io import (
     format_float,
@@ -809,13 +808,11 @@ def _run_restart_sweep(config: dict, out_dir: str, quiet: bool) -> int:
     rows = []
     measured = np.full(n, math.inf)
     bound = np.full(n, math.inf)
-    # one lockstep batch over the grid: every period flows the same field
-    flow = make_hand_flow(c, f)
-    systems = [dataclasses.replace(hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)), F=flow)
-               for dT in grid]
+    # one independent hand2 run per grid period, all from the same state
     z0 = _hand_z0(f, x0, t_min)
-    traces = simulate_batch(systems, [z0] * n, _solver_from(config["solver"]))
-    for i, (dT, trace) in enumerate(zip(grid, traces)):
+    cfg = _solver_from(config["solver"])
+    for i, dT in enumerate(grid):
+        trace = simulate(hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)), z0, cfg)
         # end-of-period samples: the gap just before each reset, which x1
         # carries unchanged through the jump to hybrid time (t, j) = ((k+1)dT, k+1)
         gaps = np.array([f.gap(rec.z_pre[:f.dim]) for rec in trace.events])

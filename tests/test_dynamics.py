@@ -129,24 +129,19 @@ def test_hand_flow_matches_rep2_with_clock():
                                coupled_cost()],
                          ids=["dim1", "dim2", "coupled2"])
 def test_flow_closures_on_column_block(make, f):
-    # one closure per field serves both loops: on the rows of a
-    # column-stacked block, as simulate_batch passes it, every column of the
-    # field equals bit for bit the field of that column as a list of floats,
-    # as simulate passes it (dim2 has non-power-of-two Q entries, so its
-    # gradient products round)
+    # each column of a block of states, handed over as a list of floats,
+    # gets float components, bit for bit those of the same column as an
+    # array (numpy scalars, as in the engine's fallback step); dim2 has
+    # non-power-of-two Q entries, so its gradient products round
     flow = make(f)
     rng = np.random.default_rng(4)
     Z = rng.standard_normal((2 * f.dim + 1, 5)) * 10.0 ** rng.integers(-4, 4, size=5)
     Z[-1] = rng.uniform(0.5, 3.0, size=5)
-    out = flow(Z)
-    assert len(out) == 2 * f.dim + 1
-    block = np.empty_like(Z)
-    for i, row in enumerate(out):
-        block[i] = row
     for i in range(5):
         single = flow(Z[:, i].tolist())
+        assert len(single) == 2 * f.dim + 1
         assert all(type(v) is float for v in single)
-        assert np.array_equal(block[:, i], np.array(single))
+        assert np.array_equal(single, flow(Z[:, i]))
 
 
 def test_make_hand_flow_returns_components():

@@ -19,7 +19,6 @@ from handsim import (
     jump_policy_decide,
     make_quadratic,
     simulate,
-    simulate_batch,
     sphere_cost,
     tableau,
     validate_trace,
@@ -162,27 +161,20 @@ def _stage_loop_step(F, tab, h, z, src, e=None):
 
 
 def _mixing_field(z):
-    """A component-wise field on floats, numpy scalars or block rows that
-    mixes neighbouring components, so each output depends on the order of
+    """A component-wise field on floats or numpy scalars that mixes
+    neighbouring components, so each output depends on the order of
     every stage's operations. Its outputs are products, so on signed zeros
     the sign of each zero carries on to the next stage."""
     m = len(z)
     return [(z[i] * 0.25 - 1.5) * z[i - 1] * z[(i + 1) % m] for i in range(m)]
 
 
-def _block_field(src):
-    """_mixing_field on a column-stacked block handed over as one component."""
-    return [np.array(_mixing_field(list(src[0])))]
-
-
 def _bits(v):
-    """Type and bits of a float, numpy scalar or array, with every nan as
-    one pattern: -0.0 and nan count, a nan's sign does not. Given two nan
+    """Type and bits of a float or numpy scalar, with every nan as one
+    pattern: -0.0 and nan count, a nan's sign does not. Given two nan
     operands, CPython's float + and * may return either one, and which one
     changes as the interpreter specializes the bytecode: the stage loops
     alone gave a nan of either sign on one input across repeated calls."""
-    if isinstance(v, np.ndarray):
-        return v.dtype.str.encode() + np.where(np.isnan(v), np.nan, v).tobytes()
     return type(v).__name__.encode() + struct.pack("<d", math.nan if v != v else v)
 
 
@@ -191,23 +183,15 @@ SPECIAL = [0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, math.inf, -mat
 
 @pytest.mark.parametrize("name", sorted(TABLEAUS))
 @pytest.mark.parametrize("width", [1, 3, 5])
-@pytest.mark.parametrize("form", ["float", "float64", "rows", "block"])
+@pytest.mark.parametrize("form", ["float", "float64"])
 def test_step_kernel_matches_stage_loops_bit_for_bit(name, width, form):
     tab = TABLEAUS[name]
     rng = np.random.default_rng(width)
     mixed = np.concatenate([SPECIAL, rng.standard_normal(10)])
 
     def draw(pool):
-        if form == "float":
-            return [float(v) for v in rng.choice(pool, width)]
-        if form == "float64":
-            return [np.float64(v) for v in rng.choice(pool, width)]
-        block = rng.choice(pool, (width, 6))
-        # a (width, 6) block as its rows, or (block form) as one component
-        return list(block) if form == "rows" else [block]
+        return [(float if form == "float" else np.float64)(v) for v in rng.choice(pool, width)]
 
-    F = _block_field if form == "block" else _mixing_field
-    m = 1 if form == "block" else width
     with np.errstate(all="ignore"):
         for trial in range(60):
             # every third trial holds signed zeros only, where the sign
@@ -218,9 +202,9 @@ def test_step_kernel_matches_stage_loops_bit_for_bit(name, width, form):
             e = draw(pool) if trial % 4 < 2 else None
             h = (0.1, 0.3, 1e-3, 2.0)[trial % 4]
             args = () if e is None else (e,)
-            got = _step_kernel(tab, m, e is not None)(F, z, src, h, *args)
-            want = _stage_loop_step(F, tab, h, z, src, e)
-            assert type(got) is list and len(got) == m
+            got = _step_kernel(tab, width, e is not None)(_mixing_field, z, src, h, *args)
+            want = _stage_loop_step(_mixing_field, tab, h, z, src, e)
+            assert type(got) is list and len(got) == width
             assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, got, want)
 
 
@@ -240,8 +224,6 @@ def test_flow_with_wrong_component_count_is_rejected(integrator, flow):
     z0 = np.array([1.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="expected 3"):
         simulate(sys, z0, cfg)
-    with pytest.raises(ValueError, match="expected 3"):
-        simulate_batch([sys, dataclasses.replace(sys)], [z0, z0], cfg)
 
 
 def test_rk4_exponential_value():
@@ -290,11 +272,17 @@ def test_dh_membership_cases():
     assert tr.events[0].t == pytest.approx(0.006)
     assert tr.events[0].z_pre[-1] == pytest.approx(2.003)
     # the same state without flow-step provenance is outside C union D_h
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside C union D"):
         simulate(sys, np.array([0.5, 0.5, 2.003]), cfg)
     # a flow step that stays inside C does not jump
     tr = simulate(sys, np.array([0.5, 0.5, 1.194]), cfg)
     assert tr.events == [] and tr.termination == "horizon"
+    # a non-finite or wrong-length initial state is refused before membership
+    for bad in ([0.5, math.nan, 1.5], [0.5, 0.5, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            simulate(sys, np.array(bad), cfg)
+    with pytest.raises(ValueError):
+        simulate(sys, np.array([0.5, 0.5, 1.5, 1.5]), cfg)
 
 
 def test_jump_policy_decide_basics():
@@ -451,22 +439,23 @@ def _assert_same_trace(a, b):
 @pytest.mark.parametrize("f", [sphere_cost(1), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3], name="q2")],
                          ids=["dim1", "dim2"])
 def test_simulate_batch_equals_single_runs(integrator, policy, f):
-    # hand1 and hand2 members with different timer windows share one flow
-    # closure; short periods hit the jump budget, the last member starts at
-    # the edge of the floats and blows up a few steps in, the rest run on
-    flow = make_hand_flow(1.0, f)
-    systems, z0s = [], []
-    for k, t_max in enumerate((1.5, 2.3, 2.9, 3.5, 4.4, 1.8)):
-        hp = HandParams(t_min=0.5, t_max=t_max, c=1.0, t_med=None if k % 2 else 0.5 * (0.5 + t_max))
-        systems.append(dataclasses.replace((hand2 if k % 2 else hand1)(f, hp), F=flow))
-        x = f.xstar + (1.5e308 if k == 5 else 1.0 + 0.25 * k)
-        z0s.append(np.concatenate([x, x, [0.5]]))
+    # a batch of hand1 and hand2 runs with different timer windows, made one
+    # after another through simulate as restart-sweep makes its grid, equals
+    # the same runs made singly in reverse order: the cached step kernels
+    # carry nothing from one run to the next. Short periods hit the jump
+    # budget, the last run starts at the edge of the floats and blows up a
+    # few steps in, the rest run to the horizon
     cfg = SolverConfig(h=0.01, t_end=12.0, max_jumps=5, integrator=integrator, jump_policy=policy,
                        policy_seed=3, record_stride=7)
+    runs = []
+    for k, t_max in enumerate((1.5, 2.3, 2.9, 3.5, 4.4, 1.8)):
+        hp = HandParams(t_min=0.5, t_max=t_max, c=1.0, t_med=None if k % 2 else 0.5 * (0.5 + t_max))
+        x = f.xstar + (1.5e308 if k == 5 else 1.0 + 0.25 * k)
+        runs.append(((hand2 if k % 2 else hand1), hp, np.concatenate([x, x, [0.5]])))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        batch = simulate_batch(systems, z0s, cfg)
-        singles = [simulate(sys, z0, cfg) for sys, z0 in zip(systems, z0s)]
+        batch = [simulate(hand(f, hp), z0, cfg) for hand, hp, z0 in runs]
+        singles = [simulate(hand(f, hp), z0, cfg) for hand, hp, z0 in reversed(runs)][::-1]
     for tr, ref in zip(batch, singles):
         _assert_same_trace(tr, ref)
         validate_trace(tr)
@@ -474,20 +463,3 @@ def test_simulate_batch_equals_single_runs(integrator, policy, f):
     assert "jump_cap" in endings and "horizon" in endings
     assert endings[5] == "fault" and batch[5].fault.kind == "blowup"
     assert 0 < batch[5].meta["flow_steps"] < min(tr.meta["flow_steps"] for tr in batch[:5])
-
-
-def test_simulate_batch_rejects_mixed_systems():
-    f = sphere_cost(1)
-    hp = HandParams(t_min=1.0, t_max=2.0, c=1.0)
-    cfg = SolverConfig(h=0.01, t_end=1.0)
-    z0 = np.array([1.0, 1.0, 1.0])
-    # each hand2 call builds its own flow closure
-    with pytest.raises(ValueError, match="flow closure"):
-        simulate_batch([hand2(f, hp), hand2(f, hp)], [z0, z0], cfg)
-    a = hand2(f, hp)
-    b = dataclasses.replace(hand2(sphere_cost(2), hp), F=a.F)
-    with pytest.raises(ValueError, match="packed length"):
-        simulate_batch([a, b], [z0, np.ones(5)], cfg)
-    with pytest.raises(ValueError):
-        simulate_batch([a], [z0, z0], cfg)
-    assert simulate_batch([], [], cfg) == []

@@ -10,7 +10,6 @@ from handsim import (
     hand2,
     simulate,
     sphere_cost,
-    strong_dwell,
     target_distance,
     target_distance_fn,
     validate_dwell,
@@ -117,7 +116,8 @@ def test_validate_dwell_boundary_cases():
 
 
 def test_strong_dwell_implies_dwell():
-    # sum/gap form implies the difference-of-squares form on a parameter grid
+    # the stronger window condition (t_max - t_min)^2 - t_min^2 > 1/(mu c)
+    # implies the dwell condition t_max^2 - t_min^2 > 1/(mu c) on a grid
     rng = np.random.default_rng(17)
     seen_strong = 0
     for _ in range(300):
@@ -126,7 +126,7 @@ def test_strong_dwell_implies_dwell():
         c = float(rng.uniform(0.1, 3.0))
         mu = float(rng.uniform(0.1, 3.0))
         params = HandParams(t_min=t_min, t_max=t_max, c=c)
-        if strong_dwell(params, mu):
+        if (t_max - t_min) ** 2 - t_min**2 > 1.0 / (mu * c):
             seen_strong += 1
             assert validate_dwell(params, mu)
     assert seen_strong > 10
