@@ -23,7 +23,6 @@ from .engine import (
     ButcherTableau,
     HybridSystem,
     PerturbationSet,
-    jump_policy_decide,
     simulate,
     tableau,
 )

@@ -18,12 +18,13 @@ from typing import Iterable, List, Optional, Tuple
 import numpy as np
 
 from .core import TAG_FAULT, CostFunction, HybridTime, SolverConfig, Trace
-from .dynamics import OdeParams, make_rep1_flow, make_rep2_flow
+from .dynamics import OdeParams, make_rep1_flow
 from .engine import flow_only_system, simulate
 from .hands import HandParams, hand1, validate_dwell
 
 __all__ = [
     "RateReport",
+    "bound_margins",
     "lyapunov",
     "lyapunov_curve",
     "jump_decrease_hand1",
@@ -51,29 +52,13 @@ class RateReport:
     negative means violated), worst_margin is their minimum, and the check is
     satisfied iff no margin is negative. A sample whose margin is not finite
     (nan or infinite data) is a violation and makes worst_margin nan.
-    bound_curve keeps the bound at each checked sample (the energy curve for
-    the monotonicity check).
     """
 
-    label: str
     satisfied: bool
     worst_margin: float
-    tolerance: float = 0.0
     violation_times: List[HybridTime] = field(default_factory=list)
-    bound_curve: np.ndarray = field(default_factory=lambda: np.empty(0))
     checked: int = 0
     detail: dict = field(default_factory=dict)
-
-    def summary_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "satisfied": bool(self.satisfied),
-            "worst_margin": float(self.worst_margin),
-            "tolerance": float(self.tolerance),
-            "checked": int(self.checked),
-            "violations": [[float(t), int(j)] for (t, j) in self.violation_times[:32]],
-            "detail": self.detail,
-        }
 
 
 def _scan(margins: Iterable[float]) -> Tuple[float, List[int]]:
@@ -94,16 +79,35 @@ def _scan(margins: Iterable[float]) -> Tuple[float, List[int]]:
     return worst, bad
 
 
-def _inverse_square_bound(beta: float, tau: float) -> float:
-    """Quadratic-decay bound beta / tau^2; nan (a violation) for tau <= 0."""
-    return beta / (tau * tau) if tau > 0.0 else math.nan
+def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], List[int]]:
+    """Margins bound + tol - gap of one certified bound over the rows of a
+    trace, given as equal-length numpy arrays of hybrid time (t, j), timer
+    tau, cost gap and a boolean fault mask. bc is a summary bound_checks
+    entry: its kind with that kind's constants, and tol.
 
-
-def _exponential_bound(k_a: float, k_b: float, d_t: float, r0sq: float, s: float) -> float:
-    """Exponential-decay bound k_a exp(-k_b alpha(s)) r0sq at s = t + j, with
-    alpha(s) = max(s - dT, 0) / (dT + 1)."""
-    alpha = max(s - d_t, 0.0) / (d_t + 1.0)
-    return k_a * math.exp(-k_b * alpha) * r0sq
+    A bound covers every non-fault row; the inverse-square bound
+    beta / tau^2 covers the first flow interval (j == 0) only, and a
+    non-positive tau gives it a nan bound, a violation. The exponential bound
+    is k_a exp(-k_b alpha(t + j)) r0_sq with alpha(s) = max(s - delta_t, 0) /
+    (delta_t + 1). Returns the worst margin (inf when no row is covered, nan
+    when one is not finite), the violating rows and the covered rows.
+    """
+    covered = ~fault
+    kind = bc.get("kind")
+    if kind == "inverse-square":
+        covered &= j == 0
+        beta = float(bc["beta"])
+        bounds = (beta / (s * s) if s > 0.0 else math.nan for s in tau[covered].tolist())
+    elif kind == "exponential":
+        k_a, k_b, d_t, r0_sq = (float(bc[key]) for key in ("k_a", "k_b", "delta_t", "r0_sq"))
+        bounds = (k_a * math.exp(-k_b * (max(s - d_t, 0.0) / (d_t + 1.0))) * r0_sq
+                  for s in (t[covered] + j[covered]).tolist())
+    else:
+        raise ValueError("unknown bound kind %r" % (kind,))
+    tol = float(bc["tol"])
+    rows = np.flatnonzero(covered).tolist()
+    worst, bad = _scan(bound + tol - g for bound, g in zip(bounds, gap[covered].tolist()))
+    return worst, [rows[i] for i in bad], rows
 
 
 def _require_minimizer(f: CostFunction):
@@ -116,16 +120,14 @@ def lyapunov(z, f: CostFunction, c: float) -> float:
     _require_minimizer(f)
     z = np.asarray(z, dtype=float)
     n = f.dim
-    x1 = z[:n]
-    x2 = z[n : 2 * n]
+    d2 = z[n : 2 * n] - f.xstar
     tau = float(z[-1])
-    return 0.5 * float(np.sum((x2 - f.xstar) ** 2)) + c * tau * tau * f.gap(x1)
+    return 0.5 * float(np.dot(d2, d2)) + c * tau * tau * f.gap(z[:n])
 
 
 def lyapunov_curve(trace: Trace, f: CostFunction, c: float) -> np.ndarray:
     """Energy at every recorded point (fault rows get nan)."""
     _require_minimizer(f)
-    n = trace.dim
     out = np.empty(len(trace))
     for k in range(len(trace)):
         if trace.tags[k] == TAG_FAULT:
@@ -160,11 +162,10 @@ def jump_decrease_hand2(z, f: CostFunction, params: HandParams) -> float:
     )
 
 
-def check_monotonicity(trace: Trace, f: CostFunction, c: float,
-                       slack_per_step: float, jump_tol: float = 0.0) -> RateReport:
+def check_monotonicity(trace: Trace, f: CostFunction, c: float, slack_per_step: float) -> RateReport:
     """Energy must not increase: along flows by more than slack_per_step per
     integrator step (recorded gaps spanning several steps get the summed
-    slack), and across jumps not at all beyond jump_tol (default exact)."""
+    slack), and across jumps not at all."""
     _require_minimizer(f)
     h = trace.meta.get("h")
     if h is None:
@@ -180,20 +181,18 @@ def check_monotonicity(trace: Trace, f: CostFunction, c: float,
             steps = max(1, int(round((trace.ts[k] - trace.ts[k - 1]) / h)))
             margins.append(slack_per_step * steps - dv)
         else:
-            margins.append(jump_tol - dv)
+            # 0.0 - dv rather than -dv, so that an exact tie reads 0, not -0
+            margins.append(0.0 - dv)
         rows.append(k)
     worst, bad = _scan(margins)
     if not rows:
         worst = 0.0
     return RateReport(
-        label="energy-monotonicity",
         satisfied=not bad,
         worst_margin=worst,
-        tolerance=0.0,
         violation_times=[trace.time(rows[i]) for i in bad],
-        bound_curve=V,
         checked=len(rows),
-        detail={"slack_per_step": slack_per_step, "jump_tol": jump_tol},
+        detail={"slack_per_step": slack_per_step},
     )
 
 
@@ -226,29 +225,32 @@ def _check_rate_ics(trace: Trace, f: CostFunction, t_min: Optional[float]):
     return x1_0
 
 
+def _gaps(trace: Trace, f: CostFunction) -> np.ndarray:
+    """Cost gap at every recorded point."""
+    return np.array([f.gap(x1) for x1 in trace.zs[:, : f.dim]])
+
+
 def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
                     tol: float = 0.0, use_clock: bool = True) -> RateReport:
     """Quadratic decay along the first flow interval: the cost gap at hybrid
     time (t, 0) must stay below beta / tau(t,0)^2 + tol, where tau(t,0) =
     t + t_min. use_clock=False checks the weaker beta / t^2 form instead
-    (implied by the timer form since tau > t; reported for reference)."""
+    (implied by the timer form since tau > t; reported for reference), which
+    has no bound at t = 0 and skips that row."""
     _require_minimizer(f)
     _check_rate_ics(trace, f, trace.meta.get("t_min"))
-    denoms = trace.zs[:, -1] if use_clock else trace.ts
-    # the t-form has no bound at t = 0
-    rows = [k for k in range(len(trace))
-            if trace.js[k] == 0 and trace.tags[k] != TAG_FAULT and denoms[k] > 0.0]
+    fault = trace.tags == TAG_FAULT
+    if not use_clock:
+        fault = fault | (trace.ts == 0.0)
+    bc = {"kind": "inverse-square", "beta": beta, "tol": tol}
+    worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1] if use_clock else trace.ts,
+                                     _gaps(trace, f), fault)
     if not rows:
         raise ValueError("trace has no first-flow samples to check")
-    bounds = [_inverse_square_bound(beta, float(denoms[k])) for k in rows]
-    worst, bad = _scan([bound + tol - f.gap(trace.zs[k, : f.dim]) for bound, k in zip(bounds, rows)])
     return RateReport(
-        label="quadratic-decay" + ("" if use_clock else "-tform"),
         satisfied=not bad,
         worst_margin=worst,
-        tolerance=tol,
-        violation_times=[trace.time(rows[i]) for i in bad],
-        bound_curve=np.asarray(bounds),
+        violation_times=[trace.time(k) for k in bad],
         checked=len(rows),
         detail={"beta": beta, "use_clock": use_clock},
     )
@@ -297,16 +299,13 @@ def check_exponential_rate(trace: Trace, f: CostFunction, params: HandParams, to
     dT = params.t_max - params.t_min
     r0sq = float(np.sum((x1_0 - f.xstar) ** 2))
     kb = 1.0 - k0
-    rows = [k for k in range(len(trace)) if trace.tags[k] != TAG_FAULT]
-    bounds = [_exponential_bound(k_a, kb, dT, r0sq, float(trace.ts[k]) + float(trace.js[k])) for k in rows]
-    worst, bad = _scan([bound + tol - f.gap(trace.zs[k, : f.dim]) for bound, k in zip(bounds, rows)])
+    bc = {"kind": "exponential", "k_a": k_a, "k_b": kb, "delta_t": dT, "r0_sq": r0sq, "tol": tol}
+    worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1], _gaps(trace, f),
+                                     trace.tags == TAG_FAULT)
     return RateReport(
-        label="exponential-decay",
         satisfied=not bad,
         worst_margin=worst,
-        tolerance=tol,
-        violation_times=[trace.time(rows[i]) for i in bad],
-        bound_curve=np.asarray(bounds),
+        violation_times=[trace.time(k) for k in bad],
         checked=len(rows),
         detail={"k0": k0, "k_a": k_a, "k_b": kb, "dT": dT, "r0sq": r0sq},
     )
@@ -322,7 +321,6 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
         raise ValueError("contraction check needs mu on the cost")
     k0 = k0_constant(params.c, f.mu, params.t_min, params.t_max)
     n = f.dim
-    ratios = []
     margins = []
     times = []
     start_x1 = trace.zs[0, :n]
@@ -332,23 +330,17 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
         start_x1 = rec.z_post[:n]
         if gap_start <= 0.0:
             # started the period on the minimizer; nothing to contract
-            ratios.append(0.0 if gap_end == 0.0 else math.inf)
             continue
-        ratio = gap_end / gap_start
-        ratios.append(ratio)
-        margins.append((k0 + slack) - ratio)
+        margins.append((k0 + slack) - gap_end / gap_start)
         times.append(HybridTime(rec.t, rec.j_pre))
     worst, bad = _scan(margins)
     if not trace.events:
         worst = 0.0
     return RateReport(
-        label="per-period-contraction",
         satisfied=not bad,
         worst_margin=worst,
-        tolerance=slack,
         violation_times=[times[i] for i in bad],
-        bound_curve=np.asarray(ratios),
-        checked=len(ratios),
+        checked=len(trace.events),
         detail={"k0": k0, "slack": slack},
     )
 
@@ -393,11 +385,11 @@ def time_to_epsilon(trace: Trace, f: CostFunction, eps: float) -> Optional[Hybri
 
 
 def uniformity_probe(f: CostFunction, params: OdeParams, t0_offsets, x_offset,
-                     eps: float, h: float = 1e-2, rep: str = "rep1",
-                     t_end_scale: float = 6.0, record_stride: int = 5,
+                     eps: float, h: float = 1e-2, t_end_scale: float = 6.0, record_stride: int = 5,
                      integrator: str = "rk4") -> List[dict]:
-    """Convergence times of the time-varying ODE started at different absolute
-    times t0 (same initial offset from the minimizer, rest start).
+    """Convergence times of the velocity-form time-varying ODE started at
+    different absolute times t0 (same initial offset from the minimizer,
+    rest start).
 
     Returns one row per t0 with the elapsed flow time for the cost gap to
     reach and stay below eps (None when the horizon
@@ -409,19 +401,14 @@ def uniformity_probe(f: CostFunction, params: OdeParams, t0_offsets, x_offset,
     t0 probes would measure the discretization artifact, not the flow.
     """
     _require_minimizer(f)
-    if rep not in ("rep1", "rep2"):
-        raise ValueError("rep must be 'rep1' or 'rep2'")
     x_offset = np.asarray(x_offset, dtype=float).reshape(f.dim)
     rows = []
     for t0 in t0_offsets:
         if not (t0 > 0.0):
             raise ValueError("start times must be positive, got %r" % (t0,))
         p = OdeParams(p=params.p, c=params.c, ell=params.ell, t0=float(t0))
-        flow = make_rep1_flow(p, f) if rep == "rep1" else make_rep2_flow(p, f)
-        sys = flow_only_system(flow, f.dim, meta={"kind": "ode-" + rep, "t0": float(t0)})
-        x1_0 = f.xstar + x_offset
-        x2_0 = np.zeros(f.dim) if rep == "rep1" else x1_0.copy()
-        z0 = np.concatenate([x1_0, x2_0, [float(t0)]])
+        sys = flow_only_system(make_rep1_flow(p, f), f.dim, meta={"kind": "ode-rep1", "t0": float(t0)})
+        z0 = np.concatenate([f.xstar + x_offset, np.zeros(f.dim), [float(t0)]])
         cfg = SolverConfig(
             h=h,
             t_end=max(20.0, t_end_scale * float(t0)),

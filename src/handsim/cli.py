@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .analysis import _exponential_bound, _inverse_square_bound, _scan
+from .analysis import bound_margins
 from .io import read_summary_json, read_trace_csv, write_summary_json
 from .scenarios import ConfigError, apply_override, load_config, run_scenario
 
@@ -198,34 +198,22 @@ def _cmd_check(args) -> int:
     except OSError as e:
         raise ConfigError("cannot read trace %s: %s" % (args.trace, e.strerror or e))
 
-    # rows the bound covers: non-fault samples, for the quadratic bound only
-    # the first flow interval; bounds and margins come from the same
-    # functions as the in-run monitors, so a non-finite row is a violation.
-    # A run writes at most one fault row, as its last row: a fault label
-    # anywhere else would hide a sample from the bound, so it is a violation
+    # the rows, bounds and margins are the in-run monitors' own
+    # (analysis.bound_margins). A run writes at most one fault row, as its
+    # last row: a fault label anywhere else would hide a sample from the
+    # bound, so it is a violation
     fault = np.array([event == "fault" for event in table.event], dtype=bool)
     misplaced = bool(fault[:-1].any())
-    covered = ~fault
-    if args.bound == "inverse-square":
-        covered &= table.j == 0
-        beta = float(bc["beta"])
-        bounds = (_inverse_square_bound(beta, tau) for tau in table.tau[covered].tolist())
-    else:
-        k_a, k_b, d_t, r0_sq = (float(bc[key]) for key in ("k_a", "k_b", "delta_t", "r0_sq"))
-        bounds = (_exponential_bound(k_a, k_b, d_t, r0_sq, s)
-                  for s in (table.t[covered] + table.j[covered]).tolist())
-    tol = float(bc["tol"])
-    gaps = table.f_gap[covered].tolist()
-    worst, bad = _scan(bound + tol - gap for bound, gap in zip(bounds, gaps))
-    ok = bool(gaps) and not bad and not misplaced
+    worst, bad, rows = bound_margins(bc, table.t, table.j, table.tau, table.f_gap, fault)
+    ok = bool(rows) and not bad and not misplaced
     if misplaced:
         print("fault label on data row %d of %d; a run writes its one fault row last"
               % (int(np.flatnonzero(fault[:-1])[0]) + 1, len(fault)))
     # printed as the gap's worst excess over the bound; 0.0 - m rather
     # than -m so that an exact hit prints 0, not -0
     print("%s bound on %s: %s (%d samples, worst margin %.6g)"
-          % (args.bound, table_key, "holds" if ok else "VIOLATED", len(gaps),
-             0.0 - worst if gaps else math.nan))
+          % (args.bound, table_key, "holds" if ok else "VIOLATED", len(rows),
+             0.0 - worst if rows else math.nan))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -131,18 +131,6 @@ class Trace:
     def time(self, k: int) -> HybridTime:
         return HybridTime(float(self.ts[k]), int(self.js[k]))
 
-    def tag_name(self, k: int) -> str:
-        return TAG_NAMES[int(self.tags[k])]
-
-    def x1s(self) -> np.ndarray:
-        return self.zs[:, : self.dim]
-
-    def x2s(self) -> np.ndarray:
-        return self.zs[:, self.dim : 2 * self.dim]
-
-    def taus(self) -> np.ndarray:
-        return self.zs[:, -1]
-
 
 _INTEGRATORS = ("euler", "heun", "midpoint", "rk4")
 _JUMP_POLICIES = ("earliest", "latest", "uniform")

@@ -102,10 +102,6 @@ class DisturbanceSpec:
             raise ValueError("uniform_random needs hold > 0")
 
     @staticmethod
-    def zero(dim: int) -> "DisturbanceSpec":
-        return DisturbanceSpec(kind="zero", dim=dim)
-
-    @staticmethod
     def constant(value) -> "DisturbanceSpec":
         value = np.asarray(value, dtype=float)
         return DisturbanceSpec(kind="constant", dim=value.size, value=value)

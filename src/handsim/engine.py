@@ -39,7 +39,6 @@ __all__ = [
     "HybridSystem",
     "PerturbationSet",
     "flow_only_system",
-    "jump_policy_decide",
     "simulate",
 ]
 
@@ -149,41 +148,6 @@ class PerturbationSet:
     e5: Optional[DisturbanceSpec] = None
     e6: Optional[DisturbanceSpec] = None
 
-    def channels(self):
-        return (self.e1, self.e2, self.e3, self.e4, self.e5, self.e6)
-
-    def any_active(self) -> bool:
-        return any(e is not None and not e.is_zero() for e in self.channels())
-
-
-def jump_policy_decide(policy: str, z: Sequence[float], sys: HybridSystem, h: float,
-                       rng: Optional[np.random.Generator] = None,
-                       flow_exits: Optional[bool] = None) -> bool:
-    """Resolve flow-vs-jump for a packed state z (a list of floats, as
-    simulate holds it) in C intersect D.
-
-    earliest: jump immediately. latest: flow until flowing would leave C
-    (flow_exits supplies that lookahead). uniform: jump with probability
-    q = h / (t_max - tau + h), which lands the jump uniformly over the
-    remaining timer window; needs timer bounds in sys.meta and an rng.
-    """
-    if policy == "earliest":
-        return True
-    if policy == "latest":
-        if flow_exits is None:
-            raise ValueError("latest policy needs the flow_exits lookahead")
-        return flow_exits
-    if policy == "uniform":
-        t_max = sys.meta.get("t_max")
-        if t_max is None:
-            raise ValueError("uniform policy needs timer bounds in sys.meta['t_max']")
-        if rng is None:
-            raise ValueError("uniform policy needs an rng")
-        tau = float(z[-1])
-        q = h / (t_max - tau + h)
-        return bool(rng.random() < q)
-    raise ValueError("unknown jump policy %r" % (policy,))
-
 
 def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
     if spec is None or spec.is_zero():
@@ -261,6 +225,11 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     (the next required jump would exceed max_jumps; the pre-jump state is the
     final sample), "fault" (non-finite state, or state outside C union D_h
     with the fault kind and last finite state kept on the trace).
+
+    A state in C intersect D jumps under the "earliest" policy, flows under
+    "latest" unless the next flow step would leave C, and under "uniform"
+    jumps with probability h / (t_max - tau + h), which needs the timer
+    bound sys.meta["t_max"].
     """
     m = sys.packed_len
     z = np.array(z0, dtype=float).reshape(m)
@@ -286,7 +255,12 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     F = sys.F
     G = sys.G
     policy = cfg.jump_policy
-    rng = np.random.default_rng(cfg.policy_seed) if policy == "uniform" else None
+    rng = None
+    if policy == "uniform" and not empty_jump_set:
+        t_max = sys.meta.get("t_max")
+        if t_max is None:
+            raise ValueError("uniform policy needs timer bounds in sys.meta['t_max']")
+        rng = np.random.default_rng(cfg.policy_seed)
 
     step = _step_kernel(TABLEAUS[cfg.integrator], m, sig2 is not None)
 
@@ -349,14 +323,17 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             c_now = in_C(z, i3)
             d_now = in_D(z, i6) or (from_flow and not c_now)
             if d_now:
-                if not c_now:
+                # outside C the state must jump; in C intersect D the policy decides
+                if not c_now or policy == "earliest":
                     do_jump = True
                 elif policy == "latest":
                     # lookahead: jump only if the flow step would leave C
                     trial = flow_step(t, z)
-                    do_jump = jump_policy_decide(policy, z, sys, h, flow_exits=not in_C(trial, i3))
+                    do_jump = not in_C(trial, i3)
                 else:
-                    do_jump = jump_policy_decide(policy, z, sys, h, rng=rng)
+                    # uniform: jump with probability h / (t_max - tau + h),
+                    # which lands the jump uniformly over the remaining window
+                    do_jump = rng.random() < h / (t_max - z[-1] + h)
             elif not c_now:
                 fault = FaultRecord(t, j, "escaped", "state outside C union D_h (tau=%g)" % z[-1], np.array(z))
                 termination = "fault"

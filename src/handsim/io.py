@@ -12,10 +12,11 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
+from .analysis import lyapunov
 from .core import TAG_NAMES, CostFunction, Trace
 
 __all__ = [
@@ -40,15 +41,14 @@ def _open_lf(path: str):
 
 
 def write_trace_csv(path: str, trace: Trace, f: CostFunction, c: float,
-                    dist_fn: Optional[Callable[[np.ndarray], float]] = None) -> None:
+                    dist_fn: Callable[[np.ndarray], float]) -> None:
     """Write a recorded run with columns
 
         t, j, tau, x1_0..x1_{n-1}, x2_0..x2_{n-1}, f_gap, V, dist_A, event
 
-    f_gap is f(x1)-f*; V is the timer-weighted energy |x2-x*|^2/2 + c*tau^2*f_gap
-    (for velocity-form ODE traces the x2 block is a velocity, so pass the
-    matching dist_fn and read V as the same formula around x2-target 0);
-    dist_A defaults to sqrt(|x1-x*|^2 + |x2-x*|^2).
+    f_gap is f.gap(x1), V is analysis.lyapunov at weight c (for
+    velocity-form ODE traces the x2 block is a velocity, and V reads the
+    same formula), and dist_A is dist_fn of the packed state.
     """
     n = trace.dim
     if f.dim != n:
@@ -59,28 +59,16 @@ def write_trace_csv(path: str, trace: Trace, f: CostFunction, c: float,
               + ["x1_%d" % i for i in range(n)]
               + ["x2_%d" % i for i in range(n)]
               + ["f_gap", "V", "dist_A", "event"])
-    xstar = f.xstar
-    fstar = f.fstar
     with _open_lf(path) as fh:
         w = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
         w.writerow(header)
         for k in range(len(trace.ts)):
             z = trace.zs[k]
-            x1 = z[:n]
-            x2 = z[n:2 * n]
-            tau = z[-1]
-            gap = float(f.value(x1)) - fstar
-            v = 0.5 * float(np.dot(x2 - xstar, x2 - xstar)) + c * tau * tau * gap
-            if dist_fn is None:
-                d = math.sqrt(float(np.dot(x1 - xstar, x1 - xstar))
-                              + float(np.dot(x2 - xstar, x2 - xstar)))
-            else:
-                d = float(dist_fn(z))
-            row = ([format_float(trace.ts[k]), str(int(trace.js[k])), format_float(tau)]
-                   + [format_float(val) for val in x1]
-                   + [format_float(val) for val in x2]
-                   + [format_float(gap), format_float(v), format_float(d),
-                      TAG_NAMES[int(trace.tags[k])]])
+            vals = z.tolist()
+            row = ([format_float(trace.ts[k]), str(int(trace.js[k])), format_float(vals[-1])]
+                   + [format_float(val) for val in vals[:-1]]
+                   + [format_float(f.gap(z[:n])), format_float(lyapunov(z, f, c)),
+                      format_float(dist_fn(z)), TAG_NAMES[int(trace.tags[k])]])
             w.writerow(row)
 
 
@@ -97,10 +85,6 @@ class TraceTable:
     v: np.ndarray
     dist_a: np.ndarray
     event: List[str]
-
-    @property
-    def dim(self) -> int:
-        return self.x1.shape[1]
 
 
 def read_trace_csv(path: str) -> TraceTable:

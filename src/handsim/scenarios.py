@@ -546,12 +546,14 @@ def _run_instability(config: dict, out_dir: str, quiet: bool) -> int:
         cfg = _solver_from(config["solver"])
         trace = simulate(sys, z0, cfg, pert, stop_condition=escaped)
         name = "trace_%s.csv" % rep
-        # rep1's second block is a velocity; measure distance against rest
-        if rep == "rep1":
-            dist = lambda z: math.sqrt(float(np.dot(z[:f.dim] - xstar, z[:f.dim] - xstar))
-                                       + float(np.dot(z[f.dim:2 * f.dim], z[f.dim:2 * f.dim])))
-        else:
-            dist = None
+
+        # distance to the ODE's rest point (xstar, rest2): rep1's second
+        # block is a velocity, at rest 0; rep2's is a position, at xstar
+        def dist(z, _rest2=np.zeros(f.dim) if rep == "rep1" else xstar, _n=f.dim):
+            d1 = z[:_n] - xstar
+            d2 = z[_n:2 * _n] - _rest2
+            return math.sqrt(float(np.dot(d1, d1)) + float(np.dot(d2, d2)))
+
         write_trace_csv(os.path.join(out_dir, name), trace, f, ode.c, dist_fn=dist)
         artifacts.append(name)
         final_growth = float(np.linalg.norm(trace.zs[-1][:f.dim] - xstar)) / r0
@@ -744,7 +746,6 @@ def _run_hand2_rate(config: dict, out_dir: str, quiet: bool) -> int:
     fname = "trace.csv"
     write_trace_csv(os.path.join(out_dir, fname), trace, f, hp.c,
                     dist_fn=target_distance_fn(f, hp))
-    r0 = float(np.linalg.norm(z0[:f.dim] - f.xstar))
     summary = {
         "config": config,
         "constants": dict(rep.detail),
@@ -761,13 +762,14 @@ def _run_hand2_rate(config: dict, out_dir: str, quiet: bool) -> int:
             "jumps": len(trace.events),
             "closed_form_worst_rel_err": worst_rel,
         },
+        # the audit re-verifies the monitor's own constants
         "bound_checks": {
             fname: {
                 "kind": "exponential",
                 "k_a": rep.detail["k_a"],
                 "k_b": rep.detail["k_b"],
-                "delta_t": hp.t_max - hp.t_min,
-                "r0_sq": r0 * r0,
+                "delta_t": rep.detail["dT"],
+                "r0_sq": rep.detail["r0sq"],
                 "tol": float(p["tol"]),
             }
         },

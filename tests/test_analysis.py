@@ -28,8 +28,12 @@ from handsim import (
     optimal_restart,
     simulate,
     sphere_cost,
+    target_distance_fn,
     time_to_epsilon,
+    write_summary_json,
+    write_trace_csv,
 )
+from handsim.cli import main
 
 
 def test_lyapunov_hand_value():
@@ -169,7 +173,7 @@ def test_lyapunov_curve_matches_pointwise():
         assert V[k] == pytest.approx(lyapunov(tr.zs[k], f, params.c), rel=1e-12)
 
 
-def test_check_inverse_square_rate_on_first_flow():
+def test_check_inverse_square_rate_on_first_flow(tmp_path):
     # single long flow with the timer frozen far from its deadline
     f = sphere_cost(1)
     params = HandParams(t_min=1.0, t_max=50.0, c=1.0, t_med=50.0)
@@ -179,11 +183,22 @@ def test_check_inverse_square_rate_on_first_flow():
     tr = simulate(sys, z0, SolverConfig(h=1e-3, t_end=49.0, integrator="rk4", record_stride=20, max_jumps=0))
     r = float(np.linalg.norm(x0 - f.xstar))
     beta = beta_constant(r, params.c, params.t_min, f.gap(x0))
-    rep = check_inverse_square_rate(tr, f, beta, tol=1e-6 + 10.0 * f.lipschitz * 1e-3)
+    tol = 1e-6 + 10.0 * f.lipschitz * 1e-3
+    rep = check_inverse_square_rate(tr, f, beta, tol=tol)
     assert rep.satisfied
     # the clock-free form reads the bound off hybrid time instead of the timer
-    rep_t = check_inverse_square_rate(tr, f, beta, tol=1e-6 + 10.0 * f.lipschitz * 1e-3, use_clock=False)
+    rep_t = check_inverse_square_rate(tr, f, beta, tol=tol, use_clock=False)
     assert rep_t.satisfied
+    # a first-flow row whose timer reads 0 has no finite bound: the monitor
+    # and the offline check both flag it rather than skip it
+    tr.zs[7, -1] = 0.0
+    rep = check_inverse_square_rate(tr, f, beta, tol=tol)
+    assert not rep.satisfied and math.isnan(rep.worst_margin)
+    assert rep.violation_times == [tr.time(7)]
+    write_trace_csv(str(tmp_path / "trace.csv"), tr, f, params.c, target_distance_fn(f, params))
+    write_summary_json(str(tmp_path / "summary.json"),
+                       {"bound_checks": {"trace.csv": {"kind": "inverse-square", "beta": beta, "tol": tol}}})
+    assert main(["check", str(tmp_path / "trace.csv"), "--bound", "inverse-square"]) == 1
 
 
 def test_check_inverse_square_rate_trivial_from_target_set():

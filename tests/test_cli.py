@@ -10,6 +10,8 @@ from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_sc
 from handsim.cli import _parse_values, _thread_cap, main
 from handsim.scenarios import apply_override, load_config
 
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
 
 def _write_config(tmp_path, name, **extra):
     cfg = {"scenario": name, "out_dir": str(tmp_path / "out")}
@@ -249,3 +251,52 @@ def test_cli_check_rejects_fault_label_before_last_row(tmp_path, capsys):
     assert main(["check", str(trace), "--bound", "exponential"]) == 1
     out = capsys.readouterr().out
     assert "VIOLATED" in out and "fault" in out
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    ("hand1-rate", {}),
+    ("hand2-rate", {}),
+    ("hand2-rate", {"cost": "coupled2", "params.x0": [1.1, 0.4]}),
+], ids=["hand1-rate", "hand2-rate", "hand2-rate-coupled2"])
+def test_cli_check_verdict_matches_run_monitor(scenario, overrides, tmp_path, monkeypatch, capsys):
+    # the offline audit re-verifies the monitor's own constants over the rows
+    # the monitor checked, and reaches the run's verdict and worst margin
+    import handsim.scenarios as scenarios
+
+    name = "check_inverse_square_rate" if scenario == "hand1-rate" else "check_exponential_rate"
+    monitor = getattr(scenarios, name)
+    checked = []
+
+    def recording(*args, **kwargs):
+        rep = monitor(*args, **kwargs)
+        if kwargs.get("use_clock", True):
+            checked.append(rep.checked)
+        return rep
+
+    monkeypatch.setattr(scenarios, name, recording)
+    config = apply_override(load_config(os.path.join(CONFIGS, scenario + ".json")), "solver.h", 0.01)
+    for key, value in overrides.items():
+        config = apply_override(config, key, value)
+    code = run_scenario(config, out_dir=str(tmp_path), quiet=True)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    if scenario == "hand1-rate":
+        runs = [summary["traces"][c] for c in sorted(summary["traces"])]
+        verdicts = [run["quadratic_bound_satisfied"] for run in runs]
+        worst = [run["worst_margin"] for run in runs]
+    else:
+        verdicts = [summary["checks"]["exponential_bound"]]
+        worst = [summary["results"]["worst_bound_margin"]]
+        bc, constants = summary["bound_checks"]["trace.csv"], summary["constants"]
+        assert [bc[k] for k in ("k_a", "k_b", "delta_t", "r0_sq")] == \
+            [constants[k] for k in ("k_a", "k_b", "dT", "r0sq")]
+    # the bundled configs pass; the coupled2 run violates its bound once the
+    # gap reaches its rounding floor, and the audit must say so too
+    assert (code == 0) == (not overrides) == all(verdicts)
+    traces = sorted(summary["bound_checks"])
+    assert len(traces) == len(checked) == len(worst) == (5 if scenario == "hand1-rate" else 1)
+    capsys.readouterr()
+    for trace, count, margin, ok in zip(traces, checked, worst, verdicts):
+        kind = summary["bound_checks"][trace]["kind"]
+        assert main(["check", str(tmp_path / trace), "--bound", kind]) == (0 if ok else 1)
+        assert "%s (%d samples, worst margin %.6g)" % ("holds" if ok else "VIOLATED", count, 0.0 - margin) \
+            in capsys.readouterr().out

@@ -18,6 +18,7 @@ from handsim import (
     sphere_cost,
     validate_trace,
 )
+from handsim.core import TAG_NAMES
 
 
 def grad_check(f, x, fd_step=1e-6):
@@ -193,10 +194,10 @@ def test_trace_accessors():
     tr = _tiny_trace()
     assert len(tr) == 4
     assert tr.time(2) == HybridTime(0.5, 1)
-    assert tr.tag_name(2) == "jump"
-    assert np.array_equal(tr.x1s()[:, 0], [1.0, 0.9, 0.9, 0.8])
-    assert np.array_equal(tr.taus(), [1.0, 1.5, 1.0, 1.5])
-    assert tr.x1s()[0, 0] == 1.0 and tr.x2s()[0, 0] == 1.0 and tr.taus()[0] == 1.0
+    assert TAG_NAMES[int(tr.tags[2])] == "jump"
+    assert np.array_equal(tr.zs[:, 0], [1.0, 0.9, 0.9, 0.8])
+    assert np.array_equal(tr.zs[:, -1], [1.0, 1.5, 1.0, 1.5])
+    assert tr.zs[0, 0] == 1.0 and tr.zs[0, 1] == 1.0 and tr.zs[0, -1] == 1.0
 
 
 def test_validate_trace_accepts_well_formed():

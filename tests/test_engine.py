@@ -16,7 +16,6 @@ from handsim import (
     PerturbationSet,
     SolverConfig,
     hand2,
-    jump_policy_decide,
     make_quadratic,
     simulate,
     sphere_cost,
@@ -285,18 +284,29 @@ def test_dh_membership_cases():
         simulate(sys, np.array([0.5, 0.5, 1.5, 1.5]), cfg)
 
 
-def test_jump_policy_decide_basics():
+def test_simulate_jump_policies_in_C_and_D():
+    # hand1 may jump anywhere with tau in [t_med, t_max]; the policy picks where
     f = sphere_cost(1)
-    sys = hand1(f, HandParams(t_min=1.0, t_max=3.0, c=1.0, t_med=2.0))
-    z = np.array([0.5, 0.5, 2.5])  # inside C and D
-    assert jump_policy_decide("earliest", z, sys, 1e-2) is True
-    assert jump_policy_decide("latest", z, sys, 1e-2, flow_exits=False) is False
-    assert jump_policy_decide("latest", z, sys, 1e-2, flow_exits=True) is True
-    with pytest.raises(ValueError):
-        jump_policy_decide("latest", z, sys, 1e-2)
-    rng = np.random.default_rng(0)
-    decisions = [jump_policy_decide("uniform", z, sys, 1e-2, rng=rng) for _ in range(200)]
-    assert any(decisions) and not all(decisions)
+    params = HandParams(t_min=1.0, t_max=3.0, c=1.0, t_med=2.0)
+    sys = hand1(f, params)
+    h = 1e-2
+
+    def pre_jump_taus(policy, system=sys):
+        cfg = SolverConfig(h=h, t_end=4.0, integrator="rk4", jump_policy=policy, policy_seed=3)
+        tr = simulate(system, np.array([0.5, 0.5, params.t_min]), cfg)
+        k = int(np.flatnonzero(tr.tags == TAG_JUMP)[0])
+        # timer of the flow state before the pre-jump state, and of the pre-jump state
+        return tr.zs[k - 2, -1], tr.zs[k - 1, -1]
+
+    before, earliest = pre_jump_taus("earliest")
+    assert before < params.t_med <= earliest
+    _, latest = pre_jump_taus("latest")
+    assert latest <= params.t_max < latest + h
+    _, uniform = pre_jump_taus("uniform")
+    assert earliest < uniform < latest
+    no_bounds = dataclasses.replace(sys, meta={k: v for k, v in sys.meta.items() if k != "t_max"})
+    with pytest.raises(ValueError, match="t_max"):
+        pre_jump_taus("uniform", no_bounds)
 
 
 def test_flow_only_trace_never_jumps():
@@ -329,7 +339,7 @@ def test_zero_perturbation_is_bitwise_identical():
     cfg = SolverConfig(h=1e-2, t_end=4.0, integrator="rk4")
     z0 = np.array([3.0, 3.0, 1.0])
     plain = simulate(sys, z0, cfg)
-    pert = PerturbationSet(e2=DisturbanceSpec.zero(3))
+    pert = PerturbationSet(e2=DisturbanceSpec(kind="zero", dim=3))
     routed = simulate(sys, z0, cfg, pert=pert)
     assert np.array_equal(plain.zs, routed.zs)
     assert np.array_equal(plain.ts, routed.ts)

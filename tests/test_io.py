@@ -9,11 +9,15 @@ import pytest
 from handsim import (
     HandParams,
     SolverConfig,
+    corpus,
+    hand1,
     hand2,
+    lyapunov_curve,
     read_summary_json,
     read_trace_csv,
     simulate,
     sphere_cost,
+    target_distance_fn,
     write_summary_json,
     write_trace_csv,
 )
@@ -46,14 +50,14 @@ def test_format_float_compact_integers():
 def test_trace_csv_roundtrip():
     f, params, tr = _run()
     path = "/tmp/io_trace_roundtrip.csv"
-    write_trace_csv(path, tr, f, params.c)
+    write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
     table = read_trace_csv(path)
-    assert table.dim == 1
+    assert table.x1.shape[1] == 1
     assert np.array_equal(table.t, tr.ts)
     assert np.array_equal(table.j, tr.js)
-    assert np.array_equal(table.tau, tr.taus())
-    assert np.array_equal(table.x1[:, 0], tr.x1s()[:, 0])
-    assert np.array_equal(table.x2[:, 0], tr.x2s()[:, 0])
+    assert np.array_equal(table.tau, tr.zs[:, -1])
+    assert np.array_equal(table.x1[:, 0], tr.zs[:, 0])
+    assert np.array_equal(table.x2[:, 0], tr.zs[:, 1])
     # gap and energy columns recompute from the state exactly
     for k in (0, 3, len(tr) - 1):
         assert table.f_gap[k] == f.gap(tr.zs[k, :1])
@@ -61,22 +65,40 @@ def test_trace_csv_roundtrip():
     assert list(table.event).count("jump") == len(tr.events)
 
 
+def test_trace_csv_gap_and_energy_are_the_monitors(tmp_path):
+    # in dimension 2 as in 1, the f_gap and V columns are f.gap and the
+    # energy that the monotonicity monitor certifies, bit for bit
+    params = HandParams(t_min=1.0, t_max=3.0, c=1.0, t_med=2.0)
+    rng = np.random.default_rng(5)
+    for name in ("sphere2", "aniso2", "coupled2"):
+        f = corpus()[name]
+        x0 = f.xstar + rng.standard_normal(2)
+        tr = simulate(hand1(f, params), np.concatenate([x0, x0, [params.t_min]]),
+                      SolverConfig(h=1e-2, t_end=20.0, integrator="rk4", record_stride=2))
+        assert len(tr.events) > 0
+        path = str(tmp_path / ("trace_%s.csv" % name))
+        write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
+        table = read_trace_csv(path)
+        assert np.array_equal(table.f_gap, [f.gap(x1) for x1 in tr.zs[:, :2]]), name
+        assert np.array_equal(table.v, lyapunov_curve(tr, f, params.c)), name
+
+
 def test_trace_csv_multidim_headers():
     f, params, tr = _run(dim=2)
     path = "/tmp/io_trace_dim2.csv"
-    write_trace_csv(path, tr, f, params.c)
+    write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
     header = open(path).readline().strip().split(",")
     assert header[:3] == ["t", "j", "tau"]
     assert "x1_0" in header and "x1_1" in header and "x2_1" in header
     table = read_trace_csv(path)
-    assert table.dim == 2
+    assert table.x1.shape[1] == 2
     assert table.x1.shape == (len(tr), 2)
 
 
 def test_trace_csv_lf_only():
     f, params, tr = _run()
     path = "/tmp/io_trace_lf.csv"
-    write_trace_csv(path, tr, f, params.c)
+    write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
     raw = open(path, "rb").read()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
@@ -92,8 +114,8 @@ def test_trace_csv_rejects_foreign_header():
 def test_trace_csv_byte_identical_rewrites():
     f, params, tr = _run()
     p1, p2 = "/tmp/io_trace_a.csv", "/tmp/io_trace_b.csv"
-    write_trace_csv(p1, tr, f, params.c)
-    write_trace_csv(p2, tr, f, params.c)
+    write_trace_csv(p1, tr, f, params.c, target_distance_fn(f, params))
+    write_trace_csv(p2, tr, f, params.c, target_distance_fn(f, params))
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
