@@ -6,6 +6,9 @@ numerics are float64, scalars are dim-1 vectors.
 
 from __future__ import annotations
 
+import linecache
+import math
+import zlib
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -171,6 +174,35 @@ class SolverConfig:
             raise ValueError("record_stride must be >= 1, got %r" % (self.record_stride,))
 
 
+def compile_source(text: str, name: str, **names):
+    """Compile text, Python source defining name, and return that object.
+
+    The code is registered with linecache under its code filename, so a
+    traceback or profile line inside generated code shows its source. The
+    source sees math's fmod, floor, inf and nan, and the given names.
+    """
+    filename = "<%s %08x>" % (name, zlib.crc32(text.encode()))
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    namespace = {"fmod": math.fmod, "floor": math.floor, "inf": math.inf, "nan": math.nan, **names}
+    exec(compile(text, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def compile_components(name: str, width: int, components, **names):
+    """Closure name(x) on a sequence of width components, returning the list
+    of the given component expressions, in which "{i}" stands for x[i].
+    Expressions that need no names beyond compile_source's own stand alone,
+    and the closure carries them as its components attribute, so the engine
+    can inline them."""
+    components = tuple(components)
+    args = ["x[%d]" % i for i in range(width)]
+    fn = compile_source("def %s(x):\n    return [%s]\n" % (name, ", ".join(c.format(*args) for c in components)),
+                        name, **names)
+    if not names:
+        fn.components = components
+    return fn
+
+
 def make_quadratic(Q, b, name: str = "") -> CostFunction:
     """Quadratic cost f(x) = 0.5 x'Qx + b'x with analytic metadata.
 
@@ -202,17 +234,9 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
     # component i is sum_j Q[i][j] x[j] taken left to right, then + b[i]; on
     # the corpus costs every product is exact, so this equals Q.dot(x) + b
     # bit for bit whatever order a BLAS kernel sums in
-    terms = [(q[0], tuple(enumerate(q))[1:], bi) for q, bi in zip(Q.tolist(), b.tolist())]
-
-    def gradient(x, _terms=terms):
-        x0 = x[0]
-        g = []
-        for q0, rest, bi in _terms:
-            s = q0 * x0
-            for j, qj in rest:
-                s = s + qj * x[j]
-            g.append(s + bi)
-        return g
+    gradient = compile_components("gradient", n, [
+        "".join("%s%r * {%d}" % (" + " if j else "", qj, j) for j, qj in enumerate(q)) + " + %r" % bi
+        for q, bi in zip(Q.tolist(), b.tolist())])
 
     singular = lam_min <= _SYM_TOL * scale
     if not singular:

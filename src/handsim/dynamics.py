@@ -6,9 +6,11 @@ Each field (restarting flow, velocity form, averaged form) is built by its
 make_* factory as one closure F(z) on packed states z = [x1, x2, tau or
 clock] that returns the 2*dim + 1 field components as a list, computed
 component by component on a list of floats (numpy scalars where the engine
-redoes a step that raised). The closures assume in-domain states (positive
-timer or clock); the engine is their caller and applies the disturbance
-channels around them.
+redoes a step that raised). The factory writes each component as an
+expression from its constants and compiles F from that text, which F
+carries as its components for the engine to inline. The closures assume
+in-domain states (positive timer or clock); the engine is their caller and
+applies the disturbance channels around them.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import CostFunction
+from .core import CostFunction, compile_components, compile_source
 
 __all__ = [
     "OdeParams",
@@ -124,35 +126,37 @@ class DisturbanceSpec:
 
 def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
     """Closure t -> e(t). Returned arrays are internal buffers; callers read,
-    never mutate."""
+    never mutate. A piecewise-constant signal carries its key attribute, the
+    text of an expression in t on which its value depends: the value stays
+    the same while the key does."""
     dim = spec.dim
-    if spec.kind == "zero" or (spec.eps == 0.0 and spec.kind != "constant"):
-        zero = np.zeros(dim)
-        return lambda t: zero
-    if spec.kind == "constant":
-        val = spec.value.copy()
-        return lambda t: val
+    if spec.kind in ("zero", "constant") or spec.eps == 0.0:
+        value = spec.value.copy() if spec.kind == "constant" else np.zeros(dim)
+
+        def constant(t):
+            return value
+
+        constant.key = "0"
+        return constant
     if spec.kind == "square_wave":
         pos = spec.eps * spec.axis
-        neg = -pos
-        period = spec.period
-        half = 0.5 * period
         # +eps on [0, P/2), -eps on [P/2, P), repeating; phase 0 at t = 0
-
-        def square(t, _pos=pos, _neg=neg, _period=period, _half=half):
-            return _pos if math.fmod(t, _period) < _half else _neg
-
+        key = "fmod(t, %r) < %r" % (float(spec.period), float(0.5 * spec.period))
+        square = compile_source("def square(t):\n    return pos if %s else neg\n" % key, "square", pos=pos, neg=-pos)
+        square.key = key
         return square
     if spec.kind == "sinusoid":
         amp = spec.eps * spec.axis
         w = 2.0 * math.pi / spec.period
         return lambda t: amp * math.sin(w * t)
     # uniform_random: redraw per hold interval, cache the last interval
+    key = "floor(t / %r)" % float(spec.hold)
+    interval = compile_source("def interval(t):\n    return %s\n" % key, "interval")
     state = {"k": None, "v": np.zeros(dim)}
-    eps, seed, hold = spec.eps, spec.seed, spec.hold
+    eps, seed = spec.eps, spec.seed
 
     def uniform(t):
-        k = int(math.floor(t / hold))
+        k = interval(t)
         if state["k"] != k:
             rng = np.random.default_rng((seed, k))
             g = rng.standard_normal(dim)
@@ -165,7 +169,18 @@ def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
             state["k"] = k
         return state["v"]
 
+    uniform.key = key
     return uniform
+
+
+def _gradient_components(f: CostFunction):
+    """Component expressions of f.gradient in "{j}" = x1[j], and the names
+    they need: a gradient without expressions is called once per component."""
+    comps = getattr(f.gradient, "components", None)
+    if comps is not None:
+        return comps, {}
+    x1 = ", ".join("{%d}" % j for j in range(f.dim))
+    return ["_grad([%s])[%d]" % (x1, i) for i in range(f.dim)], {"_grad": f.gradient}
 
 
 def make_hand_flow(c: float, f: CostFunction) -> Callable[[Sequence], list]:
@@ -176,22 +191,11 @@ def make_hand_flow(c: float, f: CostFunction) -> Callable[[Sequence], list]:
     n = f.dim
     if not (c > 0.0):
         raise ValueError("c must be positive, got %r" % (c,))
-    grad = f.gradient
-    two_c = 2.0 * c
-
-    def flow(z, _grad=grad, _two_c=two_c, _n=n, _r=range(n)):
-        tau = z[2 * _n]
-        s = 2.0 / tau
-        k = -_two_c * tau
-        out = []
-        for i in _r:
-            out.append(s * (z[_n + i] - z[i]))
-        for g in _grad(z[:_n]):
-            out.append(k * g)
-        out.append(1.0)
-        return out
-
-    return flow
+    grad, names = _gradient_components(f)
+    tau = "{%d}" % (2 * n)
+    comps = ["2.0 / %s * ({%d} - {%d})" % (tau, n + i, i) for i in range(n)]
+    comps += ["%r * %s * (%s)" % (-(2.0 * float(c)), tau, g) for g in grad]
+    return compile_components("hand_flow", 2 * n + 1, comps + ["1.0"], **names)
 
 
 def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
@@ -201,45 +205,23 @@ def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
     only through a state disturbance) with a fractional e gives nan, where
     Python's power would give a complex number."""
     n = f.dim
-    p, c, ell = params.p, params.c, params.ell
-    grad = f.gradient
+    p, c, ell = float(params.p), float(params.c), float(params.ell)
+    grad, names = _gradient_components(f)
+    t = "{%d}" % (2 * n)
+
+    def power(e):
+        if float(e).is_integer():
+            return "%s ** %r" % (t, e)
+        return "(nan if -inf < %s < 0.0 else %s ** %r)" % (t, t, e)
+
     if rep1:
-        coef = c * p * p
-
-        def r1(z, _grad=grad, _coef=coef, _ell=ell, _e=p - 2.0, _n=n):
-            t = z[2 * _n]
-            tp = t ** _e
-            if tp.__class__ is complex:
-                tp = math.nan
-            d = _ell / t
-            k = _coef * tp
-            x2 = z[_n : 2 * _n]
-            out = list(x2)
-            for v, g in zip(x2, _grad(z[:_n])):
-                out.append(-d * v - k * g)
-            out.append(1.0)
-            return out
-
-        return r1
-
-    coef = c * p * p / (ell - 1.0)
-
-    def r2(z, _grad=grad, _coef=coef, _ell=ell, _e=p - 1.0, _n=n, _r=range(n)):
-        t = z[2 * _n]
-        tp = t ** _e
-        if tp.__class__ is complex:
-            tp = math.nan
-        s = (_ell - 1.0) / t
-        k = -_coef * tp
-        out = []
-        for i in _r:
-            out.append(s * (z[_n + i] - z[i]))
-        for g in _grad(z[:_n]):
-            out.append(k * g)
-        out.append(1.0)
-        return out
-
-    return r2
+        comps = ["{%d}" % (n + i) for i in range(n)]
+        comps += ["-(%r / %s) * {%d} - %r * %s * (%s)" % (ell, t, n + i, c * p * p, power(p - 2.0), g)
+                  for i, g in enumerate(grad)]
+    else:
+        comps = ["%r / %s * ({%d} - {%d})" % (ell - 1.0, t, n + i, i) for i in range(n)]
+        comps += ["%r * %s * (%s)" % (-(c * p * p / (ell - 1.0)), power(p - 1.0), g) for g in grad]
+    return compile_components("rep1_flow" if rep1 else "rep2_flow", 2 * n + 1, comps + ["1.0"], **names)
 
 
 def make_rep1_flow(params: OdeParams, f: CostFunction) -> Callable:

@@ -29,6 +29,7 @@ from .core import (
     JumpRecord,
     SolverConfig,
     Trace,
+    compile_source,
 )
 from .dynamics import DisturbanceSpec, make_signal
 
@@ -102,7 +103,9 @@ class HybridSystem:
     inflation) / in_D(z, inflation) test set membership, where inflation >=
     0 widens the timer bounds (used to realize membership perturbations).
     meta carries timer bounds and labels for policies, reporting, and fast
-    paths ("empty_jump_set" marks D = empty).
+    paths ("empty_jump_set" marks D = empty). simulate inlines F's
+    components and in_C's and in_D's condition where the closures carry
+    them (see dynamics and hands); a closure without them is called.
     """
 
     dim: int
@@ -158,46 +161,72 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
 
 
 @functools.lru_cache(maxsize=None)
-def _step_kernel(tab: ButcherTableau, m: int, disturbed: bool):
-    """One explicit Runge-Kutta step of tab on m components, generated as
-    straight-line code on first use: step(F, z, src, h[, e]) returns the
-    list z_i + (K_0,i*b_0 + K_1,i*b_1 + ... [+ e_i]) * h with K_0 = F(src)
-    and stage k evaluated at (0.0 + K_0,i*a_k0 + ...) * h + src_i. Zero
-    coefficients are skipped (except b_0) and a weight 1.0 is not
+def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed: bool,
+                 membership: Optional[tuple], key: Optional[str]):
+    """One flow segment of explicit Runge-Kutta steps of tab on m
+    components, generated as straight-line code on first use and cached by
+    its arguments: seg(F, z, src, h, k, n, t_stop[, e]) returns (z', steps).
+
+    A step takes z_i + (K_0,i*b_0 + K_1,i*b_1 + ... [+ e_i]) * h with K_0 =
+    F(src) and stage k evaluated at (0.0 + K_0,i*a_k0 + ...) * h + src_i.
+    Zero coefficients are skipped (except b_0) and a weight 1.0 is not
     multiplied, so every component takes a fixed order of operations. The
-    components are the floats of a packed state (numpy scalars in
-    simulate's fallback); F maps a sequence of m of them to m of them, and
-    a wrong count raises ValueError naming the m expected."""
+    components are floats (numpy scalars in simulate's fallback). field,
+    F's component expressions ("{i}" for input i), is inlined in place of
+    F; with field None each stage calls F on a list, and a wrong count
+    raises ValueError naming the m expected.
+
+    After step k + steps, at t = (k + steps) * h, the next step starts from
+    the state reached, with the same e, unless steps == n, z[0] is not
+    finite, t >= t_stop, the state is outside the flow set or inside the
+    jump set (membership: their conditions in {tau} and {inflation}, tested
+    at inflation 0), or the expression key in t, on which e depends,
+    changed value."""
     r = range(m)
 
     def names(prefix):
         return "".join("%s%d, " % (prefix, i) for i in r)
 
-    lines = ["def step(F, z, src, h%s):" % (", e" if disturbed else "")]
-    if tab.stages > 1:
-        lines.append("    %s= src" % names("s"))
-    for k, row in enumerate(tab.a):
-        if k == 0:
-            arg = "src"
-        else:
-            arg = "[%s]" % ", ".join(
-                "(0.0%s) * h + s%d" % ("".join(" + k%d_%d * %r" % (j, i, a) for j, a in enumerate(row) if a != 0.0), i)
-                for i in r)
-        lines.append("    %s= F(%s)" % (names("k%d_" % k), arg))
-    lines.append("    %s= z" % names("z"))
+    lines = ["def seg(F, z, src, h, k, n, t_stop%s):" % (", e" if disturbed else ""),
+             "    %s= z" % names("z"), "    %s= src" % names("s")]
     if disturbed:
         lines.append("    %s= e" % names("e"))
-    out = []
+    if key is not None:
+        lines += ["    t = k * h", "    key = %s" % key]
+    lines += ["    i = 0", "    while True:"]
+    for k, row in enumerate(tab.a):
+        arg = ["s%d" % i for i in r]
+        if k:
+            for i in r:
+                lines.append("        a%d = (0.0%s) * h + s%d" % (
+                    i, "".join(" + k%d_%d * %r" % (j, i, a) for j, a in enumerate(row) if a != 0.0), i))
+            arg = ["a%d" % i for i in r]
+        if field is None:
+            lines.append("        %s= F([%s])" % (names("k%d_" % k), ", ".join(arg)))
+        else:
+            lines += ["        k%d_%d = %s" % (k, i, c.format(*arg)) for i, c in enumerate(field)]
     for i in r:
         terms = ["k%d_%d%s" % (k, i, "" if b == 1.0 else " * %r" % b)
                  for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
         if disturbed:
             terms.append("e%d" % i)
-        out.append("z%d + (%s) * h" % (i, " + ".join(terms)))
-    lines.append("    return [%s]" % ", ".join(out))
-    namespace: dict = {}
-    exec(compile("\n".join(lines), "<%s step, width %d>" % (tab.label, m), "exec"), namespace)
-    return namespace["step"]
+        lines.append("        z%d = z%d + (%s) * h" % (i, i, " + ".join(terms)))
+    ends = ["t >= t_stop"]
+    if membership is not None:
+        flows, jumps = (c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
+        ends += ["not (%s)" % flows, "(%s)" % jumps]
+    if key is not None:
+        ends.append("(%s) != key" % key)
+    # z0 - z0 is 0.0 exactly when z0 is finite
+    lines += ["        i += 1",
+              "        if i == n or z0 - z0 != 0.0:",
+              "            break",
+              "        t = (k + i) * h",
+              "        if %s:" % " or ".join(ends),
+              "            break",
+              "        %s= %s" % (names("s"), names("z")[:-2]),
+              "    return [%s], i" % names("z")[:-2]]
+    return compile_source("\n".join(lines) + "\n", "seg")
 
 
 def _all_finite(z) -> bool:
@@ -214,9 +243,17 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     one integrator step of dz = F(z + e1) + e2 advancing t by h. Jumps never
     advance t, flow steps never advance j. Disturbance signals are evaluated
     at the step-start time and held constant over the step. The loop keeps
-    the packed state as a list of floats and steps it with the
-    integrator's step kernel for 2*dim + 1 components; F, G, in_C, in_D
-    and stop_condition are handed that list.
+    the packed state as a list of floats; F, G, in_C, in_D and
+    stop_condition are handed that list.
+
+    Flow steps run in segments of the integrator's generated loop (see
+    _step_kernel), which inlines F's components and the timer conditions of
+    in_C and in_D. A segment ends at the next record point, when tau leaves
+    C or enters D, when a piecewise-constant e2 switches, at the horizon,
+    or at a non-finite z[0]; the loop takes over there. One-step segments
+    serve the "latest" lookahead, the "uniform" draws in C intersect D, the
+    e1, e3 and e6 channels, sinusoid signals, and closures without
+    component expressions or conditions, which are called per step.
 
     Recording: the initial state, every record_stride-th flow step, both
     sides of every jump, and the final state. stop_condition(t, j, z) is
@@ -262,7 +299,17 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             raise ValueError("uniform policy needs timer bounds in sys.meta['t_max']")
         rng = np.random.default_rng(cfg.policy_seed)
 
-    step = _step_kernel(TABLEAUS[cfg.integrator], m, sig2 is not None)
+    # a segment runs past one step on an inlined field, timer membership
+    # tests and a piecewise-constant e2 only; anything else takes one-step calls
+    field = getattr(F, "components", None)
+    key = getattr(sig2, "key", None)
+    membership = None if empty_jump_set else (getattr(in_C, "condition", None), getattr(in_D, "condition", None))
+    fused = (field is not None and sig1 is None and sig3 is None and sig6 is None
+             and (sig2 is None or key is not None) and (membership is None or None not in membership))
+    seg = _step_kernel(TABLEAUS[cfg.integrator], m, field, sig2 is not None,
+                       membership if fused else None, key if fused else None)
+
+    t_stop = t_end - 1e-12 * max(1.0, t_end)
 
     def infl(sig, t):
         return float(np.linalg.norm(sig(t))) if sig is not None else 0.0
@@ -287,17 +334,22 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
 
     stop_hit = False
 
-    def flow_step(t, z):
-        """z + h (F(z + e1(t)) + e2(t)) for one integrator step."""
+    def flow(t, z, n):
+        """Up to n steps of z + h (F(z + e1(t)) + e2(t)) from t: (z', steps)."""
+        nonlocal fused
         src = z if sig1 is None else [a + e for a, e in zip(z, sig1(t).tolist())]
         e2 = () if sig2 is None else (sig2(t).tolist(),)
         try:
-            return step(F, z, src, h, *e2)
+            return seg(F, z, src, h, k_step, n, t_stop, *e2)
         except (ZeroDivisionError, OverflowError):
+            if n > 1:
+                # redo the segment, and the rest of the run, on one-step calls
+                fused = False
+                return flow(t, z, 1)
             # a float division by zero or an overflowing power raises where
             # numpy scalars give inf or nan: redo the step on numpy scalars,
             # so the run ends as the recorded fault it always was
-            return step(F, z, [np.float64(v) for v in src], h, *e2)
+            return seg(F, z, [np.float64(v) for v in src], h, k_step, 1, t_stop, *e2)
 
     record(0.0, 0, z, TAG_FLOW)
     if stop_condition is not None and stop_condition(0.0, 0, z):
@@ -308,8 +360,6 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     t = 0.0
     from_flow = False
     since_record = 0
-
-    t_stop = t_end - 1e-12 * max(1.0, t_end)
     while not stop_hit:
         if t >= t_stop:
             termination = "horizon"
@@ -328,8 +378,8 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                     do_jump = True
                 elif policy == "latest":
                     # lookahead: jump only if the flow step would leave C
-                    trial = flow_step(t, z)
-                    do_jump = not in_C(trial, i3)
+                    trial = flow(t, z, 1)
+                    do_jump = not in_C(trial[0], i3)
                 else:
                     # uniform: jump with probability h / (t_max - tau + h),
                     # which lands the jump uniformly over the remaining window
@@ -375,12 +425,13 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                 stop_hit = True
             continue
 
-        # one flow step (the lookahead's, when one was taken)
-        z = trial if trial is not None else flow_step(t, z)
-        k_step += 1
+        # a flow segment up to the next record point (the lookahead's step,
+        # when one was taken)
+        z, n = trial if trial is not None else flow(t, z, stride - since_record if fused else 1)
+        k_step += n
         t = k_step * h
         from_flow = True
-        since_record += 1
+        since_record += n
         if not math.isfinite(z[0]):
             fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t, np.array(zs[-1]))
             termination = "fault"

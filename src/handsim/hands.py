@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CostFunction
+from .core import CostFunction, compile_source
 from .dynamics import make_hand_flow
 from .engine import HybridSystem
 
@@ -65,29 +65,27 @@ class HandParams:
             )
 
 
+def _timer_test(name: str, condition: str):
+    """Membership test name(z, inflation=0.0) compiled from condition, an
+    expression in {tau} and {inflation} that it carries as its condition
+    attribute, so the engine can inline it."""
+    test = compile_source("def %s(z, inflation=0.0):\n    return %s\n"
+                          % (name, condition.format(tau="z[-1]", inflation="inflation")), name)
+    test.condition = condition
+    return test
+
+
 def _timer_sets(params: HandParams, d_lo: float, d_hi: float, point_jump: bool):
-    t_min, t_max = params.t_min, params.t_max
-
-    def in_C(z, inflation=0.0, _lo=t_min, _hi=t_max):
-        tau = z[-1]
-        return _lo - inflation <= tau <= _hi + inflation
-
+    window = "%r - {inflation} <= {tau} <= %r + {inflation}"
+    in_C = _timer_test("in_C", window % (float(params.t_min), float(params.t_max)))
+    d_lo, d_hi = float(d_lo), float(d_hi)
     if point_jump:
         # the timer accumulates fixed steps in floating point, so an exact
         # deadline is reached only up to roundoff; the band keeps deadline
         # hits from slipping one step per period
         tol = 1e-9 * max(1.0, d_hi)
-
-        def in_D(z, inflation=0.0, _at=d_hi, _tol=tol):
-            return abs(z[-1] - _at) <= inflation + _tol
-
-    else:
-
-        def in_D(z, inflation=0.0, _lo=d_lo, _hi=d_hi):
-            tau = z[-1]
-            return _lo - inflation <= tau <= _hi + inflation
-
-    return in_C, in_D
+        return in_C, _timer_test("in_D", "-({inflation} + %r) <= {tau} - %r <= {inflation} + %r" % (tol, d_hi, tol))
+    return in_C, _timer_test("in_D", window % (d_lo, d_hi))
 
 
 def hand1(f: CostFunction, params: HandParams) -> HybridSystem:

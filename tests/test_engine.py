@@ -1,8 +1,10 @@
 """Integrator steps, jump handling, and the hybrid simulation loop."""
 
 import dataclasses
+import linecache
 import math
 import struct
+import traceback
 import warnings
 
 import numpy as np
@@ -22,8 +24,8 @@ from handsim import (
     tableau,
     validate_trace,
 )
-from handsim.core import TAG_JUMP
-from handsim.dynamics import make_hand_flow, make_rep1_flow
+from handsim.core import TAG_JUMP, compile_components
+from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import hand1
 
@@ -116,10 +118,18 @@ def test_euler_half_steps_differ_second_order():
     assert gaps[1] / gaps[2] == pytest.approx(4.0, rel=0.15)
 
 
+def _one_step(tab, width, field, F, z, src, h, e=None):
+    """One step of the generated segment, with F called per stage or, given
+    field, F's component expressions inlined."""
+    args = () if e is None else (e,)
+    got, steps = _step_kernel(tab, width, field, e is not None, None, None)(F, z, src, h, 0, 1, math.inf, *args)
+    assert steps == 1
+    return got
+
+
 def test_degenerate_tableau_is_euler():
     tab = tableau("euler")
     assert tab.stages == 1
-    step = _step_kernel(tab, 3, False)
     f = sphere_cost(1)
     F = make_hand_flow(1.0, f)
     rng = np.random.default_rng(2)
@@ -127,7 +137,8 @@ def test_degenerate_tableau_is_euler():
         z = rng.standard_normal(3)
         z[-1] = abs(z[-1]) + 0.1
         dz = np.array(F(z.tolist()))
-        assert np.array_equal(step(F, z.tolist(), z.tolist(), 0.05), z + 0.05 * dz)
+        for field in (None, F.components):
+            assert np.array_equal(_one_step(tab, 3, field, F, z.tolist(), z.tolist(), 0.05), z + 0.05 * dz)
         assert np.array_equal(_steps(F, z, 0.05), z + 0.05 * dz)
 
 
@@ -168,6 +179,11 @@ def _mixing_field(z):
     return [(z[i] * 0.25 - 1.5) * z[i - 1] * z[(i + 1) % m] for i in range(m)]
 
 
+def _mixing_components(m):
+    """_mixing_field's components as expressions, for inlining."""
+    return tuple("({%d} * 0.25 - 1.5) * {%d} * {%d}" % (i, (i - 1) % m, (i + 1) % m) for i in range(m))
+
+
 def _bits(v):
     """Type and bits of a float or numpy scalar, with every nan as one
     pattern: -0.0 and nan count, a nan's sign does not. Given two nan
@@ -200,11 +216,12 @@ def test_step_kernel_matches_stage_loops_bit_for_bit(name, width, form):
             src = z if trial % 2 else draw(pool)
             e = draw(pool) if trial % 4 < 2 else None
             h = (0.1, 0.3, 1e-3, 2.0)[trial % 4]
-            args = () if e is None else (e,)
-            got = _step_kernel(tab, width, e is not None)(_mixing_field, z, src, h, *args)
             want = _stage_loop_step(_mixing_field, tab, h, z, src, e)
-            assert type(got) is list and len(got) == width
-            assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, got, want)
+            # F called per stage, then the same field inlined as expressions
+            for field in (None, _mixing_components(width)):
+                got = _one_step(tab, width, field, _mixing_field, z, src, h, e)
+                assert type(got) is list and len(got) == width
+                assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, field, got, want)
 
 
 @pytest.mark.parametrize("a, b", [(((),), (math.nan,)), (((), (0.5,)), (math.nan, 1.0)),
@@ -449,27 +466,134 @@ def _assert_same_trace(a, b):
 @pytest.mark.parametrize("f", [sphere_cost(1), make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3], name="q2")],
                          ids=["dim1", "dim2"])
 def test_simulate_batch_equals_single_runs(integrator, policy, f):
-    # a batch of hand1 and hand2 runs with different timer windows, made one
-    # after another through simulate as restart-sweep makes its grid, equals
-    # the same runs made singly in reverse order: the cached step kernels
-    # carry nothing from one run to the next. Short periods hit the jump
-    # budget, the last run starts at the edge of the floats and blows up a
-    # few steps in, the rest run to the horizon
+    # repeated runs share no cached state: hand1 and hand2 runs with
+    # different timer windows, made one after another through simulate as
+    # restart-sweep makes its grid, equal the same runs made again in
+    # reverse order, and the repeat generates no new segment code. Short
+    # periods hit the jump budget, the last run starts at the edge of the
+    # floats and blows up a few steps in, the rest run to the horizon; euler
+    # runs each once more under a square-wave e2 that switches inside flows
     cfg = SolverConfig(h=0.01, t_end=12.0, max_jumps=5, integrator=integrator, jump_policy=policy,
                        policy_seed=3, record_stride=7)
+    m = 2 * f.dim + 1
+    perts = [None]
+    if integrator == "euler":
+        perts.append(PerturbationSet(e2=DisturbanceSpec.square_wave(m, 0.05, 0.9, np.full(m, 1.0 / np.sqrt(m)))))
     runs = []
-    for k, t_max in enumerate((1.5, 2.3, 2.9, 3.5, 4.4, 1.8)):
-        hp = HandParams(t_min=0.5, t_max=t_max, c=1.0, t_med=None if k % 2 else 0.5 * (0.5 + t_max))
-        x = f.xstar + (1.5e308 if k == 5 else 1.0 + 0.25 * k)
-        runs.append(((hand2 if k % 2 else hand1), hp, np.concatenate([x, x, [0.5]])))
+    for pert in perts:
+        for k, t_max in enumerate((1.5, 2.3, 2.9, 3.5, 4.4, 1.8)):
+            hp = HandParams(t_min=0.5, t_max=t_max, c=1.0, t_med=None if k % 2 else 0.5 * (0.5 + t_max))
+            x = f.xstar + (1.5e308 if k == 5 else 1.0 + 0.25 * k)
+            runs.append(((hand2 if k % 2 else hand1), hp, np.concatenate([x, x, [0.5]]), pert))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        batch = [simulate(hand(f, hp), z0, cfg) for hand, hp, z0 in runs]
-        singles = [simulate(hand(f, hp), z0, cfg) for hand, hp, z0 in reversed(runs)][::-1]
+        batch = [simulate(hand(f, hp), z0, cfg, pert) for hand, hp, z0, pert in runs]
+        generated = _step_kernel.cache_info().currsize
+        singles = [simulate(hand(f, hp), z0, cfg, pert) for hand, hp, z0, pert in reversed(runs)][::-1]
+    assert _step_kernel.cache_info().currsize == generated
     for tr, ref in zip(batch, singles):
         _assert_same_trace(tr, ref)
         validate_trace(tr)
-    endings = [tr.termination for tr in batch]
-    assert "jump_cap" in endings and "horizon" in endings
-    assert endings[5] == "fault" and batch[5].fault.kind == "blowup"
-    assert 0 < batch[5].meta["flow_steps"] < min(tr.meta["flow_steps"] for tr in batch[:5])
+    for k in range(0, len(batch), 6):
+        endings = [tr.termination for tr in batch[k:k + 6]]
+        assert "jump_cap" in endings and "horizon" in endings
+        assert endings[5] == "fault" and batch[k + 5].fault.kind == "blowup"
+        assert 0 < batch[k + 5].meta["flow_steps"] < min(tr.meta["flow_steps"] for tr in batch[k:k + 5])
+
+
+def _per_step(sys):
+    """sys with its closures behind plain lambdas: no component expressions
+    or membership conditions to inline, so simulate takes one-step calls."""
+    F, in_C, in_D = sys.F, sys.in_C, sys.in_D
+    return dataclasses.replace(sys, F=lambda z: F(z), in_C=lambda z, i=0.0: in_C(z, i),
+                               in_D=lambda z, i=0.0: in_D(z, i))
+
+
+COUPLED2 = make_quadratic([[1.3, 0.2], [0.2, 0.7]], [0.1, -0.3], name="q2")
+
+
+def _e2_specs(m):
+    axis = np.full(m, 1.0 / np.sqrt(m))
+    return {
+        "none": None,
+        "constant": DisturbanceSpec.constant(np.linspace(-0.03, 0.02, m)),
+        # switches sign every 0.35 time units, inside flows and at jumps
+        "square": DisturbanceSpec.square_wave(m, 0.05, 0.7, axis),
+        # a new draw every 0.45 time units
+        "uniform": DisturbanceSpec.uniform_random(m, 0.05, seed=11, hold=0.45),
+    }
+
+
+@pytest.mark.parametrize("system", ["hand1", "hand2", "rep1", "rep2"])
+@pytest.mark.parametrize("integrator", sorted(TABLEAUS))
+def test_fused_segments_equal_per_step_calls(integrator, system):
+    # the fused path (inlined field and membership, segments between
+    # control events) and the one-step calls give the same trace bit for
+    # bit: every jump, record, horizon and disturbance switch lands alike
+    for f in (sphere_cost(1), COUPLED2):
+        x = f.xstar + 1.0
+        if system == "hand1":
+            sys = hand1(f, HandParams(t_min=0.5, t_max=1.5, c=1.0, t_med=1.0))
+        elif system == "hand2":
+            sys = hand2(f, HandParams(t_min=0.5, t_max=1.4, c=1.0))
+        else:
+            rep = make_rep1_flow if system == "rep1" else make_rep2_flow
+            sys = flow_only_system(rep(OdeParams(p=2.5), f), f.dim)
+        z0 = np.concatenate([x, x - 0.5, [0.5 if system.startswith("hand") else 1.0]])
+        for e2 in _e2_specs(2 * f.dim + 1).values():
+            pert = None if e2 is None else PerturbationSet(e2=e2)
+            for policy in ("earliest", "latest", "uniform"):
+                cfg = SolverConfig(h=0.01, t_end=3.0, integrator=integrator, jump_policy=policy,
+                                   policy_seed=5, record_stride=17)
+                fused = simulate(sys, z0, cfg, pert)
+                ref = simulate(_per_step(sys), z0, cfg, pert)
+                _assert_same_trace(fused, ref)
+                validate_trace(fused)
+                validate_trace(ref)
+                assert fused.termination == "horizon"
+                assert len(fused.events) == (0 if system.startswith("rep") else len(ref.events))
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("case", ["raises", "non-finite"])
+def test_fault_inside_a_segment_matches_per_step_calls(case, integrator):
+    # the fault comes several steps into a segment that would run 50 steps
+    # to its record point: a division by zero redoes the segment on
+    # one-step calls, a non-finite z[0] ends it, and both end as the
+    # per-step path's fault
+    f = sphere_cost(1)
+    cfg = SolverConfig(h=0.25, t_end=20.0, integrator=integrator, record_stride=50)
+    if case == "raises":
+        # the timer runs from -1 through an exact 0.0, where 2/tau raises
+        sys = flow_only_system(make_hand_flow(1.0, f), 1)
+        z0 = [1.0, 2.0, -1.0]
+    else:
+        # z[0] grows by a factor of about 2.5e19 per euler step and
+        # overflows to inf without raising
+        grow = compile_components("grow", 3, ["{0} * 1e20", "0.0", "1.0"])
+        sys = dataclasses.replace(hand2(f, HandParams(t_min=0.5, t_max=100.0, c=1.0)), F=grow)
+        z0 = [1.0, 1.0, 0.5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fused = simulate(sys, np.array(z0), cfg)
+        ref = simulate(_per_step(sys), np.array(z0), cfg)
+    _assert_same_trace(fused, ref)
+    assert fused.termination == "fault" and fused.fault.kind == "blowup"
+    assert 2 < fused.meta["flow_steps"] < cfg.record_stride
+    assert (fused.fault.t, fused.fault.j) == (ref.fault.t, ref.fault.j)
+    assert np.array_equal(fused.fault.z_last, ref.fault.z_last)
+
+
+def test_generated_code_shows_in_tracebacks():
+    # a generated segment registers its source, so a traceback from inside
+    # it names the line that raised
+    f = sphere_cost(1)
+    F = make_hand_flow(1.0, f)
+    seg = _step_kernel(TABLEAUS["euler"], 3, F.components, False, None, None)
+    with pytest.raises(ZeroDivisionError) as info:
+        seg(F, [1.0, 2.0, 0.0], [1.0, 2.0, 0.0], 0.1, 0, 1, math.inf)
+    text = "".join(traceback.format_tb(info.tb))
+    assert "k0_0 = 2.0 / s2 * (s1 - s0)" in text
+    code = seg.__code__
+    assert linecache.getline(code.co_filename, code.co_firstlineno).startswith("def seg(F, z, src, h, k, n, t_stop)")
+    assert linecache.getline(F.__code__.co_filename, 2).strip().startswith("return [2.0 / x[2] * (x[1] - x[0])")
