@@ -12,7 +12,7 @@ constants) do not match the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -385,20 +385,21 @@ def time_to_epsilon(trace: Trace, f: CostFunction, eps: float) -> Optional[Hybri
 
 
 def uniformity_probe(f: CostFunction, params: OdeParams, t0_offsets, x_offset,
-                     eps: float, h: float = 1e-2, t_end_scale: float = 6.0, record_stride: int = 5,
-                     integrator: str = "rk4") -> List[dict]:
+                     eps: float, solver: SolverConfig, t_end_scale: float = 6.0) -> List[dict]:
     """Convergence times of the velocity-form time-varying ODE started at
     different absolute times t0 (same initial offset from the minimizer,
     rest start).
 
-    Returns one row per t0 with the elapsed flow time for the cost gap to
-    reach and stay below eps (None when the horizon
-    max(20, t_end_scale * t0) is not enough). Growth of these times with t0
-    is the non-uniformity signature.
+    Each run is solver with its horizon replaced by
+    max(20, t_end_scale * t0). Returns one row per t0 with the elapsed flow
+    time for the cost gap to reach and stay below eps (None when that
+    horizon is not enough). Growth of these times with t0 is the
+    non-uniformity signature.
 
-    Default integrator is rk4: forward Euler at h=1e-2 pumps the oscillatory
-    mode faster than the 3/t damping drains it once t > ~3/(h w^2), so late
-    t0 probes would measure the discretization artifact, not the flow.
+    Use rk4 (the scenario's default): forward Euler at h=1e-2 pumps the
+    oscillatory mode faster than the 3/t damping drains it once
+    t > ~3/(h w^2), so late t0 probes would measure the discretization
+    artifact, not the flow.
     """
     _require_minimizer(f)
     x_offset = np.asarray(x_offset, dtype=float).reshape(f.dim)
@@ -406,28 +407,21 @@ def uniformity_probe(f: CostFunction, params: OdeParams, t0_offsets, x_offset,
     for t0 in t0_offsets:
         if not (t0 > 0.0):
             raise ValueError("start times must be positive, got %r" % (t0,))
-        p = OdeParams(p=params.p, c=params.c, ell=params.ell, t0=float(t0))
-        sys = flow_only_system(make_rep1_flow(p, f), f.dim, meta={"kind": "ode-rep1", "t0": float(t0)})
+        sys = flow_only_system(make_rep1_flow(replace(params, t0=float(t0)), f), f.dim,
+                               meta={"kind": "ode-rep1", "t0": float(t0)})
         z0 = np.concatenate([f.xstar + x_offset, np.zeros(f.dim), [float(t0)]])
-        cfg = SolverConfig(
-            h=h,
-            t_end=max(20.0, t_end_scale * float(t0)),
-            max_jumps=1,
-            integrator=integrator,
-            record_stride=record_stride,
-        )
-        trace = simulate(sys, z0, cfg)
+        trace = simulate(sys, z0, replace(solver, t_end=max(20.0, t_end_scale * float(t0))))
         hit = time_to_epsilon(trace, f, eps)
         rows.append({"t0": float(t0), "time": None if hit is None else hit.t, "termination": trace.termination})
     return rows
 
 
 def hand1_phase_probe(f: CostFunction, params: HandParams, phases, x_offset,
-                      eps: float, h: float = 1e-2, t_end: float = 400.0,
-                      record_stride: int = 5, integrator: str = "rk4") -> List[dict]:
+                      eps: float, solver: SolverConfig) -> List[dict]:
     """Convergence times of the timer-reset system started at different timer
-    phases (same state offset). Phase independence of these times is the
-    uniformity signature the restarting regularization restores."""
+    phases (same state offset), each run with solver as given. Phase
+    independence of these times is the uniformity signature the restarting
+    regularization restores."""
     _require_minimizer(f)
     x_offset = np.asarray(x_offset, dtype=float).reshape(f.dim)
     sys = hand1(f, params)
@@ -437,9 +431,7 @@ def hand1_phase_probe(f: CostFunction, params: HandParams, phases, x_offset,
             raise ValueError("phase tau0=%g outside timer window" % tau0)
         x1_0 = f.xstar + x_offset
         z0 = np.concatenate([x1_0, x1_0, [float(tau0)]])
-        cfg = SolverConfig(h=h, t_end=t_end, max_jumps=100_000, integrator=integrator,
-                           jump_policy="latest", record_stride=record_stride)
-        trace = simulate(sys, z0, cfg)
+        trace = simulate(sys, z0, solver)
         hit = time_to_epsilon(trace, f, eps)
         rows.append({"tau0": float(tau0), "time": None if hit is None else hit.t, "termination": trace.termination})
     return rows

@@ -98,8 +98,8 @@ class HybridSystem:
 
     All four maps take z as any sequence of its components. F(z) returns
     the 2*dim + 1 flow-field components, computed component by component
-    on a list of floats (numpy scalars where simulate redoes a step that
-    raised). G(z) returns the post-jump state; in_C(z,
+    on a list of floats (numpy scalars where simulate redoes a segment
+    that raised). G(z) returns the post-jump state; in_C(z,
     inflation) / in_D(z, inflation) test set membership, where inflation >=
     0 widens the timer bounds (used to realize membership perturbations).
     meta carries timer bounds and labels for policies, reporting, and fast
@@ -253,7 +253,11 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     or at a non-finite z[0]; the loop takes over there. One-step segments
     serve the "latest" lookahead, the "uniform" draws in C intersect D, the
     e1, e3 and e6 channels, sinusoid signals, and closures without
-    component expressions or conditions, which are called per step.
+    component expressions or conditions, which are called per step. A
+    segment that raises ZeroDivisionError or OverflowError (a float division
+    by zero, an overflowing power) is redone once from the same state on
+    numpy scalars, which give inf or nan instead, so a blow-up still ends
+    as a recorded fault.
 
     Recording: the initial state, every record_stride-th flow step, both
     sides of every jump, and the final state. stop_condition(t, j, z) is
@@ -336,20 +340,17 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
 
     def flow(t, z, n):
         """Up to n steps of z + h (F(z + e1(t)) + e2(t)) from t: (z', steps)."""
-        nonlocal fused
         src = z if sig1 is None else [a + e for a, e in zip(z, sig1(t).tolist())]
         e2 = () if sig2 is None else (sig2(t).tolist(),)
         try:
             return seg(F, z, src, h, k_step, n, t_stop, *e2)
         except (ZeroDivisionError, OverflowError):
-            if n > 1:
-                # redo the segment, and the rest of the run, on one-step calls
-                fused = False
-                return flow(t, z, 1)
             # a float division by zero or an overflowing power raises where
-            # numpy scalars give inf or nan: redo the step on numpy scalars,
-            # so the run ends as the recorded fault it always was
-            return seg(F, z, [np.float64(v) for v in src], h, k_step, 1, t_stop, *e2)
+            # numpy scalars give inf or nan: redo the segment on numpy
+            # scalars, so the run ends as the recorded fault it always was.
+            # z too: a float clock in z[-1] would raise at the next t ** e
+            return seg(F, [np.float64(v) for v in z], [np.float64(v) for v in src],
+                       h, k_step, n, t_stop, *e2)
 
     record(0.0, 0, z, TAG_FLOW)
     if stop_condition is not None and stop_condition(0.0, 0, z):

@@ -109,6 +109,7 @@ def read_trace_csv(path: str) -> TraceTable:
     v = np.empty(m)
     dist = np.empty(m)
     events = []
+    labels = tuple(TAG_NAMES.values())
     for k, row in enumerate(rows):
         if len(row) != len(expected):
             raise ValueError("%s: row %d has %d fields, expected %d"
@@ -122,6 +123,9 @@ def read_trace_csv(path: str) -> TraceTable:
         gap[k] = float(row[3 + 2 * n])
         v[k] = float(row[4 + 2 * n])
         dist[k] = float(row[5 + 2 * n])
+        if row[6 + 2 * n] not in labels:
+            raise ValueError("%s: row %d has event %r, expected one of %s"
+                             % (path, k + 2, row[6 + 2 * n], "/".join(labels)))
         events.append(row[6 + 2 * n])
     return TraceTable(t=t, j=j, tau=tau, x1=x1, x2=x2, f_gap=gap, v=v,
                       dist_a=dist, event=events)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import copy
 import math
 import os
+from dataclasses import replace
+from types import SimpleNamespace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -262,14 +264,7 @@ def parse_config(data: dict) -> dict:
     """Resolve a raw config dict against the scenario defaults and validate
     it. Returns the fully resolved config (suitable for echoing and for
     byte-identical round-trips through JSON)."""
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    if "scenario" not in data:
-        raise ConfigError("missing required key 'scenario'")
-    scenario = data["scenario"]
-    resolved = _merge(default_config(scenario), data, "")
-    _validate(resolved)
-    return resolved
+    return _resolve(data)[0]
 
 
 def load_config(path: str) -> dict:
@@ -306,59 +301,22 @@ def apply_override(config: dict, dotted_key: str, value) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# validation and construction of runtime objects from config sections
+# resolution: every check on a config, and its runtime objects built once
 
-def _cost_from(config: dict, allow_all: bool = False) -> Tuple[str, Optional[CostFunction]]:
-    name = config["cost"]
-    if allow_all and name == "all":
-        return name, None
-    table = corpus()
-    if name not in table:
-        allowed = ", ".join(sorted(table) + (["all"] if allow_all else []))
-        raise ConfigError("unknown key value cost=%r (allowed: %s)" % (name, allowed))
-    return name, table[name]
+def _opt_float(v):
+    return None if v is None else float(v)
 
 
-def _hand_from(section: dict) -> HandParams:
-    try:
-        return HandParams(
-            t_min=float(section["t_min"]),
-            t_max=float(section["t_max"]),
-            c=float(section["c"]),
-            t_med=None if section["t_med"] is None else float(section["t_med"]),
-        )
-    except ValueError as e:
-        raise ConfigError("hand: %s" % e)
-
-
-def _ode_from(section: dict) -> OdeParams:
-    try:
-        return OdeParams(
-            p=float(section["p"]),
-            c=float(section["c"]),
-            ell=None if section["ell"] is None else float(section["ell"]),
-            t0=float(section["t0"]),
-        )
-    except ValueError as e:
-        raise ConfigError("ode: %s" % e)
-
-
-def _solver_from(section: dict, **over) -> SolverConfig:
-    vals = dict(section)
-    vals.update(over)
-    try:
-        return SolverConfig(
-            h=float(vals["h"]),
-            t_end=float(vals["t_end"]),
-            max_jumps=int(vals["max_jumps"]),
-            integrator=vals["integrator"],
-            jump_policy=vals["jump_policy"],
-            policy_seed=int(vals["policy_seed"]),
-            record_stride=int(vals["record_stride"]),
-        )
-    except (ValueError, TypeError) as e:
-        raise ConfigError("solver: %s" % e)
-
+_SECTIONS = {
+    "hand": lambda s: HandParams(t_min=float(s["t_min"]), t_max=float(s["t_max"]),
+                                 c=float(s["c"]), t_med=_opt_float(s["t_med"])),
+    "ode": lambda s: OdeParams(p=float(s["p"]), c=float(s["c"]), ell=_opt_float(s["ell"]),
+                               t0=float(s["t0"])),
+    "solver": lambda s: SolverConfig(
+        h=float(s["h"]), t_end=float(s["t_end"]), max_jumps=int(s["max_jumps"]),
+        integrator=s["integrator"], jump_policy=s["jump_policy"],
+        policy_seed=int(s["policy_seed"]), record_stride=int(s["record_stride"])),
+}
 
 _AXIS_BLOCKS = ("x1", "x2", "clock")
 
@@ -383,66 +341,70 @@ def _axis_vector(axis, n: int) -> np.ndarray:
     return v
 
 
-def _disturbance_from(section: dict, n: int) -> Tuple[Optional[DisturbanceSpec], str]:
+# the field each disturbance kind cannot do without
+_DISTURBANCE_NEEDS = {"constant": "value", "square_wave": "period", "sinusoid": "period",
+                      "uniform_random": "hold"}
+
+
+def _perturbation_from(section: dict, n: int) -> Optional[PerturbationSet]:
     kind = section["kind"]
     channel = section["channel"]
     if channel not in ("e1", "e2", "e3", "e4", "e5", "e6"):
         raise ConfigError("disturbance.channel: unknown channel %r" % channel)
+    if kind == "zero":
+        return None
+    if not isinstance(kind, str) or kind not in _DISTURBANCE_NEEDS:
+        raise ConfigError("disturbance.kind: unknown kind %r" % kind)
+    if section[_DISTURBANCE_NEEDS[kind]] is None:
+        raise ConfigError("disturbance.%s is required for kind=%r" % (_DISTURBANCE_NEEDS[kind], kind))
     dim = 2 * n + 1
     try:
-        if kind == "zero":
-            return None, channel
-        if kind == "constant":
-            if section["value"] is None:
-                raise ConfigError("disturbance.value is required for kind='constant'")
-            axis = _axis_vector(section["axis"], n)
-            return DisturbanceSpec.constant(axis * float(section["value"])), channel
-        if kind == "square_wave":
-            if section["period"] is None:
-                raise ConfigError("disturbance.period is required for kind='square_wave'")
-            return DisturbanceSpec.square_wave(
-                dim, float(section["eps"]), float(section["period"]),
-                axis=_axis_vector(section["axis"], n)), channel
-        if kind == "sinusoid":
-            if section["period"] is None:
-                raise ConfigError("disturbance.period is required for kind='sinusoid'")
-            return DisturbanceSpec.sinusoid(
-                dim, float(section["eps"]), float(section["period"]),
-                axis=_axis_vector(section["axis"], n)), channel
         if kind == "uniform_random":
-            hold = section["hold"]
-            if hold is None:
-                raise ConfigError("disturbance.hold is required for kind='uniform_random'")
-            return DisturbanceSpec.uniform_random(
-                dim, float(section["eps"]), int(section["seed"]), float(hold)), channel
+            spec = DisturbanceSpec.uniform_random(
+                dim, float(section["eps"]), int(section["seed"]), float(section["hold"]))
+        elif kind == "constant":
+            spec = DisturbanceSpec.constant(_axis_vector(section["axis"], n) * float(section["value"]))
+        else:
+            spec = getattr(DisturbanceSpec, kind)(
+                dim, float(section["eps"]), float(section["period"]),
+                axis=_axis_vector(section["axis"], n))
     except ConfigError:
         raise
-    except ValueError as e:
+    except (ValueError, TypeError) as e:
         raise ConfigError("disturbance: %s" % e)
-    raise ConfigError("disturbance.kind: unknown kind %r" % kind)
-
-
-def _perturbation(spec: Optional[DisturbanceSpec], channel: str) -> Optional[PerturbationSet]:
-    if spec is None:
-        return None
     return PerturbationSet(**{channel: spec})
 
 
-def _validate(config: dict) -> None:
+def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
+    """Resolve a raw config dict against its scenario's defaults, run every
+    check on it, and build its runtime objects once. Returns (config, run):
+    the resolved config, and run with f (the cost; None for hand1-rate's
+    "all"), costs (name -> cost, the whole corpus for "all"), and hand, ode,
+    solver and pert (None where the scenario has no such section, or for a
+    zero disturbance)."""
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    if "scenario" not in data:
+        raise ConfigError("missing required key 'scenario'")
+    config = _merge(default_config(data["scenario"]), data, "")
     scenario = config["scenario"]
-    if scenario not in _DEFAULTS:
-        raise ConfigError("unknown scenario %r (one of: %s)" % (scenario, ", ".join(SCENARIOS)))
-    _cost_from(config, allow_all=(scenario == "hand1-rate"))
-    if "hand" in config:
-        _hand_from(config["hand"])
-    if "ode" in config:
-        _ode_from(config["ode"])
-    if "solver" in config:
-        _solver_from(config["solver"])
+    name = config["cost"]
+    table = corpus()
+    allow_all = scenario == "hand1-rate"
+    if name not in table and not (allow_all and name == "all"):
+        allowed = ", ".join(sorted(table) + (["all"] if allow_all else []))
+        raise ConfigError("unknown key value cost=%r (allowed: %s)" % (name, allowed))
+    f = table.get(name)
+    run = SimpleNamespace(f=f, costs=table if f is None else {name: f},
+                          hand=None, ode=None, solver=None, pert=None)
+    for key, build in _SECTIONS.items():
+        if key in config:
+            try:
+                setattr(run, key, build(config[key]))
+            except (ValueError, TypeError) as e:
+                raise ConfigError("%s: %s" % (key, e))
     if "disturbance" in config:
-        name, f = _cost_from(config, allow_all=(scenario == "hand1-rate"))
-        n = f.dim if f is not None else 1
-        _disturbance_from(config["disturbance"], n)
+        run.pert = _perturbation_from(config["disturbance"], f.dim)
     p = config.get("params", {})
     for key, val in p.items():
         if key in ("n_grid", "bisect_steps", "k_min", "k_max", "ref_factor", "seed"):
@@ -457,6 +419,13 @@ def _validate(config: dict) -> None:
             raise ConfigError("params.span must be [lo, hi] with 0 < lo < hi")
     if scenario == "discretization-order" and p["k_min"] >= p["k_max"]:
         raise ConfigError("params.k_min must be below params.k_max")
+    if scenario == "restart-sweep" and f.mu is None:
+        raise ConfigError("cost: restart-sweep needs a strongly convex cost with known mu")
+    # the margin bisection scales eps: zero has no shape to scale, and a
+    # constant's size is its value, which eps leaves alone
+    if scenario == "robustness-margin" and config["disturbance"]["kind"] in ("zero", "constant"):
+        raise ConfigError("disturbance.kind: the margin bisection needs a disturbance shape scaled by eps")
+    return config, run
 
 
 # ---------------------------------------------------------------------------
@@ -519,13 +488,9 @@ def _ode_system(rep: str, params: OdeParams, f: CostFunction) -> HybridSystem:
 # ---------------------------------------------------------------------------
 # scenario runners
 
-def _run_instability(config: dict, out_dir: str, quiet: bool) -> int:
-    _, f = _cost_from(config)
-    ode = _ode_from(config["ode"])
-    hp = _hand_from(config["hand"])
+def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
+    f, ode, hp = run.f, run.ode, run.hand
     p = config["params"]
-    spec, channel = _disturbance_from(config["disturbance"], f.dim)
-    pert = _perturbation(spec, channel)
     offset = _x_offset(f, p["x0"])
     r0 = float(np.linalg.norm(offset))
     if r0 <= 0.0:
@@ -543,8 +508,7 @@ def _run_instability(config: dict, out_dir: str, quiet: bool) -> int:
         x1 = f.xstar + offset
         x2 = np.zeros(f.dim) if rep == "rep1" else x1.copy()
         z0 = np.concatenate([x1, x2, [ode.t0]])
-        cfg = _solver_from(config["solver"])
-        trace = simulate(sys, z0, cfg, pert, stop_condition=escaped)
+        trace = simulate(sys, z0, run.solver, run.pert, stop_condition=escaped)
         name = "trace_%s.csv" % rep
 
         # distance to the ODE's rest point (xstar, rest2): rep1's second
@@ -570,9 +534,9 @@ def _run_instability(config: dict, out_dir: str, quiet: bool) -> int:
 
     hsys = hand2(f, hp)
     z0 = _hand_z0(f, offset, hp.t_min)
-    cfg = _solver_from(config["solver"], t_end=float(p["hand_t_end"]),
-                       max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
-    trace = simulate(hsys, z0, cfg, pert)
+    cfg = replace(run.solver, t_end=float(p["hand_t_end"]),
+                  max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
+    trace = simulate(hsys, z0, cfg, run.pert)
     dist_fn = target_distance_fn(f, hp)
     name = "trace_hand2.csv"
     write_trace_csv(os.path.join(out_dir, name), trace, f, hp.c, dist_fn=dist_fn)
@@ -602,19 +566,14 @@ def _run_instability(config: dict, out_dir: str, quiet: bool) -> int:
     return _finish(out_dir, summary, plot, quiet)
 
 
-def _run_uniformity(config: dict, out_dir: str, quiet: bool) -> int:
-    _, f = _cost_from(config)
-    ode = _ode_from(config["ode"])
-    hp = _hand_from(config["hand"])
-    sol = config["solver"]
+def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
+    f, hp = run.f, run.hand
     p = config["params"]
     offset = _x_offset(f, p["x_offset"])
     eps = float(p["eps"])
 
-    rows = uniformity_probe(f, ode, [float(v) for v in p["t0_values"]], offset, eps,
-                            h=float(sol["h"]), t_end_scale=float(p["t_end_scale"]),
-                            record_stride=int(sol["record_stride"]),
-                            integrator=sol["integrator"])
+    rows = uniformity_probe(f, run.ode, [float(v) for v in p["t0_values"]], offset, eps,
+                            run.solver, t_end_scale=float(p["t_end_scale"]))
     write_table_csv(os.path.join(out_dir, "probe_ode.csv"),
                     ["t0", "time_to_eps", "termination"],
                     [[r["t0"], r["time"], r["termination"]] for r in rows])
@@ -625,10 +584,7 @@ def _run_uniformity(config: dict, out_dir: str, quiet: bool) -> int:
     phases = p["phases"]
     if phases is None:
         phases = [hp.t_min, 0.5 * (hp.t_min + hp.t_max), hp.t_max]
-    rows2 = hand1_phase_probe(f, hp, [float(v) for v in phases], offset, eps,
-                              h=float(sol["h"]), t_end=float(sol["t_end"]),
-                              record_stride=int(sol["record_stride"]),
-                              integrator=sol["integrator"])
+    rows2 = hand1_phase_probe(f, hp, [float(v) for v in phases], offset, eps, run.solver)
     write_table_csv(os.path.join(out_dir, "probe_hand1.csv"),
                     ["tau0", "time_to_eps", "termination"],
                     [[r["tau0"], r["time"], r["termination"]] for r in rows2])
@@ -676,12 +632,9 @@ def _run_uniformity(config: dict, out_dir: str, quiet: bool) -> int:
     return _finish(out_dir, summary, plot, quiet)
 
 
-def _run_hand1_rate(config: dict, out_dir: str, quiet: bool) -> int:
-    name, f_single = _cost_from(config, allow_all=True)
-    costs = corpus() if f_single is None else {name: f_single}
-    hp = _hand_from(config["hand"])
+def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
+    costs, hp, cfg = run.costs, run.hand, run.solver
     p = config["params"]
-    cfg = _solver_from(config["solver"])
     rng_seed = int(p["seed"])
     summary = {"config": config, "checks": {}, "traces": {}, "bound_checks": {}}
     artifacts = []
@@ -733,11 +686,9 @@ def _run_hand1_rate(config: dict, out_dir: str, quiet: bool) -> int:
     return _finish(out_dir, summary, plot, quiet)
 
 
-def _run_hand2_rate(config: dict, out_dir: str, quiet: bool) -> int:
-    _, f = _cost_from(config)
-    hp = _hand_from(config["hand"])
+def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
+    f, hp, cfg = run.f, run.hand, run.solver
     p = config["params"]
-    cfg = _solver_from(config["solver"])
     sys = hand2(f, hp)
     z0 = _hand_z0(f, _x_offset(f, p["x0"]), hp.t_min)
     trace = simulate(sys, z0, cfg)
@@ -791,10 +742,8 @@ def _run_hand2_rate(config: dict, out_dir: str, quiet: bool) -> int:
     return _finish(out_dir, summary, plot, quiet)
 
 
-def _run_restart_sweep(config: dict, out_dir: str, quiet: bool) -> int:
-    _, f = _cost_from(config)
-    if f.mu is None:
-        raise ConfigError("cost: restart-sweep needs a strongly convex cost with known mu")
+def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
+    f = run.f
     p = config["params"]
     t_min = float(p["t_min"])
     c = float(p["c"])
@@ -812,9 +761,8 @@ def _run_restart_sweep(config: dict, out_dir: str, quiet: bool) -> int:
     bound = np.full(n, math.inf)
     # one independent hand2 run per grid period, all from the same state
     z0 = _hand_z0(f, x0, t_min)
-    cfg = _solver_from(config["solver"])
     for i, dT in enumerate(grid):
-        trace = simulate(hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)), z0, cfg)
+        trace = simulate(hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)), z0, run.solver)
         # end-of-period samples: the gap just before each reset, which x1
         # carries unchanged through the jump to hybrid time (t, j) = ((k+1)dT, k+1)
         gaps = np.array([f.gap(rec.z_pre[:f.dim]) for rec in trace.events])
@@ -895,9 +843,8 @@ def _run_restart_sweep(config: dict, out_dir: str, quiet: bool) -> int:
     return _finish(out_dir, summary, plot, quiet)
 
 
-def _run_discretization_order(config: dict, out_dir: str, quiet: bool) -> int:
-    _, f = _cost_from(config)
-    hp = _hand_from(config["hand"])
+def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
+    f, hp = run.f, run.hand
     p = config["params"]
     flow = make_hand_flow(hp.c, f)
     probe = flow_only_system(flow, f.dim, meta={"kind": "order-probe"})
@@ -906,8 +853,7 @@ def _run_discretization_order(config: dict, out_dir: str, quiet: bool) -> int:
     ref_factor = int(p["ref_factor"])
 
     def final_state(h: float, integ: str) -> np.ndarray:
-        cfg = SolverConfig(h=h, t_end=period, max_jumps=1, integrator=integ,
-                           record_stride=2 ** 62)
+        cfg = replace(run.solver, h=h, t_end=period, integrator=integ, record_stride=2 ** 62)
         return simulate(probe, z0, cfg).zs[-1]
 
     h_grid = [2.0 ** (-k) for k in range(int(p["k_min"]), int(p["k_max"]) + 1)]
@@ -940,10 +886,8 @@ def _run_discretization_order(config: dict, out_dir: str, quiet: bool) -> int:
     pass_h = {}
     for integ in ("euler", "rk4"):
         for h in h_grid:
-            cfg = SolverConfig(h=h, t_end=float(config["solver"]["t_end"]),
-                               max_jumps=int(config["solver"]["max_jumps"]),
-                               integrator=integ, jump_policy="latest",
-                               record_stride=max(1, int(round(0.01 / h))))
+            cfg = replace(run.solver, h=h, integrator=integ, jump_policy="latest",
+                          record_stride=max(1, int(round(0.01 / h))))
             trace = simulate(sys2, z0, cfg)
             rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, h)
             ok = (rep.satisfied and con.satisfied and mono.satisfied
@@ -983,25 +927,20 @@ def _run_discretization_order(config: dict, out_dir: str, quiet: bool) -> int:
     return _finish(out_dir, summary, plot, quiet)
 
 
-def _run_robustness_margin(config: dict, out_dir: str, quiet: bool) -> int:
-    _, f = _cost_from(config)
-    hp = _hand_from(config["hand"])
+def _run_robustness_margin(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
+    f, hp, cfg = run.f, run.hand, run.solver
     p = config["params"]
-    base = config["disturbance"]
-    if base["kind"] == "zero":
-        raise ConfigError("disturbance.kind: the margin bisection needs a non-zero disturbance shape")
+    channel = config["disturbance"]["channel"]
     delta = float(p["delta"])
     settle = float(p["settle"])
     sys = hand2(f, hp)
     z0 = _hand_z0(f, _x_offset(f, p["x0"]), hp.t_min)
     dist_fn = target_distance_fn(f, hp)
-    cfg = _solver_from(config["solver"])
+    spec = getattr(run.pert, channel)
 
     def worst_dist(amp: float) -> float:
-        sec = dict(base)
-        sec["eps"] = amp
-        spec, channel = _disturbance_from(sec, f.dim)
-        trace = simulate(sys, z0, cfg, _perturbation(spec, channel))
+        pert = PerturbationSet(**{channel: replace(spec, eps=amp)})
+        trace = simulate(sys, z0, cfg, pert)
         if trace.termination != "horizon":
             return math.inf
         vals = [dist_fn(trace.zs[k]) for k in range(len(trace.ts)) if trace.ts[k] >= settle]
@@ -1070,9 +1009,9 @@ _RUNNERS = {
 def run_scenario(config: dict, out_dir: Optional[str] = None, quiet: bool = False) -> int:
     """Run one resolved scenario config; writes artifacts, returns the exit
     status (0 all checks pass, 1 otherwise)."""
-    config = parse_config(config)
+    config, run = _resolve(config)
     out = out_dir if out_dir is not None else config["out_dir"]
     os.makedirs(out, exist_ok=True)
     if not quiet:
         print("scenario %s -> %s" % (config["scenario"], out))
-    return _RUNNERS[config["scenario"]](config, out, quiet)
+    return _RUNNERS[config["scenario"]](config, run, out, quiet)

@@ -2,13 +2,15 @@
 
 import copy
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_scenario
 from handsim.cli import _parse_values, _thread_cap, main
-from handsim.scenarios import apply_override, load_config
+from handsim.scenarios import _resolve, apply_override, load_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -300,3 +302,145 @@ def test_cli_check_verdict_matches_run_monitor(scenario, overrides, tmp_path, mo
         assert main(["check", str(tmp_path / trace), "--bound", kind]) == (0 if ok else 1)
         assert "%s (%d samples, worst margin %.6g)" % ("holds" if ok else "VIOLATED", count, 0.0 - margin) \
             in capsys.readouterr().out
+
+
+def test_cli_check_rejects_unknown_event_label(tmp_path, capsys):
+    path = _fast_hand2(tmp_path, t_end=20.0)
+    assert main(["run", path, "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    # a label the writer never emits is a damaged trace, not a sample
+    _set_cells(trace, [40, 41], "banana", column="event")
+    assert main(["check", str(trace), "--bound", "exponential"]) == 2
+    err = capsys.readouterr().err
+    assert "row 41" in err and "banana" in err
+
+
+def test_cli_check_unreadable_inputs(tmp_path, capsys):
+    path = _fast_hand2(tmp_path)
+    assert main(["run", path, "--quiet"]) == 0
+    out = tmp_path / "out"
+    trace = str(out / "trace.csv")
+    # a summary that is not JSON
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"bound_checks": ')
+    assert main(["check", trace, "--bound", "exponential", "--summary", str(broken)]) == 2
+    assert "broken.json" in capsys.readouterr().err
+    # a summary with no entry for the trace
+    (out / "other.csv").write_bytes((out / "trace.csv").read_bytes())
+    assert main(["check", str(out / "other.csv"), "--bound", "exponential"]) == 2
+    assert "'other.csv'" in capsys.readouterr().err
+    # a trace that cannot be read
+    assert main(["check", str(tmp_path / "gone" / "trace.csv"), "--bound", "exponential",
+                 "--summary", str(out / "summary.json")]) == 2
+    assert "cannot read trace" in capsys.readouterr().err
+
+
+def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
+    # the bisection scales eps, which a constant disturbance ignores: every
+    # amplitude would run the same signal and report a margin it never tested
+    base = {"solver": {"t_end": 10.0}, "params": {"settle": 5.0, "bisect_steps": 1}}
+    path = _write_config(tmp_path, "robustness-margin", disturbance={"kind": "constant", "value": 1e-6}, **base)
+    assert main(["run", path, "--quiet"]) == 2
+    assert "disturbance.kind" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    path = _write_config(tmp_path, "robustness-margin", disturbance={"kind": "square_wave", "period": 1.0}, **base)
+    assert main(["run", path, "--quiet"]) in (0, 1)
+    assert (tmp_path / "out" / "bisection.csv").exists()
+
+
+def _resolved_pert(**section):
+    """The perturbation resolved from an instability config on sphere2 (packed length 5)."""
+    return _resolve({"scenario": "instability", "cost": "sphere2", "disturbance": section})[1].pert
+
+
+_X2 = np.array([0.0, 0.0, 1.0, 1.0, 0.0]) / math.sqrt(2.0)
+
+
+@pytest.mark.parametrize("channel", ["e1", "e2", "e3", "e4", "e5", "e6"])
+@pytest.mark.parametrize("kind", ["constant", "square_wave", "sinusoid", "uniform_random"])
+def test_disturbance_section_kinds_and_channels(kind, channel):
+    section = {"constant": {"value": 0.5},
+               "square_wave": {"eps": 0.1, "period": 3.0},
+               "sinusoid": {"eps": 0.1, "period": 3.0},
+               "uniform_random": {"eps": 0.1, "hold": 2.0, "seed": 5}}[kind]
+    pert = _resolved_pert(kind=kind, channel=channel, **section)
+    assert [c for c in ("e1", "e2", "e3", "e4", "e5", "e6") if getattr(pert, c) is not None] == [channel]
+    spec = getattr(pert, channel)
+    assert (spec.kind, spec.dim) == (kind, 5)
+    if kind == "constant":
+        assert np.array_equal(spec.value, 0.5 * _X2) and spec.eps == pytest.approx(0.5, rel=1e-15)
+    elif kind == "uniform_random":
+        assert (spec.eps, spec.hold, spec.seed) == (0.1, 2.0, 5)
+    else:
+        assert (spec.eps, spec.period) == (0.1, 3.0) and np.array_equal(spec.axis, _X2)
+
+
+def test_disturbance_section_zero_is_no_perturbation():
+    assert _resolved_pert(kind="zero", eps=0.1, period=3.0) is None
+
+
+@pytest.mark.parametrize("axis, vector", [
+    ("x1", [1.0, 1.0, 0.0, 0.0, 0.0]),
+    ("x2", [0.0, 0.0, 1.0, 1.0, 0.0]),
+    ("clock", [0.0, 0.0, 0.0, 0.0, 1.0]),
+    ([0.6, 0.0, 0.0, 0.8, 0.0], [0.6, 0.0, 0.0, 0.8, 0.0]),
+], ids=["x1", "x2", "clock", "vector"])
+def test_disturbance_section_axis_forms(axis, vector):
+    unit = np.array(vector) / np.linalg.norm(vector)
+    wave = _resolved_pert(kind="square_wave", eps=0.1, period=3.0, axis=axis).e2
+    assert np.array_equal(wave.axis, unit)
+    const = _resolved_pert(kind="constant", value=2.0, axis=axis).e2
+    assert np.array_equal(const.value, 2.0 * unit)
+
+
+@pytest.mark.parametrize("section", [
+    {"kind": "banana"},
+    {"kind": ["square_wave"]},
+    {"channel": "e7"},
+    {"axis": "x3"},
+    {"axis": [1.0, 0.0]},
+    {"axis": ["a", 0.0, 0.0]},
+    {"axis": [1.0, 1.0, 0.0]},
+    {"period": None},
+    {"period": 0.0},
+    {"period": "long"},
+    {"eps": -1.0},
+    {"eps": None},
+    {"eps": "big"},
+    {"kind": "sinusoid", "period": None},
+    {"kind": "constant"},
+    {"kind": "constant", "value": "x"},
+    {"kind": "constant", "value": [1.0]},
+    {"kind": "uniform_random"},
+    {"kind": "uniform_random", "hold": 0.0},
+    {"kind": "uniform_random", "hold": 1.0, "seed": "x"},
+    {"kind": "uniform_random", "hold": 1.0, "seed": None},
+], ids=lambda section: json.dumps(section))
+def test_disturbance_section_malformed_exits_2(section, tmp_path, capsys):
+    # over instability's default square wave on e2 (example1, packed length 3)
+    path = _write_config(tmp_path, "instability", disturbance=section)
+    assert main(["run", path, "--quiet"]) == 2
+    assert "config error: disturbance" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, extra, fields", [
+    ("hand1-rate", {"cost": "sphere1", "hand": {"t_max": 2.0, "t_med": 1.5},
+                    "solver": {"t_end": 5.0, "jump_policy": "uniform", "max_jumps": 100}},
+     ["solver.policy_seed", "params.seed"]),
+    ("instability", {"solver": {"t_end": 5.0}, "params": {"hand_t_end": 5.0},
+                     "disturbance": {"kind": "uniform_random", "eps": 1e-3, "hold": 0.5}},
+     ["solver.policy_seed", "disturbance.seed"]),
+])
+def test_cli_run_seed_sets_every_seed_field(scenario, extra, fields, tmp_path):
+    path = _write_config(tmp_path, scenario, **extra)
+    runs = {}
+    for name, seed in (("a", 11), ("b", 11), ("c", 12)):
+        out = tmp_path / name
+        assert main(["run", path, "--seed", str(seed), "--out", str(out), "--quiet"]) in (0, 1)
+        runs[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        echo = json.loads(runs[name]["summary.json"])["config"]
+        assert [echo[section][key] for section, key in (f.split(".") for f in fields)] == [seed] * len(fields)
+    # the same seed reproduces every artifact byte for byte; another seed does not
+    assert runs["a"] == runs["b"]
+    assert runs["a"] != runs["c"]

@@ -24,7 +24,7 @@ from handsim import (
     tableau,
     validate_trace,
 )
-from handsim.core import TAG_JUMP, compile_components
+from handsim.core import TAG_FAULT, TAG_JUMP, compile_components
 from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import hand1
@@ -412,6 +412,37 @@ def test_fault_recorded_on_blowup():
     assert np.all(np.isfinite(tr.zs))
 
 
+@pytest.mark.parametrize("case, kind, t, j", [
+    ("before-jump", "non-finite state before jump", 1.0, 0),
+    ("record-point", "non-finite state during flow", 0.30000000000000004, 0),
+    ("horizon", "non-finite state at horizon", 0.5, 0),
+    ("jump-map", "jump map produced non-finite state", 1.0, 0),
+])
+def test_simulate_fault_exits(case, kind, t, j):
+    # each way a non-finite state ends a run: x2 turns inf on the first flow
+    # step while x1 stays finite (so no segment ends on z[0]), and the loop
+    # finds it at the jump, the record point or the horizon that comes
+    # first; or the jump map itself returns nan
+    sys = hand2(sphere_cost(1), HandParams(t_min=1.0, t_max=2.0, c=1.0))
+    cfg = SolverConfig(h=0.1, t_end=10.0, record_stride=1000)
+    if case == "jump-map":
+        sys = dataclasses.replace(sys, G=lambda z: [math.nan] * 3)
+    else:
+        sys = dataclasses.replace(sys, F=lambda z: [0.0, math.inf, 1.0])
+        if case == "record-point":
+            cfg = dataclasses.replace(cfg, record_stride=3)
+        elif case == "horizon":
+            cfg = dataclasses.replace(cfg, t_end=0.5)
+    tr = simulate(sys, np.array([1.0, 1.0, 1.0]), cfg)
+    assert tr.termination == "fault"
+    assert tr.fault.kind == "blowup" and tr.fault.detail.startswith(kind)
+    assert (tr.fault.t, tr.fault.j) == (t, j)
+    # the fault row is last and holds the last recorded state
+    assert tr.tags[-1] == TAG_FAULT and (tr.ts[-1], tr.js[-1]) == (t, j)
+    assert np.array_equal(tr.zs[-1], tr.zs[-2]) and np.array_equal(tr.fault.z_last, tr.zs[-2])
+    assert np.all(np.isfinite(tr.zs))
+
+
 def test_latest_policy_on_hand1_window():
     # with t_med=2 and t_max=3 the latest policy holds jumps until tau = 3
     f = sphere_cost(1)
@@ -558,9 +589,9 @@ def test_fused_segments_equal_per_step_calls(integrator, system):
 @pytest.mark.parametrize("case", ["raises", "non-finite"])
 def test_fault_inside_a_segment_matches_per_step_calls(case, integrator):
     # the fault comes several steps into a segment that would run 50 steps
-    # to its record point: a division by zero redoes the segment on
-    # one-step calls, a non-finite z[0] ends it, and both end as the
-    # per-step path's fault
+    # to its record point: a division by zero redoes the segment on numpy
+    # scalars, a non-finite z[0] ends it, and both end as the per-step
+    # path's fault
     f = sphere_cost(1)
     cfg = SolverConfig(h=0.25, t_end=20.0, integrator=integrator, record_stride=50)
     if case == "raises":
