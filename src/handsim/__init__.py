@@ -48,7 +48,6 @@ from .analysis import (
     k0_constant,
     k1_constant,
     lyapunov,
-    lyapunov_curve,
     optimal_restart,
     time_to_epsilon,
     uniformity_probe,

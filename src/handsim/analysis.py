@@ -17,7 +17,7 @@ from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import TAG_FAULT, CostFunction, HybridTime, SolverConfig, Trace
+from .core import TAG_FAULT, CostFunction, HybridTime, SolverConfig, Trace, per_row, row_dot
 from .dynamics import OdeParams, make_rep1_flow
 from .engine import flow_only_system, simulate
 from .hands import HandParams, hand1, validate_dwell
@@ -26,7 +26,6 @@ __all__ = [
     "RateReport",
     "bound_margins",
     "lyapunov",
-    "lyapunov_curve",
     "jump_decrease_hand1",
     "jump_decrease_hand2",
     "check_monotonicity",
@@ -115,26 +114,18 @@ def _require_minimizer(f: CostFunction):
         raise ValueError("cost %r needs xstar and fstar for certificate checks" % f.name)
 
 
-def lyapunov(z, f: CostFunction, c: float) -> float:
-    """Timer-weighted energy 0.5 |x2 - xstar|^2 + c tau^2 (f(x1) - fstar)."""
+def lyapunov(z, f: CostFunction, c: float):
+    """Timer-weighted energy 0.5 |x2 - xstar|^2 + c tau^2 (f(x1) - fstar) of a
+    packed state (2n+1,) as a float, or of every row of a block (rows, 2n+1)
+    as an array."""
     _require_minimizer(f)
     z = np.asarray(z, dtype=float)
     n = f.dim
-    d2 = z[n : 2 * n] - f.xstar
-    tau = float(z[-1])
-    return 0.5 * float(np.dot(d2, d2)) + c * tau * tau * f.gap(z[:n])
-
-
-def lyapunov_curve(trace: Trace, f: CostFunction, c: float) -> np.ndarray:
-    """Energy at every recorded point (fault rows get nan)."""
-    _require_minimizer(f)
-    out = np.empty(len(trace))
-    for k in range(len(trace)):
-        if trace.tags[k] == TAG_FAULT:
-            out[k] = math.nan
-            continue
-        out[k] = lyapunov(trace.zs[k], f, c)
-    return out
+    if z.shape[-1:] != (2 * n + 1,):
+        raise ValueError("packed state must have length %d, got shape %r" % (2 * n + 1, z.shape))
+    d2 = z[..., n : 2 * n] - f.xstar
+    tau = z[..., -1]
+    return per_row(0.5 * row_dot(d2, d2) + c * tau * tau * f.gap(z[..., :n]))
 
 
 def jump_decrease_hand1(z, f: CostFunction, params: HandParams) -> float:
@@ -170,15 +161,19 @@ def check_monotonicity(trace: Trace, f: CostFunction, c: float, slack_per_step: 
     h = trace.meta.get("h")
     if h is None:
         raise ValueError("trace has no step size in meta; cannot scale per-step slack")
-    V = lyapunov_curve(trace, f, c)
+    # energy at every recorded point, nan on fault rows
+    V = np.full(len(trace), math.nan)
+    live = trace.tags != TAG_FAULT
+    V[live] = lyapunov(trace.zs[live], f, c)
+    V, live, ts, js = V.tolist(), live.tolist(), trace.ts.tolist(), trace.js.tolist()
     rows = []
     margins = []
-    for k in range(1, len(trace)):
-        if trace.tags[k] == TAG_FAULT or trace.tags[k - 1] == TAG_FAULT:
+    for k in range(1, len(ts)):
+        if not (live[k] and live[k - 1]):
             continue
         dv = V[k] - V[k - 1]
-        if trace.js[k] == trace.js[k - 1]:
-            steps = max(1, int(round((trace.ts[k] - trace.ts[k - 1]) / h)))
+        if js[k] == js[k - 1]:
+            steps = max(1, int(round((ts[k] - ts[k - 1]) / h)))
             margins.append(slack_per_step * steps - dv)
         else:
             # 0.0 - dv rather than -dv, so that an exact tie reads 0, not -0
@@ -225,11 +220,6 @@ def _check_rate_ics(trace: Trace, f: CostFunction, t_min: Optional[float]):
     return x1_0
 
 
-def _gaps(trace: Trace, f: CostFunction) -> np.ndarray:
-    """Cost gap at every recorded point."""
-    return np.array([f.gap(x1) for x1 in trace.zs[:, : f.dim]])
-
-
 def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
                     tol: float = 0.0, use_clock: bool = True) -> RateReport:
     """Quadratic decay along the first flow interval: the cost gap at hybrid
@@ -244,7 +234,7 @@ def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
         fault = fault | (trace.ts == 0.0)
     bc = {"kind": "inverse-square", "beta": beta, "tol": tol}
     worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1] if use_clock else trace.ts,
-                                     _gaps(trace, f), fault)
+                                     f.gap(trace.zs[:, : f.dim]), fault)
     if not rows:
         raise ValueError("trace has no first-flow samples to check")
     return RateReport(
@@ -300,7 +290,7 @@ def check_exponential_rate(trace: Trace, f: CostFunction, params: HandParams, to
     r0sq = float(np.sum((x1_0 - f.xstar) ** 2))
     kb = 1.0 - k0
     bc = {"kind": "exponential", "k_a": k_a, "k_b": kb, "delta_t": dT, "r0_sq": r0sq, "tol": tol}
-    worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1], _gaps(trace, f),
+    worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1], f.gap(trace.zs[:, : f.dim]),
                                      trace.tags == TAG_FAULT)
     return RateReport(
         satisfied=not bad,
@@ -369,9 +359,8 @@ def time_to_epsilon(trace: Trace, f: CostFunction, eps: float) -> Optional[Hybri
     _require_minimizer(f)
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
-    n = f.dim
-    idx = [k for k in range(len(trace)) if trace.tags[k] != TAG_FAULT]
-    gaps = np.array([f.gap(trace.zs[k, :n]) for k in idx])
+    idx = np.flatnonzero(trace.tags != TAG_FAULT)
+    gaps = f.gap(trace.zs[idx, : f.dim])
     ok_from = None
     for i in range(len(idx) - 1, -1, -1):
         if gaps[i] <= eps:

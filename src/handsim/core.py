@@ -33,11 +33,26 @@ __all__ = [
 _SYM_TOL = 1e-12
 
 
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """a . b along the last axis by one BLAS ddot per row, each equal to the
+    vectors' ndarray.dot bit for bit (einsum and (a * b).sum(-1) are not when
+    the kernel fuses a multiply-add): a numpy scalar (not a slow 0-d array)
+    for two vectors, one value per row for blocks."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0][()]
+
+
+def per_row(v):
+    """A certificate quantity as returned: a float for one state (a scalar
+    or 0-d v), else the array of row values."""
+    return float(v) if np.ndim(v) == 0 else v
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Smooth cost with optional convexity metadata.
 
-    value takes a shape-(dim,) float64 vector. gradient takes a sequence of
+    value takes a shape-(dim,) float64 vector, and make_quadratic's value
+    also a block (rows, dim), one value per row. gradient takes a sequence of
     dim components and returns a sequence of dim components; the flow
     closures pass it a list of floats, or of numpy scalars in the engine's
     fallback step. mu and lipschitz are strong-convexity and
@@ -68,11 +83,12 @@ class CostFunction:
                 self, "xstar", np.asarray(self.xstar, dtype=float).reshape(self.dim)
             )
 
-    def gap(self, x: np.ndarray) -> float:
-        """Sub-optimality f(x) - fstar. Requires fstar."""
+    def gap(self, x: np.ndarray):
+        """Sub-optimality f(x) - fstar of a point (dim,) as a float, or of
+        every row of a block (rows, dim) as an array. Requires fstar."""
         if self.fstar is None:
             raise ValueError("cost %r has no fstar; cannot report sub-optimality" % self.name)
-        return float(self.value(x)) - self.fstar
+        return per_row(self.value(x) - self.fstar)
 
 
 class HybridTime(NamedTuple):
@@ -229,7 +245,7 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
 
     def value(x, _Q=Q, _b=b):
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x.dot(_Q.dot(x)) + _b.dot(x))
+        return per_row(0.5 * row_dot(x, np.matmul(_Q, x[..., None])[..., 0]) + row_dot(x, _b))
 
     # component i is sum_j Q[i][j] x[j] taken left to right, then + b[i]; on
     # the corpus costs every product is exact, so this equals Q.dot(x) + b

@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CostFunction, compile_source
+from .core import CostFunction, compile_source, per_row
 from .dynamics import make_hand_flow
 from .engine import HybridSystem
 
@@ -157,8 +157,10 @@ def validate_dwell(params: HandParams, mu: float) -> bool:
     return params.t_max**2 - params.t_min**2 > 1.0 / (mu * params.c)
 
 
-def target_distance(z: np.ndarray, xstar: np.ndarray, params: HandParams) -> float:
-    """Distance to the attractor {xstar} x {xstar} x [t_min, t_max].
+def target_distance(z: np.ndarray, xstar: np.ndarray, params: HandParams):
+    """Distance to the attractor {xstar} x {xstar} x [t_min, t_max] of a
+    packed state (2n+1,) as a float, or of every row of a block (rows, 2n+1)
+    as an array.
 
     Euclidean in (x1, x2) when the timer is inside its window; otherwise the
     timer's distance to the window enters in quadrature.
@@ -166,16 +168,17 @@ def target_distance(z: np.ndarray, xstar: np.ndarray, params: HandParams) -> flo
     z = np.asarray(z, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
     n = xstar.shape[0]
-    if z.shape != (2 * n + 1,):
+    if z.shape[-1:] != (2 * n + 1,):
         raise ValueError("packed state must have length %d, got shape %r" % (2 * n + 1, z.shape))
-    dx2 = float(np.sum((z[:n] - xstar) ** 2) + np.sum((z[n : 2 * n] - xstar) ** 2))
-    tau = float(z[-1])
-    d_tau = max(params.t_min - tau, 0.0, tau - params.t_max)
-    return math.sqrt(dx2 + d_tau * d_tau)
+    dx2 = ((z[..., :n] - xstar) ** 2).sum(axis=-1) + ((z[..., n : 2 * n] - xstar) ** 2).sum(axis=-1)
+    tau = z[..., -1]
+    d_tau = np.maximum(np.maximum(params.t_min - tau, 0.0), tau - params.t_max)
+    return per_row(np.sqrt(dx2 + d_tau * d_tau))
 
 
 def target_distance_fn(f: CostFunction, params: HandParams):
-    """Closure z -> distance to the attractor, for stop conditions and traces."""
+    """Closure z -> distance to the attractor, for stop conditions and
+    traces; z is a packed state or a block of rows, as in target_distance."""
     if f.xstar is None:
         raise ValueError("cost %r has no minimizer; target distance undefined" % f.name)
     xstar = f.xstar

@@ -41,14 +41,17 @@ def _open_lf(path: str):
 
 
 def write_trace_csv(path: str, trace: Trace, f: CostFunction, c: float,
-                    dist_fn: Callable[[np.ndarray], float]) -> None:
+                    dist_fn: Callable[[np.ndarray], np.ndarray]) -> None:
     """Write a recorded run with columns
 
         t, j, tau, x1_0..x1_{n-1}, x2_0..x2_{n-1}, f_gap, V, dist_A, event
 
     f_gap is f.gap(x1), V is analysis.lyapunov at weight c (for
     velocity-form ODE traces the x2 block is a velocity, and V reads the
-    same formula), and dist_A is dist_fn of the packed state.
+    same formula), and dist_A is dist_fn of the packed state. Each of the
+    three is computed once for the whole trace: dist_fn takes the block of
+    packed rows (rows, 2n+1) and returns one distance per row. No field
+    ever needs CSV quoting, so each row is one format string.
     """
     n = trace.dim
     if f.dim != n:
@@ -59,17 +62,16 @@ def write_trace_csv(path: str, trace: Trace, f: CostFunction, c: float,
               + ["x1_%d" % i for i in range(n)]
               + ["x2_%d" % i for i in range(n)]
               + ["f_gap", "V", "dist_A", "event"])
+    # %.17g is format_float's form
+    row = ",".join(["%.17g", "%d"] + ["%.17g"] * (2 * n + 4) + ["%s"]) + "\n"
+    zs = trace.zs
+    cols = zip(trace.ts.tolist(), trace.js.tolist(), zs[:, -1].tolist(), zs[:, :-1].tolist(),
+               f.gap(zs[:, :n]).tolist(), lyapunov(zs, f, c).tolist(), dist_fn(zs).tolist(),
+               trace.tags.tolist())
     with _open_lf(path) as fh:
-        w = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
-        w.writerow(header)
-        for k in range(len(trace.ts)):
-            z = trace.zs[k]
-            vals = z.tolist()
-            row = ([format_float(trace.ts[k]), str(int(trace.js[k])), format_float(vals[-1])]
-                   + [format_float(val) for val in vals[:-1]]
-                   + [format_float(f.gap(z[:n])), format_float(lyapunov(z, f, c)),
-                      format_float(dist_fn(z)), TAG_NAMES[int(trace.tags[k])]])
-            w.writerow(row)
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row % (t, j, tau, *x, gap, v, dist, TAG_NAMES[tag])
+                      for t, j, tau, x, gap, v, dist, tag in cols)
 
 
 @dataclass

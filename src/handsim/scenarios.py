@@ -37,7 +37,7 @@ from .analysis import (
     optimal_restart,
     uniformity_probe,
 )
-from .core import CostFunction, SolverConfig, Trace, corpus
+from .core import CostFunction, SolverConfig, Trace, corpus, per_row, row_dot
 from .dynamics import (
     DisturbanceSpec,
     OdeParams,
@@ -379,9 +379,11 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     """Resolve a raw config dict against its scenario's defaults, run every
     check on it, and build its runtime objects once. Returns (config, run):
     the resolved config, and run with f (the cost; None for hand1-rate's
-    "all"), costs (name -> cost, the whole corpus for "all"), and hand, ode,
+    "all"), costs (name -> cost, the whole corpus for "all"), hand, ode,
     solver and pert (None where the scenario has no such section, or for a
-    zero disturbance)."""
+    zero disturbance), offset (the initial offset from the minimizer,
+    params.x0 or uniformity-probe's params.x_offset) and hand_solver
+    (instability's hand2 run)."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     if "scenario" not in data:
@@ -396,7 +398,7 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
         raise ConfigError("unknown key value cost=%r (allowed: %s)" % (name, allowed))
     f = table.get(name)
     run = SimpleNamespace(f=f, costs=table if f is None else {name: f},
-                          hand=None, ode=None, solver=None, pert=None)
+                          hand=None, ode=None, solver=None, pert=None, offset=None, hand_solver=None)
     for key, build in _SECTIONS.items():
         if key in config:
             try:
@@ -417,6 +419,17 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
         if (not isinstance(span, (list, tuple)) or len(span) != 2
                 or not (0 < float(span[0]) < float(span[1]))):
             raise ConfigError("params.span must be [lo, hi] with 0 < lo < hi")
+    key = "x_offset" if scenario == "uniformity-probe" else "x0"
+    if key in p:
+        run.offset = _x_offset(f, p[key], key)
+    if scenario == "instability":
+        if float(np.linalg.norm(run.offset)) <= 0.0:
+            raise ConfigError("params.x0 must give a nonzero initial offset")
+        try:
+            run.hand_solver = replace(run.solver, t_end=float(p["hand_t_end"]),
+                                      max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
+        except (ValueError, TypeError) as e:
+            raise ConfigError("params.hand_t_end: %s" % e)
     if scenario == "discretization-order" and p["k_min"] >= p["k_max"]:
         raise ConfigError("params.k_min must be below params.k_max")
     if scenario == "restart-sweep" and f.mu is None:
@@ -431,13 +444,14 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
 # ---------------------------------------------------------------------------
 # shared pieces
 
-def _x_offset(f: CostFunction, x0) -> np.ndarray:
-    if isinstance(x0, (list, tuple)):
-        v = np.asarray(x0, dtype=float)
-        if v.shape != (f.dim,):
-            raise ConfigError("params.x0: expected %d components" % f.dim)
-        return v
-    return np.full(f.dim, float(x0))
+def _x_offset(f: CostFunction, x0, key: str) -> np.ndarray:
+    try:
+        v = np.asarray(x0, dtype=float) if isinstance(x0, (list, tuple)) else np.full(f.dim, float(x0))
+    except (TypeError, ValueError) as e:
+        raise ConfigError("params.%s: %s" % (key, e))
+    if v.shape != (f.dim,):
+        raise ConfigError("params.%s: expected %d components" % (key, f.dim))
+    return v
 
 
 def _hand_z0(f: CostFunction, offset: np.ndarray, tau0: float) -> np.ndarray:
@@ -491,10 +505,8 @@ def _ode_system(rep: str, params: OdeParams, f: CostFunction) -> HybridSystem:
 def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     f, ode, hp = run.f, run.ode, run.hand
     p = config["params"]
-    offset = _x_offset(f, p["x0"])
+    offset = run.offset
     r0 = float(np.linalg.norm(offset))
-    if r0 <= 0.0:
-        raise ConfigError("params.x0 must give a nonzero initial offset")
     threshold = float(p["growth_factor"]) * r0
     xstar = f.xstar
 
@@ -514,9 +526,9 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
         # distance to the ODE's rest point (xstar, rest2): rep1's second
         # block is a velocity, at rest 0; rep2's is a position, at xstar
         def dist(z, _rest2=np.zeros(f.dim) if rep == "rep1" else xstar, _n=f.dim):
-            d1 = z[:_n] - xstar
-            d2 = z[_n:2 * _n] - _rest2
-            return math.sqrt(float(np.dot(d1, d1)) + float(np.dot(d2, d2)))
+            d1 = z[..., :_n] - xstar
+            d2 = z[..., _n:2 * _n] - _rest2
+            return per_row(np.sqrt(row_dot(d1, d1) + row_dot(d2, d2)))
 
         write_trace_csv(os.path.join(out_dir, name), trace, f, ode.c, dist_fn=dist)
         artifacts.append(name)
@@ -534,15 +546,13 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
 
     hsys = hand2(f, hp)
     z0 = _hand_z0(f, offset, hp.t_min)
-    cfg = replace(run.solver, t_end=float(p["hand_t_end"]),
-                  max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
-    trace = simulate(hsys, z0, cfg, run.pert)
+    trace = simulate(hsys, z0, run.hand_solver, run.pert)
     dist_fn = target_distance_fn(f, hp)
     name = "trace_hand2.csv"
     write_trace_csv(os.path.join(out_dir, name), trace, f, hp.c, dist_fn=dist_fn)
     artifacts.append(name)
     after = float(p["bounded_after"])
-    dists = np.array([dist_fn(trace.zs[k]) for k in range(len(trace.ts)) if trace.ts[k] >= after])
+    dists = dist_fn(trace.zs[trace.ts >= after])
     worst = float(dists.max()) if dists.size else float("nan")
     bounded = (trace.termination == "horizon" and dists.size > 0
                and worst <= float(p["bounded_threshold"]))
@@ -569,7 +579,7 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
 def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     f, hp = run.f, run.hand
     p = config["params"]
-    offset = _x_offset(f, p["x_offset"])
+    offset = run.offset
     eps = float(p["eps"])
 
     rows = uniformity_probe(f, run.ode, [float(v) for v in p["t0_values"]], offset, eps,
@@ -690,7 +700,7 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
     f, hp, cfg = run.f, run.hand, run.solver
     p = config["params"]
     sys = hand2(f, hp)
-    z0 = _hand_z0(f, _x_offset(f, p["x0"]), hp.t_min)
+    z0 = _hand_z0(f, run.offset, hp.t_min)
     trace = simulate(sys, z0, cfg)
     rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, cfg.h)
     closed_ok = worst_rel <= float(p["closed_form_tol"])
@@ -748,7 +758,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
     t_min = float(p["t_min"])
     c = float(p["c"])
     eps = float(p["eps"])
-    x0 = _x_offset(f, p["x0"])
+    x0 = run.offset
     gap0 = f.gap(f.xstar + x0)
     dstar = optimal_restart(c, f.mu, t_min)
     t_eps = convergence_time_estimate(c, f.mu, t_min, gap0, eps)
@@ -765,7 +775,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
         trace = simulate(hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)), z0, run.solver)
         # end-of-period samples: the gap just before each reset, which x1
         # carries unchanged through the jump to hybrid time (t, j) = ((k+1)dT, k+1)
-        gaps = np.array([f.gap(rec.z_pre[:f.dim]) for rec in trace.events])
+        gaps = f.gap(np.array([rec.z_pre[:f.dim] for rec in trace.events]).reshape(-1, f.dim))
         k1 = k1_constant(c, f.mu, t_min, float(dT))
         # first period after the last one not yet within eps (a nan gap is
         # not within eps)
@@ -848,7 +858,7 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
     p = config["params"]
     flow = make_hand_flow(hp.c, f)
     probe = flow_only_system(flow, f.dim, meta={"kind": "order-probe"})
-    z0 = _hand_z0(f, _x_offset(f, p["x0"]), hp.t_min)
+    z0 = _hand_z0(f, run.offset, hp.t_min)
     period = hp.t_max - hp.t_min
     ref_factor = int(p["ref_factor"])
 
@@ -934,7 +944,7 @@ def _run_robustness_margin(config: dict, run: SimpleNamespace, out_dir: str, qui
     delta = float(p["delta"])
     settle = float(p["settle"])
     sys = hand2(f, hp)
-    z0 = _hand_z0(f, _x_offset(f, p["x0"]), hp.t_min)
+    z0 = _hand_z0(f, run.offset, hp.t_min)
     dist_fn = target_distance_fn(f, hp)
     spec = getattr(run.pert, channel)
 
@@ -943,8 +953,8 @@ def _run_robustness_margin(config: dict, run: SimpleNamespace, out_dir: str, qui
         trace = simulate(sys, z0, cfg, pert)
         if trace.termination != "horizon":
             return math.inf
-        vals = [dist_fn(trace.zs[k]) for k in range(len(trace.ts)) if trace.ts[k] >= settle]
-        return max(vals) if vals else math.inf
+        vals = dist_fn(trace.zs[trace.ts >= settle])
+        return float(vals.max()) if vals.size else math.inf
 
     eps_lo = float(p["eps_lo"])
     eps_hi = float(p["eps_hi"])

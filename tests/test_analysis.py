@@ -23,11 +23,11 @@ from handsim import (
     k0_constant,
     k1_constant,
     lyapunov,
-    lyapunov_curve,
     make_quadratic,
     optimal_restart,
     simulate,
     sphere_cost,
+    target_distance,
     target_distance_fn,
     time_to_epsilon,
     write_summary_json,
@@ -164,13 +164,48 @@ def test_check_monotonicity_constant_at_target_set():
     assert rep.worst_margin == pytest.approx(0.0, abs=1e-15)
 
 
-def test_lyapunov_curve_matches_pointwise():
+def test_lyapunov_rows_match_pointwise():
     f = sphere_cost(1)
     params = HandParams(t_min=1.0, t_max=2.0, c=1.0)
     tr = _hand2_trace(f, params, np.array([3.0]), t_end=5.0)
-    V = lyapunov_curve(tr, f, params.c)
+    V = lyapunov(tr.zs, f, params.c)
     for k in (0, 7, len(tr) - 1):
         assert V[k] == pytest.approx(lyapunov(tr.zs[k], f, params.c), rel=1e-12)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_row_wise_certificates_match_per_row_calls_bitwise():
+    # gap, energy and target distance of a block of packed rows are the
+    # per-row calls bit for bit, on random states from 1e-8 to 10 and on the
+    # rows of a hand2 run with jumps
+    params = HandParams(t_min=1.0, t_max=2.5, c=1.0)
+    rng = np.random.default_rng(59)
+    for f in corpus().values():
+        m = 2 * f.dim + 1
+        scales = 10.0 ** rng.uniform(-8.0, 1.0, (400, 1))
+        states = np.concatenate([np.tile(f.xstar, 2), [1.5]]) + rng.standard_normal((400, m)) * scales
+        trace = _hand2_trace(f, params, f.xstar + 1.5, t_end=8.0, h=1e-2)
+        assert len(trace.events) > 0
+        for zs in (states, trace.zs):
+            gaps = f.gap(zs[:, : f.dim])
+            assert np.array_equal(_bits(gaps), _bits([f.gap(z[: f.dim]) for z in zs])), f.name
+            V = lyapunov(zs, f, params.c)
+            assert np.array_equal(_bits(V), _bits([lyapunov(z, f, params.c) for z in zs])), f.name
+            d = target_distance(zs, f.xstar, params)
+            assert np.array_equal(_bits(d), _bits([target_distance(z, f.xstar, params) for z in zs])), f.name
+        assert isinstance(f.gap(states[0, : f.dim]), float)
+        assert isinstance(lyapunov(states[0], f, params.c), float)
+        assert isinstance(target_distance(states[0], f.xstar, params), float)
+        for bad in (states[:, :-1], np.concatenate([states, states[:, :1]], axis=1)):
+            with pytest.raises(ValueError):
+                lyapunov(bad, f, params.c)
+            with pytest.raises(ValueError):
+                target_distance(bad, f.xstar, params)
+        with pytest.raises(ValueError):
+            f.gap(states[:, : f.dim + 1])
 
 
 def test_check_inverse_square_rate_on_first_flow(tmp_path):

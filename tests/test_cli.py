@@ -348,6 +348,22 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     assert (tmp_path / "out" / "bisection.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, params, message", [
+    ("hand2-rate", {"x0": [1.0, 2.0]}, "params.x0"),
+    ("hand2-rate", {"x0": None}, "params.x0"),
+    ("uniformity-probe", {"x_offset": [1.0, 2.0]}, "params.x_offset"),
+    ("instability", {"hand_t_end": -1.0}, "params.hand_t_end"),
+    ("instability", {"x0": 0.0}, "params.x0"),
+], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
+        "instability-zero-offset"])
+def test_cli_run_param_errors_leave_no_output(scenario, params, message, tmp_path, capsys):
+    # checked while the config resolves, before the output directory exists
+    path = _write_config(tmp_path, scenario, params=params)
+    assert main(["run", path, "--quiet"]) == 2
+    assert "config error: %s" % message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _resolved_pert(**section):
     """The perturbation resolved from an instability config on sphere2 (packed length 5)."""
     return _resolve({"scenario": "instability", "cost": "sphere2", "disturbance": section})[1].pert

@@ -5,7 +5,9 @@ to the engine kept its numbers. The artifact digests were recorded from the
 numpy engine that preceded the float stepper (Python 3.11.7, numpy 2.4.6,
 x86-64 Linux); a last-bit change anywhere in a trajectory changes a CSV cell
 and fails this test. The configs are the bundled ones shrunk by overrides so
-the four runs take about two seconds.
+the five runs take about four seconds. The robustness-margin digests were
+recorded later, from the per-row distance evaluation that preceded the
+row-wise certificate columns (same platform).
 
 The engine cross-check grid below pins the engine paths the shrunk configs
 may leave out: every integrator and jump policy, a square wave on each of
@@ -49,6 +51,7 @@ OVERRIDES = {
     "instability": {"solver.h": 0.04, "params.hand_t_end": 3000.0},
     "restart-sweep": {"solver.h": 0.02},
     "hand2-rate": {"solver.h": 0.01},
+    "robustness-margin": {"solver.h": 0.02, "params.bisect_steps": 2},
 }
 
 DIGESTS = {
@@ -77,6 +80,11 @@ DIGESTS = {
         "plot.gp": "4dedd59e7d9ebd509c0d75f1b1effb67d79dc3be9ecdc30260771dc27730e2c4",
         "summary.json": "544471dc552b014ff3fa968efa2ae543f264fc2b5b8636b8f97ac3f31bce8e79",
         "trace.csv": "c5d72a91d3962f29fdfb91684e81b42765679bb98a3f11d4be2ee2982d166ecb",
+    },
+    "robustness-margin": {
+        "bisection.csv": "10bf5f5ef7bed45fea33086113f204fbc12ee2e52412d5f61519b94b5838cf48",
+        "plot.gp": "7751f5bed3719aa2905e8d0b147ef88be086c8b21e877439ee64727a2f41de0a",
+        "summary.json": "ef8b68b84debbe457db6dfb1b583d1f922705cc29e9bdd8408c10902b59fbef3",
     },
 }
 

@@ -1,5 +1,7 @@
 """Deterministic CSV/JSON artifact round trips."""
 
+import csv
+import io
 import json
 import math
 
@@ -12,7 +14,7 @@ from handsim import (
     corpus,
     hand1,
     hand2,
-    lyapunov_curve,
+    lyapunov,
     read_summary_json,
     read_trace_csv,
     simulate,
@@ -21,6 +23,7 @@ from handsim import (
     write_summary_json,
     write_trace_csv,
 )
+from handsim.core import TAG_FAULT, TAG_NAMES
 from handsim.io import format_float, write_table_csv, write_text
 
 
@@ -80,7 +83,41 @@ def test_trace_csv_gap_and_energy_are_the_monitors(tmp_path):
         write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
         table = read_trace_csv(path)
         assert np.array_equal(table.f_gap, [f.gap(x1) for x1 in tr.zs[:, :2]]), name
-        assert np.array_equal(table.v, lyapunov_curve(tr, f, params.c)), name
+        assert np.array_equal(table.v, [lyapunov(z, f, params.c) for z in tr.zs]), name
+
+
+def test_trace_csv_rows_match_csv_writer_reference(tmp_path):
+    # each row is one format string; the bytes are those of csv.writer with
+    # minimal quoting over format_float cells and per-row certificate calls
+    f = corpus()["coupled2"]
+    params = HandParams(t_min=1.0, t_max=2.0, c=1.0)
+    x0 = f.xstar + 1.0
+    tr = simulate(hand2(f, params), np.concatenate([x0, x0, [1.0]]),
+                  SolverConfig(h=1e-2, t_end=5.0, integrator="rk4", record_stride=7))
+    assert len(tr.events) > 0
+    tr.zs[3, 1] = -0.0
+    # a closing fault row, as the engine records one: the last state, tagged
+    tr.ts = np.append(tr.ts, tr.ts[-1])
+    tr.js = np.append(tr.js, tr.js[-1])
+    tr.zs = np.vstack([tr.zs, tr.zs[-1] * 1e50])
+    tr.tags = np.append(tr.tags, TAG_FAULT)
+    dist_fn = target_distance_fn(f, params)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(str(path), tr, f, params.c, dist_fn)
+
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
+    w.writerow(["t", "j", "tau", "x1_0", "x1_1", "x2_0", "x2_1", "f_gap", "V", "dist_A", "event"])
+    for k in range(len(tr)):
+        z = tr.zs[k]
+        w.writerow([format_float(tr.ts[k]), str(int(tr.js[k])), format_float(z[-1])]
+                   + [format_float(v) for v in z[:-1]]
+                   + [format_float(f.gap(z[:2])), format_float(lyapunov(z, f, params.c)),
+                      format_float(dist_fn(z)), TAG_NAMES[int(tr.tags[k])]])
+    expected = buf.getvalue().encode()
+    assert path.read_bytes() == expected
+    text = expected.decode()
+    assert ",-0," in text and text.endswith(",fault\n") and ",jump\n" in text and ",flow\n" in text
 
 
 def test_trace_csv_multidim_headers():
