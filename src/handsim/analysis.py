@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -60,26 +60,21 @@ class RateReport:
     detail: dict = field(default_factory=dict)
 
 
-def _scan(margins: Iterable[float]) -> Tuple[float, List[int]]:
-    """Worst margin and the indices of violating samples. A margin that is
-    negative or not finite is a violation; a non-finite one makes the worst
-    margin nan, so garbage never reads as a pass. inf when margins is empty."""
-    worst = math.inf
-    bad = []
-    for i, margin in enumerate(margins):
-        if math.isfinite(margin):
-            if margin < worst:
-                worst = margin
-            if margin >= 0.0:
-                continue
-        else:
-            worst = math.nan
-        bad.append(i)
-    return worst, bad
+def _scan(margins) -> Tuple[float, List[int]]:
+    """Worst margin and the indices of violating samples, in order. A margin
+    that is negative or not finite is a violation; a non-finite one makes the
+    worst margin nan, so garbage never reads as a pass. inf when margins is
+    empty; otherwise the first of the smallest margins, sign of zero kept."""
+    m = np.asarray(margins, dtype=float)
+    finite = np.isfinite(m)
+    bad = np.flatnonzero(~finite | (m < 0.0)).tolist()
+    if not len(m):
+        return math.inf, bad
+    return (float(m[m.argmin()]) if finite.all() else math.nan), bad
 
 
 def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], List[int]]:
-    """Margins bound + tol - gap of one certified bound over the rows of a
+    """Margins (bound + tol) - gap of one certified bound over the rows of a
     trace, given as equal-length numpy arrays of hybrid time (t, j), timer
     tau, cost gap and a boolean fault mask. bc is a summary bound_checks
     entry: its kind with that kind's constants, and tol.
@@ -88,25 +83,30 @@ def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], Li
     beta / tau^2 covers the first flow interval (j == 0) only, and a
     non-positive tau gives it a nan bound, a violation. The exponential bound
     is k_a exp(-k_b alpha(t + j)) r0_sq with alpha(s) = max(s - delta_t, 0) /
-    (delta_t + 1). Returns the worst margin (inf when no row is covered, nan
-    when one is not finite), the violating rows and the covered rows.
+    (delta_t + 1). Each is evaluated as numpy blocks, except exp: math.exp
+    maps over the exponents, so the bound's last bits are libm's and not
+    those of numpy's own exp. Returns the worst margin (inf when no row is
+    covered, nan when one is not finite), the violating rows and the
+    covered rows.
     """
     covered = ~fault
     kind = bc.get("kind")
-    if kind == "inverse-square":
-        covered &= j == 0
-        beta = float(bc["beta"])
-        bounds = (beta / (s * s) if s > 0.0 else math.nan for s in tau[covered].tolist())
-    elif kind == "exponential":
-        k_a, k_b, d_t, r0_sq = (float(bc[key]) for key in ("k_a", "k_b", "delta_t", "r0_sq"))
-        bounds = (k_a * math.exp(-k_b * (max(s - d_t, 0.0) / (d_t + 1.0))) * r0_sq
-                  for s in (t[covered] + j[covered]).tolist())
-    else:
-        raise ValueError("unknown bound kind %r" % (kind,))
-    tol = float(bc["tol"])
-    rows = np.flatnonzero(covered).tolist()
-    worst, bad = _scan(bound + tol - g for bound, g in zip(bounds, gap[covered].tolist()))
-    return worst, [rows[i] for i in bad], rows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if kind == "inverse-square":
+            covered &= j == 0
+            s = tau[covered]
+            bounds = np.where(s > 0.0, float(bc["beta"]) / (s * s), math.nan)
+        elif kind == "exponential":
+            k_a, k_b, d_t, r0_sq = (float(bc[key]) for key in ("k_a", "k_b", "delta_t", "r0_sq"))
+            s = t[covered] + j[covered]
+            exponents = -k_b * (np.maximum(s - d_t, 0.0) / (d_t + 1.0))
+            bounds = k_a * np.array(list(map(math.exp, exponents.tolist())), dtype=float) * r0_sq
+        else:
+            raise ValueError("unknown bound kind %r" % (kind,))
+        margins = (bounds + float(bc["tol"])) - gap[covered]
+    rows = np.flatnonzero(covered)
+    worst, bad = _scan(margins)
+    return worst, rows[bad].tolist(), rows.tolist()
 
 
 def _require_minimizer(f: CostFunction):
@@ -161,24 +161,19 @@ def check_monotonicity(trace: Trace, f: CostFunction, c: float, slack_per_step: 
     h = trace.meta.get("h")
     if h is None:
         raise ValueError("trace has no step size in meta; cannot scale per-step slack")
-    # energy at every recorded point, nan on fault rows
+    # energy at every recorded point, nan on fault rows; a margin for each
+    # pair of consecutive live rows, named by the later one
     V = np.full(len(trace), math.nan)
     live = trace.tags != TAG_FAULT
     V[live] = lyapunov(trace.zs[live], f, c)
-    V, live, ts, js = V.tolist(), live.tolist(), trace.ts.tolist(), trace.js.tolist()
-    rows = []
-    margins = []
-    for k in range(1, len(ts)):
-        if not (live[k] and live[k - 1]):
-            continue
-        dv = V[k] - V[k - 1]
-        if js[k] == js[k - 1]:
-            steps = max(1, int(round((ts[k] - ts[k - 1]) / h)))
-            margins.append(slack_per_step * steps - dv)
-        else:
-            # 0.0 - dv rather than -dv, so that an exact tie reads 0, not -0
-            margins.append(0.0 - dv)
-        rows.append(k)
+    pair = live[1:] & live[:-1]
+    rows = (np.flatnonzero(pair) + 1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        dv = np.diff(V)[pair]
+        # np.rint rounds half to even, as round() does
+        steps = np.maximum(1.0, np.rint(np.diff(trace.ts)[pair] / h))
+        # 0.0 - dv rather than -dv across a jump, so that an exact tie reads 0, not -0
+        margins = np.where(np.diff(trace.js)[pair] == 0, slack_per_step * steps - dv, 0.0 - dv)
     worst, bad = _scan(margins)
     if not rows:
         worst = 0.0

@@ -264,8 +264,8 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     evaluated at recorded points only; when it fires the run terminates with
     reason "condition". Other termination reasons: "horizon", "jump_cap"
     (the next required jump would exceed max_jumps; the pre-jump state is the
-    final sample), "fault" (non-finite state, or state outside C union D_h
-    with the fault kind and last finite state kept on the trace).
+    final sample), "fault" (non-finite state, or a jump landing outside
+    C union D, with the fault kind and last finite state kept on the trace).
 
     A state in C intersect D jumps under the "earliest" policy, flows under
     "latest" unless the next flow step would leave C, and under "uniform"
@@ -386,9 +386,15 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                     # which lands the jump uniformly over the remaining window
                     do_jump = rng.random() < h / (t_max - z[-1] + h)
             elif not c_now:
-                fault = FaultRecord(t, j, "escaped", "state outside C union D_h (tau=%g)" % z[-1], np.array(z))
-                termination = "fault"
-                break
+                # unreachable. Every state at the loop top was tested against
+                # C union D at this same t, and so with the same inflations
+                # i3 and i6, signals being functions of t: the initial state
+                # before the loop, a post-jump state right after its jump
+                # (one outside ends the run there as an "escaped" fault). A
+                # state after a flow step has from_flow set, so outside C it
+                # is in D_h and jumps above.
+                raise RuntimeError("internal error: state outside C union D_h at t=%r (tau=%r)"
+                                   % (t, z[-1]))
 
         if do_jump:
             # budget gates jumps, not flow: stop when one more jump would

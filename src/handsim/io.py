@@ -86,51 +86,87 @@ class TraceTable:
     f_gap: np.ndarray
     v: np.ndarray
     dist_a: np.ndarray
-    event: List[str]
+    event: np.ndarray  # labels, as fixed-width strings
+
+
+_LABELS = tuple(TAG_NAMES.values())
+# loadtxt cuts a string cell to the field's width: one more than the
+# longest label keeps every cut cell other than a label unequal to all of them
+_EVENT_WIDTH = max(map(len, _LABELS)) + 1
+
+
+def _parse_rows(lines: List[str], dtype) -> np.ndarray:
+    # comments=None: "#" is a cell that does not parse, not a comment
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _row_fault(line: str, names: List[str], dtype) -> str:
+    """Why one data line is not a trace row; "" when it is one."""
+    cells = line.split(",")
+    if len(cells) != len(names):
+        return "has %d fields, expected %d" % (len(cells) if line else 0, len(names))
+    if cells[-1] not in _LABELS:
+        return "has event %r, expected one of %s" % (cells[-1], "/".join(_LABELS))
+    if "\0" in line:
+        return "holds a NUL character"
+    try:
+        _parse_rows([line], dtype)
+        return ""
+    except ValueError:
+        pass
+    for name, cell in zip(names[:-1], cells):
+        kind = "i8" if name == "j" else "f8"
+        try:
+            # an empty cell would read as a skipped blank line
+            if cell and len(_parse_rows([cell], kind)) == 1:
+                continue
+        except ValueError:
+            pass
+        return "has %s %r, expected %s" % (name, cell, "an integer" if kind == "i8" else "a float")
+    return "does not parse"
 
 
 def read_trace_csv(path: str) -> TraceTable:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header is None:
-            raise ValueError("%s: empty trace file" % path)
-        rows = list(r)
-    n = sum(1 for name in header if name.startswith("x1_"))
+    """Read a trace CSV written by write_trace_csv.
+
+    All rows are parsed in one np.loadtxt pass. numpy's float parser is
+    correctly rounded and ignores the locale, so each %.17g cell reads back
+    as the double that was written; j must be an integer ("7.0" is not). A
+    blank line, a row with the wrong number of fields, a cell that does not
+    parse or an event other than a known label is a ValueError naming the
+    file row.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    if not text:
+        raise ValueError("%s: empty trace file" % path)
+    header, *lines = text.split("\n")
+    if lines and not lines[-1]:
+        lines.pop()  # the last row's line terminator
+    names = header.split(",")
+    n = sum(1 for name in names if name.startswith("x1_"))
     expected = ["t", "j", "tau"] + ["x1_%d" % i for i in range(n)] \
         + ["x2_%d" % i for i in range(n)] + ["f_gap", "V", "dist_A", "event"]
-    if header != expected:
-        raise ValueError("%s: unexpected trace header %r" % (path, header))
-    m = len(rows)
-    t = np.empty(m)
-    j = np.empty(m, dtype=np.int64)
-    tau = np.empty(m)
-    x1 = np.empty((m, n))
-    x2 = np.empty((m, n))
-    gap = np.empty(m)
-    v = np.empty(m)
-    dist = np.empty(m)
-    events = []
-    labels = tuple(TAG_NAMES.values())
-    for k, row in enumerate(rows):
-        if len(row) != len(expected):
-            raise ValueError("%s: row %d has %d fields, expected %d"
-                             % (path, k + 2, len(row), len(expected)))
-        t[k] = float(row[0])
-        j[k] = int(row[1])
-        tau[k] = float(row[2])
-        for i in range(n):
-            x1[k, i] = float(row[3 + i])
-            x2[k, i] = float(row[3 + n + i])
-        gap[k] = float(row[3 + 2 * n])
-        v[k] = float(row[4 + 2 * n])
-        dist[k] = float(row[5 + 2 * n])
-        if row[6 + 2 * n] not in labels:
-            raise ValueError("%s: row %d has event %r, expected one of %s"
-                             % (path, k + 2, row[6 + 2 * n], "/".join(labels)))
-        events.append(row[6 + 2 * n])
-    return TraceTable(t=t, j=j, tau=tau, x1=x1, x2=x2, f_gap=gap, v=v,
-                      dist_a=dist, event=events)
+    if names != expected:
+        raise ValueError("%s: unexpected trace header %r" % (path, names))
+    dtype = np.dtype([("t", "f8"), ("j", "i8"), ("tau", "f8"), ("x", "f8", (2 * n,)),
+                      ("f_gap", "f8"), ("V", "f8"), ("dist_A", "f8"), ("event", "U%d" % _EVENT_WIDTH)])
+    try:
+        rows = _parse_rows(lines, dtype) if lines else np.empty(0, dtype)
+        # loadtxt skips blank lines, and a string field drops trailing NULs
+        ok = len(rows) == len(lines) and "\0" not in text \
+            and bool(np.isin(rows["event"], _LABELS).all())
+    except ValueError:
+        ok = False
+    if not ok:
+        for k, line in enumerate(lines):
+            fault = _row_fault(line, names, dtype)
+            if fault:
+                raise ValueError("%s: row %d %s" % (path, k + 2, fault))
+        raise ValueError("%s: rows do not parse" % path)
+    x = rows["x"]
+    return TraceTable(t=rows["t"], j=rows["j"], tau=rows["tau"], x1=x[:, :n], x2=x[:, n:],
+                      f_gap=rows["f_gap"], v=rows["V"], dist_a=rows["dist_A"], event=rows["event"])
 
 
 def _jsonable(obj):

@@ -1,6 +1,7 @@
 """Energy function, rate constants, and trace monitors."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -33,6 +34,8 @@ from handsim import (
     write_summary_json,
     write_trace_csv,
 )
+from handsim.analysis import _scan, bound_margins
+from handsim.core import TAG_FAULT
 from handsim.cli import main
 
 
@@ -309,3 +312,124 @@ def test_time_to_epsilon_rejects_nonpositive_eps():
     tr = _hand2_trace(f, params, np.array([2.0]), t_end=4.0)
     with pytest.raises(ValueError):
         time_to_epsilon(tr, f, 0.0)
+
+
+def _scan_reference(margins):
+    # the per-sample loop that the block _scan replaces
+    worst, bad = math.inf, []
+    for i, margin in enumerate(margins):
+        if math.isfinite(margin):
+            if margin < worst:
+                worst = margin
+            if margin >= 0.0:
+                continue
+        else:
+            worst = math.nan
+        bad.append(i)
+    return worst, bad
+
+
+def _same(a, b):
+    return struct.pack("<d", a) == struct.pack("<d", b) or (math.isnan(a) and math.isnan(b))
+
+
+def test_block_scan_matches_per_sample_loop():
+    rng = np.random.default_rng(3)
+    cases = [[], [0.0, -0.0], [-0.0, 0.0], [1.0, math.inf], [2.0, math.nan, -1.0], [-math.inf]]
+    for _ in range(200):
+        m = rng.standard_normal(rng.integers(1, 30)) * 10.0 ** rng.integers(-20, 5)
+        specials = rng.integers(0, len(m), 3)
+        m[specials] = rng.choice([0.0, -0.0, math.nan, math.inf, -math.inf, m[0]], 3)
+        cases.append(m.tolist())
+    for margins in cases:
+        worst, bad = _scan(np.array(margins))
+        ref_worst, ref_bad = _scan_reference(margins)
+        assert _same(worst, ref_worst) and bad == ref_bad, margins
+
+
+def _bound_margins_reference(bc, t, j, tau, gap, fault):
+    # the per-row generators that the numpy blocks replace
+    covered = ~fault
+    if bc["kind"] == "inverse-square":
+        covered &= j == 0
+        bounds = [bc["beta"] / (s * s) if s > 0.0 else math.nan for s in tau[covered].tolist()]
+    else:
+        k_a, k_b, d_t, r0_sq = (bc[key] for key in ("k_a", "k_b", "delta_t", "r0_sq"))
+        bounds = [k_a * math.exp(-k_b * (max(s - d_t, 0.0) / (d_t + 1.0))) * r0_sq
+                  for s in (t[covered] + j[covered]).tolist()]
+    rows = np.flatnonzero(covered).tolist()
+    worst, bad = _scan_reference([b + bc["tol"] - g for b, g in zip(bounds, gap[covered].tolist())])
+    return worst, [rows[i] for i in bad], rows
+
+
+@pytest.mark.parametrize("kind", ["inverse-square", "exponential"])
+def test_bound_margins_blocks_match_per_row_bounds(kind):
+    # bit for bit, on random rows with zero, negative and non-finite timers,
+    # times and gaps, and gaps that hit the bound exactly
+    rng = np.random.default_rng(17)
+    bc = {"kind": kind, "beta": 2.5, "k_a": 1.7, "k_b": 0.6, "delta_t": 1.5, "r0_sq": 3.0, "tol": 1e-12}
+    for _ in range(50):
+        m = int(rng.integers(20, 400))
+        t = np.sort(rng.uniform(0.0, 60.0, m))
+        j = np.cumsum(rng.random(m) < 0.05).astype(np.int64)
+        tau = rng.uniform(-0.5, 3.0, m)
+        gap = np.abs(rng.standard_normal(m)) * 10.0 ** rng.integers(-25, 1, m)
+        for arr in (t, tau, gap):
+            arr[rng.integers(0, m, 2)] = rng.choice([0.0, -0.0, math.nan, math.inf], 2)
+        fault = rng.random(m) < 0.02
+        got = bound_margins(bc, t, j, tau, gap, fault)
+        ref = _bound_margins_reference(bc, t, j, tau, gap, fault)
+        assert _same(got[0], ref[0]) and got[1:] == ref[1:]
+        # a gap equal to its bound plus tol is a margin of exactly +0
+        candidates = np.flatnonzero(np.isfinite(t) & (tau > 0.0) & np.isfinite(tau) & (j == 0))
+        if not len(candidates):
+            continue
+        k = candidates[0]
+        only_k = np.arange(m) != k
+        exact = np.zeros(m)
+        exact[k] = bound_margins(bc, t, j, tau, exact, only_k)[0]
+        assert _same(bound_margins(bc, t, j, tau, exact, only_k)[0], 0.0)
+
+
+def _monotonicity_reference(trace, f, c, slack_per_step):
+    # the per-row loop that the block check_monotonicity replaces
+    V = np.full(len(trace), math.nan)
+    live = trace.tags != TAG_FAULT
+    V[live] = lyapunov(trace.zs[live], f, c)
+    V, live, ts, js = V.tolist(), live.tolist(), trace.ts.tolist(), trace.js.tolist()
+    h = trace.meta["h"]
+    rows, margins = [], []
+    for k in range(1, len(ts)):
+        if not (live[k] and live[k - 1]):
+            continue
+        dv = V[k] - V[k - 1]
+        if js[k] == js[k - 1]:
+            margins.append(slack_per_step * max(1, int(round((ts[k] - ts[k - 1]) / h))) - dv)
+        else:
+            margins.append(0.0 - dv)
+        rows.append(k)
+    worst, bad = _scan_reference(margins)
+    return (worst if rows else 0.0), [rows[i] for i in bad], len(rows)
+
+
+def test_check_monotonicity_blocks_match_per_row_loop():
+    # bit for bit on runs with jumps, a partial last stride, a closing fault
+    # row, a nan state and an energy injection, at zero and positive slack
+    f = corpus()["coupled2"]
+    params = HandParams(t_min=1.0, t_max=2.0, c=1.0)
+    x0 = f.xstar + 1.0
+    for stride, damage in [(1, None), (7, None), (7, "nan"), (3, "inject"), (7, "fault")]:
+        tr = simulate(hand2(f, params), np.concatenate([x0, x0, [1.0]]),
+                      SolverConfig(h=1e-2, t_end=5.003, integrator="rk4", record_stride=stride))
+        assert len(tr.events) > 0
+        if damage == "nan":
+            tr.zs[9, 0] = math.nan
+        elif damage == "inject":
+            tr.zs[12, 0] += 0.5
+        elif damage == "fault":
+            tr.tags[-1] = TAG_FAULT
+        for slack in (0.0, 1e-3):
+            rep = check_monotonicity(tr, f, params.c, slack)
+            worst, bad, checked = _monotonicity_reference(tr, f, params.c, slack)
+            assert _same(rep.worst_margin, worst) and rep.checked == checked
+            assert rep.violation_times == [tr.time(k) for k in bad] and rep.satisfied == (not bad)

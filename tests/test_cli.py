@@ -460,3 +460,68 @@ def test_cli_run_seed_sets_every_seed_field(scenario, extra, fields, tmp_path):
     # the same seed reproduces every artifact byte for byte; another seed does not
     assert runs["a"] == runs["b"]
     assert runs["a"] != runs["c"]
+
+
+def _damage_row(trace, k, edit):
+    """Apply edit to the cells of line k of a trace CSV (0 is the header)."""
+    lines = trace.read_text().split("\n")
+    cells = lines[k].split(",")
+    edit(cells)
+    lines[k] = ",".join(cells)
+    trace.write_text("\n".join(lines))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda cells: cells.__setitem__(1, "7.0"),
+    lambda cells: cells.__setitem__(3, "#"),
+    lambda cells: cells.__setitem__(-1, "faulty"),
+    lambda cells: cells.__setitem__(-1, "banana"),
+    lambda cells: cells.pop(4),
+], ids=["float-j", "hash-cell", "faulty-label", "unknown-label", "short-row"])
+def test_cli_check_exits_2_on_damaged_row(damage, tmp_path, capsys):
+    path = _fast_hand2(tmp_path, t_end=20.0)
+    assert main(["run", path, "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    _damage_row(trace, 40, damage)
+    assert main(["check", str(trace), "--bound", "exponential"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_check_exits_2_on_blank_line(tmp_path, capsys):
+    path = _fast_hand2(tmp_path, t_end=20.0)
+    assert main(["run", path, "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    lines = trace.read_text().split("\n")
+    trace.write_text("\n".join(lines[:40] + [""] + lines[40:]))
+    assert main(["check", str(trace), "--bound", "exponential"]) == 2
+    assert "row 41 " in capsys.readouterr().err
+
+
+def test_cli_check_rejects_hybrid_time_out_of_order(tmp_path, capsys):
+    # along a run t never decreases, and j never decreases and steps by 1
+    # only between two rows at the same t; the bound alone misses a j of 7
+    path = _fast_hand2(tmp_path, t_end=20.0)
+    assert main(["run", path, "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    pristine = trace.read_text()
+    rows = [line.split(",") for line in pristine.splitlines()[1:]]
+    jump = next(k for k, row in enumerate(rows) if row[-1] == "jump")
+    assert 5 < jump < len(rows) - 2 and rows[jump][0] == rows[jump - 1][0]
+    assert main(["check", str(trace), "--bound", "exponential"]) == 0
+    assert "out of order" not in capsys.readouterr().out
+    mid = next(k for k in range(len(rows) // 2, len(rows)) if rows[k][-1] == "flow")
+    assert rows[mid][1] != "7"
+    early = "%.17g" % (float(rows[mid - 1][0]) - 0.25)
+    late_jump = "%.17g" % ((float(rows[jump][0]) + float(rows[jump + 1][0])) / 2.0)
+    for line, value, column, row in [
+        (mid + 1, "7", "j", mid),  # j steps by more than one
+        (mid + 1, early, "t", mid),  # t decreases
+        (jump + 1, late_jump, "t", jump),  # j steps while t advances
+        (jump + 2, rows[jump - 1][1], "j", jump + 1),  # j decreases
+    ]:
+        trace.write_text(pristine)
+        _set_cells(trace, [line], value, column=column)
+        assert main(["check", str(trace), "--bound", "exponential"]) == 1
+        out = capsys.readouterr().out
+        assert "hybrid time out of order on data row %d of %d" % (row + 1, len(rows)) in out, (column, value)
+        assert "VIOLATED" in out

@@ -275,6 +275,22 @@ def test_unknown_tableau_rejected():
         tableau("rk9")
 
 
+def test_loop_top_escape_is_an_internal_error():
+    # every state at the loop top was tested against C union D at its t, so
+    # only a membership test that changes its answer for the same state and
+    # t gets there: a bug in the system, not a fault of the run
+    f = sphere_cost(1)
+    sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))
+    answers = iter([True])
+
+    def fickle(z, inflation):
+        return next(answers, False)
+
+    with pytest.raises(RuntimeError, match="internal error"):
+        simulate(dataclasses.replace(sys, in_C=fickle), np.array([0.5, 0.5, 1.5]),
+                 SolverConfig(h=0.01, t_end=0.1))
+
+
 def test_dh_membership_cases():
     f = sphere_cost(1)
     sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))

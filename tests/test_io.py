@@ -197,3 +197,74 @@ def test_table_csv_cell_conventions():
     assert lines[0] == "name,ok,val"
     assert lines[1] == "a,true,0.5"
     assert lines[2] == "b,false,"
+
+
+def _corrupt(path, edit):
+    """Rewrite a trace CSV with edit applied to its list of lines (no
+    terminators; index 0 is the header)."""
+    lines = open(path, encoding="utf-8").read().split("\n")
+    edit(lines)
+    write_text(path, "\n".join(lines))
+
+
+def _set_cell(lines, k, col, value):
+    cells = lines[k].split(",")
+    cells[col] = value
+    lines[k] = ",".join(cells)
+
+
+# each edit damages data row 6, line 7 of the file; the reader that
+# parses the rest of the trace must still refuse the whole file
+DAMAGED_ROWS = {
+    "blank-line": lambda lines: lines.insert(6, ""),
+    "hash-cell": lambda lines: _set_cell(lines, 6, 3, "#"),
+    "hash-in-label": lambda lines: _set_cell(lines, 6, -1, "flow#"),
+    "faulty-label": lambda lines: _set_cell(lines, 6, -1, "faulty"),
+    "float-j": lambda lines: _set_cell(lines, 6, 1, "7.0"),
+    "short-row": lambda lines: _set_cell(lines, 6, slice(3, 5), ["1"]),
+    "unknown-label": lambda lines: _set_cell(lines, 6, -1, "banana"),
+    "nul-in-label": lambda lines: _set_cell(lines, 6, -1, "flow\0"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_ROWS))
+def test_trace_csv_rejects_damaged_row(damage, tmp_path):
+    f, params, tr = _run(dim=2)
+    path = str(tmp_path / "trace.csv")
+    write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
+    assert len(read_trace_csv(path).t) == len(tr)
+    _corrupt(path, DAMAGED_ROWS[damage])
+    with pytest.raises(ValueError) as err:
+        read_trace_csv(path)
+    if damage in ("blank-line", "short-row", "faulty-label", "hash-in-label", "unknown-label",
+                  "nul-in-label"):
+        assert "row 7 " in str(err.value)
+
+
+def test_trace_csv_roundtrips_every_double_bit_for_bit(tmp_path):
+    # %.17g cells read back as the very doubles written: sign of zero,
+    # subnormals, the largest finite double, nan and both infinities
+    rng = np.random.default_rng(11)
+    specials = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308, math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0]
+    bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+    scaled = rng.standard_normal(1000) * 10.0 ** rng.integers(-300, 300, 1000)
+    cols = 9  # t, tau, x1_0, x1_1, x2_0, x2_1, f_gap, V, dist_A: every float column
+    # each special value in every column, then the random doubles row by row
+    rest = np.concatenate([bits[np.isfinite(bits)], scaled])
+    grid = np.vstack([np.repeat(specials, cols).reshape(-1, cols),
+                      np.resize(rest, (len(rest) // cols, cols))])
+    m = len(grid)
+    header = ["t", "j", "tau", "x1_0", "x1_1", "x2_0", "x2_1", "f_gap", "V", "dist_A", "event"]
+    lines = [",".join(header)]
+    for k, row in enumerate(grid.tolist()):
+        cells = ["%.17g" % v for v in row]
+        lines.append(",".join(cells[:1] + ["%d" % k] + cells[1:] + [("flow", "jump", "fault")[k % 3]]))
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(lines) + "\n")
+    table = read_trace_csv(str(path))
+    read = np.column_stack([table.t, table.tau, table.x1, table.x2, table.f_gap, table.v, table.dist_a])
+    assert read.shape == grid.shape == (m, cols)
+    assert np.ascontiguousarray(read).tobytes() == np.ascontiguousarray(grid).tobytes()
+    assert table.j.tolist() == list(range(m))
+    assert list(table.event) == [("flow", "jump", "fault")[k % 3] for k in range(m)]
