@@ -10,7 +10,7 @@ rerun with the same config and seeds reproduces every file byte for byte.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -30,7 +30,10 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The hand-sim parser, built on first use and then reused by every
+    main call of the process: parse_args leaves it as it was."""
     ap = argparse.ArgumentParser(
         prog="hand-sim",
         description="Deterministic experiments on accelerated gradient flow "
@@ -147,6 +150,10 @@ def _cmd_sweep(args) -> int:
     results = {}
     workers = _thread_cap(len(jobs))
     if jobs and workers > 1:
+        # imported here, as only a sweep on workers uses it: loading it
+        # (and logging with it) costs every process start some milliseconds
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(pool.map(_sweep_job, [(cfg, out) for _, cfg, out in jobs]))
         for (token, _, out_dir), code in zip(jobs, codes):

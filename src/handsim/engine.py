@@ -176,55 +176,104 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     F; with field None each stage calls F on a list, and a wrong count
     raises ValueError naming the m expected.
 
+    A component of field written as a float literal (the timer's "1.0") is
+    folded: its K is that constant at every stage, so its sums above are
+    computed here, by the same operations in the same order (rk4's weights
+    give 0.9999999999999999), and no K of it is assigned in the loop. Their
+    products with h, (sum + e_i) * h under e2, are taken once per segment:
+    h and e are fixed for it, so each is the float the loop would compute.
+    The loop reads a_i = c + src_i and z_i = z_i + d, and a stage argument
+    equal to the previous stage's is not assigned again. Other components
+    keep their 0.0 + ..., which turns a -0.0 sum into +0.0.
+
     After step k + steps, at t = (k + steps) * h, the next step starts from
     the state reached, with the same e, unless steps == n, z[0] is not
     finite, t >= t_stop, the state is outside the flow set or inside the
     jump set (membership: their conditions in {tau} and {inflation}, tested
     at inflation 0), or the expression key in t, on which e depends,
-    changed value."""
+    changed value. t >= t_stop is not tested per step: when (k + n) * h >=
+    t_stop, the segment first lowers n to the least steps >= 1 with (k +
+    steps) * h >= t_stop, searched from int(t_stop / h) - k, so t is
+    computed per step only for the key."""
     r = range(m)
 
     def names(prefix):
         return "".join("%s%d, " % (prefix, i) for i in r)
 
+    consts = {}
+    for i, text in enumerate(field or ()):
+        try:
+            consts[i] = float(text)
+        except ValueError:
+            pass
     lines = ["def seg(F, z, src, h, k, n, t_stop%s):" % (", e" if disturbed else ""),
              "    %s= z" % names("z"), "    %s= src" % names("s")]
     if disturbed:
         lines.append("    %s= e" % names("e"))
-    if key is not None:
-        lines += ["    t = k * h", "    key = %s" % key]
-    lines += ["    i = 0", "    while True:"]
+    body = []
+    last = {}
     for k, row in enumerate(tab.a):
         arg = ["s%d" % i for i in r]
         if k:
             for i in r:
-                lines.append("        a%d = (0.0%s) * h + s%d" % (
-                    i, "".join(" + k%d_%d * %r" % (j, i, a) for j, a in enumerate(row) if a != 0.0), i))
+                if i not in consts:
+                    body.append("a%d = (0.0%s) * h + s%d" % (
+                        i, "".join(" + k%d_%d * %r" % (j, i, a) for j, a in enumerate(row) if a != 0.0), i))
+                    continue
+                c = 0.0
+                for a in row:
+                    if a != 0.0:
+                        c = c + consts[i] * a
+                if last.get(i) != repr(c):
+                    last[i] = repr(c)
+                    lines.append("    c%d_%d = %r * h" % (k, i, c))
+                    body.append("a%d = c%d_%d + s%d" % (i, k, i, i))
             arg = ["a%d" % i for i in r]
         if field is None:
-            lines.append("        %s= F([%s])" % (names("k%d_" % k), ", ".join(arg)))
+            body.append("%s= F([%s])" % (names("k%d_" % k), ", ".join(arg)))
         else:
-            lines += ["        k%d_%d = %s" % (k, i, c.format(*arg)) for i, c in enumerate(field)]
+            body += ["k%d_%d = %s" % (k, i, c.format(*arg)) for i, c in enumerate(field) if i not in consts]
+    weights = [(k, b) for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
     for i in r:
-        terms = ["k%d_%d%s" % (k, i, "" if b == 1.0 else " * %r" % b)
-                 for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
-        if disturbed:
-            terms.append("e%d" % i)
-        lines.append("        z%d = z%d + (%s) * h" % (i, i, " + ".join(terms)))
-    ends = ["t >= t_stop"]
+        if i not in consts:
+            terms = ["k%d_%d%s" % (k, i, "" if b == 1.0 else " * %r" % b) for k, b in weights]
+            if disturbed:
+                terms.append("e%d" % i)
+            body.append("z%d = z%d + (%s) * h" % (i, i, " + ".join(terms)))
+            continue
+        d = None
+        for k, b in weights:
+            term = consts[i] if b == 1.0 else consts[i] * b
+            d = term if d is None else d + term
+        lines.append("    d%d = %s * h" % (i, "(%r + e%d)" % (d, i) if disturbed else repr(d)))
+        body.append("z%d = z%d + d%d" % (i, i, i))
+    if key is not None:
+        lines += ["    t = k * h", "    key = %s" % key]
+    # the first steps >= 1 with (k + steps) * h >= t_stop, which is monotone
+    # in steps; the guard keeps an infinite t_stop out of int()
+    lines += ["    if (k + n) * h >= t_stop:",
+              "        n = min(n, max(1, int(max(t_stop / h, 0.0)) - k))",
+              "        while n > 1 and (k + n - 1) * h >= t_stop:",
+              "            n -= 1",
+              "        while (k + n) * h < t_stop:",
+              "            n += 1",
+              "    i = 0", "    while True:"]
+    lines += ["        " + b for b in body]
+    ends = []
     if membership is not None:
         flows, jumps = (c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
         ends += ["not (%s)" % flows, "(%s)" % jumps]
-    if key is not None:
-        ends.append("(%s) != key" % key)
     # z0 - z0 is 0.0 exactly when z0 is finite
     lines += ["        i += 1",
               "        if i == n or z0 - z0 != 0.0:",
-              "            break",
-              "        t = (k + i) * h",
-              "        if %s:" % " or ".join(ends),
-              "            break",
-              "        %s= %s" % (names("s"), names("z")[:-2]),
+              "            break"]
+    if key is not None:
+        lines.append("        t = (k + i) * h")
+        ends.append("(%s) != key" % key)
+    if ends:
+        lines += ["        if %s:" % " or ".join(ends),
+                  "            break"]
+    lines += ["        %s= %s" % (names("s"), names("z")),
               "    return [%s], i" % names("z")[:-2]]
     return compile_source("\n".join(lines) + "\n", "seg")
 
@@ -250,7 +299,11 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     _step_kernel), which inlines F's components and the timer conditions of
     in_C and in_D. A segment ends at the next record point, when tau leaves
     C or enters D, when a piecewise-constant e2 switches, at the horizon,
-    or at a non-finite z[0]; the loop takes over there. One-step segments
+    or at a non-finite z[0]; the loop takes over there. A segment folds
+    the field's literal components (the timer's rate) out of its loop and
+    counts its steps to the horizon before it starts, so per step it
+    evaluates t only for an e2 key; both give the bits and the step counts
+    of a step-by-step loop. One-step segments
     serve the "latest" lookahead, the "uniform" draws in C intersect D, the
     e1, e3 and e6 channels, sinusoid signals, and closures without
     component expressions or conditions, which are called per step. A

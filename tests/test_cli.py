@@ -4,12 +4,13 @@ import copy
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_scenario
-from handsim.cli import _parse_values, _thread_cap, main
+from handsim.cli import _build_parser, _parse_values, _thread_cap, main
 from handsim.scenarios import _resolve, apply_override, load_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
@@ -525,3 +526,53 @@ def test_cli_check_rejects_hybrid_time_out_of_order(tmp_path, capsys):
         out = capsys.readouterr().out
         assert "hybrid time out of order on data row %d of %d" % (row + 1, len(rows)) in out, (column, value)
         assert "VIOLATED" in out
+
+
+def _main_outputs(calls, capsys, fresh):
+    """(exit status, stdout, stderr) of main on each argv in turn, on the
+    process's one parser or, fresh, on a parser built for each call."""
+    outputs = []
+    for argv in calls:
+        if fresh:
+            _build_parser.cache_clear()
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        outputs.append((code,) + tuple(capsys.readouterr()))
+    return outputs
+
+
+def test_cli_main_reuses_one_parser(tmp_path, capsys):
+    path = _fast_hand2(tmp_path)
+    assert main(["run", path, "--quiet"]) == 0
+    trace = str(tmp_path / "out" / "trace.csv")
+    shutil.copytree(tmp_path / "out", tmp_path / "tampered")
+    tampered = tmp_path / "tampered" / "trace.csv"
+    _set_cells(tampered, [40], "1e9")
+    bad_config = tmp_path / "bad.json"
+    bad_config.write_text(json.dumps({"scenario": "hand2-rate", "solver": {"dt": 0.1}}))
+    calls = [["check", trace, "--bound", "exponential"],
+             ["check", str(tampered), "--bound", "exponential"],
+             ["run", str(bad_config), "--quiet"],
+             ["check", trace],  # a usage error: --bound is required
+             ["check", trace, "--bound", "exponential"]]
+    capsys.readouterr()
+    parser = _build_parser()
+    reused = _main_outputs(calls, capsys, fresh=False)
+    assert _build_parser() is parser
+    assert [out[0] for out in reused] == [0, 1, 2, 2, 0]
+    assert "holds" in reused[0][1] and "VIOLATED" in reused[1][1] and "solver.dt" in reused[2][2]
+    assert reused[4] == reused[0]
+    assert _main_outputs(calls, capsys, fresh=True) == reused
+
+
+def test_cli_help_text_survives_parser_reuse(tmp_path, capsys):
+    helps = [["--help"], ["run", "--help"], ["sweep", "--help"], ["check", "--help"]]
+    _build_parser.cache_clear()
+    fresh = _main_outputs(helps, capsys, fresh=True)
+    assert all(code == 0 and "usage: hand-sim" in out and not err for code, out, err in fresh)
+    # the same parser, after a run, a check and a usage error
+    _main_outputs([["run", str(tmp_path / "missing.json")], ["check", "x.csv"],
+                   ["check", "x.csv", "--bound", "exponential"]], capsys, fresh=False)
+    assert _main_outputs(helps, capsys, fresh=False) == fresh

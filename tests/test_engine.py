@@ -224,6 +224,97 @@ def test_step_kernel_matches_stage_loops_bit_for_bit(name, width, form):
                 assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, field, got, want)
 
 
+LITERALS = ["1.0", "0.5", "-0.0", "0.0", "5e-324", "inf", "nan"]
+
+
+@pytest.mark.parametrize("name", sorted(TABLEAUS))
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("form", ["float", "float64"])
+def test_step_kernel_folds_literal_components_bit_for_bit(name, width, form):
+    # the generated segment computes a literal component's stage sums once,
+    # outside its loop; they must give the stage loops' bits, every signed
+    # zero, inf and nan included
+    tab = TABLEAUS[name]
+    rng = np.random.default_rng(100 + width)
+    mixed = np.concatenate([SPECIAL, rng.standard_normal(10)])
+
+    def draw(pool):
+        return [(float if form == "float" else np.float64)(v) for v in rng.choice(pool, width)]
+
+    with np.errstate(all="ignore"):
+        for n_lit, literal in enumerate(LITERALS):
+            # the last component (the timer's place) and, from width 3, the
+            # second are literals; the others mix their neighbours
+            field = list(_mixing_components(width))
+            field[-1] = literal
+            if width >= 3:
+                field[1] = LITERALS[(n_lit + 1) % len(LITERALS)]
+            field = tuple(field)
+            consts = {i: float(c) for i, c in enumerate(field) if c in LITERALS}
+
+            def F(z):
+                return [consts.get(i, v) for i, v in enumerate(_mixing_field(z))]
+
+            for trial in range(30):
+                pool = mixed if trial % 3 else np.array([0.0, -0.0])
+                z = draw(pool)
+                src = z if trial % 2 else draw(pool)
+                e = draw(pool) if trial % 4 < 2 else None
+                h = (0.1, 0.3, 1e-3, 2.0)[trial % 4]
+                want = _stage_loop_step(F, tab, h, z, src, e)
+                for inlined in (None, field):
+                    got = _one_step(tab, width, inlined, F, z, src, h, e)
+                    assert [_bits(v) for v in got] == [_bits(v) for v in want], (literal, trial, inlined, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(TABLEAUS))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_hand_field_kernel_assigns_no_timer_stage(name, dim):
+    # the timer's "1.0" is folded: the loop never assigns a stage value of it
+    m = 2 * dim + 1
+    F = make_hand_flow(1.0, sphere_cost(dim))
+    for disturbed in (False, True):
+        seg = _step_kernel(TABLEAUS[name], m, F.components, disturbed, None, None)
+        source = "".join(linecache.getlines(seg.__code__.co_filename))
+        loop = source[source.index("while True:"):]
+        stages = ["k%d_%d" % (k, m - 1) for k in range(TABLEAUS[name].stages)]
+        assert not any(s in seg.__code__.co_varnames for s in stages), source
+        assert not any(s in loop for s in stages), source
+        assert "k0_%d = " % (m - 2) in loop
+
+
+@pytest.mark.parametrize("h", [0.1, 0.3, 1e-3, 2.0])
+@pytest.mark.parametrize("k", [0, 7, 10**6, 2**53 - 2])
+def test_segment_stops_at_the_horizon_step_count(h, k):
+    # the segment counts its steps to the horizon before its loop; each count
+    # must be the first i >= 1 with (k + i) * h >= t_stop, tested step by
+    # step, or n when that comes first. Past 2**53, k + i rounds to an even
+    # float, so two steps can end at one time and the count must not
+    # overshoot the first of them
+    def reference(n, t_stop):
+        i = 0
+        while True:
+            i += 1
+            if i == n or (k + i) * h >= t_stop:
+                return i
+
+    segs = [(_step_kernel(TABLEAUS["euler"], 1, ("1.0",), False, None, None), ()),
+            # a key in t that never changes value: the count alone ends it
+            (_step_kernel(TABLEAUS["euler"], 1, ("1.0",), True, None, "0.0 * t"), ([0.0],))]
+    stops = [math.inf, -math.inf, 0.0, k * h, math.nextafter(k * h, math.inf)]
+    for q in (1, 2, 3, 10, 97):
+        at = (k + q) * h
+        stops += [at, math.nextafter(at, -math.inf), math.nextafter(at, math.inf)]
+    for t_stop in stops:
+        for n in (1, 2, 3, 10, 50, 97, 120):
+            want = reference(n, t_stop)
+            z = 0.0
+            for _ in range(want):
+                z = z + 1.0 * h
+            for seg, e in segs:
+                assert seg(None, [0.0], [0.0], h, k, n, t_stop, *e) == ([z], want), (t_stop, n)
+
+
 @pytest.mark.parametrize("a, b", [(((),), (math.nan,)), (((), (0.5,)), (math.nan, 1.0)),
                                   (((), (math.inf,)), (0.5, 0.5)), (((), (0.5,)), (0.5, -math.inf))])
 def test_tableau_rejects_nonfinite_entries(a, b):
