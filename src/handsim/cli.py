@@ -211,16 +211,16 @@ def _cmd_check(args) -> int:
     # bound, so it is a violation
     fault = table.event == "fault"
     misplaced = bool(fault[:-1].any())
-    disorder = _hybrid_time_disorder(table.t, table.j)
+    disorder = _hybrid_time_disorder(table.t, table.j, table.event)
     worst, bad, rows = bound_margins(bc, table.t, table.j, table.tau, table.f_gap, fault)
     ok = bool(rows) and not bad and not misplaced and disorder is None
     if misplaced:
         print("fault label on data row %d of %d; a run writes its one fault row last"
               % (int(np.flatnonzero(fault[:-1])[0]) + 1, len(fault)))
     if disorder is not None:
-        print("hybrid time out of order on data row %d of %d: (t, j) = (%r, %d) after (%r, %d)"
+        print("hybrid time out of order on data row %d of %d: (t, j) = (%r, %d) after (%r, %d), labelled %s"
               % (disorder + 1, len(fault), float(table.t[disorder]), table.j[disorder],
-                 float(table.t[disorder - 1]), table.j[disorder - 1]))
+                 float(table.t[disorder - 1]), table.j[disorder - 1], table.event[disorder]))
     # printed as the gap's worst excess over the bound; 0.0 - m rather
     # than -m so that an exact hit prints 0, not -0
     print("%s bound on %s: %s (%d samples, worst margin %.6g)"
@@ -229,15 +229,17 @@ def _cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _hybrid_time_disorder(t, j) -> Optional[int]:
+def _hybrid_time_disorder(t, j, event) -> Optional[int]:
     """First row whose hybrid time (t, j) cannot follow the row before it,
     or None. Along a recorded run t never decreases, and j never decreases
     and steps by at most 1, only between two rows at the same t (a jump
-    takes no time)."""
+    takes no time), and exactly onto the rows labelled jump: a run labels
+    each post-jump state so, and no other row."""
     dt = np.diff(t)
     dj = np.diff(j)
     # not (dt >= 0) rather than dt < 0, so that a nan time is out of order
-    wrong = ~(dt >= 0.0) | (dj < 0) | (dj > 1) | ((dj == 1) & (dt != 0.0))
+    wrong = (~(dt >= 0.0) | (dj < 0) | (dj > 1) | ((dj == 1) & (dt != 0.0))
+             | ((dj == 1) != (event[1:] == "jump")))
     return int(np.argmax(wrong)) + 1 if wrong.any() else None
 
 

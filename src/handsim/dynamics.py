@@ -126,9 +126,14 @@ class DisturbanceSpec:
 
 def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
     """Closure t -> e(t). Returned arrays are internal buffers; callers read,
-    never mutate. A piecewise-constant signal carries its key attribute, the
-    text of an expression in t on which its value depends: the value stays
-    the same while the key does."""
+    never mutate. A piecewise-constant signal carries the texts of two
+    expressions in t: key, on which its value depends (the value stays the
+    same while the key does), and until, the next time at which the key can
+    change value: the next multiple of P/2 for the square wave, of hold for
+    uniform_random, and inf for zero and constant signals. However until(t)
+    rounds, the key changes value at most once on [t, until(t)): the square
+    wave's until is at most t + P/2, and the uniform key never returns to a
+    value it left."""
     dim = spec.dim
     if spec.kind in ("zero", "constant") or spec.eps == 0.0:
         value = spec.value.copy() if spec.kind == "constant" else np.zeros(dim)
@@ -137,13 +142,18 @@ def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
             return value
 
         constant.key = "0"
+        constant.until = "inf"
         return constant
     if spec.kind == "square_wave":
         pos = spec.eps * spec.axis
         # +eps on [0, P/2), -eps on [P/2, P), repeating; phase 0 at t = 0
-        key = "fmod(t, %r) < %r" % (float(spec.period), float(0.5 * spec.period))
+        half = float(0.5 * spec.period)
+        key = "fmod(t, %r) < %r" % (float(spec.period), half)
         square = compile_source("def square(t):\n    return pos if %s else neg\n" % key, "square", pos=pos, neg=-pos)
         square.key = key
+        # t + (half - fmod(t, half)) is at most t + half, so no float at or
+        # after the second switch from t lies below it
+        square.until = "t + (%r - fmod(t, %r))" % (half, half)
         return square
     if spec.kind == "sinusoid":
         amp = spec.eps * spec.axis
@@ -170,6 +180,7 @@ def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
         return state["v"]
 
     uniform.key = key
+    uniform.until = "(%s + 1.0) * %r" % (key, float(spec.hold))
     return uniform
 
 

@@ -162,7 +162,7 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
 
 @functools.lru_cache(maxsize=None)
 def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed: bool,
-                 membership: Optional[tuple], key: Optional[str]):
+                 membership: Optional[tuple], switch: Optional[tuple]):
     """One flow segment of explicit Runge-Kutta steps of tab on m
     components, generated as straight-line code on first use and cached by
     its arguments: seg(F, z, src, h, k, n, t_stop[, e]) returns (z', steps).
@@ -190,11 +190,21 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     the state reached, with the same e, unless steps == n, z[0] is not
     finite, t >= t_stop, the state is outside the flow set or inside the
     jump set (membership: their conditions in {tau} and {inflation}, tested
-    at inflation 0), or the expression key in t, on which e depends,
-    changed value. t >= t_stop is not tested per step: when (k + n) * h >=
-    t_stop, the segment first lowers n to the least steps >= 1 with (k +
-    steps) * h >= t_stop, searched from int(t_stop / h) - k, so t is
-    computed per step only for the key."""
+    at inflation 0), or, given switch = (key, until), the expression key in
+    t, on which e depends, changed value. Only z[0] and membership are
+    tested per step: the horizon and the key switch are step counts, to
+    which the segment lowers n before its loop. When (k + n) * h >= t_stop,
+    n becomes the least steps >= 1 with (k + steps) * h >= t_stop, searched
+    from int(t_stop / h) - k. Then, for n > 1, it becomes the least steps
+    >= 1 at which key differs from its value at t = k * h, if that is less.
+    That search starts at the step of until, an expression in t for the
+    next time key can change (see dynamics.make_signal), walks down while
+    the step before is at or after until or has a changed key, and then up
+    to the first changed key. The walk down is exact because a key changes
+    value at most once before until, so a step before until with an
+    unchanged key has only unchanged steps before it. A switch whose until
+    is "inf" (a constant e2) never comes, and the segment computes neither
+    t nor key."""
     r = range(m)
 
     def names(prefix):
@@ -247,8 +257,6 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
             d = term if d is None else d + term
         lines.append("    d%d = %s * h" % (i, "(%r + e%d)" % (d, i) if disturbed else repr(d)))
         body.append("z%d = z%d + d%d" % (i, i, i))
-    if key is not None:
-        lines += ["    t = k * h", "    key = %s" % key]
     # the first steps >= 1 with (k + steps) * h >= t_stop, which is monotone
     # in steps; the guard keeps an infinite t_stop out of int()
     lines += ["    if (k + n) * h >= t_stop:",
@@ -256,22 +264,37 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
               "        while n > 1 and (k + n - 1) * h >= t_stop:",
               "            n -= 1",
               "        while (k + n) * h < t_stop:",
-              "            n += 1",
-              "    i = 0", "    while True:"]
+              "            n += 1"]
+    if switch is not None and switch[1] != "inf":
+        # the first i >= 1 whose key differs from step k's, or n: estimated
+        # from until, then walked down past every step at or after until or
+        # with a changed key, then up to the first changed key
+        key, until = switch
+        lines += ["    if n > 1:",
+                  "        t = k * h",
+                  "        key = %s" % key,
+                  "        u = %s" % until,
+                  "        i = min(n, max(1, int(min(u / h, k + n)) - k))",
+                  "        while i > 1:",
+                  "            t = (k + i - 1) * h",
+                  "            if t < u and (%s) == key:" % key,
+                  "                break",
+                  "            i -= 1",
+                  "        while i < n:",
+                  "            t = (k + i) * h",
+                  "            if (%s) != key:" % key,
+                  "                break",
+                  "            i += 1",
+                  "        n = i"]
+    lines += ["    i = 0", "    while True:"]
     lines += ["        " + b for b in body]
-    ends = []
-    if membership is not None:
-        flows, jumps = (c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
-        ends += ["not (%s)" % flows, "(%s)" % jumps]
     # z0 - z0 is 0.0 exactly when z0 is finite
     lines += ["        i += 1",
               "        if i == n or z0 - z0 != 0.0:",
               "            break"]
-    if key is not None:
-        lines.append("        t = (k + i) * h")
-        ends.append("(%s) != key" % key)
-    if ends:
-        lines += ["        if %s:" % " or ".join(ends),
+    if membership is not None:
+        flows, jumps = (c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
+        lines += ["        if not (%s) or (%s):" % (flows, jumps),
                   "            break"]
     lines += ["        %s= %s" % (names("s"), names("z")),
               "    return [%s], i" % names("z")[:-2]]
@@ -301,12 +324,12 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     C or enters D, when a piecewise-constant e2 switches, at the horizon,
     or at a non-finite z[0]; the loop takes over there. A segment folds
     the field's literal components (the timer's rate) out of its loop and
-    counts its steps to the horizon before it starts, so per step it
-    evaluates t only for an e2 key; both give the bits and the step counts
-    of a step-by-step loop. One-step segments
-    serve the "latest" lookahead, the "uniform" draws in C intersect D, the
-    e1, e3 and e6 channels, sinusoid signals, and closures without
-    component expressions or conditions, which are called per step. A
+    counts its steps to the horizon and to the e2 key's next switch before
+    it starts, so its loop computes no t; both give the bits and the step
+    counts of a step-by-step loop. One-step segments serve the "latest"
+    lookahead, the "uniform" draws in C intersect D, the e1, e3 and e6
+    channels, sinusoid signals, and closures without component expressions
+    or conditions, which are called per step. A
     segment that raises ZeroDivisionError or OverflowError (a float division
     by zero, an overflowing power) is redone once from the same state on
     numpy scalars, which give inf or nan instead, so a blow-up still ends
@@ -364,7 +387,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     fused = (field is not None and sig1 is None and sig3 is None and sig6 is None
              and (sig2 is None or key is not None) and (membership is None or None not in membership))
     seg = _step_kernel(TABLEAUS[cfg.integrator], m, field, sig2 is not None,
-                       membership if fused else None, key if fused else None)
+                       membership if fused else None, (key, sig2.until) if fused and key is not None else None)
 
     t_stop = t_end - 1e-12 * max(1.0, t_end)
 

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_scenario
-from handsim.cli import _build_parser, _parse_values, _thread_cap, main
+from handsim.cli import _build_parser, _hybrid_time_disorder, _parse_values, _thread_cap, main
+from handsim.io import read_trace_csv
 from handsim.scenarios import _resolve, apply_override, load_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
@@ -526,6 +527,43 @@ def test_cli_check_rejects_hybrid_time_out_of_order(tmp_path, capsys):
         out = capsys.readouterr().out
         assert "hybrid time out of order on data row %d of %d" % (row + 1, len(rows)) in out, (column, value)
         assert "VIOLATED" in out
+
+
+def test_cli_check_rejects_j_steps_off_jump_rows(tmp_path, capsys):
+    # j steps exactly onto the rows labelled jump. On the bundled hand2-rate
+    # trace, relabelling its first jump row (data row 102) as flow, or the
+    # flow row five rows on (107) as jump, changes no time and no bound
+    assert run_scenario(load_config(os.path.join(CONFIGS, "hand2-rate.json")),
+                        out_dir=str(tmp_path / "out"), quiet=True) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    pristine = trace.read_text()
+    events = [line.rsplit(",", 1)[1] for line in pristine.splitlines()[1:]]
+    jump = events.index("jump") + 1
+    assert events[jump + 4] == "flow"
+    for row, label in [(jump, "flow"), (jump + 5, "jump")]:
+        trace.write_text(pristine)
+        _set_cells(trace, [row], label, column="event")
+        assert main(["check", str(trace), "--bound", "exponential"]) == 1
+        out = capsys.readouterr().out
+        assert "hybrid time out of order on data row %d of %d" % (row, len(events)) in out, label
+        assert "labelled %s" % label in out and "VIOLATED" in out
+
+
+@pytest.mark.parametrize("scenario, traces", [("hand1-rate", 5), ("hand2-rate", 1), ("instability", 3)])
+def test_bundled_traces_step_j_exactly_on_jump_rows(scenario, traces, tmp_path, capsys):
+    # every trace of the bundled runs keeps its hybrid time in order, j
+    # stepping onto exactly its jump rows, and check holds on each bound
+    assert run_scenario(load_config(os.path.join(CONFIGS, scenario + ".json")),
+                        out_dir=str(tmp_path), quiet=True) == 0
+    names = sorted(name for name in os.listdir(tmp_path) if name.startswith("trace"))
+    assert len(names) == traces
+    for name in names:
+        table = read_trace_csv(str(tmp_path / name))
+        assert _hybrid_time_disorder(table.t, table.j, table.event) is None, name
+    bound_checks = json.loads((tmp_path / "summary.json").read_text()).get("bound_checks", {})
+    for name, bc in sorted(bound_checks.items()):
+        assert main(["check", str(tmp_path / name), "--bound", bc["kind"]]) == 0
+        assert "holds" in capsys.readouterr().out
 
 
 def _main_outputs(calls, capsys, fresh):

@@ -18,6 +18,7 @@ from handsim import (
     simulate,
     sphere_cost,
 )
+from handsim.core import compile_source
 from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow, make_signal
 from handsim.engine import flow_only_system
 
@@ -184,6 +185,19 @@ def test_uniform_random_signal_deterministic_and_bounded():
         b = make_signal(spec)(t)
         assert np.array_equal(a, b)
         assert np.linalg.norm(a) <= 0.05 + 1e-12
+
+
+def test_piecewise_constant_signals_carry_their_next_switch():
+    # until is the next time the key can change: the next multiple of P/2
+    # for the square wave, of hold for uniform draws, never for constants
+    square = make_signal(DisturbanceSpec.square_wave(dim=1, eps=1e-3, period=10.0, axis=[1.0]))
+    uniform = make_signal(DisturbanceSpec.uniform_random(dim=1, eps=0.05, seed=7, hold=0.5))
+    for sig, t, want in [(square, 0.0, 5.0), (square, 2.0, 5.0), (square, 5.0, 10.0), (square, 7.5, 10.0),
+                         (square, 10.0, 15.0), (uniform, 0.0, 0.5), (uniform, 1.2, 1.5), (uniform, 1.5, 2.0)]:
+        until = compile_source("def until(t):\n    return %s\n" % sig.until, "until")
+        assert until(t) == want, (sig.until, t)
+    for spec in (DisturbanceSpec(kind="zero", dim=2), DisturbanceSpec.constant([0.1, 0.0])):
+        assert make_signal(spec).until == "inf"
 
 
 def test_sinusoid_period():

@@ -24,8 +24,8 @@ from handsim import (
     tableau,
     validate_trace,
 )
-from handsim.core import TAG_FAULT, TAG_JUMP, compile_components
-from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow
+from handsim.core import TAG_FAULT, TAG_JUMP, compile_components, compile_source
+from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow, make_signal
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import hand1
 
@@ -298,9 +298,11 @@ def test_segment_stops_at_the_horizon_step_count(h, k):
             if i == n or (k + i) * h >= t_stop:
                 return i
 
-    segs = [(_step_kernel(TABLEAUS["euler"], 1, ("1.0",), False, None, None), ()),
-            # a key in t that never changes value: the count alone ends it
-            (_step_kernel(TABLEAUS["euler"], 1, ("1.0",), True, None, "0.0 * t"), ([0.0],))]
+    segs = [(_step_kernel(TABLEAUS["euler"], 1, ("1.0",), False, None, None), ())]
+    # a key in t that never changes value, its switch searched from the
+    # first step and from the last: the count alone ends it
+    segs += [(_step_kernel(TABLEAUS["euler"], 1, ("1.0",), True, None, ("0.0 * t", until)), ([0.0],))
+             for until in ("t", "1e300")]
     stops = [math.inf, -math.inf, 0.0, k * h, math.nextafter(k * h, math.inf)]
     for q in (1, 2, 3, 10, 97):
         at = (k + q) * h
@@ -313,6 +315,63 @@ def test_segment_stops_at_the_horizon_step_count(h, k):
                 z = z + 1.0 * h
             for seg, e in segs:
                 assert seg(None, [0.0], [0.0], h, k, n, t_stop, *e) == ([z], want), (t_stop, n)
+
+
+@pytest.mark.parametrize("h", [0.1, 0.3, 1e-3, 2.0])
+@pytest.mark.parametrize("k", [0, 7, 10**6, 2**53 - 2])
+def test_segment_stops_at_the_key_switch_step_count(h, k):
+    # the segment counts its steps to the e2 key's next switch before its
+    # loop; each count must be the first i >= 1 whose key differs from step
+    # k's, tested step by step, or the horizon's count or n when that comes
+    # first. The switches lie about 0.4 h apart (two between steps), h, 3.7 h
+    # (not a multiple of h), and q steps or more, and one of them falls at
+    # the step time (k + q) * h, give or take the rounding of the length; a
+    # length one ulp shorter or longer moves it by about an ulp of that time
+    e = 0.25
+
+    def first_end(key, t_stop):
+        was = key(k * h)
+        return next((i for i in range(1, 121) if (k + i) * h >= t_stop or key((k + i) * h) != was), 121)
+
+    for q in (1, 2, 3, 10, 97):
+        at = (k + q) * h
+        for parts in {max(1, round(at / (c * h))) for c in (0.4, 1.0, 3.7)} | {(k + q) // q}:
+            base = at / parts
+            for length in (math.nextafter(base, 0.0), base, math.nextafter(base, math.inf)):
+                for spec in (DisturbanceSpec.square_wave(1, 1.0, 2.0 * length, [1.0]),
+                             DisturbanceSpec.uniform_random(1, 1.0, seed=0, hold=length)):
+                    sig = make_signal(spec)
+                    key = compile_source("def key(t):\n    return %s\n" % sig.key, "key")
+                    seg = _step_kernel(TABLEAUS["euler"], 1, ("1.0",), True, None, (sig.key, sig.until))
+                    for t_stop in (math.inf, (k + 5) * h):
+                        first = first_end(key, t_stop)
+                        for n in (1, 2, 3, 10, 50, 97, 120):
+                            want = min(n, first)
+                            z = 0.0
+                            for _ in range(want):
+                                z = z + (1.0 + e) * h
+                            assert seg(None, [0.0], [0.0], h, k, n, t_stop, [e]) == ([z], want), (
+                                spec.kind, length, t_stop, n)
+
+
+@pytest.mark.parametrize("kind", ["zero", "constant", "square", "uniform"])
+def test_segment_loop_computes_no_time_or_key(kind):
+    # the e2 key's switch is a step count found before the loop, so the
+    # loop computes no t and evaluates no key; for a constant e2 the
+    # segment computes neither anywhere
+    m = 3
+    sys = hand2(sphere_cost(1), HandParams(t_min=0.5, t_max=1.4, c=1.0))
+    specs = dict(_e2_specs(m), zero=DisturbanceSpec(kind="zero", dim=m))
+    sig = make_signal(specs[kind])
+    for name in sorted(TABLEAUS):
+        seg = _step_kernel(TABLEAUS[name], m, sys.F.components, True,
+                           (sys.in_C.condition, sys.in_D.condition), (sig.key, sig.until))
+        source = "".join(linecache.getlines(seg.__code__.co_filename))
+        loop = source[source.index("while True:"):]
+        for text in ("t =", "fmod", "floor", "key"):
+            assert text not in loop, source
+            if kind in ("zero", "constant"):
+                assert text not in source, source
 
 
 @pytest.mark.parametrize("a, b", [(((),), (math.nan,)), (((), (0.5,)), (math.nan, 1.0)),
