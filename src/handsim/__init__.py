@@ -12,7 +12,6 @@ from .core import (
     example1_cost,
     make_quadratic,
     sphere_cost,
-    validate_trace,
 )
 from .dynamics import (
     DisturbanceSpec,

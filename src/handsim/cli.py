@@ -17,9 +17,8 @@ import os
 import sys
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from .analysis import bound_margins
+from .core import hybrid_time_fault
 from .io import read_summary_json, read_trace_csv, write_summary_json
 from .scenarios import ConfigError, apply_override, load_config, run_scenario
 
@@ -192,11 +191,13 @@ def _cmd_check(args) -> int:
     except ValueError as e:
         raise ConfigError("%s: %s" % (summary_path, e))
     table_key = os.path.basename(args.trace)
-    bound_checks = summary.get("bound_checks")
+    bound_checks = summary.get("bound_checks") if isinstance(summary, dict) else None
     if not isinstance(bound_checks, dict) or table_key not in bound_checks:
         raise ConfigError("summary %s records no bound constants for %r"
                           % (summary_path, table_key))
     bc = bound_checks[table_key]
+    if not isinstance(bc, dict):
+        raise ConfigError("summary %s: bound_checks[%r] is not an object" % (summary_path, table_key))
     if bc.get("kind") != args.bound:
         raise ConfigError("trace %r was certified against %r, not %r"
                           % (table_key, bc.get("kind"), args.bound))
@@ -206,41 +207,25 @@ def _cmd_check(args) -> int:
         raise ConfigError("cannot read trace %s: %s" % (args.trace, e.strerror or e))
 
     # the rows, bounds and margins are the in-run monitors' own
-    # (analysis.bound_margins). A run writes at most one fault row, as its
-    # last row: a fault label anywhere else would hide a sample from the
-    # bound, so it is a violation
+    # (analysis.bound_margins), on a table whose hybrid times can be a run's
     fault = table.event == "fault"
-    misplaced = bool(fault[:-1].any())
-    disorder = _hybrid_time_disorder(table.t, table.j, table.event)
-    worst, bad, rows = bound_margins(bc, table.t, table.j, table.tau, table.f_gap, fault)
-    ok = bool(rows) and not bad and not misplaced and disorder is None
-    if misplaced:
-        print("fault label on data row %d of %d; a run writes its one fault row last"
-              % (int(np.flatnonzero(fault[:-1])[0]) + 1, len(fault)))
+    disorder = hybrid_time_fault(table.t, table.j, table.event == "jump", fault)
+    try:
+        worst, bad, rows = bound_margins(bc, table.t, table.j, table.tau, table.f_gap, fault)
+    except KeyError as e:
+        raise ConfigError("summary %s: bound_checks[%r] has no %s" % (summary_path, table_key, e))
+    ok = bool(rows) and not bad and disorder is None
     if disorder is not None:
-        print("hybrid time out of order on data row %d of %d: (t, j) = (%r, %d) after (%r, %d), labelled %s"
-              % (disorder + 1, len(fault), float(table.t[disorder]), table.j[disorder],
-                 float(table.t[disorder - 1]), table.j[disorder - 1], table.event[disorder]))
+        k, rule = disorder
+        after = " after (%r, %d)" % (float(table.t[k - 1]), table.j[k - 1]) if k else ""
+        print("hybrid time out of order on data row %d of %d: (t, j) = (%r, %d)%s, labelled %s; %s"
+              % (k + 1, len(fault), float(table.t[k]), table.j[k], after, table.event[k], rule))
     # printed as the gap's worst excess over the bound; 0.0 - m rather
     # than -m so that an exact hit prints 0, not -0
     print("%s bound on %s: %s (%d samples, worst margin %.6g)"
           % (args.bound, table_key, "holds" if ok else "VIOLATED", len(rows),
              0.0 - worst if rows else math.nan))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-def _hybrid_time_disorder(t, j, event) -> Optional[int]:
-    """First row whose hybrid time (t, j) cannot follow the row before it,
-    or None. Along a recorded run t never decreases, and j never decreases
-    and steps by at most 1, only between two rows at the same t (a jump
-    takes no time), and exactly onto the rows labelled jump: a run labels
-    each post-jump state so, and no other row."""
-    dt = np.diff(t)
-    dj = np.diff(j)
-    # not (dt >= 0) rather than dt < 0, so that a nan time is out of order
-    wrong = (~(dt >= 0.0) | (dj < 0) | (dj > 1) | ((dj == 1) & (dt != 0.0))
-             | ((dj == 1) != (event[1:] == "jump")))
-    return int(np.argmax(wrong)) + 1 if wrong.any() else None
 
 
 def main(argv: Optional[List[str]] = None) -> int:

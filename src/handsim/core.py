@@ -27,7 +27,7 @@ __all__ = [
     "aniso_cost",
     "coupled_cost",
     "corpus",
-    "validate_trace",
+    "hybrid_time_fault",
 ]
 
 _SYM_TOL = 1e-12
@@ -123,6 +123,40 @@ TAG_JUMP = 1
 TAG_FAULT = 2
 
 TAG_NAMES = {TAG_FLOW: "flow", TAG_JUMP: "jump", TAG_FAULT: "fault"}
+
+
+def hybrid_time_fault(t, j, jump, fault):
+    """The first row whose hybrid time (t, j) cannot be a run's, as (row,
+    the rule it breaks), or None when every row's can. t and j are a trace's
+    columns, jump and fault boolean masks of its post-jump rows and its
+    fault row.
+
+    A run starts with a flow row at (0, 0). Then t never decreases (a nan is
+    out of order) and j steps by 0 or 1: by 1 exactly onto the jump rows,
+    which take no time, and by 0 onto a row at a strictly later t, or onto
+    the fault row. A run writes at most one fault row, as its last row.
+    """
+    if not len(t):
+        return None
+    if not (t[0] == 0.0 and j[0] == 0) or jump[0] or fault[0]:
+        return 0, "a run starts with a flow row at (0, 0)"
+    dt, dj = np.diff(t), np.diff(j)
+    misplaced = fault[1:].copy()
+    misplaced[-1:] = False
+    rules = (
+        (~(dt >= 0.0), "t never decreases and is never nan"),
+        ((dj < 0) | (dj > 1), "j steps by 0 or 1"),
+        ((dj == 1) != jump[1:], "j steps by 1 exactly onto the jump rows"),
+        ((dj == 1) & (dt != 0.0), "a jump takes no time"),
+        ((dj == 0) & ~(dt > 0.0) & ~fault[1:], "t strictly increases along a flow"),
+        (misplaced, "a run writes its one fault row last"),
+    )
+    broken = np.stack([mask for mask, _ in rules])
+    bad = broken.any(axis=0)
+    if not bad.any():
+        return None
+    k = int(np.argmax(bad))
+    return k + 1, rules[int(np.argmax(broken[:, k]))][1]
 
 
 @dataclass
@@ -308,50 +342,3 @@ def corpus() -> dict:
     """Bundled strongly convex quadratics used by tests and scenarios."""
     costs = [example1_cost(), sphere_cost(1), sphere_cost(2), aniso_cost(), coupled_cost()]
     return {c.name: c for c in costs}
-
-
-def validate_trace(trace: Trace, rel_tol: float = 1e-9) -> None:
-    """Check hybrid-time well-formedness of a recorded trace.
-
-    Raises ValueError on: non-finite recorded coordinates, hybrid times not
-    lexicographically nondecreasing, t changing at a jump, j changing without
-    a jump, or unequal flow strides inside a segment (the final sample of a
-    segment may close a partial stride).
-    """
-    ts, js, zs = trace.ts, trace.js, trace.zs
-    if len(ts) == 0:
-        raise ValueError("empty trace")
-    if not np.all(np.isfinite(zs)):
-        raise ValueError("recorded state has non-finite coordinates")
-    h = trace.meta.get("h")
-    for k in range(1, len(ts)):
-        dt = float(ts[k] - ts[k - 1])
-        dj = int(js[k] - js[k - 1])
-        if dj == 0:
-            if dt <= 0.0:
-                raise ValueError("t must strictly increase along flows (k=%d, dt=%g)" % (k, dt))
-            if h is not None:
-                steps = dt / h
-                if abs(steps - round(steps)) > rel_tol * max(1.0, steps):
-                    raise ValueError(
-                        "flow stride at k=%d is not a whole number of steps (dt=%g, h=%g)" % (k, dt, h)
-                    )
-        elif dj == 1:
-            if abs(dt) > rel_tol * max(1.0, abs(float(ts[k]))):
-                raise ValueError("t must not advance across a jump (k=%d, dt=%g)" % (k, dt))
-        else:
-            raise ValueError("j must increase by exactly 1 per jump (k=%d, dj=%d)" % (k, dj))
-    # segment strides: equal spacing except the final (possibly partial) gap
-    if h is not None:
-        seg_start = 0
-        for k in range(1, len(ts) + 1):
-            if k == len(ts) or js[k] != js[seg_start]:
-                dts = np.diff(ts[seg_start:k])
-                if len(dts) > 2 and not np.allclose(dts[:-1], dts[0], rtol=1e-9, atol=1e-12):
-                    raise ValueError(
-                        "unequal recording stride inside flow segment starting at row %d" % seg_start
-                    )
-                seg_start = k
-    for rec in trace.events:
-        if rec.z_pre.shape != rec.z_post.shape:
-            raise ValueError("jump record shapes disagree")

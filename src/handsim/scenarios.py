@@ -375,6 +375,18 @@ def _perturbation_from(section: dict, n: int) -> Optional[PerturbationSet]:
     return PerturbationSet(**{channel: spec})
 
 
+def _nonfinite_key(node, key: str = "") -> Optional[str]:
+    """The dotted key of the first non-finite number in a config node, or
+    None: JSON text may spell NaN and Infinity, and Python's json reads them."""
+    if isinstance(node, dict):
+        found = (_nonfinite_key(v, key + "." + k if key else k) for k, v in node.items())
+    elif isinstance(node, list):
+        found = (_nonfinite_key(v, key) for v in node)
+    else:
+        return key if isinstance(node, float) and not math.isfinite(node) else None
+    return next((k for k in found if k is not None), None)
+
+
 def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     """Resolve a raw config dict against its scenario's defaults, run every
     check on it, and build its runtime objects once. Returns (config, run):
@@ -389,6 +401,9 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     if "scenario" not in data:
         raise ConfigError("missing required key 'scenario'")
     config = _merge(default_config(data["scenario"]), data, "")
+    nonfinite = _nonfinite_key(config)
+    if nonfinite is not None:
+        raise ConfigError("%s must be finite" % nonfinite)
     scenario = config["scenario"]
     name = config["cost"]
     table = corpus()

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_scenario
-from handsim.cli import _build_parser, _hybrid_time_disorder, _parse_values, _thread_cap, main
+from handsim.cli import _build_parser, _parse_values, _thread_cap, main
+from handsim.core import hybrid_time_fault
 from handsim.io import read_trace_csv
 from handsim.scenarios import _resolve, apply_override, load_config
 
@@ -337,6 +338,28 @@ def test_cli_check_unreadable_inputs(tmp_path, capsys):
     assert "cannot read trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, bound, key", [
+    (lambda bc: [], "exponential", "'trace.csv'"),
+    (lambda bc: {"bound_checks": {"trace.csv": 5}}, "exponential", "'trace.csv'"),
+    (lambda bc: {"bound_checks": {"trace.csv": {k: v for k, v in bc.items() if k != "k_a"}}},
+     "exponential", "'k_a'"),
+    (lambda bc: {"bound_checks": {"trace.csv": {"kind": "inverse-square", "tol": 0.0}}},
+     "inverse-square", "'beta'"),
+], ids=["root-list", "entry-number", "exponential-no-k_a", "inverse-square-no-beta"])
+def test_cli_check_malformed_summary_exits_2(edit, bound, key, tmp_path, capsys):
+    # a summary of the wrong shape is a usage error naming the summary and
+    # the key, not a traceback that reads as a failed check
+    path = _fast_hand2(tmp_path)
+    assert main(["run", path, "--quiet"]) == 0
+    trace = tmp_path / "out" / "trace.csv"
+    bc = json.loads((tmp_path / "out" / "summary.json").read_text())["bound_checks"]["trace.csv"]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(edit(bc)))
+    assert main(["check", str(trace), "--bound", bound, "--summary", str(broken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "broken.json" in err and key in err
+
+
 def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     # the bisection scales eps, which a constant disturbance ignores: every
     # amplitude would run the same signal and report a margin it never tested
@@ -356,8 +379,11 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     ("uniformity-probe", {"x_offset": [1.0, 2.0]}, "params.x_offset"),
     ("instability", {"hand_t_end": -1.0}, "params.hand_t_end"),
     ("instability", {"x0": 0.0}, "params.x0"),
+    ("hand2-rate", {"x0": math.nan}, "params.x0"),
+    ("restart-sweep", {"x0": math.inf}, "params.x0"),
+    ("uniformity-probe", {"eps": math.nan}, "params.eps"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
-        "instability-zero-offset"])
+        "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan"])
 def test_cli_run_param_errors_leave_no_output(scenario, params, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, params=params)
@@ -500,12 +526,15 @@ def test_cli_check_exits_2_on_blank_line(tmp_path, capsys):
 
 
 def test_cli_check_rejects_hybrid_time_out_of_order(tmp_path, capsys):
-    # along a run t never decreases, and j never decreases and steps by 1
-    # only between two rows at the same t; the bound alone misses a j of 7
+    # a run starts with a flow row at (0, 0); then t never decreases, and j
+    # never decreases and steps by 1 only between two rows at the same t,
+    # while along a flow t strictly increases; the bound alone misses a j of
+    # 7, a first row moved, relabelled or deleted, and a repeated row
     path = _fast_hand2(tmp_path, t_end=20.0)
     assert main(["run", path, "--quiet"]) == 0
     trace = tmp_path / "out" / "trace.csv"
     pristine = trace.read_text()
+    lines = pristine.splitlines(keepends=True)
     rows = [line.split(",") for line in pristine.splitlines()[1:]]
     jump = next(k for k, row in enumerate(rows) if row[-1] == "jump")
     assert 5 < jump < len(rows) - 2 and rows[jump][0] == rows[jump - 1][0]
@@ -515,17 +544,26 @@ def test_cli_check_rejects_hybrid_time_out_of_order(tmp_path, capsys):
     assert rows[mid][1] != "7"
     early = "%.17g" % (float(rows[mid - 1][0]) - 0.25)
     late_jump = "%.17g" % ((float(rows[jump][0]) + float(rows[jump + 1][0])) / 2.0)
-    for line, value, column, row in [
-        (mid + 1, "7", "j", mid),  # j steps by more than one
-        (mid + 1, early, "t", mid),  # t decreases
-        (jump + 1, late_jump, "t", jump),  # j steps while t advances
-        (jump + 2, rows[jump - 1][1], "j", jump + 1),  # j decreases
+    # count is the change in the number of rows: a row deleted or repeated
+    for line, value, column, row, count in [
+        (mid + 1, "7", "j", mid, 0),  # j steps by more than one
+        (mid + 1, early, "t", mid, 0),  # t decreases
+        (jump + 1, late_jump, "t", jump, 0),  # j steps while t advances
+        (jump + 2, rows[jump - 1][1], "j", jump + 1, 0),  # j decreases
+        (1, "jump", "event", 0, 0),  # the first row labelled jump
+        (1, "-5", "t", 0, 0),  # the first row's t not 0
+        (1, None, None, 0, -1),  # the first row deleted
+        (mid + 1, None, None, mid + 1, 1),  # a flow row repeated
     ]:
-        trace.write_text(pristine)
-        _set_cells(trace, [line], value, column=column)
+        if column is None:
+            trace.write_text("".join(lines[:line] + lines[line:line + 1] * (count + 1) + lines[line + 1:]))
+        else:
+            trace.write_text(pristine)
+            _set_cells(trace, [line], value, column=column)
         assert main(["check", str(trace), "--bound", "exponential"]) == 1
         out = capsys.readouterr().out
-        assert "hybrid time out of order on data row %d of %d" % (row + 1, len(rows)) in out, (column, value)
+        assert "hybrid time out of order on data row %d of %d" % (row + 1, len(rows) + count) in out, \
+            (line, column, value)
         assert "VIOLATED" in out
 
 
@@ -559,7 +597,7 @@ def test_bundled_traces_step_j_exactly_on_jump_rows(scenario, traces, tmp_path, 
     assert len(names) == traces
     for name in names:
         table = read_trace_csv(str(tmp_path / name))
-        assert _hybrid_time_disorder(table.t, table.j, table.event) is None, name
+        assert hybrid_time_fault(table.t, table.j, table.event == "jump", table.event == "fault") is None, name
     bound_checks = json.loads((tmp_path / "summary.json").read_text()).get("bound_checks", {})
     for name, bc in sorted(bound_checks.items()):
         assert main(["check", str(tmp_path / name), "--bound", bc["kind"]]) == 0

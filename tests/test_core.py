@@ -16,9 +16,10 @@ from handsim import (
     example1_cost,
     make_quadratic,
     sphere_cost,
-    validate_trace,
 )
-from handsim.core import TAG_NAMES
+from handsim.core import TAG_FAULT, TAG_JUMP, TAG_NAMES, hybrid_time_fault
+
+from trace_checks import assert_recorded
 
 
 def grad_check(f, x, fd_step=1e-6):
@@ -200,26 +201,28 @@ def test_trace_accessors():
     assert tr.zs[0, 0] == 1.0 and tr.zs[0, 1] == 1.0 and tr.zs[0, -1] == 1.0
 
 
+def _rule(tr):
+    return hybrid_time_fault(tr.ts, tr.js, tr.tags == TAG_JUMP, tr.tags == TAG_FAULT)
+
+
 def test_validate_trace_accepts_well_formed():
-    validate_trace(_tiny_trace())
+    assert_recorded(_tiny_trace())
 
 
 def test_validate_trace_rejects_time_going_backward():
     tr = _tiny_trace()
     tr.ts[3] = 0.25
-    with pytest.raises(ValueError):
-        validate_trace(tr)
+    assert _rule(tr) == (3, "t never decreases and is never nan")
 
 
 def test_validate_trace_rejects_nonfinite_state():
     tr = _tiny_trace()
     tr.zs[1, 0] = math.nan
-    with pytest.raises(ValueError):
-        validate_trace(tr)
+    with pytest.raises(AssertionError, match="non-finite"):
+        assert_recorded(tr)
 
 
 def test_validate_trace_rejects_jump_count_skip():
     tr = _tiny_trace()
     tr.js[3] = 3
-    with pytest.raises(ValueError):
-        validate_trace(tr)
+    assert _rule(tr) == (3, "j steps by 0 or 1")

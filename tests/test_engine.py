@@ -22,12 +22,13 @@ from handsim import (
     simulate,
     sphere_cost,
     tableau,
-    validate_trace,
 )
 from handsim.core import TAG_FAULT, TAG_JUMP, compile_components, compile_source
 from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow, make_signal
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import hand1
+
+from trace_checks import assert_recorded
 
 
 def _steps(F, z0, h, n=1, integrator="euler"):
@@ -498,7 +499,7 @@ def test_flow_only_trace_never_jumps():
     tr = simulate(sys, np.array([2.0, 2.0, 1.0]), SolverConfig(h=1e-2, t_end=5.0))
     assert np.all(tr.js == 0)
     assert tr.termination == "horizon"
-    validate_trace(tr)
+    assert_recorded(tr)
 
 
 def test_hand2_jump_cadence():
@@ -513,7 +514,7 @@ def test_hand2_jump_cadence():
         assert abs(t - (k + 1.0)) <= cfg.h + 1e-12
     # j increments by one at each event
     assert [rec.j_pre for rec in tr.events] == [0, 1, 2, 3, 4]
-    validate_trace(tr)
+    assert_recorded(tr)
 
 
 def test_zero_perturbation_is_bitwise_identical():
@@ -607,6 +608,7 @@ def test_simulate_fault_exits(case, kind, t, j):
     assert tr.tags[-1] == TAG_FAULT and (tr.ts[-1], tr.js[-1]) == (t, j)
     assert np.array_equal(tr.zs[-1], tr.zs[-2]) and np.array_equal(tr.fault.z_last, tr.zs[-2])
     assert np.all(np.isfinite(tr.zs))
+    assert_recorded(tr)
 
 
 def test_latest_policy_on_hand1_window():
@@ -690,7 +692,7 @@ def test_simulate_batch_equals_single_runs(integrator, policy, f):
     assert _step_kernel.cache_info().currsize == generated
     for tr, ref in zip(batch, singles):
         _assert_same_trace(tr, ref)
-        validate_trace(tr)
+        assert_recorded(tr)
     for k in range(0, len(batch), 6):
         endings = [tr.termination for tr in batch[k:k + 6]]
         assert "jump_cap" in endings and "horizon" in endings
@@ -745,8 +747,8 @@ def test_fused_segments_equal_per_step_calls(integrator, system):
                 fused = simulate(sys, z0, cfg, pert)
                 ref = simulate(_per_step(sys), z0, cfg, pert)
                 _assert_same_trace(fused, ref)
-                validate_trace(fused)
-                validate_trace(ref)
+                assert_recorded(fused)
+                assert_recorded(ref)
                 assert fused.termination == "horizon"
                 assert len(fused.events) == (0 if system.startswith("rep") else len(ref.events))
 

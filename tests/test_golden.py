@@ -44,6 +44,8 @@ from handsim.dynamics import make_rep1_flow, make_rep2_flow
 from handsim.engine import flow_only_system
 from handsim.scenarios import apply_override, load_config, run_scenario
 
+from trace_checks import assert_recorded
+
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 OVERRIDES = {
@@ -179,4 +181,6 @@ def test_engine_grid_matches_recorded_digest():
         warnings.simplefilter("ignore", RuntimeWarning)
         for label, tr in _grid_runs():
             digest.update(label.encode() + b"\n" + _trace_bytes(tr) + b"\n")
+            # every run, its escaped faults too, keeps the hybrid-time rule
+            assert_recorded(tr)
     assert digest.hexdigest() == GRID_DIGEST
