@@ -20,7 +20,7 @@ from typing import List, Optional, Tuple
 from .analysis import bound_margins
 from .core import hybrid_time_fault
 from .io import read_summary_json, read_trace_csv, write_summary_json
-from .scenarios import ConfigError, apply_override, load_config, run_scenario
+from .scenarios import ConfigError, apply_override, load_config, parse_config, run_scenario
 
 __all__ = ["main"]
 
@@ -139,9 +139,11 @@ def _cmd_sweep(args) -> int:
     parent = args.out if args.out is not None else base["out_dir"]
     param_slug = args.param.replace(".", "-")
 
+    # every run's config is resolved before the parent directory is made, so
+    # a bad value leaves no output
     jobs = []
     for value, token in zip(values, tokens):
-        cfg = apply_override(base, args.param, value)
+        cfg = parse_config(apply_override(base, args.param, value))
         out_dir = os.path.join(parent, "%s=%s" % (param_slug, token))
         jobs.append((token, cfg, out_dir))
     os.makedirs(parent, exist_ok=True)
@@ -201,6 +203,11 @@ def _cmd_check(args) -> int:
     if bc.get("kind") != args.bound:
         raise ConfigError("trace %r was certified against %r, not %r"
                           % (table_key, bc.get("kind"), args.bound))
+    # the summary writer records a constant that is not finite as null
+    for key, value in bc.items():
+        if key != "kind" and (isinstance(value, bool) or not isinstance(value, (int, float))):
+            raise ConfigError("summary %s: bound_checks[%r][%r] must be a number, got %s"
+                              % (summary_path, table_key, key, json.dumps(value)))
     try:
         table = read_trace_csv(args.trace)
     except OSError as e:

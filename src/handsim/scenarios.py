@@ -103,18 +103,6 @@ _DISTURBANCE_OFF = {
 }
 
 
-def _solver(**over) -> dict:
-    d = dict(_SOLVER_DEFAULT)
-    d.update(over)
-    return d
-
-
-def _disturbance(**over) -> dict:
-    d = dict(_DISTURBANCE_OFF)
-    d.update(over)
-    return d
-
-
 # Default trees. Every key a config file may set appears here; anything
 # else is rejected by name. t_max = 2e for the bounded-contrast run keeps
 # the restart window well inside the dwell condition for example1's mu.
@@ -125,9 +113,9 @@ _DEFAULTS = {
         "out_dir": "out",
         "ode": {"p": 2, "c": 0.25, "ell": None, "t0": 1.0},
         "hand": {"t_min": 1.0, "t_max": 2.0 * math.e, "c": 0.25, "t_med": None},
-        "solver": _solver(h=1e-2, t_end=2e5, max_jumps=1, integrator="euler",
-                          record_stride=500),
-        "disturbance": _disturbance(kind="square_wave", eps=1e-3, period=1e4),
+        "solver": dict(_SOLVER_DEFAULT, h=1e-2, t_end=2e5, max_jumps=1, integrator="euler",
+                       record_stride=500),
+        "disturbance": dict(_DISTURBANCE_OFF, kind="square_wave", eps=1e-3, period=1e4),
         "params": {
             "x0": 1e-3,
             "growth_factor": 100.0,
@@ -142,7 +130,7 @@ _DEFAULTS = {
         "out_dir": "out",
         "ode": {"p": 2, "c": 0.25, "ell": None, "t0": 1.0},
         "hand": {"t_min": 1.0, "t_max": 4.0, "c": 0.25, "t_med": None},
-        "solver": _solver(h=1e-2, t_end=400.0, record_stride=5, max_jumps=100000),
+        "solver": dict(_SOLVER_DEFAULT, h=1e-2, t_end=400.0, record_stride=5, max_jumps=100000),
         "params": {
             "t0_values": [1.0, 10.0, 100.0, 1000.0],
             "phases": None,
@@ -161,7 +149,7 @@ _DEFAULTS = {
         "cost": "all",
         "out_dir": "out",
         "hand": {"t_min": 1.0, "t_max": 50.0, "c": 1.0, "t_med": 50.0},
-        "solver": _solver(h=1e-3, t_end=49.0, max_jumps=3, record_stride=20),
+        "solver": dict(_SOLVER_DEFAULT, h=1e-3, t_end=49.0, max_jumps=3, record_stride=20),
         "params": {
             "seed": 7,
             "tol_abs": 1e-6,
@@ -175,7 +163,7 @@ _DEFAULTS = {
         "cost": "sphere1",
         "out_dir": "out",
         "hand": {"t_min": 1.0, "t_max": 2.0, "c": 1.0, "t_med": None},
-        "solver": _solver(h=1e-3, t_end=100.0, record_stride=10),
+        "solver": dict(_SOLVER_DEFAULT, h=1e-3, t_end=100.0, record_stride=10),
         "params": {
             "x0": 5.0,
             "tol": 0.0,
@@ -188,7 +176,7 @@ _DEFAULTS = {
         "scenario": "restart-sweep",
         "cost": "sphere1",
         "out_dir": "out",
-        "solver": _solver(h=1e-3, t_end=80.0, max_jumps=100000, record_stride=50),
+        "solver": dict(_SOLVER_DEFAULT, h=1e-3, t_end=80.0, max_jumps=100000, record_stride=50),
         "params": {
             "t_min": 0.1,
             "c": 1.0,
@@ -204,7 +192,7 @@ _DEFAULTS = {
         "cost": "sphere1",
         "out_dir": "out",
         "hand": {"t_min": 1.0, "t_max": 2.0, "c": 1.0, "t_med": None},
-        "solver": _solver(h=1e-3, t_end=100.0, record_stride=10),
+        "solver": dict(_SOLVER_DEFAULT, h=1e-3, t_end=100.0, record_stride=10),
         "params": {
             "x0": 5.0,
             "k_min": 6,
@@ -223,9 +211,9 @@ _DEFAULTS = {
         "cost": "example1",
         "out_dir": "out",
         "hand": {"t_min": 1.0, "t_max": 2.0 * math.e, "c": 0.25, "t_med": None},
-        "solver": _solver(h=1e-2, t_end=1e4, integrator="euler", max_jumps=1000000,
-                          record_stride=100),
-        "disturbance": _disturbance(kind="square_wave", eps=0.0, period=100.0),
+        "solver": dict(_SOLVER_DEFAULT, h=1e-2, t_end=1e4, integrator="euler", max_jumps=1000000,
+                       record_stride=100),
+        "disturbance": dict(_DISTURBANCE_OFF, kind="square_wave", eps=0.0, period=100.0),
         "params": {
             "x0": 1e-3,
             "delta": 0.1,
@@ -239,7 +227,7 @@ _DEFAULTS = {
 
 
 def default_config(scenario: str) -> dict:
-    if scenario not in _DEFAULTS:
+    if not isinstance(scenario, str) or scenario not in _DEFAULTS:
         raise ConfigError("unknown scenario %r (one of: %s)" % (scenario, ", ".join(SCENARIOS)))
     return copy.deepcopy(_DEFAULTS[scenario])
 
@@ -256,8 +244,57 @@ def _merge(default: dict, user: dict, path: str) -> dict:
                 raise ConfigError("key %r must be an object" % here)
             out[key] = _merge(default[key], val, here)
         else:
-            out[key] = copy.deepcopy(val)
+            out[key] = _leaf(default[key], val, here)
     return out
+
+
+# The leaves that take more than their default's type: an offset is one
+# number for every coordinate or a list of them, null phases are three points
+# of the timer window, an axis is a block name or a vector, and the optional
+# numbers may be null in every scenario's tree.
+_LEAF_FORMS = {
+    "params.x0": ("number", "list"), "params.x_offset": ("number", "list"),
+    "params.phases": ("null", "list"), "disturbance.axis": ("str", "list"),
+    **dict.fromkeys(("hand.t_med", "ode.ell", "disturbance.period", "disturbance.value",
+                     "disturbance.hold"), ("null", "number")),
+}
+
+_FORM_NAMES = {"null": "null", "bool": "true or false", "str": "a string", "int": "an integer",
+               "number": "a number", "list": "a non-empty list of numbers"}
+
+
+def _form(value) -> Optional[str]:
+    """The JSON type of a config value, as the leaf rule names it: an int is
+    never a bool, a float is a number, and a list holds at least one number
+    and nothing else."""
+    if isinstance(value, list):
+        return "list" if value and all(_form(v) in ("int", "number") for v in value) else None
+    for form, kind in (("null", type(None)), ("bool", bool), ("str", str), ("int", int), ("number", float)):
+        if isinstance(value, kind):
+            return form
+    return None
+
+
+def _leaf(default, value, key: str):
+    """value, a config's setting of the leaf at dotted key, typed against the
+    leaf's default: it must have the default's JSON type, or one of the forms
+    _LEAF_FORMS names for it. An int is a number too, and every number is
+    stored as a finite float."""
+    forms = _LEAF_FORMS.get(key) or (_form(default),)
+    form = _form(value)
+    if form == "int" and "number" in forms:
+        form = "number"
+    if form not in forms:
+        raise ConfigError("%s must be %s" % (key, " or ".join(_FORM_NAMES[f] for f in forms)))
+    if form not in ("number", "list"):
+        return value
+    try:
+        nums = [float(v) for v in (value if form == "list" else [value])]
+    except OverflowError:  # an integer too large for a float
+        nums = [math.inf]
+    if not all(map(math.isfinite, nums)):
+        raise ConfigError("%s must be finite" % key)
+    return nums if form == "list" else nums[0]
 
 
 def parse_config(data: dict) -> dict:
@@ -303,20 +340,7 @@ def apply_override(config: dict, dotted_key: str, value) -> dict:
 # ---------------------------------------------------------------------------
 # resolution: every check on a config, and its runtime objects built once
 
-def _opt_float(v):
-    return None if v is None else float(v)
-
-
-_SECTIONS = {
-    "hand": lambda s: HandParams(t_min=float(s["t_min"]), t_max=float(s["t_max"]),
-                                 c=float(s["c"]), t_med=_opt_float(s["t_med"])),
-    "ode": lambda s: OdeParams(p=float(s["p"]), c=float(s["c"]), ell=_opt_float(s["ell"]),
-                               t0=float(s["t0"])),
-    "solver": lambda s: SolverConfig(
-        h=float(s["h"]), t_end=float(s["t_end"]), max_jumps=int(s["max_jumps"]),
-        integrator=s["integrator"], jump_policy=s["jump_policy"],
-        policy_seed=int(s["policy_seed"]), record_stride=int(s["record_stride"])),
-}
+_SECTIONS = {"hand": HandParams, "ode": OdeParams, "solver": SolverConfig}
 
 _AXIS_BLOCKS = ("x1", "x2", "clock")
 
@@ -335,7 +359,7 @@ def _axis_vector(axis, n: int) -> np.ndarray:
         else:
             v[-1] = 1.0
         return v / np.linalg.norm(v)
-    v = np.asarray(axis, dtype=float)
+    v = np.asarray(axis)
     if v.shape != (dim,):
         raise ConfigError("disturbance.axis: expected %d components, got %r" % (dim, list(np.shape(axis))))
     return v
@@ -353,38 +377,22 @@ def _perturbation_from(section: dict, n: int) -> Optional[PerturbationSet]:
         raise ConfigError("disturbance.channel: unknown channel %r" % channel)
     if kind == "zero":
         return None
-    if not isinstance(kind, str) or kind not in _DISTURBANCE_NEEDS:
+    if kind not in _DISTURBANCE_NEEDS:
         raise ConfigError("disturbance.kind: unknown kind %r" % kind)
     if section[_DISTURBANCE_NEEDS[kind]] is None:
         raise ConfigError("disturbance.%s is required for kind=%r" % (_DISTURBANCE_NEEDS[kind], kind))
     dim = 2 * n + 1
+    axis = _axis_vector(section["axis"], n)
     try:
         if kind == "uniform_random":
-            spec = DisturbanceSpec.uniform_random(
-                dim, float(section["eps"]), int(section["seed"]), float(section["hold"]))
+            spec = DisturbanceSpec.uniform_random(dim, section["eps"], section["seed"], section["hold"])
         elif kind == "constant":
-            spec = DisturbanceSpec.constant(_axis_vector(section["axis"], n) * float(section["value"]))
+            spec = DisturbanceSpec.constant(axis * section["value"])
         else:
-            spec = getattr(DisturbanceSpec, kind)(
-                dim, float(section["eps"]), float(section["period"]),
-                axis=_axis_vector(section["axis"], n))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
+            spec = getattr(DisturbanceSpec, kind)(dim, section["eps"], section["period"], axis=axis)
+    except ValueError as e:
         raise ConfigError("disturbance: %s" % e)
     return PerturbationSet(**{channel: spec})
-
-
-def _nonfinite_key(node, key: str = "") -> Optional[str]:
-    """The dotted key of the first non-finite number in a config node, or
-    None: JSON text may spell NaN and Infinity, and Python's json reads them."""
-    if isinstance(node, dict):
-        found = (_nonfinite_key(v, key + "." + k if key else k) for k, v in node.items())
-    elif isinstance(node, list):
-        found = (_nonfinite_key(v, key) for v in node)
-    else:
-        return key if isinstance(node, float) and not math.isfinite(node) else None
-    return next((k for k in found if k is not None), None)
 
 
 def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
@@ -394,16 +402,15 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     "all"), costs (name -> cost, the whole corpus for "all"), hand, ode,
     solver and pert (None where the scenario has no such section, or for a
     zero disturbance), offset (the initial offset from the minimizer,
-    params.x0 or uniformity-probe's params.x_offset) and hand_solver
-    (instability's hand2 run)."""
+    params.x0 or uniformity-probe's params.x_offset), hand_solver
+    (instability's hand2 run), integrals (uniformity-probe's damping masses,
+    one per params.s_values) and dstar and t_eps (restart-sweep's optimal
+    period and its time estimate)."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     if "scenario" not in data:
         raise ConfigError("missing required key 'scenario'")
     config = _merge(default_config(data["scenario"]), data, "")
-    nonfinite = _nonfinite_key(config)
-    if nonfinite is not None:
-        raise ConfigError("%s must be finite" % nonfinite)
     scenario = config["scenario"]
     name = config["cost"]
     table = corpus()
@@ -417,57 +424,68 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     for key, build in _SECTIONS.items():
         if key in config:
             try:
-                setattr(run, key, build(config[key]))
-            except (ValueError, TypeError) as e:
+                setattr(run, key, build(**config[key]))
+            except ValueError as e:
                 raise ConfigError("%s: %s" % (key, e))
     if "disturbance" in config:
         run.pert = _perturbation_from(config["disturbance"], f.dim)
     p = config.get("params", {})
-    for key, val in p.items():
-        if key in ("n_grid", "bisect_steps", "k_min", "k_max", "ref_factor", "seed"):
-            if not isinstance(val, int) or isinstance(val, bool):
-                raise ConfigError("params.%s must be an integer" % key)
-    if scenario == "restart-sweep":
-        if p["n_grid"] < 3:
-            raise ConfigError("params.n_grid must be at least 3")
-        span = p["span"]
-        if (not isinstance(span, (list, tuple)) or len(span) != 2
-                or not (0 < float(span[0]) < float(span[1]))):
-            raise ConfigError("params.span must be [lo, hi] with 0 < lo < hi")
     key = "x_offset" if scenario == "uniformity-probe" else "x0"
     if key in p:
-        run.offset = _x_offset(f, p[key], key)
+        run.offset = np.asarray(p[key]) if isinstance(p[key], list) else np.full(f.dim, p[key])
+        if run.offset.shape != (f.dim,):
+            raise ConfigError("params.%s: expected %d components" % (key, f.dim))
     if scenario == "instability":
         if float(np.linalg.norm(run.offset)) <= 0.0:
             raise ConfigError("params.x0 must give a nonzero initial offset")
         try:
-            run.hand_solver = replace(run.solver, t_end=float(p["hand_t_end"]),
+            run.hand_solver = replace(run.solver, t_end=p["hand_t_end"],
                                       max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
-        except (ValueError, TypeError) as e:
+        except ValueError as e:
             raise ConfigError("params.hand_t_end: %s" % e)
-    if scenario == "discretization-order" and p["k_min"] >= p["k_max"]:
-        raise ConfigError("params.k_min must be below params.k_max")
-    if scenario == "restart-sweep" and f.mu is None:
-        raise ConfigError("cost: restart-sweep needs a strongly convex cost with known mu")
-    # the margin bisection scales eps: zero has no shape to scale, and a
-    # constant's size is its value, which eps leaves alone
-    if scenario == "robustness-margin" and config["disturbance"]["kind"] in ("zero", "constant"):
-        raise ConfigError("disturbance.kind: the margin bisection needs a disturbance shape scaled by eps")
+    if scenario == "uniformity-probe":
+        if not p["eps"] > 0.0:
+            raise ConfigError("params.eps must be positive")
+        try:
+            run.integrals = [limiting_integral(p["ell2"], s, p["r"]) for s in p["s_values"]]
+        except ValueError as e:
+            raise ConfigError("params: %s" % e)
+    if scenario == "discretization-order":
+        if p["k_min"] >= p["k_max"]:
+            raise ConfigError("params.k_min must be below params.k_max")
+        if p["ref_factor"] < 2:
+            raise ConfigError("params.ref_factor must be at least 2")
+        for key in ("euler_order", "rk4_order"):
+            if len(p[key]) != 2:
+                raise ConfigError("params.%s must be [lo, hi]" % key)
+    if scenario == "restart-sweep":
+        if f.mu is None:
+            raise ConfigError("cost: restart-sweep needs a strongly convex cost with known mu")
+        if p["n_grid"] < 3:
+            raise ConfigError("params.n_grid must be at least 3")
+        if len(p["span"]) != 2 or not 0.0 < p["span"][0] < p["span"][1]:
+            raise ConfigError("params.span must be [lo, hi] with 0 < lo < hi")
+        if not p["factor_budget"] > 0.0:
+            raise ConfigError("params.factor_budget must be positive")
+        try:
+            run.dstar = optimal_restart(p["c"], f.mu, p["t_min"])
+            run.t_eps = convergence_time_estimate(p["c"], f.mu, p["t_min"],
+                                                  f.gap(f.xstar + run.offset), p["eps"])
+        except ValueError as e:
+            raise ConfigError("params: %s" % e)
+    if scenario == "robustness-margin":
+        # the margin bisection scales eps: zero has no shape to scale, and a
+        # constant's size is its value, which eps leaves alone
+        if config["disturbance"]["kind"] in ("zero", "constant"):
+            raise ConfigError("disturbance.kind: the margin bisection needs a disturbance shape scaled by eps")
+        for key in ("eps_lo", "eps_hi"):
+            if p[key] < 0.0:
+                raise ConfigError("params.%s must be >= 0" % key)
     return config, run
 
 
 # ---------------------------------------------------------------------------
 # shared pieces
-
-def _x_offset(f: CostFunction, x0, key: str) -> np.ndarray:
-    try:
-        v = np.asarray(x0, dtype=float) if isinstance(x0, (list, tuple)) else np.full(f.dim, float(x0))
-    except (TypeError, ValueError) as e:
-        raise ConfigError("params.%s: %s" % (key, e))
-    if v.shape != (f.dim,):
-        raise ConfigError("params.%s: expected %d components" % (key, f.dim))
-    return v
-
 
 def _hand_z0(f: CostFunction, offset: np.ndarray, tau0: float) -> np.ndarray:
     x = f.xstar + offset
@@ -496,10 +514,9 @@ def _hand2_checks(trace: Trace, f: CostFunction, hp: HandParams, p: dict, h: flo
     """The momentum-reset certificate bundle on one run: exponential rate,
     per-period contraction and energy monotonicity reports, plus the worst
     relative error of the closed-form jump identity over the run's jumps."""
-    rep = check_exponential_rate(trace, f, hp, tol=float(p["tol"]))
-    con = check_period_contraction(trace, f, hp, slack=float(p["contraction_slack"]))
-    mono = check_monotonicity(trace, f, hp.c,
-                              slack_per_step=float(p["mono_slack_scale"]) * f.lipschitz * h)
+    rep = check_exponential_rate(trace, f, hp, tol=p["tol"])
+    con = check_period_contraction(trace, f, hp, slack=p["contraction_slack"])
+    mono = check_monotonicity(trace, f, hp.c, slack_per_step=p["mono_slack_scale"] * f.lipschitz * h)
     worst_rel = 0.0
     for rec in trace.events:
         dv_sim = lyapunov(rec.z_post, f, hp.c) - lyapunov(rec.z_pre, f, hp.c)
@@ -522,7 +539,7 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
     p = config["params"]
     offset = run.offset
     r0 = float(np.linalg.norm(offset))
-    threshold = float(p["growth_factor"]) * r0
+    threshold = p["growth_factor"] * r0
     xstar = f.xstar
 
     def escaped(t, j, z):
@@ -566,11 +583,10 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
     name = "trace_hand2.csv"
     write_trace_csv(os.path.join(out_dir, name), trace, f, hp.c, dist_fn=dist_fn)
     artifacts.append(name)
-    after = float(p["bounded_after"])
+    after = p["bounded_after"]
     dists = dist_fn(trace.zs[trace.ts >= after])
     worst = float(dists.max()) if dists.size else float("nan")
-    bounded = (trace.termination == "horizon" and dists.size > 0
-               and worst <= float(p["bounded_threshold"]))
+    bounded = trace.termination == "horizon" and dists.size > 0 and worst <= p["bounded_threshold"]
     summary["runs"]["hand2"] = {
         "termination": trace.termination,
         "jumps": len(trace.events),
@@ -594,11 +610,8 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
 def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     f, hp = run.f, run.hand
     p = config["params"]
-    offset = run.offset
-    eps = float(p["eps"])
-
-    rows = uniformity_probe(f, run.ode, [float(v) for v in p["t0_values"]], offset, eps,
-                            run.solver, t_end_scale=float(p["t_end_scale"]))
+    rows = uniformity_probe(f, run.ode, p["t0_values"], run.offset, p["eps"], run.solver,
+                            t_end_scale=p["t_end_scale"])
     write_table_csv(os.path.join(out_dir, "probe_ode.csv"),
                     ["t0", "time_to_eps", "termination"],
                     [[r["t0"], r["time"], r["termination"]] for r in rows])
@@ -609,26 +622,23 @@ def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
     phases = p["phases"]
     if phases is None:
         phases = [hp.t_min, 0.5 * (hp.t_min + hp.t_max), hp.t_max]
-    rows2 = hand1_phase_probe(f, hp, [float(v) for v in phases], offset, eps, run.solver)
+    rows2 = hand1_phase_probe(f, hp, phases, run.offset, p["eps"], run.solver)
     write_table_csv(os.path.join(out_dir, "probe_hand1.csv"),
                     ["tau0", "time_to_eps", "termination"],
                     [[r["tau0"], r["time"], r["termination"]] for r in rows2])
     times2 = [r["time"] for r in rows2]
     if all(t is not None for t in times2) and min(times2) > 0:
         ratio = max(times2) / min(times2)
-        phase_ok = ratio <= float(p["ratio_budget"])
+        phase_ok = ratio <= p["ratio_budget"]
     else:
         ratio = None
         phase_ok = False
 
-    ell2 = float(p["ell2"])
-    r = float(p["r"])
-    s_values = [float(s) for s in p["s_values"]]
-    ints = [limiting_integral(ell2, s, r) for s in s_values]
+    s_values, ints = p["s_values"], run.integrals
     write_table_csv(os.path.join(out_dir, "limiting_integral.csv"),
                     ["s_k", "integral"], list(zip(s_values, ints)))
     tail_ok = (all(ints[i] > ints[i + 1] for i in range(len(ints) - 1))
-               and ints[-1] <= float(p["tail_budget"]) * ell2)
+               and ints[-1] <= p["tail_budget"] * p["ell2"])
 
     summary = {
         "config": config,
@@ -660,22 +670,20 @@ def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
 def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     costs, hp, cfg = run.costs, run.hand, run.solver
     p = config["params"]
-    rng_seed = int(p["seed"])
     summary = {"config": config, "checks": {}, "traces": {}, "bound_checks": {}}
     artifacts = []
     for cname in sorted(costs):
         f = costs[cname]
         sys = hand1(f, hp)
-        rng = np.random.default_rng(rng_seed)
+        rng = np.random.default_rng(p["seed"])
         x0 = f.xstar + rng.standard_normal(f.dim)
         z0 = np.concatenate([x0, x0, [hp.t_min]])
         trace = simulate(sys, z0, cfg)
         r = float(np.linalg.norm(x0 - f.xstar))
         beta = beta_constant(r, hp.c, hp.t_min, f.gap(x0))
-        tol = float(p["tol_abs"]) + float(p["tol_scale"]) * f.lipschitz * cfg.h
+        tol = p["tol_abs"] + p["tol_scale"] * f.lipschitz * cfg.h
         rep = check_inverse_square_rate(trace, f, beta, tol=tol)
-        mono = check_monotonicity(trace, f, hp.c,
-                                  slack_per_step=float(p["mono_slack_scale"]) * f.lipschitz * cfg.h)
+        mono = check_monotonicity(trace, f, hp.c, slack_per_step=p["mono_slack_scale"] * f.lipschitz * cfg.h)
         ok = rep.satisfied and mono.satisfied
         if p["check_t_form"]:
             rep_t = check_inverse_square_rate(trace, f, beta, tol=tol, use_clock=False)
@@ -718,7 +726,7 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
     z0 = _hand_z0(f, run.offset, hp.t_min)
     trace = simulate(sys, z0, cfg)
     rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, cfg.h)
-    closed_ok = worst_rel <= float(p["closed_form_tol"])
+    closed_ok = worst_rel <= p["closed_form_tol"]
     fname = "trace.csv"
     write_trace_csv(os.path.join(out_dir, fname), trace, f, hp.c,
                     dist_fn=target_distance_fn(f, hp))
@@ -746,7 +754,7 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
                 "k_b": rep.detail["k_b"],
                 "delta_t": rep.detail["dT"],
                 "r0_sq": rep.detail["r0sq"],
-                "tol": float(p["tol"]),
+                "tol": p["tol"],
             }
         },
         "artifacts": [fname, "summary.json", "plot.gp"],
@@ -770,22 +778,17 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
 def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     f = run.f
     p = config["params"]
-    t_min = float(p["t_min"])
-    c = float(p["c"])
-    eps = float(p["eps"])
-    x0 = run.offset
-    gap0 = f.gap(f.xstar + x0)
-    dstar = optimal_restart(c, f.mu, t_min)
-    t_eps = convergence_time_estimate(c, f.mu, t_min, gap0, eps)
-    lo, hi = float(p["span"][0]) * dstar, float(p["span"][1]) * dstar
-    n = int(p["n_grid"])
+    t_min, c, eps, n = p["t_min"], p["c"], p["eps"], p["n_grid"]
+    dstar, t_eps = run.dstar, run.t_eps
+    gap0 = f.gap(f.xstar + run.offset)
+    lo, hi = (s * dstar for s in p["span"])
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
 
     rows = []
     measured = np.full(n, math.inf)
     bound = np.full(n, math.inf)
     # one independent hand2 run per grid period, all from the same state
-    z0 = _hand_z0(f, x0, t_min)
+    z0 = _hand_z0(f, run.offset, t_min)
     for i, dT in enumerate(grid):
         trace = simulate(hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)), z0, run.solver)
         # end-of-period samples: the gap just before each reset, which x1
@@ -823,7 +826,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
     b_arg = int(np.argmin(bound))
     guarantee_ok = bool(np.all(measured <= bound + 1e-9))
     at_opt_ratio = measured[nearest] / t_eps if np.isfinite(measured[nearest]) else math.inf
-    budget = float(p["factor_budget"])
+    budget = p["factor_budget"]
     at_opt_ok = (1.0 / budget) <= at_opt_ratio <= budget
     bound_min_adjacent = abs(b_arg - nearest) <= 1
     k1_star = k1_constant(c, f.mu, t_min, dstar)
@@ -875,20 +878,19 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
     probe = flow_only_system(flow, f.dim, meta={"kind": "order-probe"})
     z0 = _hand_z0(f, run.offset, hp.t_min)
     period = hp.t_max - hp.t_min
-    ref_factor = int(p["ref_factor"])
 
     def final_state(h: float, integ: str) -> np.ndarray:
         cfg = replace(run.solver, h=h, t_end=period, integrator=integ, record_stride=2 ** 62)
         return simulate(probe, z0, cfg).zs[-1]
 
-    h_grid = [2.0 ** (-k) for k in range(int(p["k_min"]), int(p["k_max"]) + 1)]
+    h_grid = [2.0 ** (-k) for k in range(p["k_min"], p["k_max"] + 1)]
     order_rows = []
     fitted = {}
     for integ in ("euler", "rk4"):
         errs = []
         for h in h_grid:
             zh = final_state(h, integ)
-            zr = final_state(h / ref_factor, integ)
+            zr = final_state(h / p["ref_factor"], integ)
             err = float(np.linalg.norm(zh[:2 * f.dim] - zr[:2 * f.dim]))
             errs.append(err)
             order_rows.append([integ, h, err])
@@ -898,8 +900,8 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
             print("  %s: fitted order %.3f" % (integ, slope))
     write_table_csv(os.path.join(out_dir, "orders.csv"),
                     ["scheme", "h", "global_error"], order_rows)
-    lo_e, hi_e = (float(v) for v in p["euler_order"])
-    lo_r, hi_r = (float(v) for v in p["rk4_order"])
+    lo_e, hi_e = p["euler_order"]
+    lo_r, hi_r = p["rk4_order"]
     euler_ok = lo_e <= fitted["euler"] <= hi_e
     rk4_ok = lo_r <= fitted["rk4"] <= hi_r
 
@@ -916,7 +918,7 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
             trace = simulate(sys2, z0, cfg)
             rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, h)
             ok = (rep.satisfied and con.satisfied and mono.satisfied
-                  and worst_rel <= float(p["closed_form_tol"]))
+                  and worst_rel <= p["closed_form_tol"])
             pass_h[(integ, h)] = ok
             stab_rows.append([integ, h, rep.satisfied, con.satisfied, mono.satisfied,
                               worst_rel, ok])
@@ -956,8 +958,7 @@ def _run_robustness_margin(config: dict, run: SimpleNamespace, out_dir: str, qui
     f, hp, cfg = run.f, run.hand, run.solver
     p = config["params"]
     channel = config["disturbance"]["channel"]
-    delta = float(p["delta"])
-    settle = float(p["settle"])
+    delta, settle, eps_lo, eps_hi = p["delta"], p["settle"], p["eps_lo"], p["eps_hi"]
     sys = hand2(f, hp)
     z0 = _hand_z0(f, run.offset, hp.t_min)
     dist_fn = target_distance_fn(f, hp)
@@ -971,8 +972,6 @@ def _run_robustness_margin(config: dict, run: SimpleNamespace, out_dir: str, qui
         vals = dist_fn(trace.zs[trace.ts >= settle])
         return float(vals.max()) if vals.size else math.inf
 
-    eps_lo = float(p["eps_lo"])
-    eps_hi = float(p["eps_hi"])
     rows = []
     d_lo = worst_dist(eps_lo)
     rows.append([eps_lo, d_lo, d_lo <= delta])
@@ -985,7 +984,7 @@ def _run_robustness_margin(config: dict, run: SimpleNamespace, out_dir: str, qui
             lo, hi = eps_hi, math.inf
         else:
             lo, hi = eps_lo, eps_hi
-            for _ in range(int(p["bisect_steps"])):
+            for _ in range(p["bisect_steps"]):
                 mid = math.sqrt(lo * hi)
                 d_mid = worst_dist(mid)
                 rows.append([mid, d_mid, d_mid <= delta])

@@ -59,6 +59,83 @@ def test_parse_config_rejects_wrong_types():
         parse_config({"scenario": "restart-sweep", "params": {"n_grid": 2.5}})
 
 
+def _leaves(node, key=""):
+    for name, value in node.items():
+        here = key + "." + name if key else name
+        if isinstance(value, dict):
+            yield from _leaves(value, here)
+        else:
+            yield here, value
+
+
+def _nested(dotted, value):
+    """The config fragment that sets one dotted key."""
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    return value
+
+
+# The leaf rule: a leaf takes its default's JSON type (an int default takes
+# no float or bool, a float default takes any number), null where the default
+# is null or the number is optional, and a list of numbers where the default
+# is a list or the key names a vector.
+_NULLABLE = {"hand.t_med", "ode.ell", "disturbance.period", "disturbance.value",
+             "disturbance.hold", "params.phases"}
+_VECTOR = {"params.x0", "params.x_offset", "params.phases", "disturbance.axis"}
+_BAD_VALUES = {
+    "null": (None, lambda key, d: d is None or key in _NULLABLE),
+    "string": ("oops", lambda key, d: isinstance(d, str)),
+    "list": ([1, 2], lambda key, d: isinstance(d, list) or key in _VECTOR),
+    "true": (True, lambda key, d: isinstance(d, bool)),
+}
+
+
+@pytest.mark.parametrize("scenario, key", [(name, key) for name in SCENARIOS
+                                           for key, _ in _leaves(default_config(name))])
+def test_every_leaf_refuses_values_of_another_type(scenario, key):
+    default = dict(_leaves(default_config(scenario)))[key]
+    tried = 0
+    for label, (value, accepts) in _BAD_VALUES.items():
+        if accepts(key, default):
+            continue
+        tried += 1
+        cfg = {"scenario": scenario}
+        cfg.update(_nested(key, value))
+        with pytest.raises(ConfigError) as err:
+            parse_config(cfg)
+        assert key in str(err.value), (label, str(err.value))
+    assert tried >= 2
+
+
+def test_leaf_rule_types_numbers():
+    cfg = parse_config({"scenario": "uniformity-probe", "solver": {"h": 1, "max_jumps": 7},
+                        "params": {"x_offset": 2, "phases": [1, 2.5], "s_values": [10, 100]}})
+    assert type(cfg["solver"]["h"]) is float and type(cfg["solver"]["max_jumps"]) is int
+    assert type(cfg["params"]["x_offset"]) is float
+    assert [type(v) for v in cfg["params"]["phases"] + cfg["params"]["s_values"]] == [float] * 4
+    # an integer leaf takes neither a float nor a bool, and a list is never empty
+    for section, key, value in (("solver", "max_jumps", 1e6), ("solver", "record_stride", True),
+                                ("params", "t0_values", [])):
+        with pytest.raises(ConfigError, match="%s.%s must be" % (section, key)):
+            parse_config({"scenario": "uniformity-probe", section: {key: value}})
+
+
+@pytest.mark.parametrize("scenario, key, value", [
+    ("hand2-rate", "params.tol", None),
+    ("hand1-rate", "params.check_t_form", "oops"),
+    ("restart-sweep", "params.n_grid", 15.0),
+    ("instability", "ode.ell", [1, 2]),
+    ("robustness-margin", "disturbance.axis", True),
+    ("discretization-order", "solver.max_jumps", 1e6),
+    ("uniformity-probe", "params.s_values", "oops"),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_cli_run_leaf_type_error_leaves_no_output(scenario, key, value, tmp_path, capsys):
+    path = _write_config(tmp_path, scenario, **_nested(key, value))
+    assert main(["run", path, "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error: %s must be" % key)
+    assert not (tmp_path / "out").exists()
+
+
 def test_apply_override_dotted_paths():
     cfg = default_config("hand2-rate")
     out = apply_override(cfg, "solver.h", 5e-3)
@@ -183,6 +260,16 @@ def test_cli_sweep_merges_runs(tmp_path, monkeypatch):
 def test_cli_sweep_unknown_param(tmp_path):
     path = _fast_hand2(tmp_path)
     assert main(["sweep", path, "--param", "solver.dt", "--values", "0.01", "--quiet"]) == 2
+
+
+def test_cli_sweep_bad_value_writes_nothing(tmp_path, capsys):
+    # every value's config is resolved before the first run starts
+    path = _fast_hand2(tmp_path)
+    out = tmp_path / "sweep"
+    assert main(["sweep", path, "--param", "solver.h", "--values", "0.01,-1", "--out", str(out),
+                 "--quiet"]) == 2
+    assert "config error: solver: h must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_empty_values(tmp_path):
@@ -345,7 +432,14 @@ def test_cli_check_unreadable_inputs(tmp_path, capsys):
      "exponential", "'k_a'"),
     (lambda bc: {"bound_checks": {"trace.csv": {"kind": "inverse-square", "tol": 0.0}}},
      "inverse-square", "'beta'"),
-], ids=["root-list", "entry-number", "exponential-no-k_a", "inverse-square-no-beta"])
+    # the summary writer records a constant that is not finite as null
+    (lambda bc: {"bound_checks": {"trace.csv": dict(bc, k_a=None)}}, "exponential", "'k_a'"),
+    (lambda bc: {"bound_checks": {"trace.csv": dict(bc, tol=[0.0])}}, "exponential", "'tol'"),
+    (lambda bc: {"bound_checks": {"trace.csv": {"kind": "inverse-square", "beta": "x", "tol": 0.0,
+                                                "t_min": 1.0}}},
+     "inverse-square", "'beta'"),
+], ids=["root-list", "entry-number", "exponential-no-k_a", "inverse-square-no-beta",
+        "exponential-null-k_a", "exponential-list-tol", "inverse-square-string-beta"])
 def test_cli_check_malformed_summary_exits_2(edit, bound, key, tmp_path, capsys):
     # a summary of the wrong shape is a usage error naming the summary and
     # the key, not a traceback that reads as a failed check
@@ -382,8 +476,24 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     ("hand2-rate", {"x0": math.nan}, "params.x0"),
     ("restart-sweep", {"x0": math.inf}, "params.x0"),
     ("uniformity-probe", {"eps": math.nan}, "params.eps"),
+    ("restart-sweep", {"factor_budget": 0.0}, "params.factor_budget"),
+    ("restart-sweep", {"t_min": 0.0}, "params: need c > 0"),
+    ("restart-sweep", {"c": -1.0}, "params: need c > 0"),
+    ("restart-sweep", {"eps": 0.0}, "params: need f_gap0 > 0 and eps > 0"),
+    ("restart-sweep", {"x0": 0.0}, "params: need f_gap0 > 0 and eps > 0"),
+    ("uniformity-probe", {"eps": 0.0}, "params.eps"),
+    ("uniformity-probe", {"ell2": 1.0}, "params: ell2 must exceed 1"),
+    ("uniformity-probe", {"r": -1.0}, "params: window length must be >= 0"),
+    ("robustness-margin", {"eps_lo": -1.0}, "params.eps_lo"),
+    ("robustness-margin", {"eps_hi": -1.0}, "params.eps_hi"),
+    ("discretization-order", {"ref_factor": 0}, "params.ref_factor"),
+    ("discretization-order", {"euler_order": [1.0, 1.1, 1.2]}, "params.euler_order"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
-        "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan"])
+        "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan",
+        "restart-sweep-zero-budget", "restart-sweep-zero-t-min", "restart-sweep-negative-c",
+        "restart-sweep-zero-eps", "restart-sweep-zero-offset", "uniformity-zero-eps",
+        "uniformity-ell2-one", "uniformity-negative-r", "robustness-negative-eps-lo",
+        "robustness-negative-eps-hi", "discretization-zero-ref-factor", "discretization-order-triple"])
 def test_cli_run_param_errors_leave_no_output(scenario, params, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, params=params)
