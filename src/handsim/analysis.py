@@ -221,7 +221,8 @@ def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
     time (t, 0) must stay below beta / tau(t,0)^2 + tol, where tau(t,0) =
     t + t_min. use_clock=False checks the weaker beta / t^2 form instead
     (implied by the timer form since tau > t; reported for reference), which
-    has no bound at t = 0 and skips that row."""
+    has no bound at t = 0 and skips that row. With no sample to check, the
+    check fails (checked 0)."""
     _require_minimizer(f)
     _check_rate_ics(trace, f, trace.meta.get("t_min"))
     fault = trace.tags == TAG_FAULT
@@ -230,10 +231,8 @@ def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
     bc = {"kind": "inverse-square", "beta": beta, "tol": tol}
     worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1] if use_clock else trace.ts,
                                      f.gap(trace.zs[:, : f.dim]), fault)
-    if not rows:
-        raise ValueError("trace has no first-flow samples to check")
     return RateReport(
-        satisfied=not bad,
+        satisfied=bool(rows) and not bad,
         worst_margin=worst,
         violation_times=[trace.time(k) for k in bad],
         checked=len(rows),
@@ -245,7 +244,7 @@ def k0_constant(c: float, mu: float, t_min: float, t_max: float) -> float:
     """Per-period contraction factor ((c mu)^-1 + t_min^2) / t_max^2."""
     if not (c > 0.0 and mu > 0.0 and 0.0 < t_min < t_max):
         raise ValueError("need c > 0, mu > 0, 0 < t_min < t_max")
-    return (1.0 / (c * mu) + t_min**2) / t_max**2
+    return (1.0 / (c * mu) + t_min * t_min) / (t_max * t_max)
 
 
 def k1_constant(c: float, mu: float, t_min: float, dT: float) -> float:
@@ -335,7 +334,7 @@ def optimal_restart(c: float, mu: float, t_min: float) -> float:
     window-normalized expansion constant's decay-per-time."""
     if not (c > 0.0 and mu > 0.0 and t_min > 0.0):
         raise ValueError("need c > 0, mu > 0, t_min > 0")
-    return math.e * math.sqrt(1.0 / (c * mu) + t_min**2)
+    return math.e * math.sqrt(1.0 / (c * mu) + t_min * t_min)
 
 
 def convergence_time_estimate(c: float, mu: float, t_min: float, f_gap0: float, eps: float) -> float:
@@ -345,7 +344,7 @@ def convergence_time_estimate(c: float, mu: float, t_min: float, f_gap0: float, 
         raise ValueError("need f_gap0 > 0 and eps > 0")
     if f_gap0 <= eps:
         return 0.0
-    return 0.5 * math.e * math.sqrt(1.0 / (c * mu) + t_min**2) * math.log(f_gap0 / eps)
+    return 0.5 * math.e * math.sqrt(1.0 / (c * mu) + t_min * t_min) * math.log(f_gap0 / eps)
 
 
 def time_to_epsilon(trace: Trace, f: CostFunction, eps: float) -> Optional[HybridTime]:

@@ -130,7 +130,7 @@ def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
     elif not validate_dwell(params, f.mu):
         warnings.warn(
             "timer window too short for guaranteed contraction: t_max^2 - t_min^2 = %g <= 1/(mu c) = %g"
-            % (params.t_max**2 - params.t_min**2, 1.0 / (f.mu * params.c))
+            % (params.t_max * params.t_max - params.t_min * params.t_min, 1.0 / (f.mu * params.c))
         )
     n = f.dim
     flow = make_hand_flow(params.c, f)
@@ -154,7 +154,7 @@ def validate_dwell(params: HandParams, mu: float) -> bool:
     """Dwell condition t_max^2 - t_min^2 > 1/(mu c) for per-period contraction."""
     if mu is None or not (mu > 0.0):
         raise ValueError("strong convexity constant mu > 0 required, got %r" % (mu,))
-    return params.t_max**2 - params.t_min**2 > 1.0 / (mu * params.c)
+    return params.t_max * params.t_max - params.t_min * params.t_min > 1.0 / (mu * params.c)
 
 
 def target_distance(z: np.ndarray, xstar: np.ndarray, params: HandParams):

@@ -47,7 +47,7 @@ from .dynamics import (
     make_rep2_flow,
 )
 from .engine import HybridSystem, PerturbationSet, flow_only_system, simulate
-from .hands import HandParams, hand1, hand2, target_distance_fn
+from .hands import HandParams, hand1, hand2, target_distance_fn, validate_dwell
 from .io import (
     format_float,
     write_summary_json,
@@ -262,6 +262,28 @@ _LEAF_FORMS = {
 _FORM_NAMES = {"null": "null", "bool": "true or false", "str": "a string", "int": "an integer",
                "number": "a number", "list": "a non-empty list of numbers"}
 
+# the field each disturbance kind cannot do without
+_DISTURBANCE_NEEDS = {"constant": "value", "square_wave": "period", "sinusoid": "period",
+                      "uniform_random": "hold"}
+
+# A leaf's domain beyond its type: the names a string may take, the lower end
+# of each params number or seed (a list's elements one by one; >= 0 unless
+# _RANGES names it, None for any sign: an offset, or a tolerance that a
+# negative value makes stricter; the objects built bound the other numbers),
+# and the bands [lo, hi] with lo < hi.
+_CHOICES = {"disturbance.kind": ("zero", *_DISTURBANCE_NEEDS),
+            "disturbance.channel": ("e1", "e2", "e3", "e4", "e5", "e6"),
+            "disturbance.axis": ("x1", "x2", "clock")}
+_RANGES = {
+    **dict.fromkeys(("eps", "t0_values", "phases", "t_end_scale", "ratio_budget", "tail_budget",
+                     "factor_budget", "delta", "bounded_threshold", "t_min", "c", "span",
+                     "hand_t_end", "eps_lo"), (">", 0)),
+    "growth_factor": (">", 1), "ell2": (">", 1), "ref_factor": (">=", 2), "n_grid": (">=", 3),
+    **dict.fromkeys(("x0", "x_offset", "tol", "tol_abs", "tol_scale", "contraction_slack",
+                     "closed_form_tol", "mono_slack_scale"), None),
+}
+_PAIRS = ("span", "euler_order", "rk4_order")
+
 
 def _form(value) -> Optional[str]:
     """The JSON type of a config value, as the leaf rule names it: an int is
@@ -277,16 +299,18 @@ def _form(value) -> Optional[str]:
 
 def _leaf(default, value, key: str):
     """value, a config's setting of the leaf at dotted key, typed against the
-    leaf's default: it must have the default's JSON type, or one of the forms
-    _LEAF_FORMS names for it. An int is a number too, and every number is
-    stored as a finite float."""
+    leaf's default (its JSON type, or a form _LEAF_FORMS names for it, an int
+    being a number too) and bounded by _CHOICES, _RANGES and _PAIRS. Every
+    number is finite and stored as a float, but an integer leaf keeps its int."""
     forms = _LEAF_FORMS.get(key) or (_form(default),)
     form = _form(value)
     if form == "int" and "number" in forms:
         form = "number"
     if form not in forms:
         raise ConfigError("%s must be %s" % (key, " or ".join(_FORM_NAMES[f] for f in forms)))
-    if form not in ("number", "list"):
+    if form == "str" and value not in _CHOICES.get(key, (value,)):
+        raise ConfigError("%s must be one of %s" % (key, ", ".join(_CHOICES[key])))
+    if form not in ("int", "number", "list"):
         return value
     try:
         nums = [float(v) for v in (value if form == "list" else [value])]
@@ -294,7 +318,13 @@ def _leaf(default, value, key: str):
         nums = [math.inf]
     if not all(map(math.isfinite, nums)):
         raise ConfigError("%s must be finite" % key)
-    return nums if form == "list" else nums[0]
+    name = key.rpartition(".")[2]
+    bound = _RANGES.get(name, (">=", 0)) if key.startswith("params.") or name.endswith("seed") else None
+    if bound and not all(v > bound[1] if bound[0] == ">" else v >= bound[1] for v in nums):
+        raise ConfigError("%s must be %s %s" % (key, *bound))
+    if name in _PAIRS and not (len(nums) == 2 and nums[0] < nums[1]):
+        raise ConfigError("%s must be [lo, hi] with lo < hi" % key)
+    return value if form == "int" else nums if form == "list" else nums[0]
 
 
 def parse_config(data: dict) -> dict:
@@ -342,22 +372,13 @@ def apply_override(config: dict, dotted_key: str, value) -> dict:
 
 _SECTIONS = {"hand": HandParams, "ode": OdeParams, "solver": SolverConfig}
 
-_AXIS_BLOCKS = ("x1", "x2", "clock")
-
 
 def _axis_vector(axis, n: int) -> np.ndarray:
     dim = 2 * n + 1
     if isinstance(axis, str):
-        if axis not in _AXIS_BLOCKS:
-            raise ConfigError("disturbance.axis: unknown block %r (one of %s, or an explicit vector)"
-                              % (axis, "/".join(_AXIS_BLOCKS)))
         v = np.zeros(dim)
-        if axis == "x1":
-            v[:n] = 1.0
-        elif axis == "x2":
-            v[n:2 * n] = 1.0
-        else:
-            v[-1] = 1.0
+        block = _CHOICES["disturbance.axis"].index(axis)  # x1, x2 or the clock, in packed order
+        v[block * n:(block + 1) * n] = 1.0
         return v / np.linalg.norm(v)
     v = np.asarray(axis)
     if v.shape != (dim,):
@@ -365,20 +386,10 @@ def _axis_vector(axis, n: int) -> np.ndarray:
     return v
 
 
-# the field each disturbance kind cannot do without
-_DISTURBANCE_NEEDS = {"constant": "value", "square_wave": "period", "sinusoid": "period",
-                      "uniform_random": "hold"}
-
-
 def _perturbation_from(section: dict, n: int) -> Optional[PerturbationSet]:
     kind = section["kind"]
-    channel = section["channel"]
-    if channel not in ("e1", "e2", "e3", "e4", "e5", "e6"):
-        raise ConfigError("disturbance.channel: unknown channel %r" % channel)
     if kind == "zero":
         return None
-    if kind not in _DISTURBANCE_NEEDS:
-        raise ConfigError("disturbance.kind: unknown kind %r" % kind)
     if section[_DISTURBANCE_NEEDS[kind]] is None:
         raise ConfigError("disturbance.%s is required for kind=%r" % (_DISTURBANCE_NEEDS[kind], kind))
     dim = 2 * n + 1
@@ -392,7 +403,7 @@ def _perturbation_from(section: dict, n: int) -> Optional[PerturbationSet]:
             spec = getattr(DisturbanceSpec, kind)(dim, section["eps"], section["period"], axis=axis)
     except ValueError as e:
         raise ConfigError("disturbance: %s" % e)
-    return PerturbationSet(**{channel: spec})
+    return PerturbationSet(**{section["channel"]: spec})
 
 
 def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
@@ -404,8 +415,8 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     zero disturbance), offset (the initial offset from the minimizer,
     params.x0 or uniformity-probe's params.x_offset), hand_solver
     (instability's hand2 run), integrals (uniformity-probe's damping masses,
-    one per params.s_values) and dstar and t_eps (restart-sweep's optimal
-    period and its time estimate)."""
+    one per params.s_values) and dstar, t_eps and gap0 (restart-sweep's
+    optimal period, its time estimate and the initial cost gap)."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     if "scenario" not in data:
@@ -438,49 +449,35 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     if scenario == "instability":
         if float(np.linalg.norm(run.offset)) <= 0.0:
             raise ConfigError("params.x0 must give a nonzero initial offset")
-        try:
-            run.hand_solver = replace(run.solver, t_end=p["hand_t_end"],
-                                      max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
-        except ValueError as e:
-            raise ConfigError("params.hand_t_end: %s" % e)
+        run.hand_solver = replace(run.solver, t_end=p["hand_t_end"],
+                                  max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
     if scenario == "uniformity-probe":
-        if not p["eps"] > 0.0:
-            raise ConfigError("params.eps must be positive")
-        try:
-            run.integrals = [limiting_integral(p["ell2"], s, p["r"]) for s in p["s_values"]]
-        except ValueError as e:
-            raise ConfigError("params: %s" % e)
-    if scenario == "discretization-order":
-        if p["k_min"] >= p["k_max"]:
-            raise ConfigError("params.k_min must be below params.k_max")
-        if p["ref_factor"] < 2:
-            raise ConfigError("params.ref_factor must be at least 2")
-        for key in ("euler_order", "rk4_order"):
-            if len(p[key]) != 2:
-                raise ConfigError("params.%s must be [lo, hi]" % key)
+        if not all(run.hand.t_min <= tau0 <= run.hand.t_max for tau0 in p["phases"] or ()):
+            raise ConfigError("params.phases must lie in the timer window [hand.t_min, hand.t_max]")
+        run.integrals = [limiting_integral(p["ell2"], s, p["r"]) for s in p["s_values"]]
+    if scenario in ("hand2-rate", "discretization-order"):
+        hp = run.hand
+        if not (validate_dwell(hp, f.mu) and hp.t_min * hp.t_min > 0.0
+                and math.isfinite(k1_constant(hp.c, f.mu, hp.t_min, hp.t_min))):
+            raise ConfigError("hand: t_min, t_max and c must meet the dwell condition and give a finite k_a")
+    if scenario == "discretization-order" and p["k_min"] >= p["k_max"]:
+        raise ConfigError("params.k_min must be below params.k_max")
     if scenario == "restart-sweep":
-        if f.mu is None:
-            raise ConfigError("cost: restart-sweep needs a strongly convex cost with known mu")
-        if p["n_grid"] < 3:
-            raise ConfigError("params.n_grid must be at least 3")
-        if len(p["span"]) != 2 or not 0.0 < p["span"][0] < p["span"][1]:
-            raise ConfigError("params.span must be [lo, hi] with 0 < lo < hi")
-        if not p["factor_budget"] > 0.0:
-            raise ConfigError("params.factor_budget must be positive")
-        try:
-            run.dstar = optimal_restart(p["c"], f.mu, p["t_min"])
-            run.t_eps = convergence_time_estimate(p["c"], f.mu, p["t_min"],
-                                                  f.gap(f.xstar + run.offset), p["eps"])
-        except ValueError as e:
-            raise ConfigError("params: %s" % e)
+        run.gap0 = f.gap(f.xstar + run.offset)
+        if not run.gap0 > 0.0:
+            raise ConfigError("params.x0 must start off the minimizer, at a positive cost gap")
+        run.dstar = optimal_restart(p["c"], f.mu, p["t_min"])
+        run.t_eps = convergence_time_estimate(p["c"], f.mu, p["t_min"], run.gap0, p["eps"])
+        if not math.isfinite(run.dstar + run.t_eps):
+            raise ConfigError("params.t_min, params.c, params.x0 and params.eps must give a finite "
+                              "restart period and time estimate")
     if scenario == "robustness-margin":
         # the margin bisection scales eps: zero has no shape to scale, and a
         # constant's size is its value, which eps leaves alone
         if config["disturbance"]["kind"] in ("zero", "constant"):
             raise ConfigError("disturbance.kind: the margin bisection needs a disturbance shape scaled by eps")
-        for key in ("eps_lo", "eps_hi"):
-            if p[key] < 0.0:
-                raise ConfigError("params.%s must be >= 0" % key)
+        if p["eps_lo"] > p["eps_hi"]:
+            raise ConfigError("params.eps_lo must not exceed params.eps_hi")
     return config, run
 
 
@@ -779,8 +776,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
     f = run.f
     p = config["params"]
     t_min, c, eps, n = p["t_min"], p["c"], p["eps"], p["n_grid"]
-    dstar, t_eps = run.dstar, run.t_eps
-    gap0 = f.gap(f.xstar + run.offset)
+    dstar, t_eps, gap0 = run.dstar, run.t_eps, run.gap0
     lo, hi = (s * dstar for s in p["span"])
     grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
 

@@ -13,7 +13,7 @@ from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_sc
 from handsim.cli import _build_parser, _parse_values, _thread_cap, main
 from handsim.core import hybrid_time_fault
 from handsim.io import read_trace_csv
-from handsim.scenarios import _resolve, apply_override, load_config
+from handsim.scenarios import _leaf, _resolve, apply_override, load_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -95,8 +95,10 @@ _BAD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("scenario, key", [(name, key) for name in SCENARIOS
-                                           for key, _ in _leaves(default_config(name))])
+_LEAF_CASES = [(name, key) for name in SCENARIOS for key, _ in _leaves(default_config(name))]
+
+
+@pytest.mark.parametrize("scenario, key", _LEAF_CASES)
 def test_every_leaf_refuses_values_of_another_type(scenario, key):
     default = dict(_leaves(default_config(scenario)))[key]
     tried = 0
@@ -110,6 +112,33 @@ def test_every_leaf_refuses_values_of_another_type(scenario, key):
             parse_config(cfg)
         assert key in str(err.value), (label, str(err.value))
     assert tried >= 2
+
+
+@pytest.mark.parametrize("scenario, key", _LEAF_CASES)
+def test_every_leaf_keeps_its_default_and_bounds_numbers(scenario, key):
+    # a default is inside its own leaf's rule, so a key cannot be added with
+    # a default the rule refuses; a number at either end of the float range
+    # either resolves or is refused by a message naming the key, before
+    # anything runs
+    default = dict(_leaves(default_config(scenario)))[key]
+    kept = _leaf(default, default, key)
+    assert kept == default and type(kept) is type(default)
+    if isinstance(default, (bool, str)) or (default is None and key not in _NULLABLE):
+        return
+    section, _, name = key.rpartition(".")
+    vector = isinstance(default, list) or key == "params.phases"
+    for value in (0, -1, 1e300, 1e-300):
+        cfg = {"scenario": scenario}
+        cfg.update(_nested(key, [value] * len(default or [0]) if vector else value))
+        try:
+            parse_config(cfg)
+        except ConfigError as err:
+            # the leaf rule and the rules across keys name the dotted key;
+            # the object a hand, ode, solver or disturbance section builds
+            # names the section and its field
+            text = str(err)
+            assert key in text or (section != "params" and text.startswith(section + ": ")
+                                   and name in text), (value, text)
 
 
 def test_leaf_rule_stores_numbers_as_floats():
@@ -467,39 +496,87 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     assert (tmp_path / "out" / "bisection.csv").exists()
 
 
-@pytest.mark.parametrize("scenario, params, message", [
-    ("hand2-rate", {"x0": [1.0, 2.0]}, "params.x0"),
-    ("hand2-rate", {"x0": None}, "params.x0"),
-    ("uniformity-probe", {"x_offset": [1.0, 2.0]}, "params.x_offset"),
-    ("instability", {"hand_t_end": -1.0}, "params.hand_t_end"),
-    ("instability", {"x0": 0.0}, "params.x0"),
-    ("hand2-rate", {"x0": math.nan}, "params.x0"),
-    ("restart-sweep", {"x0": math.inf}, "params.x0"),
-    ("uniformity-probe", {"eps": math.nan}, "params.eps"),
-    ("restart-sweep", {"factor_budget": 0.0}, "params.factor_budget"),
-    ("restart-sweep", {"t_min": 0.0}, "params: need c > 0"),
-    ("restart-sweep", {"c": -1.0}, "params: need c > 0"),
-    ("restart-sweep", {"eps": 0.0}, "params: need f_gap0 > 0 and eps > 0"),
-    ("restart-sweep", {"x0": 0.0}, "params: need f_gap0 > 0 and eps > 0"),
-    ("uniformity-probe", {"eps": 0.0}, "params.eps"),
-    ("uniformity-probe", {"ell2": 1.0}, "params: ell2 must exceed 1"),
-    ("uniformity-probe", {"r": -1.0}, "params: window length must be >= 0"),
-    ("robustness-margin", {"eps_lo": -1.0}, "params.eps_lo"),
-    ("robustness-margin", {"eps_hi": -1.0}, "params.eps_hi"),
-    ("discretization-order", {"ref_factor": 0}, "params.ref_factor"),
-    ("discretization-order", {"euler_order": [1.0, 1.1, 1.2]}, "params.euler_order"),
+@pytest.mark.parametrize("scenario, extra, message", [
+    ("hand2-rate", {"params": {"x0": [1.0, 2.0]}}, "params.x0"),
+    ("hand2-rate", {"params": {"x0": None}}, "params.x0"),
+    ("uniformity-probe", {"params": {"x_offset": [1.0, 2.0]}}, "params.x_offset"),
+    ("instability", {"params": {"hand_t_end": -1.0}}, "params.hand_t_end"),
+    ("instability", {"params": {"x0": 0.0}}, "params.x0"),
+    ("hand2-rate", {"params": {"x0": math.nan}}, "params.x0"),
+    ("restart-sweep", {"params": {"x0": math.inf}}, "params.x0"),
+    ("uniformity-probe", {"params": {"eps": math.nan}}, "params.eps"),
+    ("restart-sweep", {"params": {"factor_budget": 0.0}}, "params.factor_budget"),
+    ("restart-sweep", {"params": {"t_min": 0.0}}, "params.t_min"),
+    ("restart-sweep", {"params": {"c": -1.0}}, "params.c"),
+    ("restart-sweep", {"params": {"eps": 0.0}}, "params.eps"),
+    ("restart-sweep", {"params": {"x0": 0.0}}, "params.x0"),
+    ("uniformity-probe", {"params": {"eps": 0.0}}, "params.eps"),
+    ("uniformity-probe", {"params": {"ell2": 1.0}}, "params.ell2"),
+    ("uniformity-probe", {"params": {"r": -1.0}}, "params.r"),
+    ("robustness-margin", {"params": {"eps_lo": -1.0}}, "params.eps_lo"),
+    ("robustness-margin", {"params": {"eps_hi": -1.0}}, "params.eps_hi"),
+    ("discretization-order", {"params": {"ref_factor": 0}}, "params.ref_factor"),
+    ("discretization-order", {"params": {"euler_order": [1.0, 1.1, 1.2]}}, "params.euler_order"),
+    # a negative seed, which numpy's generator refuses only once a run draws from it
+    ("hand1-rate", {"params": {"seed": -1}}, "params.seed"),
+    ("hand2-rate", {"solver": {"policy_seed": -1, "jump_policy": "uniform"}}, "solver.policy_seed"),
+    ("instability", {"disturbance": {"seed": -1, "kind": "uniform_random", "hold": 1.0}}, "disturbance.seed"),
+    # ranges the probes checked only while they ran
+    ("uniformity-probe", {"params": {"t0_values": [-1.0]}}, "params.t0_values"),
+    ("uniformity-probe", {"params": {"phases": [0.5]}}, "params.phases"),
+    # an inverted bracket, and configs on which a certificate passed without testing anything:
+    # a growth factor of 1 is reached at t = 0, and every bisection midpoint from 0 is 0
+    ("robustness-margin", {"params": {"eps_lo": 2.0, "eps_hi": 1.0}}, "params.eps_lo"),
+    ("instability", {"params": {"growth_factor": 1.0}}, "params.growth_factor"),
+    ("robustness-margin", {"params": {"eps_lo": 0.0}}, "params.eps_lo"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
         "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan",
         "restart-sweep-zero-budget", "restart-sweep-zero-t-min", "restart-sweep-negative-c",
         "restart-sweep-zero-eps", "restart-sweep-zero-offset", "uniformity-zero-eps",
         "uniformity-ell2-one", "uniformity-negative-r", "robustness-negative-eps-lo",
-        "robustness-negative-eps-hi", "discretization-zero-ref-factor", "discretization-order-triple"])
-def test_cli_run_param_errors_leave_no_output(scenario, params, message, tmp_path, capsys):
+        "robustness-negative-eps-hi", "discretization-zero-ref-factor", "discretization-order-triple",
+        "hand1-negative-seed", "hand2-negative-policy-seed", "instability-negative-disturbance-seed",
+        "uniformity-negative-t0", "uniformity-phase-outside-window", "robustness-inverted-bracket",
+        "instability-growth-factor-one", "robustness-zero-eps-lo"])
+def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
-    path = _write_config(tmp_path, scenario, params=params)
+    path = _write_config(tmp_path, scenario, **extra)
     assert main(["run", path, "--quiet"]) == 2
     assert "config error: %s" % message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario, extra, code", [
+    ("instability", {"hand": {"t_max": 1e300}, "solver": {"t_end": 20.0}, "params": {"hand_t_end": 20.0}}, 1),
+    ("hand2-rate", {"hand": {"t_max": 1e300}, "solver": {"t_end": 10.0}}, 0),
+    ("robustness-margin", {"hand": {"t_max": 1e300}, "solver": {"t_end": 10.0},
+                           "params": {"settle": 5.0, "bisect_steps": 1}}, 0),
+    ("hand2-rate", {"hand": {"t_min": 1e-300}}, 2),
+    ("discretization-order", {"hand": {"t_min": 1e-300}}, 2),
+    ("restart-sweep", {"params": {"t_min": 1e300}}, 2),
+    ("restart-sweep", {"params": {"x0": 1e300}}, 2),
+    ("hand2-rate", {"hand": {"c": 1e-300}}, 2),
+    ("discretization-order", {"hand": {"c": 1e-300}}, 2),
+    ("hand1-rate", {"solver": {"h": 1e300}}, 1),
+    ("hand1-rate", {"solver": {"t_end": 1e-300}}, 1),
+    ("hand1-rate", {"hand": {"c": 1e300}}, 1),
+], ids=["instability-t-max-huge", "hand2-t-max-huge", "robustness-t-max-huge", "hand2-t-min-tiny",
+        "discretization-t-min-tiny", "restart-sweep-t-min-huge", "restart-sweep-x0-huge",
+        "hand2-c-tiny", "discretization-c-tiny", "hand1-h-huge", "hand1-t-end-tiny", "hand1-c-huge"])
+def test_cli_run_boundary_values_exit_cleanly(scenario, extra, code, tmp_path, capsys):
+    # values at the ends of the float range that once ended in a traceback
+    # (a float ** that overflows, a timer window squared to 0, an infinite
+    # restart period) or in exit 2 after the output directory existed: what
+    # the config alone decides is refused before the directory is made, and
+    # a run that goes ahead writes its summary. A hand1 run that takes no
+    # first-flow sample, or faults on its first step, fails its t-form check.
+    path = _write_config(tmp_path, scenario, **extra)
+    assert main(["run", path, "--quiet"]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error: ") and not (tmp_path / "out").exists()
+    else:
+        assert (tmp_path / "out" / "summary.json").exists()
 
 
 def _resolved_pert(**section):
