@@ -227,11 +227,11 @@ def _cmd_check(args) -> int:
         after = " after (%r, %d)" % (float(table.t[k - 1]), table.j[k - 1]) if k else ""
         print("hybrid time out of order on data row %d of %d: (t, j) = (%r, %d)%s, labelled %s; %s"
               % (k + 1, len(fault), float(table.t[k]), table.j[k], after, table.event[k], rule))
-    # printed as the gap's worst excess over the bound; 0.0 - m rather
-    # than -m so that an exact hit prints 0, not -0
+    # the margin (bound + tol) - gap with summary.json's sign, negative on a
+    # violation; + 0.0 prints a -0.0 margin as 0
     print("%s bound on %s: %s (%d samples, worst margin %.6g)"
           % (args.bound, table_key, "holds" if ok else "VIOLATED", len(rows),
-             0.0 - worst if rows else math.nan))
+             worst + 0.0 if rows else math.nan))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

@@ -283,10 +283,11 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
 
     # component i is sum_j Q[i][j] x[j] taken left to right, then + b[i]; on
     # the corpus costs every product is exact, so this equals Q.dot(x) + b
-    # bit for bit whatever order a BLAS kernel sums in
+    # bit for bit whatever order a BLAS kernel sums in. A coefficient 1.0 is
+    # not multiplied: 1.0 * x is x for every float
     gradient = compile_components("gradient", n, [
-        "".join("%s%r * {%d}" % (" + " if j else "", qj, j) for j, qj in enumerate(q)) + " + %r" % bi
-        for q, bi in zip(Q.tolist(), b.tolist())])
+        "".join("%s%s{%d}" % (" + " if j else "", "" if qj == 1.0 else "%r * " % qj, j) for j, qj in enumerate(q))
+        + " + %r" % bi for q, bi in zip(Q.tolist(), b.tolist())])
 
     singular = lam_min <= _SYM_TOL * scale
     if not singular:

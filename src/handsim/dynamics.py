@@ -221,17 +221,25 @@ def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
     t = "{%d}" % (2 * n)
 
     def power(e):
+        if e == 1.0:
+            return t
         if float(e).is_integer():
             return "%s ** %r" % (t, e)
         return "(nan if -inf < %s < 0.0 else %s ** %r)" % (t, t, e)
 
+    def product(coef, e, g):
+        # coef * t ** e * (g) without the factors that cannot change a bit:
+        # t ** 0.0 is 1.0 for every float, and 1.0 * x is x
+        factors = [] if coef == 1.0 else [repr(coef)]
+        return " * ".join(factors + ([] if e == 0.0 else [power(e)]) + ["(%s)" % g])
+
     if rep1:
         comps = ["{%d}" % (n + i) for i in range(n)]
-        comps += ["-(%r / %s) * {%d} - %r * %s * (%s)" % (ell, t, n + i, c * p * p, power(p - 2.0), g)
+        comps += ["-(%r / %s) * {%d} - %s" % (ell, t, n + i, product(c * p * p, p - 2.0, g))
                   for i, g in enumerate(grad)]
     else:
         comps = ["%r / %s * ({%d} - {%d})" % (ell - 1.0, t, n + i, i) for i in range(n)]
-        comps += ["%r * %s * (%s)" % (-(c * p * p / (ell - 1.0)), power(p - 1.0), g) for g in grad]
+        comps += [product(-(c * p * p / (ell - 1.0)), p - 1.0, g) for g in grad]
     return compile_components("rep1_flow" if rep1 else "rep2_flow", 2 * n + 1, comps + ["1.0"], **names)
 
 

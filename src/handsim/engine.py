@@ -14,6 +14,7 @@ C intersect D are resolved by a jump policy; "escaped hybrid domain" and
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 from dataclasses import dataclass, field
@@ -160,6 +161,73 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
     return make_signal(spec)
 
 
+_ARITHMETIC = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Constant, ast.operator, ast.unaryop, ast.expr_context)
+
+
+def _arithmetic(line, node, version, visit):
+    """Call visit(sub, key) on each sub-expression of node, parsed from
+    line, made of arithmetic on names and constants, outermost first. key
+    tells apart the values it computes: its text and the version of each
+    name in it. visit returns True to skip the sub-expression's own parts.
+    Only such sub-expressions are entered, and each runs whenever node does
+    (an if-expression's branches, say, may not)."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.BinOp, ast.UnaryOp)):
+            continue
+        parts = list(ast.walk(node))
+        names = [n.id for n in parts if isinstance(n, ast.Name)]
+        if names and all(isinstance(n, _ARITHMETIC) for n in parts) and visit(node, (
+                line[node.col_offset:node.end_col_offset], tuple(version.get(n, 0) for n in names))):
+            continue
+        stack += [node.right, node.left] if isinstance(node, ast.BinOp) else [node.operand]
+
+
+def _share_factors(body):
+    """body, straight-line assignments, with each arithmetic sub-expression
+    of names and constants that runs more than once on the same operand
+    values computed once, into a name f<i> assigned before its first use:
+    the hand field's 2.0 / tau in every position component, and again at
+    the next stage while tau's stage value stands. Each use is the same
+    operation on the same operands, so every bit is kept."""
+    trees = [ast.parse(line).body[0] for line in body]
+    counts, version = {}, {}
+
+    def assign(tree):
+        for n in ast.walk(tree.targets[0]):
+            if isinstance(n, ast.Name):
+                version[n.id] = version.get(n.id, 0) + 1
+
+    def count(node, key):
+        counts[key] = counts.get(key, 0) + 1
+
+    for line, tree in zip(body, trees):
+        _arithmetic(line, tree.value, version, count)
+        assign(tree)
+    shared, out = {}, []
+    version.clear()
+    for line, tree in zip(body, trees):
+        cuts = []
+
+        def share(node, key):
+            if counts[key] < 2:
+                return False
+            if key not in shared:
+                shared[key] = "f%d" % len(shared)
+                out.append("%s = %s" % (shared[key], key[0]))
+            cuts.append((node.col_offset, node.end_col_offset, shared[key]))
+            return True
+
+        _arithmetic(line, tree.value, version, share)
+        # the cuts do not overlap: splice them in from the right
+        for start, end, name in sorted(cuts, reverse=True):
+            line = line[:start] + name + line[end:]
+        out.append(line)
+        assign(tree)
+    return out
+
+
 @functools.lru_cache(maxsize=None)
 def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed: bool,
                  membership: Optional[tuple], switch: Optional[tuple]):
@@ -169,12 +237,17 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
 
     A step takes z_i + (K_0,i*b_0 + K_1,i*b_1 + ... [+ e_i]) * h with K_0 =
     F(src) and stage k evaluated at (0.0 + K_0,i*a_k0 + ...) * h + src_i.
-    Zero coefficients are skipped (except b_0) and a weight 1.0 is not
+    Zero coefficients are skipped (except b_0) and a coefficient 1.0 is not
     multiplied, so every component takes a fixed order of operations. The
     components are floats (numpy scalars in simulate's fallback). field,
     F's component expressions ("{i}" for input i), is inlined in place of
     F; with field None each stage calls F on a list, and a wrong count
-    raises ValueError naming the m expected.
+    raises ValueError naming the m expected. Within a step, an arithmetic
+    sub-expression of names and constants that runs more than once on the
+    same values (the hand field's 2.0 / tau and -2c * tau, shared by the
+    components of a stage and by rk4's stages 2 and 3) is computed once
+    (see _share_factors). The 0.0 + ... stage sums stay: they turn a -0.0
+    sum into +0.0.
 
     A component of field written as a float literal (the timer's "1.0") is
     folded: its K is that constant at every stage, so its sums above are
@@ -183,8 +256,11 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     products with h, (sum + e_i) * h under e2, are taken once per segment:
     h and e are fixed for it, so each is the float the loop would compute.
     The loop reads a_i = c + src_i and z_i = z_i + d, and a stage argument
-    equal to the previous stage's is not assigned again. Other components
-    keep their 0.0 + ..., which turns a -0.0 sum into +0.0.
+    equal to the previous stage's is not assigned again.
+
+    With src not z (simulate's e1 channel, which takes one-step segments)
+    the segment takes one step from src whatever n is. With src z its loop
+    reads and updates the running state in place, with no per-step copy.
 
     After step k + steps, at t = (k + steps) * h, the next step starts from
     the state reached, with the same e, unless steps == n, z[0] is not
@@ -216,47 +292,59 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
             consts[i] = float(text)
         except ValueError:
             pass
-    lines = ["def seg(F, z, src, h, k, n, t_stop%s):" % (", e" if disturbed else ""),
-             "    %s= z" % names("z"), "    %s= src" % names("s")]
+    lines = ["def seg(F, z, src, h, k, n, t_stop%s):" % (", e" if disturbed else ""), "    %s= z" % names("z")]
     if disturbed:
         lines.append("    %s= e" % names("e"))
-    body = []
-    last = {}
-    for k, row in enumerate(tab.a):
-        arg = ["s%d" % i for i in r]
-        if k:
-            for i in r:
-                if i not in consts:
-                    body.append("a%d = (0.0%s) * h + s%d" % (
-                        i, "".join(" + k%d_%d * %r" % (j, i, a) for j, a in enumerate(row) if a != 0.0), i))
-                    continue
-                c = 0.0
-                for a in row:
-                    if a != 0.0:
-                        c = c + consts[i] * a
-                if last.get(i) != repr(c):
-                    last[i] = repr(c)
-                    lines.append("    c%d_%d = %r * h" % (k, i, c))
-                    body.append("a%d = c%d_%d + s%d" % (i, k, i, i))
-            arg = ["a%d" % i for i in r]
-        if field is None:
-            body.append("%s= F([%s])" % (names("k%d_" % k), ", ".join(arg)))
-        else:
-            body += ["k%d_%d = %s" % (k, i, c.format(*arg)) for i, c in enumerate(field) if i not in consts]
-    weights = [(k, b) for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
-    for i in r:
-        if i not in consts:
-            terms = ["k%d_%d%s" % (k, i, "" if b == 1.0 else " * %r" % b) for k, b in weights]
-            if disturbed:
-                terms.append("e%d" % i)
-            body.append("z%d = z%d + (%s) * h" % (i, i, " + ".join(terms)))
-            continue
-        d = None
-        for k, b in weights:
-            term = consts[i] if b == 1.0 else consts[i] * b
-            d = term if d is None else d + term
-        lines.append("    d%d = %s * h" % (i, "(%r + e%d)" % (d, i) if disturbed else repr(d)))
-        body.append("z%d = z%d + d%d" % (i, i, i))
+    folded = {}
+
+    def step(x):
+        # one step's statements, reading stage 0 and the stage bases from x
+        body = []
+        last = {}
+        for k, row in enumerate(tab.a):
+            arg = ["%s%d" % (x, i) for i in r]
+            if k:
+                for i in r:
+                    if i not in consts:
+                        body.append("a%d = (0.0%s) * h + %s%d" % (i, "".join(
+                            " + k%d_%d%s" % (j, i, "" if a == 1.0 else " * %r" % a)
+                            for j, a in enumerate(row) if a != 0.0), x, i))
+                        continue
+                    c = 0.0
+                    for a in row:
+                        if a != 0.0:
+                            c = c + consts[i] * a
+                    if last.get(i) != repr(c):
+                        last[i] = repr(c)
+                        folded["c%d_%d" % (k, i)] = "%r * h" % c
+                        body.append("a%d = c%d_%d + %s%d" % (i, k, i, x, i))
+                arg = ["a%d" % i for i in r]
+            if field is None:
+                body.append("%s= F([%s])" % (names("k%d_" % k), ", ".join(arg)))
+            else:
+                body += ["k%d_%d = %s" % (k, i, c.format(*arg)) for i, c in enumerate(field) if i not in consts]
+        weights = [(k, b) for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
+        for i in r:
+            if i not in consts:
+                terms = ["k%d_%d%s" % (k, i, "" if b == 1.0 else " * %r" % b) for k, b in weights]
+                if disturbed:
+                    terms.append("e%d" % i)
+                body.append("z%d = z%d + (%s) * h" % (i, i, " + ".join(terms)))
+                continue
+            d = None
+            for k, b in weights:
+                term = consts[i] if b == 1.0 else consts[i] * b
+                d = term if d is None else d + term
+            folded["d%d" % i] = "(%r + e%d) * h" % (d, i) if disturbed else "%r * h" % d
+            body.append("z%d = z%d + d%d" % (i, i, i))
+        return _share_factors(body)
+
+    shifted = step("s")
+    loop = step("z")
+    lines += ["    %s = %s" % item for item in folded.items()]
+    lines += ["    if src is not z:", "        %s= src" % names("s")]
+    lines += ["        " + b for b in shifted]
+    lines.append("        return [%s], 1" % names("z")[:-2])
     # the first steps >= 1 with (k + steps) * h >= t_stop, which is monotone
     # in steps; the guard keeps an infinite t_stop out of int()
     lines += ["    if (k + n) * h >= t_stop:",
@@ -287,7 +375,7 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                   "            i += 1",
                   "        n = i"]
     lines += ["    i = 0", "    while True:"]
-    lines += ["        " + b for b in body]
+    lines += ["        " + b for b in loop]
     # z0 - z0 is 0.0 exactly when z0 is finite
     lines += ["        i += 1",
               "        if i == n or z0 - z0 != 0.0:",
@@ -296,8 +384,7 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
         flows, jumps = (c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
         lines += ["        if not (%s) or (%s):" % (flows, jumps),
                   "            break"]
-    lines += ["        %s= %s" % (names("s"), names("z")),
-              "    return [%s], i" % names("z")[:-2]]
+    lines.append("    return [%s], i" % names("z")[:-2])
     return compile_source("\n".join(lines) + "\n", "seg")
 
 
@@ -323,17 +410,22 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     in_C and in_D. A segment ends at the next record point, when tau leaves
     C or enters D, when a piecewise-constant e2 switches, at the horizon,
     or at a non-finite z[0]; the loop takes over there. A segment folds
-    the field's literal components (the timer's rate) out of its loop and
-    counts its steps to the horizon and to the e2 key's next switch before
-    it starts, so its loop computes no t; both give the bits and the step
-    counts of a step-by-step loop. One-step segments serve the "latest"
+    the field's literal components (the timer's rate) out of its loop,
+    computes a factor that its stages share once, steps the running state
+    in place, with no per-step copy, and counts its steps to the horizon
+    and to the e2 key's next switch before it starts, so its loop computes
+    no t; all of it gives the bits and the step counts of a step-by-step
+    loop. One-step segments serve the "latest"
     lookahead, the "uniform" draws in C intersect D, the e1, e3 and e6
     channels, sinusoid signals, and closures without component expressions
     or conditions, which are called per step. A
     segment that raises ZeroDivisionError or OverflowError (a float division
     by zero, an overflowing power) is redone once from the same state on
     numpy scalars, which give inf or nan instead, so a blow-up still ends
-    as a recorded fault.
+    as a recorded fault. A jump takes G's output as a list of floats: a
+    wrong number of components raises ValueError, e5 is added and the
+    finite test made on that list, and numpy arrays are built only for the
+    JumpRecord's two states.
 
     Recording: the initial state, every record_stride-th flow step, both
     sides of every jump, and the final state. stop_condition(t, j, z) is
@@ -425,8 +517,8 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             # numpy scalars give inf or nan: redo the segment on numpy
             # scalars, so the run ends as the recorded fault it always was.
             # z too: a float clock in z[-1] would raise at the next t ** e
-            return seg(F, [np.float64(v) for v in z], [np.float64(v) for v in src],
-                       h, k_step, n, t_stop, *e2)
+            z64 = [np.float64(v) for v in z]
+            return seg(F, z64, z64 if src is z else [np.float64(v) for v in src], h, k_step, n, t_stop, *e2)
 
     record(0.0, 0, z, TAG_FLOW)
     if stop_condition is not None and stop_condition(0.0, 0, z):
@@ -485,23 +577,25 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                     break
                 record(t, j, z, TAG_FLOW)
                 since_record = 0
-            z_pre = np.array(z)
             z_in = z if sig4 is None else [a + e for a, e in zip(z, sig4(t).tolist())]
-            z_post = np.array(G(z_in), dtype=float).reshape(m)
+            z_post = list(map(float, G(z_in)))
+            if len(z_post) != m:
+                raise ValueError("jump map returned %d components, expected %d" % (len(z_post), m))
             if sig5 is not None:
-                z_post = z_post + sig5(t)
-            if not np.all(np.isfinite(z_post)):
-                fault = FaultRecord(t, j, "blowup", "jump map produced non-finite state", z_pre)
+                z_post = [a + e for a, e in zip(z_post, sig5(t).tolist())]
+            if not _all_finite(z_post):
+                fault = FaultRecord(t, j, "blowup", "jump map produced non-finite state", np.array(z))
                 termination = "fault"
                 break
-            events.append(JumpRecord(t, j, z_pre, z_post))
+            events.append(JumpRecord(t, j, np.array(z), np.array(z_post)))
             j += 1
-            z = z_post.tolist()
+            z = z_post
             from_flow = False
             record(t, j, z, TAG_JUMP)
             since_record = 0
             if not (in_C(z, infl(sig3, t)) or in_D(z, infl(sig6, t))):
-                fault = FaultRecord(t, j, "escaped", "jump landed outside C union D (tau=%g)" % z[-1], z_post)
+                fault = FaultRecord(t, j, "escaped", "jump landed outside C union D (tau=%g)" % z[-1],
+                                    events[-1].z_post)
                 termination = "fault"
                 break
             if stop_condition is not None and stop_condition(t, j, z):

@@ -128,9 +128,10 @@ def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
     if f.mu is None:
         warnings.warn("cost %r has no strong convexity constant; dwell condition unchecked" % f.name)
     elif not validate_dwell(params, f.mu):
+        mu_c = f.mu * params.c
         warnings.warn(
             "timer window too short for guaranteed contraction: t_max^2 - t_min^2 = %g <= 1/(mu c) = %g"
-            % (params.t_max * params.t_max - params.t_min * params.t_min, 1.0 / (f.mu * params.c))
+            % (params.t_max * params.t_max - params.t_min * params.t_min, 1.0 / mu_c if mu_c else math.inf)
         )
     n = f.dim
     flow = make_hand_flow(params.c, f)
@@ -151,10 +152,13 @@ def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
 
 
 def validate_dwell(params: HandParams, mu: float) -> bool:
-    """Dwell condition t_max^2 - t_min^2 > 1/(mu c) for per-period contraction."""
+    """Dwell condition t_max^2 - t_min^2 > 1/(mu c) for per-period contraction.
+    A product mu c that underflows to 0 makes 1/(mu c) +inf, which no window
+    exceeds."""
     if mu is None or not (mu > 0.0):
         raise ValueError("strong convexity constant mu > 0 required, got %r" % (mu,))
-    return params.t_max * params.t_max - params.t_min * params.t_min > 1.0 / (mu * params.c)
+    mu_c = mu * params.c
+    return mu_c > 0.0 and params.t_max * params.t_max - params.t_min * params.t_min > 1.0 / mu_c
 
 
 def target_distance(z: np.ndarray, xstar: np.ndarray, params: HandParams):

@@ -446,14 +446,19 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
         run.offset = np.asarray(p[key]) if isinstance(p[key], list) else np.full(f.dim, p[key])
         if run.offset.shape != (f.dim,):
             raise ConfigError("params.%s: expected %d components" % (key, f.dim))
-    if scenario == "instability":
+    # a run from the minimizer measures nothing: every gap, error and time
+    # to eps is 0
+    if scenario in ("instability", "discretization-order", "uniformity-probe"):
         if float(np.linalg.norm(run.offset)) <= 0.0:
-            raise ConfigError("params.x0 must give a nonzero initial offset")
+            raise ConfigError("params.%s must give a nonzero initial offset" % key)
+    if scenario == "instability":
         run.hand_solver = replace(run.solver, t_end=p["hand_t_end"],
                                   max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
     if scenario == "uniformity-probe":
         if not all(run.hand.t_min <= tau0 <= run.hand.t_max for tau0 in p["phases"] or ()):
             raise ConfigError("params.phases must lie in the timer window [hand.t_min, hand.t_max]")
+        if not all(a < b for a, b in zip(p["s_values"], p["s_values"][1:])):
+            raise ConfigError("params.s_values must strictly increase")
         run.integrals = [limiting_integral(p["ell2"], s, p["r"]) for s in p["s_values"]]
     if scenario in ("hand2-rate", "discretization-order"):
         hp = run.hand

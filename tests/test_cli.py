@@ -419,7 +419,7 @@ def test_cli_check_verdict_matches_run_monitor(scenario, overrides, tmp_path, mo
     for trace, count, margin, ok in zip(traces, checked, worst, verdicts):
         kind = summary["bound_checks"][trace]["kind"]
         assert main(["check", str(tmp_path / trace), "--bound", kind]) == (0 if ok else 1)
-        assert "%s (%d samples, worst margin %.6g)" % ("holds" if ok else "VIOLATED", count, 0.0 - margin) \
+        assert "%s (%d samples, worst margin %.6g)" % ("holds" if ok else "VIOLATED", count, margin) \
             in capsys.readouterr().out
 
 
@@ -529,6 +529,12 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     ("robustness-margin", {"params": {"eps_lo": 2.0, "eps_hi": 1.0}}, "params.eps_lo"),
     ("instability", {"params": {"growth_factor": 1.0}}, "params.growth_factor"),
     ("robustness-margin", {"params": {"eps_lo": 0.0}}, "params.eps_lo"),
+    # runs from the minimizer and equal damping masses, which measure nothing
+    ("discretization-order", {"params": {"x0": 0.0}}, "params.x0"),
+    ("uniformity-probe", {"params": {"x_offset": 0.0}}, "params.x_offset"),
+    ("uniformity-probe", {"params": {"s_values": [0.0, 0.0, 0.0, 0.0]}}, "params.s_values"),
+    # mu c underflows to 0, so 1/(mu c) is inf and no window meets the dwell condition
+    ("hand2-rate", {"cost": "example1", "hand": {"c": 5e-324}}, "hand: t_min, t_max and c must meet the dwell"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
         "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan",
         "restart-sweep-zero-budget", "restart-sweep-zero-t-min", "restart-sweep-negative-c",
@@ -537,7 +543,8 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
         "robustness-negative-eps-hi", "discretization-zero-ref-factor", "discretization-order-triple",
         "hand1-negative-seed", "hand2-negative-policy-seed", "instability-negative-disturbance-seed",
         "uniformity-negative-t0", "uniformity-phase-outside-window", "robustness-inverted-bracket",
-        "instability-growth-factor-one", "robustness-zero-eps-lo"])
+        "instability-growth-factor-one", "robustness-zero-eps-lo", "discretization-zero-offset",
+        "uniformity-zero-offset", "uniformity-equal-s-values", "hand2-c-subnormal"])
 def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, **extra)
@@ -560,9 +567,13 @@ def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path
     ("hand1-rate", {"solver": {"h": 1e300}}, 1),
     ("hand1-rate", {"solver": {"t_end": 1e-300}}, 1),
     ("hand1-rate", {"hand": {"c": 1e300}}, 1),
+    # the dwell warning's 1/(mu c) with mu c underflowed to 0; hand2 barely
+    # feels the gradient and fails hand2_bounded
+    ("instability", {"hand": {"c": 5e-324}, "solver": {"h": 0.04}, "params": {"hand_t_end": 3000.0}}, 1),
 ], ids=["instability-t-max-huge", "hand2-t-max-huge", "robustness-t-max-huge", "hand2-t-min-tiny",
         "discretization-t-min-tiny", "restart-sweep-t-min-huge", "restart-sweep-x0-huge",
-        "hand2-c-tiny", "discretization-c-tiny", "hand1-h-huge", "hand1-t-end-tiny", "hand1-c-huge"])
+        "hand2-c-tiny", "discretization-c-tiny", "hand1-h-huge", "hand1-t-end-tiny", "hand1-c-huge",
+        "instability-c-subnormal"])
 def test_cli_run_boundary_values_exit_cleanly(scenario, extra, code, tmp_path, capsys):
     # values at the ends of the float range that once ended in a traceback
     # (a float ** that overflows, a timer window squared to 0, an infinite

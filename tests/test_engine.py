@@ -3,6 +3,7 @@
 import dataclasses
 import linecache
 import math
+import re
 import struct
 import traceback
 import warnings
@@ -268,6 +269,123 @@ def test_step_kernel_folds_literal_components_bit_for_bit(name, width, form):
                     assert [_bits(v) for v in got] == [_bits(v) for v in want], (literal, trial, inlined, got, want)
 
 
+def _identity_components(m):
+    """Components in the forms the field factories once wrote, 1.0 * x,
+    t ** 1.0 and t ** 0.0, with the last input as t, around factors every
+    component shares (t ** 1.0 * 0.5 and t * -1.5, which the kernel computes
+    once per stage) and neighbours that make each output depend on the
+    order of operations."""
+    t = m - 1
+    return tuple("(1.0 * {%d} - {%d} ** 1.0 * 0.5) * ({%d} * -1.5) + {%d} ** 0.0 * {%d} * {%d}"
+                 % (i, t, t, t, (i + 1) % m, (i - 1) % m) for i in range(m))
+
+
+@pytest.mark.parametrize("name", sorted(TABLEAUS))
+@pytest.mark.parametrize("width", [1, 3, 5])
+@pytest.mark.parametrize("form", ["float", "float64"])
+def test_segment_steps_in_place_match_repeated_stage_loops(name, width, form):
+    # a segment handed src is z steps the running state in place, n steps
+    # at a time: each must give the bits of the stage loops repeated, until
+    # n steps or a non-finite z[0], with shared factors computed once
+    tab = TABLEAUS[name]
+    rng = np.random.default_rng(200 + width)
+    mixed = np.concatenate([SPECIAL, rng.standard_normal(10)])
+    field = _identity_components(width)
+    F = compile_components("identity_field", width, field)
+
+    def draw(pool):
+        return [(float if form == "float" else np.float64)(v) for v in rng.choice(pool, width)]
+
+    with np.errstate(all="ignore"):
+        for trial in range(40):
+            pool = mixed if trial % 3 else np.array([0.0, -0.0])
+            z = draw(pool)
+            e = draw(pool) if trial % 4 < 2 else None
+            h = (0.1, 0.3, 1e-3, 2.0)[trial % 4]
+            n = (2, 3, 7, 20)[trial // 4 % 4]
+            want, steps = z, 0
+            while True:
+                want = _stage_loop_step(F, tab, h, want, want, e)
+                steps += 1
+                if steps == n or not math.isfinite(want[0]):
+                    break
+            for inlined in (None, field):
+                seg = _step_kernel(tab, width, inlined, e is not None, None, None)
+                got, got_steps = seg(F, z, z, h, 0, n, math.inf, *(() if e is None else (e,)))
+                assert got_steps == steps, (trial, inlined)
+                assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, inlined, got, want)
+
+
+def _loop_text(seg):
+    source = "".join(linecache.getlines(seg.__code__.co_filename))
+    return source, source[source.index("while True:"):]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_text_is_identity_free_and_shares_stage_factors(dim):
+    # the generated step multiplies by no 1.0 and raises to no 1.0 or 0.0,
+    # computes the hand field's 2.0 / tau once per distinct timer argument
+    # (rk4: the state's, stages 2 and 3's shared one, stage 4's), and its
+    # loop copies no state
+    m = 2 * dim + 1
+    sys = hand2(sphere_cost(dim), HandParams(t_min=1.0, t_max=2.0, c=1.0))
+    membership = (sys.in_C.condition, sys.in_D.condition)
+    kernels = {(kind, name): _step_kernel(TABLEAUS[name], m, F.components, disturbed, membership, None)
+               for kind, F in [("hand", sys.F),
+                               ("rep1", make_rep1_flow(OdeParams(c=0.25), sphere_cost(dim))),
+                               ("rep1-p3", make_rep1_flow(OdeParams(p=3.0), sphere_cost(dim))),
+                               ("rep2", make_rep2_flow(OdeParams(), sphere_cost(dim)))]
+               for name in sorted(TABLEAUS) for disturbed in (False, True)}
+    for (kind, name), seg in kernels.items():
+        source, loop = _loop_text(seg)
+        assert not re.search(r"\* 1\.0(?![\d.e])|\*\* [01]\.0(?![\d.e])", source), source
+        assert not re.search(r"\bs\d", loop), source
+        if kind == "hand":
+            taus = {"euler": 1, "heun": 2, "midpoint": 2, "rk4": 3}[name]
+            assert loop.count("2.0 /") == loop.count("-2.0 *") == taus, source
+
+
+@pytest.mark.parametrize("returned", [2, 4])
+@pytest.mark.parametrize("e5", [False, True])
+def test_jump_map_with_wrong_component_count_is_rejected(returned, e5):
+    sys = hand2(sphere_cost(1), HandParams(t_min=1.0, t_max=2.0, c=1.0))
+    sys = dataclasses.replace(sys, G=lambda z: [1.0] * returned)
+    pert = PerturbationSet(e5=DisturbanceSpec.constant([0.0, 1e-3, 0.0])) if e5 else None
+    with pytest.raises(ValueError, match="expected 3"):
+        simulate(sys, np.array([1.0, 1.0, 2.0]), SolverConfig(h=0.1, t_end=1.0), pert)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("e5", [False, True])
+def test_non_finite_jump_output_is_a_fault(bad, e5):
+    # the jump block works on the float list; a non-finite component, with
+    # or without e5 added to it, still ends the run as the jump map's fault
+    # with the pre-jump state kept
+    sys = hand2(sphere_cost(1), HandParams(t_min=1.0, t_max=2.0, c=1.0))
+    sys = dataclasses.replace(sys, G=lambda z: [z[0], bad, 1.0])
+    pert = PerturbationSet(e5=DisturbanceSpec.constant([0.0, 1e-3, 0.0])) if e5 else None
+    z0 = np.array([1.0, 1.0, 2.0])
+    tr = simulate(sys, z0, SolverConfig(h=0.1, t_end=1.0), pert)
+    assert tr.termination == "fault" and tr.fault.kind == "blowup"
+    assert tr.fault.detail == "jump map produced non-finite state"
+    assert (tr.fault.t, tr.fault.j) == (0.0, 0) and tr.events == []
+    assert np.array_equal(tr.fault.z_last, z0) and np.array_equal(tr.zs, [z0, z0])
+
+
+def test_jump_output_takes_e5_as_numpy_would():
+    # z+ = G(z) + e5 on floats equals numpy's float64 sum bit for bit, and the
+    # JumpRecord holds both states as float arrays
+    f = sphere_cost(1)
+    sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))
+    e5 = np.array([0.1, -0.3, 2.5e-320])
+    tr = simulate(sys, np.array([0.7, 0.3, 2.0]), SolverConfig(h=0.1, t_end=2.0),
+                  PerturbationSet(e5=DisturbanceSpec.constant(e5)))
+    assert tr.events
+    for rec in tr.events:
+        assert rec.z_pre.dtype == rec.z_post.dtype == np.float64
+        assert np.array_equal(rec.z_post, np.array(sys.G(rec.z_pre.tolist()), dtype=float) + e5)
+
+
 @pytest.mark.parametrize("name", sorted(TABLEAUS))
 @pytest.mark.parametrize("dim", [1, 2])
 def test_hand_field_kernel_assigns_no_timer_stage(name, dim):
@@ -315,7 +433,8 @@ def test_segment_stops_at_the_horizon_step_count(h, k):
             for _ in range(want):
                 z = z + 1.0 * h
             for seg, e in segs:
-                assert seg(None, [0.0], [0.0], h, k, n, t_stop, *e) == ([z], want), (t_stop, n)
+                z0 = [0.0]
+                assert seg(None, z0, z0, h, k, n, t_stop, *e) == ([z], want), (t_stop, n)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.3, 1e-3, 2.0])
@@ -351,7 +470,8 @@ def test_segment_stops_at_the_key_switch_step_count(h, k):
                             z = 0.0
                             for _ in range(want):
                                 z = z + (1.0 + e) * h
-                            assert seg(None, [0.0], [0.0], h, k, n, t_stop, [e]) == ([z], want), (
+                            z0 = [0.0]
+                            assert seg(None, z0, z0, h, k, n, t_stop, [e]) == ([z], want), (
                                 spec.kind, length, t_stop, n)
 
 

@@ -113,6 +113,8 @@ def test_validate_dwell_boundary_cases():
     # t_max^2 - t_min^2 must exceed 1/(mu c)
     assert validate_dwell(HandParams(t_min=1.0, t_max=2.0, c=1.0), mu=1.0) is True
     assert validate_dwell(HandParams(t_min=1.0, t_max=1.2, c=1.0), mu=1.0) is False
+    # mu c underflows to 0: 1/(mu c) is inf, which no window exceeds
+    assert validate_dwell(HandParams(t_min=1.0, t_max=1e150, c=5e-324), mu=0.25) is False
 
 
 def test_strong_dwell_implies_dwell():
