@@ -263,13 +263,16 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     reads and updates the running state in place, with no per-step copy.
 
     After step k + steps, at t = (k + steps) * h, the next step starts from
-    the state reached, with the same e, unless steps == n, z[0] is not
-    finite, t >= t_stop, the state is outside the flow set or inside the
-    jump set (membership: their conditions in {tau} and {inflation}, tested
-    at inflation 0), or, given switch = (key, until), the expression key in
-    t, on which e depends, changed value. Only z[0] and membership are
-    tested per step: the horizon and the key switch are step counts, to
-    which the segment lowers n before its loop. When (k + n) * h >= t_stop,
+    the state reached, with the same e, unless steps == n, t >= t_stop, the
+    state is outside the flow set or inside the jump set (membership: their
+    conditions in {tau} and {inflation}, tested at inflation 0), or, given
+    switch = (key, until), the expression key in t, on which e depends,
+    changed value. The loop is a for loop over n: membership, the only test
+    it makes per step, is its one early exit. The horizon and the key switch
+    are step counts, to which the segment lowers n before its loop. z[0] is
+    not tested: every step computes z0 = z0 + (...), so an inf or nan in it
+    stays to the segment's end, where simulate tests it once and finds the
+    step it came in by replaying the segment. When (k + n) * h >= t_stop,
     n becomes the least steps >= 1 with (k + steps) * h >= t_stop, searched
     from int(t_stop / h) - k. Then, for n > 1, it becomes the least steps
     >= 1 at which key differs from its value at t = k * h, if that is less.
@@ -374,17 +377,17 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                   "                break",
                   "            i += 1",
                   "        n = i"]
-    lines += ["    i = 0", "    while True:"]
-    lines += ["        " + b for b in loop]
-    # z0 - z0 is 0.0 exactly when z0 is finite
-    lines += ["        i += 1",
-              "        if i == n or z0 - z0 != 0.0:",
-              "            break"]
-    if membership is not None:
+    if membership is None:
+        lines.append("    for _ in range(n):")
+        lines += ["        " + b for b in loop]
+        lines.append("    return [%s], n" % names("z")[:-2])
+    else:
         flows, jumps = (c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
+        lines.append("    for i in range(1, n + 1):")
+        lines += ["        " + b for b in loop]
         lines += ["        if not (%s) or (%s):" % (flows, jumps),
-                  "            break"]
-    lines.append("    return [%s], i" % names("z")[:-2])
+                  "            break",
+                  "    return [%s], i" % names("z")[:-2]]
     return compile_source("\n".join(lines) + "\n", "seg")
 
 
@@ -408,21 +411,25 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     Flow steps run in segments of the integrator's generated loop (see
     _step_kernel), which inlines F's components and the timer conditions of
     in_C and in_D. A segment ends at the next record point, when tau leaves
-    C or enters D, when a piecewise-constant e2 switches, at the horizon,
-    or at a non-finite z[0]; the loop takes over there. A segment folds
-    the field's literal components (the timer's rate) out of its loop,
-    computes a factor that its stages share once, steps the running state
-    in place, with no per-step copy, and counts its steps to the horizon
-    and to the e2 key's next switch before it starts, so its loop computes
-    no t; all of it gives the bits and the step counts of a step-by-step
-    loop. One-step segments serve the "latest"
+    C or enters D, when a piecewise-constant e2 switches, or at the
+    horizon; the loop takes over there. A segment folds the field's
+    literal components (the timer's rate) out of its loop, computes a
+    factor that its stages share once, steps the running state in place,
+    with no per-step copy, and counts its steps to the horizon and to the
+    e2 key's next switch before it starts, so its loop computes no t and
+    tests only membership. z[0] is tested once per segment: a non-finite
+    z[0] at its end (once there, an inf or nan stays) has the segment
+    replayed from its start state one step at a time, to the step where
+    z[0] first went non-finite. All of it gives the bits and the step
+    counts of a step-by-step loop. One-step segments serve the "latest"
     lookahead, the "uniform" draws in C intersect D, the e1, e3 and e6
     channels, sinusoid signals, and closures without component expressions
     or conditions, which are called per step. A
     segment that raises ZeroDivisionError or OverflowError (a float division
     by zero, an overflowing power) is redone once from the same state on
     numpy scalars, which give inf or nan instead, so a blow-up still ends
-    as a recorded fault. A jump takes G's output as a list of floats: a
+    as a recorded fault; the replay of a redone segment starts from the
+    float state. A jump takes G's output as a list of floats: a
     wrong number of components raises ValueError, e5 is added and the
     finite test made on that list, and numpy arrays are built only for the
     JumpRecord's two states.
@@ -507,18 +514,29 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     stop_hit = False
 
     def flow(t, z, n):
-        """Up to n steps of z + h (F(z + e1(t)) + e2(t)) from t: (z', steps)."""
+        """Up to n steps of z + h (F(z + e1(t)) + e2(t)) from t: (z', steps),
+        ending early at the first non-finite z[0]."""
         src = z if sig1 is None else [a + e for a, e in zip(z, sig1(t).tolist())]
         e2 = () if sig2 is None else (sig2(t).tolist(),)
         try:
-            return seg(F, z, src, h, k_step, n, t_stop, *e2)
+            end = seg(F, z, src, h, k_step, n, t_stop, *e2)
         except (ZeroDivisionError, OverflowError):
             # a float division by zero or an overflowing power raises where
             # numpy scalars give inf or nan: redo the segment on numpy
             # scalars, so the run ends as the recorded fault it always was.
             # z too: a float clock in z[-1] would raise at the next t ** e
             z64 = [np.float64(v) for v in z]
-            return seg(F, z64, z64 if src is z else [np.float64(v) for v in src], h, k_step, n, t_stop, *e2)
+            end = seg(F, z64, z64 if src is z else [np.float64(v) for v in src], h, k_step, n, t_stop, *e2)
+        if end[1] == 1 or math.isfinite(end[0][0]):
+            return end
+        # past one step, z[0] went non-finite at some step and stayed so:
+        # replay the segment (src is z, e2 fixed) from z one step at a time
+        # to that step
+        steps = 0
+        while math.isfinite(z[0]):
+            z = flow(t, z, 1)[0]
+            steps += 1
+        return z, steps
 
     record(0.0, 0, z, TAG_FLOW)
     if stop_condition is not None and stop_condition(0.0, 0, z):

@@ -17,7 +17,8 @@ from handsim import (
     make_quadratic,
     sphere_cost,
 )
-from handsim.core import TAG_FAULT, TAG_JUMP, TAG_NAMES, hybrid_time_fault
+from handsim.core import TAG_FAULT, TAG_JUMP, TAG_NAMES, _compiled, compile_components, compile_source, hybrid_time_fault
+from handsim.scenarios import parse_config, run_scenario
 
 from trace_checks import assert_recorded
 
@@ -226,3 +227,34 @@ def test_validate_trace_rejects_jump_count_skip():
     tr = _tiny_trace()
     tr.js[3] = 3
     assert _rule(tr) == (3, "j steps by 0 or 1")
+
+
+def test_compile_source_shares_code_and_binds_names_per_call():
+    # one text compiles once; each call still runs it in a namespace of
+    # its own, so each function sees the names it was given
+    text = "def pick(t):\n    return pos if t > 0.0 else neg\n"
+    a = compile_source(text, "pick", pos=1.0, neg=-1.0)
+    b = compile_source(text, "pick", pos=2.0, neg=-2.0)
+    assert a is not b and a.__code__ is b.__code__
+    assert (a(1.0), a(-1.0), b(1.0), b(-1.0)) == (1.0, -1.0, 2.0, -2.0)
+    # a gradient called by name, as dynamics binds _grad, and a closure that
+    # carries its components
+    f = compile_components("g", 1, ["_grad([{0}])[0]"], _grad=lambda x: [x[0] * 2.0])
+    g = compile_components("g", 1, ["_grad([{0}])[0]"], _grad=lambda x: [x[0] * 3.0])
+    assert f.__code__ is g.__code__ and (f([1.0]), g([1.0])) == ([2.0], [3.0])
+    p, q = compile_components("c", 1, ["{0} * 2.0"]), compile_components("c", 1, ["{0} * 2.0"])
+    assert p is not q and p.__code__ is q.__code__
+    p.components = ("changed",)
+    assert q.components == ("{0} * 2.0",)
+
+
+def test_repeated_run_compiles_no_source(tmp_path):
+    # a second run of the same config in one process finds every generated
+    # text compiled already
+    cfg = parse_config({"scenario": "restart-sweep", "out_dir": "out/mini", "params": {"n_grid": 5},
+                        "solver": {"t_end": 40.0}})
+    run_scenario(cfg, out_dir=str(tmp_path / "a"), quiet=True)
+    before = _compiled.cache_info()
+    run_scenario(cfg, out_dir=str(tmp_path / "b"), quiet=True)
+    after = _compiled.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits

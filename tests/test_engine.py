@@ -285,8 +285,8 @@ def _identity_components(m):
 @pytest.mark.parametrize("form", ["float", "float64"])
 def test_segment_steps_in_place_match_repeated_stage_loops(name, width, form):
     # a segment handed src is z steps the running state in place, n steps
-    # at a time: each must give the bits of the stage loops repeated, until
-    # n steps or a non-finite z[0], with shared factors computed once
+    # at a time: each must give the bits of the stage loops repeated n
+    # times, past a non-finite z[0] too, with shared factors computed once
     tab = TABLEAUS[name]
     rng = np.random.default_rng(200 + width)
     mixed = np.concatenate([SPECIAL, rng.standard_normal(10)])
@@ -303,22 +303,61 @@ def test_segment_steps_in_place_match_repeated_stage_loops(name, width, form):
             e = draw(pool) if trial % 4 < 2 else None
             h = (0.1, 0.3, 1e-3, 2.0)[trial % 4]
             n = (2, 3, 7, 20)[trial // 4 % 4]
-            want, steps = z, 0
-            while True:
+            want = z
+            for _ in range(n):
                 want = _stage_loop_step(F, tab, h, want, want, e)
-                steps += 1
-                if steps == n or not math.isfinite(want[0]):
-                    break
             for inlined in (None, field):
                 seg = _step_kernel(tab, width, inlined, e is not None, None, None)
                 got, got_steps = seg(F, z, z, h, 0, n, math.inf, *(() if e is None else (e,)))
-                assert got_steps == steps, (trial, inlined)
+                assert got_steps == n, (trial, inlined)
                 assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, inlined, got, want)
+
+
+@pytest.mark.parametrize("name", sorted(TABLEAUS))
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_segment_fault_is_the_first_non_finite_z0(name, width):
+    # a segment's loop runs its n steps without testing z[0]; simulate must
+    # still end the run at the first step whose z[0] the stage loops,
+    # repeated, make non-finite, and equal the per-step path there
+    tab = TABLEAUS[name]
+    rng = np.random.default_rng(300 + width)
+    mixed = np.concatenate([[v for v in SPECIAL if math.isfinite(v)], rng.standard_normal(10)])
+    field = _identity_components(width)
+    sys = flow_only_system(compile_components("identity_field", width, field), (width - 1) // 2)
+    faults = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for trial in range(40):
+            pool = mixed if trial % 3 else np.array([0.0, -0.0])
+            z = rng.choice(pool, width).tolist()
+            # e2 as normal draws: a constant signal takes its bound from
+            # np.linalg.norm, which reads a subnormal vector as zero
+            e = rng.standard_normal(width).tolist() if trial % 4 < 2 else None
+            h = (0.1, 0.3, 1e-3, 2.0)[trial % 4]
+            n = (2, 3, 7, 20)[trial // 4 % 4]
+            want, steps = z, 0
+            while True:
+                want = _stage_loop_step(sys.F, tab, h, want, want, e)
+                steps += 1
+                if steps == n or not math.isfinite(want[0]):
+                    break
+            cfg = SolverConfig(h=h, t_end=n * h, integrator=name, record_stride=n)
+            pert = None if e is None else PerturbationSet(e2=DisturbanceSpec.constant(e))
+            tr = simulate(sys, np.array(z), cfg, pert)
+            _assert_same_trace(tr, simulate(_per_step(sys), np.array(z), cfg, pert))
+            assert tr.meta["flow_steps"] == steps, trial
+            if not math.isfinite(want[0]):
+                faults += 1
+                assert tr.termination == "fault" and tr.fault.t == steps * h, trial
+            elif all(map(math.isfinite, want)):
+                assert tr.termination == "horizon"
+                assert [_bits(v) for v in tr.zs[-1].tolist()] == [_bits(v) for v in want], trial
+    assert faults
 
 
 def _loop_text(seg):
     source = "".join(linecache.getlines(seg.__code__.co_filename))
-    return source, source[source.index("while True:"):]
+    return source, source[source.index("\n    for "):]
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -394,8 +433,7 @@ def test_hand_field_kernel_assigns_no_timer_stage(name, dim):
     F = make_hand_flow(1.0, sphere_cost(dim))
     for disturbed in (False, True):
         seg = _step_kernel(TABLEAUS[name], m, F.components, disturbed, None, None)
-        source = "".join(linecache.getlines(seg.__code__.co_filename))
-        loop = source[source.index("while True:"):]
+        source, loop = _loop_text(seg)
         stages = ["k%d_%d" % (k, m - 1) for k in range(TABLEAUS[name].stages)]
         assert not any(s in seg.__code__.co_varnames for s in stages), source
         assert not any(s in loop for s in stages), source
@@ -487,12 +525,30 @@ def test_segment_loop_computes_no_time_or_key(kind):
     for name in sorted(TABLEAUS):
         seg = _step_kernel(TABLEAUS[name], m, sys.F.components, True,
                            (sys.in_C.condition, sys.in_D.condition), (sig.key, sig.until))
-        source = "".join(linecache.getlines(seg.__code__.co_filename))
-        loop = source[source.index("while True:"):]
+        source, loop = _loop_text(seg)
         for text in ("t =", "fmod", "floor", "key"):
             assert text not in loop, source
             if kind in ("zero", "constant"):
                 assert text not in source, source
+
+
+@pytest.mark.parametrize("name", sorted(TABLEAUS))
+def test_segment_loop_counts_no_steps_and_tests_no_z0(name):
+    # the loop is a for loop over its step count: it keeps no counter of its
+    # own, makes no finite test, and breaks only at a membership exit
+    m = 3
+    sys = hand2(sphere_cost(1), HandParams(t_min=0.5, t_max=1.4, c=1.0))
+    sig = make_signal(_e2_specs(m)["square"])
+    for membership in (None, (sys.in_C.condition, sys.in_D.condition)):
+        for disturbed, switch in ((False, None), (True, None), (True, (sig.key, sig.until))):
+            seg = _step_kernel(TABLEAUS[name], m, sys.F.components, disturbed, membership, switch)
+            source, loop = _loop_text(seg)
+            for text in ("z0 - z0", "i += 1", "while True"):
+                assert text not in loop, source
+            if membership is None:
+                assert loop.startswith("\n    for _ in range(n):") and "break" not in loop, source
+            else:
+                assert loop.startswith("\n    for i in range(1, n + 1):") and loop.count("break") == 1, source
 
 
 @pytest.mark.parametrize("a, b", [(((),), (math.nan,)), (((), (0.5,)), (math.nan, 1.0)),
@@ -901,6 +957,52 @@ def test_fault_inside_a_segment_matches_per_step_calls(case, integrator):
     assert 2 < fused.meta["flow_steps"] < cfg.record_stride
     assert (fused.fault.t, fused.fault.j) == (ref.fault.t, ref.fault.j)
     assert np.array_equal(fused.fault.z_last, ref.fault.z_last)
+
+
+@pytest.mark.parametrize("integrator", sorted(TABLEAUS))
+@pytest.mark.parametrize("case", ["raises-after-blowup", "hybrid", "numpy-start"])
+def test_replayed_segment_fault_matches_per_step_calls(case, integrator):
+    # a segment runs past the step where z[0] goes non-finite; simulate
+    # replays it one step at a time from its start state and ends the run
+    # at that step, as the per-step path does
+    f = sphere_cost(1)
+    cfg = SolverConfig(h=0.25, t_end=20.0, integrator=integrator, record_stride=50)
+    t_fault = None
+    if case == "raises-after-blowup":
+        # z[0] overflows to inf without raising; a later step of the same
+        # segment, one the per-step path never takes, divides by zero at
+        # tau = 0.75, so the segment is redone on numpy scalars first
+        sys = flow_only_system(compile_components("late", 3, ["{0} * 1e200", "1.0 / ({2} - 0.75)", "1.0"]), 1)
+        z0 = [1.0, 0.0, 0.0]
+        t_fault = 0.5 if integrator == "euler" else 0.25
+    elif case == "hybrid":
+        # z[0] overflows within two steps; the timer leaves C = [0.5, 2.0]
+        # at the sixth (tau 2.1), where the segment's loop breaks
+        grow = compile_components("grow", 3, ["{0} * 1e200", "0.0", "1.0"])
+        sys = dataclasses.replace(hand1(f, HandParams(t_min=0.5, t_max=2.0, c=1.0, t_med=2.0)), F=grow)
+        z0 = [1.0, 1.0, 0.6]
+        t_fault = 0.5 if integrator == "euler" else 0.25
+    else:
+        # the first segment divides by zero at tau = 0 and is redone on
+        # numpy scalars, whose 1 / (1 + 1 / 0) is 0.0; the segments after it
+        # start from numpy scalars, and z[0] overflows a few steps into a
+        # later one
+        sys = flow_only_system(compile_components("masked", 3, ["{0} * 1e5", "1.0 / (1.0 + 1.0 / {2})", "1.0"]), 1)
+        z0 = [1.0, 0.0, -0.5]
+        cfg = dataclasses.replace(cfg, record_stride=8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fused = simulate(sys, np.array(z0), cfg)
+        ref = simulate(_per_step(sys), np.array(z0), cfg)
+    _assert_same_trace(fused, ref)
+    assert fused.termination == "fault" and fused.fault.kind == "blowup"
+    assert (fused.fault.t, fused.fault.j) == (ref.fault.t, ref.fault.j)
+    assert np.array_equal(fused.fault.z_last, ref.fault.z_last)
+    if t_fault is not None:
+        assert (fused.fault.t, fused.meta["flow_steps"]) == (t_fault, t_fault / cfg.h)
+    else:
+        steps = fused.meta["flow_steps"]
+        assert steps > cfg.record_stride and steps % cfg.record_stride > 1
 
 
 def test_generated_code_shows_in_tracebacks():
