@@ -143,14 +143,9 @@ def jump_decrease_hand2(z, f: CostFunction, params: HandParams) -> float:
     _require_minimizer(f)
     z = np.asarray(z, dtype=float)
     n = f.dim
-    x1 = z[:n]
-    x2 = z[n : 2 * n]
+    d1, d2 = z[:n] - f.xstar, z[n : 2 * n] - f.xstar
     tau = float(z[-1])
-    return (
-        0.5 * float(np.sum((x1 - f.xstar) ** 2))
-        - 0.5 * float(np.sum((x2 - f.xstar) ** 2))
-        - params.c * f.gap(x1) * (tau * tau - params.t_min**2)
-    )
+    return 0.5 * row_dot(d1, d1) - 0.5 * row_dot(d2, d2) - params.c * f.gap(z[:n]) * (tau * tau - params.t_min**2)
 
 
 def check_monotonicity(trace: Trace, f: CostFunction, c: float, slack_per_step: float) -> RateReport:
@@ -200,13 +195,9 @@ def _check_rate_ics(trace: Trace, f: CostFunction, t_min: Optional[float]):
     n = trace.dim
     z0 = trace.zs[0]
     x1_0 = z0[:n]
-    x2_0 = z0[n : 2 * n]
-    scale = max(1.0, float(np.abs(x1_0).max()))
-    if float(np.abs(x1_0 - x2_0).max()) > 1e-9 * scale:
-        raise ValueError(
-            "rate certificates assume matched start x2(0,0) = x1(0,0); got |x1-x2| = %g"
-            % float(np.abs(x1_0 - x2_0).max())
-        )
+    mismatch = float(np.abs(x1_0 - z0[n : 2 * n]).max())
+    if mismatch > 1e-9 * max(1.0, float(np.abs(x1_0).max())):
+        raise ValueError("rate certificates assume matched start x2(0,0) = x1(0,0); got |x1-x2| = %g" % mismatch)
     if t_min is not None and abs(float(z0[-1]) - t_min) > 1e-12 * max(1.0, t_min):
         raise ValueError(
             "rate certificates assume the timer starts at t_min = %g; got tau(0,0) = %g"
@@ -281,7 +272,7 @@ def check_exponential_rate(trace: Trace, f: CostFunction, params: HandParams, to
     k0 = k0_constant(params.c, f.mu, params.t_min, params.t_max)
     k_a = 0.5 * f.lipschitz * k1_constant(params.c, f.mu, params.t_min, params.t_min)
     dT = params.t_max - params.t_min
-    r0sq = float(np.sum((x1_0 - f.xstar) ** 2))
+    r0sq = row_dot(x1_0 - f.xstar, x1_0 - f.xstar)
     kb = 1.0 - k0
     bc = {"kind": "exponential", "k_a": k_a, "k_b": kb, "delta_t": dT, "r0_sq": r0sq, "tol": tol}
     worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1], f.gap(trace.zs[:, : f.dim]),

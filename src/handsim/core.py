@@ -35,11 +35,13 @@ _SYM_TOL = 1e-12
 
 
 def row_dot(a: np.ndarray, b: np.ndarray):
-    """a . b along the last axis by one BLAS ddot per row, each equal to the
-    vectors' ndarray.dot bit for bit (einsum and (a * b).sum(-1) are not when
-    the kernel fuses a multiply-add): a numpy scalar (not a slow 0-d array)
-    for two vectors, one value per row for blocks."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0][()]
+    """a . b along the last axis: numpy elementwise products summed column by
+    column from the first, the generated gradient's order, with no BLAS
+    kernel, so the bits are the same on every host. A float for two vectors,
+    one value per row for blocks; a ValueError on widths that differ."""
+    if a.shape[-1:] != b.shape[-1:]:
+        raise ValueError("row_dot: widths %r and %r differ" % (a.shape[-1:], b.shape[-1:]))
+    return per_row(sum((a[..., i] * b[..., i] for i in range(1, a.shape[-1])), a[..., 0] * b[..., 0]))
 
 
 def per_row(v):
@@ -53,10 +55,10 @@ class CostFunction:
     """Smooth cost with optional convexity metadata.
 
     value takes a shape-(dim,) float64 vector, and make_quadratic's value
-    also a block (rows, dim), one value per row. gradient takes a sequence of
-    dim components and returns a sequence of dim components; the flow
-    closures pass it a list of floats, or of numpy scalars in the engine's
-    fallback step. mu and lipschitz are strong-convexity and
+    also a block (rows, dim), one value per row by row_dot. gradient takes a
+    sequence of dim components and returns a sequence of dim components; the
+    flow closures pass it a list of floats, or of numpy scalars in the
+    engine's fallback step. mu and lipschitz are strong-convexity and
     gradient-Lipschitz constants when known; xstar/fstar are the minimizer
     and minimum, required by any sub-optimality reporting.
     """
@@ -267,7 +269,9 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
     Q must be symmetric positive semidefinite (no silent symmetrization).
     For Q positive definite the minimizer and curvature bounds are attached;
     a singular consistent system gets fstar but no unique xstar; b outside
-    the range of Q has no minimizer and is rejected.
+    the range of Q has no minimizer and is rejected. value and gradient sum
+    Qx by row_dot's rule; mu, lipschitz, xstar and fstar come from LAPACK
+    (eigvalsh, solve, lstsq), so their last bits can depend on the host.
     """
     Q = np.asarray(Q, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -287,12 +291,10 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
 
     def value(x, _Q=Q, _b=b):
         x = np.asarray(x, dtype=float)
-        return per_row(0.5 * row_dot(x, np.matmul(_Q, x[..., None])[..., 0]) + row_dot(x, _b))
+        return 0.5 * row_dot(x, row_dot(x[..., None, :], _Q)) + row_dot(x, _b)
 
-    # component i is sum_j Q[i][j] x[j] taken left to right, then + b[i]; on
-    # the corpus costs every product is exact, so this equals Q.dot(x) + b
-    # bit for bit whatever order a BLAS kernel sums in. A coefficient 1.0 is
-    # not multiplied: 1.0 * x is x for every float
+    # component i is row_dot(Q[i], x) + b[i], written out; a coefficient 1.0
+    # is not multiplied: 1.0 * x is x for every float
     gradient = compile_components("gradient", n, [
         "".join("%s%s{%d}" % (" + " if j else "", "" if qj == 1.0 else "%r * " % qj, j) for j, qj in enumerate(q))
         + " + %r" % bi for q, bi in zip(Q.tolist(), b.tolist())])
@@ -313,7 +315,7 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
 
     # singular: a minimizer exists iff the stationarity system Qx = -b is consistent
     x_ls, residual, _, _ = np.linalg.lstsq(Q, -b, rcond=None)
-    if not np.allclose(Q.dot(x_ls), -b, atol=1e-9 * max(scale, float(np.abs(b).max(initial=1.0)))):
+    if not np.allclose(row_dot(Q, x_ls), -b, atol=1e-9 * max(scale, float(np.abs(b).max(initial=1.0)))):
         raise ValueError("singular Q with b outside range(Q): cost has no minimizer")
     return CostFunction(
         dim=n,

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import CostFunction, compile_components, compile_source
+from .core import CostFunction, compile_components, compile_source, row_dot
 
 __all__ = [
     "OdeParams",
@@ -92,14 +92,16 @@ class DisturbanceSpec:
             if not (self.period > 0.0):
                 raise ValueError("%s needs period > 0" % self.kind)
             axis = np.asarray(self.axis, dtype=float).reshape(self.dim)
-            norm = float(np.linalg.norm(axis))
+            norm = math.sqrt(row_dot(axis, axis))
             if abs(norm - 1.0) > 1e-9:
                 raise ValueError("axis must be a unit vector, |axis| = %g" % norm)
             object.__setattr__(self, "axis", axis)
         if self.kind == "constant":
             value = np.asarray(self.value, dtype=float).reshape(self.dim)
+            top = float(np.abs(value).max())  # scaled by top, a tiny |value| does not underflow to 0
+            u = value / top if 0.0 < top < math.inf else value
             object.__setattr__(self, "value", value)
-            object.__setattr__(self, "eps", float(np.linalg.norm(value)))
+            object.__setattr__(self, "eps", top * math.sqrt(row_dot(u, u)))
         if self.kind == "uniform_random" and not (self.hold > 0.0):
             raise ValueError("uniform_random needs hold > 0")
 
@@ -170,7 +172,7 @@ def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
         if state["k"] != k:
             rng = np.random.default_rng((seed, k))
             g = rng.standard_normal(dim)
-            norm = float(np.linalg.norm(g))
+            norm = math.sqrt(row_dot(g, g))
             if norm == 0.0:
                 state["v"] = np.zeros(dim)
             else:

@@ -31,6 +31,7 @@ from .core import (
     SolverConfig,
     Trace,
     compile_source,
+    row_dot,
 )
 from .dynamics import DisturbanceSpec, make_signal
 
@@ -491,7 +492,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     t_stop = t_end - 1e-12 * max(1.0, t_end)
 
     def infl(sig, t):
-        return float(np.linalg.norm(sig(t))) if sig is not None else 0.0
+        return math.sqrt(row_dot(sig(t), sig(t))) if sig is not None else 0.0
 
     # initial state must sit in the (inflated) hybrid domain
     if not empty_jump_set:
@@ -555,8 +556,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         do_jump = False
         trial = None
         if not empty_jump_set:
-            i3 = float(np.linalg.norm(sig3(t))) if sig3 is not None else 0.0
-            i6 = float(np.linalg.norm(sig6(t))) if sig6 is not None else 0.0
+            i3, i6 = infl(sig3, t), infl(sig6, t)
             c_now = in_C(z, i3)
             d_now = in_D(z, i6) or (from_flow and not c_now)
             if d_now:

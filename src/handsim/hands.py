@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import CostFunction, compile_source, per_row
+from .core import CostFunction, compile_source, per_row, row_dot
 from .dynamics import make_hand_flow
 from .engine import HybridSystem
 
@@ -174,7 +174,8 @@ def target_distance(z: np.ndarray, xstar: np.ndarray, params: HandParams):
     n = xstar.shape[0]
     if z.shape[-1:] != (2 * n + 1,):
         raise ValueError("packed state must have length %d, got shape %r" % (2 * n + 1, z.shape))
-    dx2 = ((z[..., :n] - xstar) ** 2).sum(axis=-1) + ((z[..., n : 2 * n] - xstar) ** 2).sum(axis=-1)
+    d1, d2 = z[..., :n] - xstar, z[..., n : 2 * n] - xstar
+    dx2 = row_dot(d1, d1) + row_dot(d2, d2)
     tau = z[..., -1]
     d_tau = np.maximum(np.maximum(params.t_min - tau, 0.0), tau - params.t_max)
     return per_row(np.sqrt(dx2 + d_tau * d_tau))

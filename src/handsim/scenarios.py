@@ -379,7 +379,7 @@ def _axis_vector(axis, n: int) -> np.ndarray:
         v = np.zeros(dim)
         block = _CHOICES["disturbance.axis"].index(axis)  # x1, x2 or the clock, in packed order
         v[block * n:(block + 1) * n] = 1.0
-        return v / np.linalg.norm(v)
+        return v / math.sqrt(row_dot(v, v))
     v = np.asarray(axis)
     if v.shape != (dim,):
         raise ConfigError("disturbance.axis: expected %d components, got %r" % (dim, list(np.shape(axis))))
@@ -449,7 +449,7 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     # a run from the minimizer measures nothing: every gap, error and time
     # to eps is 0
     if scenario in ("instability", "discretization-order", "uniformity-probe"):
-        if float(np.linalg.norm(run.offset)) <= 0.0:
+        if row_dot(run.offset, run.offset) <= 0.0:
             raise ConfigError("params.%s must give a nonzero initial offset" % key)
     if scenario == "instability":
         run.hand_solver = replace(run.solver, t_end=p["hand_t_end"],
@@ -540,12 +540,13 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
     f, ode, hp = run.f, run.ode, run.hand
     p = config["params"]
     offset = run.offset
-    r0 = float(np.linalg.norm(offset))
+    r0 = math.sqrt(row_dot(offset, offset))
     threshold = p["growth_factor"] * r0
     xstar = f.xstar
 
     def escaped(t, j, z):
-        return float(np.linalg.norm(z[:f.dim] - xstar)) >= threshold
+        d = z[:f.dim] - xstar
+        return math.sqrt(row_dot(d, d)) >= threshold
 
     summary = {"config": config, "checks": {}, "runs": {}}
     artifacts = []
@@ -566,7 +567,8 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
 
         write_trace_csv(os.path.join(out_dir, name), trace, f, ode.c, dist_fn=dist)
         artifacts.append(name)
-        final_growth = float(np.linalg.norm(trace.zs[-1][:f.dim] - xstar)) / r0
+        d = trace.zs[-1][:f.dim] - xstar
+        final_growth = math.sqrt(row_dot(d, d)) / r0
         diverged = trace.termination == "condition" or trace.termination == "fault"
         summary["runs"][rep] = {
             "termination": trace.termination,
@@ -681,7 +683,7 @@ def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
         x0 = f.xstar + rng.standard_normal(f.dim)
         z0 = np.concatenate([x0, x0, [hp.t_min]])
         trace = simulate(sys, z0, cfg)
-        r = float(np.linalg.norm(x0 - f.xstar))
+        r = math.sqrt(row_dot(x0 - f.xstar, x0 - f.xstar))
         beta = beta_constant(r, hp.c, hp.t_min, f.gap(x0))
         tol = p["tol_abs"] + p["tol_scale"] * f.lipschitz * cfg.h
         rep = check_inverse_square_rate(trace, f, beta, tol=tol)
@@ -892,7 +894,8 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
         for h in h_grid:
             zh = final_state(h, integ)
             zr = final_state(h / p["ref_factor"], integ)
-            err = float(np.linalg.norm(zh[:2 * f.dim] - zr[:2 * f.dim]))
+            d = zh[:2 * f.dim] - zr[:2 * f.dim]
+            err = math.sqrt(row_dot(d, d))
             errs.append(err)
             order_rows.append([integ, h, err])
         slope = float(np.polyfit(np.log(h_grid), np.log(errs), 1)[0])

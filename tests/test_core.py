@@ -1,6 +1,8 @@
 """Cost corpus, gradient checking, and trace bookkeeping."""
 
+import ast
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,7 +19,8 @@ from handsim import (
     make_quadratic,
     sphere_cost,
 )
-from handsim.core import TAG_FAULT, TAG_JUMP, TAG_NAMES, _compiled, compile_components, compile_source, hybrid_time_fault
+from handsim.core import (TAG_FAULT, TAG_JUMP, TAG_NAMES, _compiled, compile_components, compile_source, hybrid_time_fault,
+                          row_dot)
 from handsim.scenarios import parse_config, run_scenario
 
 from trace_checks import assert_recorded
@@ -109,6 +112,88 @@ def test_quadratic_gradient_equals_matrix_product():
             g = f.gradient(x.tolist())
             assert all(type(v) is float for v in g)
             assert np.array_equal(np.array(g), Q.dot(x) + b), f.name
+
+
+def _left_to_right(a, b):
+    """sum_i a[i] * b[i] on Python floats, from the first product on."""
+    s = a[0] * b[0]
+    for u, v in zip(a[1:], b[1:]):
+        s = s + u * v
+    return s
+
+
+def test_row_dot_is_the_left_to_right_float_sum():
+    # bit for bit the Python-float loop, on vectors and on blocks of width 1
+    # to 5 (a fused multiply-add in a BLAS kernel would not be), a float for
+    # two vectors, and a ValueError on widths that differ
+    rng = np.random.default_rng(20)
+    for width in range(1, 6):
+        A = rng.standard_normal((4000, width)) * 10.0 ** rng.integers(-8, 8, size=(4000, width))
+        B = rng.standard_normal((4000, width))
+        want = [_left_to_right(a, b) for a, b in zip(A.tolist(), B.tolist())]
+        assert np.array_equal(row_dot(A, B), want), width
+        assert np.array_equal(row_dot(A, B[0]), [_left_to_right(a, B[0].tolist()) for a in A.tolist()]), width
+        assert [row_dot(a, b) for a, b in zip(A[:200], B)] == want[:200], width
+        with pytest.raises(ValueError):
+            row_dot(A, np.zeros(width + 1))
+        with pytest.raises(ValueError):
+            row_dot(A[:, :-1] if width > 1 else np.zeros((3, 2)), B)
+    assert type(row_dot(A[0], B[0])) is float
+
+
+def test_quadratic_value_is_the_left_to_right_float_formula():
+    # f(x) = 1/2 sum_i x_i (sum_j Q_ij x_j) + sum_i b_i x_i, every sum on
+    # Python floats from its first term, bit for bit, on one state and on a
+    # block, for the corpus and random positive definite Q of width 1 to 5
+    rng = np.random.default_rng(21)
+    terms = [([[0.25]], [0.0]), ([[1.0]], [0.0]), (np.eye(2), [0.0, 0.0]), (np.diag([1.0, 4.0]), [1.0, 0.0]),
+             ([[2.0, 0.5], [0.5, 1.0]], [-1.0, 2.0])]
+    for width in range(1, 6):
+        M = rng.standard_normal((width, width))
+        terms.append((M @ M.T + width * np.eye(width), rng.standard_normal(width)))
+    for Q, b in terms:
+        f = make_quadratic(Q, b)
+        Q, b = np.asarray(Q, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()
+        X = rng.standard_normal((500, f.dim)) * 10.0 ** rng.integers(-6, 6, size=(500, f.dim))
+        want = [0.5 * _left_to_right(x, [_left_to_right(q, x) for q in Q]) + _left_to_right(b, x)
+                for x in X.tolist()]
+        assert np.array_equal(f.value(X), want), Q
+        assert [f.value(x) for x in X[:100]] == want[:100], Q
+        assert type(f.value(X[0])) is float
+
+
+# the only calls into BLAS or LAPACK that src/ makes, each by (module,
+# top-level definition, call): make_quadratic's one-time constants and the
+# discretization-order fit. Every other dot product, norm and squared
+# distance goes through core.row_dot
+_BLAS_ALLOWED = {
+    ("core", "make_quadratic", "np.linalg.eigvalsh"),
+    ("core", "make_quadratic", "np.linalg.solve"),
+    ("core", "make_quadratic", "np.linalg.lstsq"),
+    ("scenarios", "_run_discretization_order", "np.polyfit"),
+}
+_BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "vdot", "tensordot", "polyfit"}
+
+
+def test_no_blas_backed_call_in_src():
+    package = os.path.dirname(compile_source.__code__.co_filename)
+    found = set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                    found.add((name[:-3], owner, "@"))
+                elif isinstance(node, ast.Attribute) and (
+                        node.attr in _BLAS_NAMES or ast.unparse(node).startswith("np.linalg.")):
+                    found.add((name[:-3], owner, ast.unparse(node)))
+                elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                    found.add((name[:-3], owner, "from %s import" % node.module))
+    assert found == _BLAS_ALLOWED
 
 
 def test_grad_check_exact_for_quadratic():

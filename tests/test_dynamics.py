@@ -8,11 +8,13 @@ from scipy.integrate import quad
 
 from handsim import (
     DisturbanceSpec,
+    HandParams,
     OdeParams,
     PerturbationSet,
     SolverConfig,
     coupled_cost,
     example1_cost,
+    hand2,
     limiting_integral,
     make_quadratic,
     simulate,
@@ -173,6 +175,27 @@ def test_zero_signal():
     for t in (0.0, 1.3, 99.0):
         assert np.all(sig(t) == 0.0)
     assert spec.is_zero()
+
+
+def test_tiny_constant_disturbance_is_kept():
+    # a constant is zero only when every component is 0.0: its bound is
+    # taken scaled by the largest component, so a tiny one does not
+    # underflow to 0 and the engine does not drop the signal
+    for value in ([1e-170, 1e-170], [-2.5e-320]):
+        spec = DisturbanceSpec.constant(value)
+        assert not spec.is_zero() and spec.eps > 0.0, value
+    assert DisturbanceSpec.constant([1e-170, 1e-170]).eps == 1e-170 * math.sqrt(2.0)
+    assert DisturbanceSpec.constant([0.0, -0.0]).is_zero()
+    # as e2, it moves a hand2 run off the minimizer, where the undisturbed
+    # run stays
+    f = sphere_cost(1)
+    sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))
+    z0 = np.array([0.0, 0.0, 1.0])
+    cfg = SolverConfig(h=0.01, t_end=3.0, integrator="euler")
+    assert np.all(simulate(sys, z0, cfg).zs[:, :2] == f.xstar)
+    for e2 in ([1e-170, 1e-170, 0.0], [-2.5e-320, 0.0, 0.0]):
+        moved = simulate(sys, z0, cfg, PerturbationSet(e2=DisturbanceSpec.constant(e2)))
+        assert np.any(moved.zs[:, :2] != f.xstar), e2
 
 
 def test_uniform_random_signal_deterministic_and_bounded():

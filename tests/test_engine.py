@@ -330,8 +330,8 @@ def test_segment_fault_is_the_first_non_finite_z0(name, width):
         for trial in range(40):
             pool = mixed if trial % 3 else np.array([0.0, -0.0])
             z = rng.choice(pool, width).tolist()
-            # e2 as normal draws: a constant signal takes its bound from
-            # np.linalg.norm, which reads a subnormal vector as zero
+            # e2 as normal draws; tiny constant signals are the subject of
+            # test_dynamics' test_tiny_constant_disturbance_is_kept
             e = rng.standard_normal(width).tolist() if trial % 4 < 2 else None
             h = (0.1, 0.3, 1e-3, 2.0)[trial % 4]
             n = (2, 3, 7, 20)[trial // 4 % 4]

@@ -7,7 +7,9 @@ x86-64 Linux); a last-bit change anywhere in a trajectory changes a CSV cell
 and fails this test. The configs are the bundled ones shrunk by overrides so
 the five runs take about four seconds. The robustness-margin digests were
 recorded later, from the per-row distance evaluation that preceded the
-row-wise certificate columns (same platform).
+row-wise certificate columns (same platform). The hand1-rate traces of the
+2-d costs were recorded again when core.row_dot began to sum its products
+column by column instead of by BLAS ddot: only their f_gap and V cells moved.
 
 The engine cross-check grid below pins the engine paths the shrunk configs
 may leave out: every integrator and jump policy, a square wave on each of
@@ -60,11 +62,11 @@ DIGESTS = {
     "hand1-rate": {
         "plot.gp": "a04ecb3ebc82f1390e9433c8f908789cafab5ac460f0dce107c4dd3194c13659",
         "summary.json": "91a3c5df4d73d61e3e8373a140a37ecc0fa3e8db42f9f00d28bd6947c8df4d36",
-        "trace_aniso2.csv": "3568ca4e4e6a5003f8fe671980c4c7ac574ed345b3a8ffdca1e4c6ac844afd6e",
-        "trace_coupled2.csv": "7c2a1d1b2ea4bda47959cdee6f957bc3bd40cf2f4e1ca438a39d19fe6e37bdbe",
+        "trace_aniso2.csv": "cb660c6b6360a964adc8ca4fe792b09e39b58fda8ba369c776ee0d4fffd2fe63",
+        "trace_coupled2.csv": "5556c804bb8ba6d93ecbeeb746dab13a81bbc1e63f72996817592094d6791707",
         "trace_example1.csv": "618911b0c0ec19630d0556fcf7485c6459d5715493d05ae3fee86396ae363443",
         "trace_sphere1.csv": "acba708235fc91f40cad5cb8a800a5fca82b9ce51e127c1d39cb72b267895095",
-        "trace_sphere2.csv": "a801b34507862692282644e2ae700f737a687c80c5fe230fb4c27b6e98bec5bc",
+        "trace_sphere2.csv": "07fdd567e980a12916fde9f62c57fe9950a551e05344a8b542a05b1b4732f79c",
     },
     "instability": {
         "plot.gp": "0c2817efa753cf4ae12a934dcd8bab551114fc38d6c38d0958afbc59d2371a62",
