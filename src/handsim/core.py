@@ -9,6 +9,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import re
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -248,18 +249,26 @@ def compile_source(text: str, name: str, **names):
     return namespace[name]
 
 
-def compile_components(name: str, width: int, components, **names):
+def compile_components(name: str, width: int, components, factors=(), **names):
     """Closure name(x) on a sequence of width components, returning the list
-    of the given component expressions, in which "{i}" stands for x[i].
-    Expressions that need no names beyond compile_source's own stand alone,
-    and the closure carries them as its components attribute, so the engine
-    can inline them."""
-    components = tuple(components)
+    of the given component expressions, in which "{i}" stands for x[i] and
+    "{f<j>}" for (factors[j]), an expression in the clock x[width - 1] alone
+    (a ValueError names one that reads another input), used where its bare
+    text parses the same: the engine computes it once per clock stage value
+    or inlines it as written. Expressions that need no names beyond
+    compile_source's own stand alone, and the closure carries them as its
+    components and factors attributes, so the engine can inline them."""
+    components, factors = tuple(components), tuple(factors)
+    for f in factors:
+        if set(re.findall(r"{(\w*)", f)) - {str(width - 1)}:
+            raise ValueError("factor %r names an input other than the clock {%d}" % (f, width - 1))
     args = ["x[%d]" % i for i in range(width)]
-    fn = compile_source("def %s(x):\n    return [%s]\n" % (name, ", ".join(c.format(*args) for c in components)),
-                        name, **names)
+    refs = {"f%d" % j: "(%s)" % f.format(*args) for j, f in enumerate(factors)}
+    body = ", ".join(c.format(*args, **refs) for c in components)
+    fn = compile_source("def %s(x):\n    return [%s]\n" % (name, body), name, **names)
     if not names:
         fn.components = components
+        fn.factors = factors
     return fn
 
 

@@ -8,9 +8,12 @@ clock] that returns the 2*dim + 1 field components as a list, computed
 component by component on a list of floats (numpy scalars where the engine
 redoes a step that raised). The factory writes each component as an
 expression from its constants and compiles F from that text, which F
-carries as its components for the engine to inline. The closures assume
-in-domain states (positive timer or clock); the engine is their caller and
-applies the disturbance channels around them.
+carries as its components for the engine to inline. A coefficient in the
+timer or clock alone (2/tau and -2c tau, ell/t, c p^2 t^(p-2)) is declared
+as a clock factor, carried as F.factors, which the engine computes once per
+stage value of the clock. The closures assume in-domain states (positive
+timer or clock); the engine is their caller and applies the disturbance
+channels around them.
 """
 
 from __future__ import annotations
@@ -205,10 +208,9 @@ def make_hand_flow(c: float, f: CostFunction) -> Callable[[Sequence], list]:
     if not (c > 0.0):
         raise ValueError("c must be positive, got %r" % (c,))
     grad, names = _gradient_components(f)
-    tau = "{%d}" % (2 * n)
-    comps = ["2.0 / %s * ({%d} - {%d})" % (tau, n + i, i) for i in range(n)]
-    comps += ["%r * %s * (%s)" % (-(2.0 * float(c)), tau, g) for g in grad]
-    return compile_components("hand_flow", 2 * n + 1, comps + ["1.0"], **names)
+    comps = ["{f0} * ({%d} - {%d})" % (n + i, i) for i in range(n)] + ["{f1} * (%s)" % g for g in grad]
+    factors = ["2.0 / {%d}" % (2 * n), "%r * {%d}" % (-(2.0 * float(c)), 2 * n)]
+    return compile_components("hand_flow", 2 * n + 1, comps + ["1.0"], factors, **names)
 
 
 def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
@@ -229,20 +231,21 @@ def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:
             return "%s ** %r" % (t, e)
         return "(nan if -inf < %s < 0.0 else %s ** %r)" % (t, t, e)
 
-    def product(coef, e, g):
-        # coef * t ** e * (g) without the factors that cannot change a bit:
-        # t ** 0.0 is 1.0 for every float, and 1.0 * x is x
-        factors = [] if coef == 1.0 else [repr(coef)]
-        return " * ".join(factors + ([] if e == 0.0 else [power(e)]) + ["(%s)" % g])
-
+    # coef * t ** e without the factors that cannot change a bit (t ** 0.0
+    # is 1.0 for every float, and 1.0 * x is x); a clock factor unless t or constant
+    coef, e = (c * p * p, p - 2.0) if rep1 else (-(c * p * p / (ell - 1.0)), p - 1.0)
+    scale = " * ".join(([] if coef == 1.0 else [repr(coef)]) + ([] if e == 0.0 else [power(e)]))
+    factors = ["-(%r / %s)" % (ell, t) if rep1 else "%r / %s" % (ell - 1.0, t)]
+    if t in scale and scale != t:
+        factors.append(scale)
+        scale = "{f1}"
+    forces = ["%s(%s)" % (scale + " * " if scale else "", g) for g in grad]
     if rep1:
         comps = ["{%d}" % (n + i) for i in range(n)]
-        comps += ["-(%r / %s) * {%d} - %s" % (ell, t, n + i, product(c * p * p, p - 2.0, g))
-                  for i, g in enumerate(grad)]
+        comps += ["{f0} * {%d} - %s" % (n + i, force) for i, force in enumerate(forces)]
     else:
-        comps = ["%r / %s * ({%d} - {%d})" % (ell - 1.0, t, n + i, i) for i in range(n)]
-        comps += [product(-(c * p * p / (ell - 1.0)), p - 1.0, g) for g in grad]
-    return compile_components("rep1_flow" if rep1 else "rep2_flow", 2 * n + 1, comps + ["1.0"], **names)
+        comps = ["{f0} * ({%d} - {%d})" % (n + i, i) for i in range(n)] + forces
+    return compile_components("rep1_flow" if rep1 else "rep2_flow", 2 * n + 1, comps + ["1.0"], factors, **names)
 
 
 def make_rep1_flow(params: OdeParams, f: CostFunction) -> Callable:

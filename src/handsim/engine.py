@@ -14,7 +14,6 @@ C intersect D are resolved by a jump policy; "escaped hybrid domain" and
 
 from __future__ import annotations
 
-import ast
 import functools
 import math
 from dataclasses import dataclass, field
@@ -162,76 +161,9 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
     return make_signal(spec)
 
 
-_ARITHMETIC = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Constant, ast.operator, ast.unaryop, ast.expr_context)
-
-
-def _arithmetic(line, node, version, visit):
-    """Call visit(sub, key) on each sub-expression of node, parsed from
-    line, made of arithmetic on names and constants, outermost first. key
-    tells apart the values it computes: its text and the version of each
-    name in it. visit returns True to skip the sub-expression's own parts.
-    Only such sub-expressions are entered, and each runs whenever node does
-    (an if-expression's branches, say, may not)."""
-    stack = [node]
-    while stack:
-        node = stack.pop()
-        if not isinstance(node, (ast.BinOp, ast.UnaryOp)):
-            continue
-        parts = list(ast.walk(node))
-        names = [n.id for n in parts if isinstance(n, ast.Name)]
-        if names and all(isinstance(n, _ARITHMETIC) for n in parts) and visit(node, (
-                line[node.col_offset:node.end_col_offset], tuple(version.get(n, 0) for n in names))):
-            continue
-        stack += [node.right, node.left] if isinstance(node, ast.BinOp) else [node.operand]
-
-
-def _share_factors(body):
-    """body, straight-line assignments, with each arithmetic sub-expression
-    of names and constants that runs more than once on the same operand
-    values computed once, into a name f<i> assigned before its first use:
-    the hand field's 2.0 / tau in every position component, and again at
-    the next stage while tau's stage value stands. Each use is the same
-    operation on the same operands, so every bit is kept."""
-    trees = [ast.parse(line).body[0] for line in body]
-    counts, version = {}, {}
-
-    def assign(tree):
-        for n in ast.walk(tree.targets[0]):
-            if isinstance(n, ast.Name):
-                version[n.id] = version.get(n.id, 0) + 1
-
-    def count(node, key):
-        counts[key] = counts.get(key, 0) + 1
-
-    for line, tree in zip(body, trees):
-        _arithmetic(line, tree.value, version, count)
-        assign(tree)
-    shared, out = {}, []
-    version.clear()
-    for line, tree in zip(body, trees):
-        cuts = []
-
-        def share(node, key):
-            if counts[key] < 2:
-                return False
-            if key not in shared:
-                shared[key] = "f%d" % len(shared)
-                out.append("%s = %s" % (shared[key], key[0]))
-            cuts.append((node.col_offset, node.end_col_offset, shared[key]))
-            return True
-
-        _arithmetic(line, tree.value, version, share)
-        # the cuts do not overlap: splice them in from the right
-        for start, end, name in sorted(cuts, reverse=True):
-            line = line[:start] + name + line[end:]
-        out.append(line)
-        assign(tree)
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed: bool,
-                 membership: Optional[tuple], switch: Optional[tuple]):
+                 membership: Optional[tuple], switch: Optional[tuple], factors: tuple = ()):
     """One flow segment of explicit Runge-Kutta steps of tab on m
     components, generated as straight-line code on first use and cached by
     its arguments: seg(F, z, src, h, k, n, t_stop[, e]) returns (z', steps).
@@ -241,14 +173,16 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     Zero coefficients are skipped (except b_0) and a coefficient 1.0 is not
     multiplied, so every component takes a fixed order of operations. The
     components are floats (numpy scalars in simulate's fallback). field,
-    F's component expressions ("{i}" for input i), is inlined in place of
-    F; with field None each stage calls F on a list, and a wrong count
-    raises ValueError naming the m expected. Within a step, an arithmetic
-    sub-expression of names and constants that runs more than once on the
-    same values (the hand field's 2.0 / tau and -2c * tau, shared by the
-    components of a stage and by rk4's stages 2 and 3) is computed once
-    (see _share_factors). The 0.0 + ... stage sums stay: they turn a -0.0
-    sum into +0.0.
+    F's component expressions ("{i}" for input i, "{f<j>}" for factors[j]:
+    see core.compile_components), is inlined in place of F; with field None
+    each stage calls F on a list, and a wrong count raises ValueError naming
+    the m expected. A factor (the hand field's 2.0 / tau and -2c * tau)
+    reads the clock, input m - 1, alone: where a step assigns the clock's
+    stage argument, one that the stages up to its next assignment use twice
+    or more (a stage's components, rk4's stages 2 and 3) is computed once,
+    into f<i> before its first use, and one used once is inlined as written,
+    the same operation on the same operand either way. The 0.0 + ... stage
+    sums stay: they turn a -0.0 sum into +0.0.
 
     A component of field written as a float literal (the timer's "1.0") is
     folded: its K is that constant at every stage, so its sums above are
@@ -299,12 +233,25 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     lines = ["def seg(F, z, src, h, k, n, t_stop%s):" % (", e" if disturbed else ""), "    %s= z" % names("z")]
     if disturbed:
         lines.append("    %s= e" % names("e"))
-    folded = {}
+    # a literal component's stage sums, taken in the loop's order; a stage
+    # assigns its a_i only where the sum differs from the last one assigned
+    folded, last = {}, {}
+    for k, row in enumerate(tab.a[1:], 1):
+        for i in consts:
+            c = 0.0
+            for a in row:
+                if a != 0.0:
+                    c = c + consts[i] * a
+            if last.get(i) != repr(c):
+                last[i] = repr(c)
+                folded["c%d_%d" % (k, i)] = "%r * h" % c
+    # the stages that assign the clock's argument (stage 0 reads x's)
+    fresh = [k for k in range(tab.stages) if not k or "c%d_%d" % (k, m - 1) in folded or m - 1 not in consts]
+    live = [(i, c) for i, c in enumerate(field or ()) if i not in consts]
 
     def step(x):
         # one step's statements, reading stage 0 and the stage bases from x
-        body = []
-        last = {}
+        body, named = [], []
         for k, row in enumerate(tab.a):
             arg = ["%s%d" % (x, i) for i in r]
             if k:
@@ -313,20 +260,25 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                         body.append("a%d = (0.0%s) * h + %s%d" % (i, "".join(
                             " + k%d_%d%s" % (j, i, "" if a == 1.0 else " * %r" % a)
                             for j, a in enumerate(row) if a != 0.0), x, i))
-                        continue
-                    c = 0.0
-                    for a in row:
-                        if a != 0.0:
-                            c = c + consts[i] * a
-                    if last.get(i) != repr(c):
-                        last[i] = repr(c)
-                        folded["c%d_%d" % (k, i)] = "%r * h" % c
+                    elif "c%d_%d" % (k, i) in folded:
                         body.append("a%d = c%d_%d + %s%d" % (i, k, i, x, i))
                 arg = ["a%d" % i for i in r]
             if field is None:
                 body.append("%s= F([%s])" % (names("k%d_" % k), ", ".join(arg)))
-            else:
-                body += ["k%d_%d = %s" % (k, i, c.format(*arg)) for i, c in enumerate(field) if i not in consts]
+                continue
+            if k in fresh:
+                # computed once: the factors that the stages up to the
+                # clock's next assignment use twice or more
+                run = (fresh + [tab.stages])[fresh.index(k) + 1] - k
+                refs = {"f%d" % j: f.format(*arg) for j, f in enumerate(factors)}
+                pending = [ref for ref in refs if run * sum(c.count("{%s}" % ref) for _, c in live) >= 2]
+            for i, c in live:
+                for ref in [ref for ref in pending if "{%s}" % ref in c]:
+                    pending.remove(ref)
+                    named.append("f%d" % len(named))
+                    body.append("%s = %s" % (named[-1], refs[ref]))
+                    refs[ref] = named[-1]
+                body.append("k%d_%d = %s" % (k, i, c.format(*arg, **refs)))
         weights = [(k, b) for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
         for i in r:
             if i not in consts:
@@ -341,7 +293,7 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                 d = term if d is None else d + term
             folded["d%d" % i] = "(%r + e%d) * h" % (d, i) if disturbed else "%r * h" % d
             body.append("z%d = z%d + d%d" % (i, i, i))
-        return _share_factors(body)
+        return body
 
     shifted = step("s")
     loop = step("z")
@@ -414,9 +366,10 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     in_C and in_D. A segment ends at the next record point, when tau leaves
     C or enters D, when a piecewise-constant e2 switches, or at the
     horizon; the loop takes over there. A segment folds the field's
-    literal components (the timer's rate) out of its loop, computes a
-    factor that its stages share once, steps the running state in place,
-    with no per-step copy, and counts its steps to the horizon and to the
+    literal components (the timer's rate) out of its loop, computes each
+    clock factor F declares once per clock stage value when its stages use
+    it more than once, steps the running state in place, with no per-step
+    copy, and counts its steps to the horizon and to the
     e2 key's next switch before it starts, so its loop computes no t and
     tests only membership. z[0] is tested once per segment: a non-finite
     z[0] at its end (once there, an inf or nan stays) has the segment
@@ -486,13 +439,16 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     membership = None if empty_jump_set else (getattr(in_C, "condition", None), getattr(in_D, "condition", None))
     fused = (field is not None and sig1 is None and sig3 is None and sig6 is None
              and (sig2 is None or key is not None) and (membership is None or None not in membership))
-    seg = _step_kernel(TABLEAUS[cfg.integrator], m, field, sig2 is not None,
-                       membership if fused else None, (key, sig2.until) if fused and key is not None else None)
+    seg = _step_kernel(TABLEAUS[cfg.integrator], m, field, sig2 is not None, membership if fused else None,
+                       (key, sig2.until) if fused and key is not None else None, getattr(F, "factors", ()))
 
     t_stop = t_end - 1e-12 * max(1.0, t_end)
 
     def infl(sig, t):
-        return math.sqrt(row_dot(sig(t), sig(t))) if sig is not None else 0.0
+        if sig is None:
+            return 0.0
+        e = sig(t)
+        return math.sqrt(row_dot(e, e))
 
     # initial state must sit in the (inflated) hybrid domain
     if not empty_jump_set:
@@ -511,8 +467,6 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     events: list = []
     fault: Optional[FaultRecord] = None
     termination = "horizon"
-
-    stop_hit = False
 
     def flow(t, z, n):
         """Up to n steps of z + h (F(z + e1(t)) + e2(t)) from t: (z', steps),
@@ -540,8 +494,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         return z, steps
 
     record(0.0, 0, z, TAG_FLOW)
-    if stop_condition is not None and stop_condition(0.0, 0, z):
-        stop_hit = True
+    stop_hit = stop_condition is not None and stop_condition(0.0, 0, z)
 
     k_step = 0
     j = 0
@@ -550,7 +503,6 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     since_record = 0
     while not stop_hit:
         if t >= t_stop:
-            termination = "horizon"
             break
 
         do_jump = False
@@ -616,8 +568,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                                     events[-1].z_post)
                 termination = "fault"
                 break
-            if stop_condition is not None and stop_condition(t, j, z):
-                stop_hit = True
+            stop_hit = stop_condition is not None and stop_condition(t, j, z)
             continue
 
         # a flow segment up to the next record point (the lookahead's step,
@@ -627,19 +578,15 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         t = k_step * h
         from_flow = True
         since_record += n
-        if not math.isfinite(z[0]):
+        # z[0] is tested after every segment, the whole state where it is recorded
+        if not math.isfinite(z[0]) or (since_record >= stride and not _all_finite(z)):
             fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t, np.array(zs[-1]))
             termination = "fault"
             break
         if since_record >= stride:
-            if not _all_finite(z):
-                fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t, np.array(zs[-1]))
-                termination = "fault"
-                break
             record(t, j, z, TAG_FLOW)
             since_record = 0
-            if stop_condition is not None and stop_condition(t, j, z):
-                stop_hit = True
+            stop_hit = stop_condition is not None and stop_condition(t, j, z)
 
     if stop_hit:
         termination = "condition"

@@ -3,6 +3,7 @@
 import ast
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -331,6 +332,17 @@ def test_compile_source_shares_code_and_binds_names_per_call():
     assert p is not q and p.__code__ is q.__code__
     p.components = ("changed",)
     assert q.components == ("{0} * 2.0",)
+
+
+def test_compile_components_refuses_a_factor_off_the_clock():
+    # the engine computes a declared factor once per clock stage value: one
+    # that read any other input would be reused stale across stages
+    for factor in ("2.0 / {0}", "{1} * {2}", "{} * 2.0", "{f0} * {2}"):
+        with pytest.raises(ValueError, match=re.escape(repr(factor))):
+            compile_components("c", 3, ["{f0} * {0}", "{1}", "1.0"], [factor])
+    # on the clock alone it is accepted, carried and computed in place
+    F = compile_components("c", 3, ["{f0} * {0}", "{1}", "1.0"], ["2.0 / {2}"])
+    assert F.factors == ("2.0 / {2}",) and F([3.0, 1.0, 4.0]) == [2.0 / 4.0 * 3.0, 1.0, 1.0]
 
 
 def test_repeated_run_compiles_no_source(tmp_path):

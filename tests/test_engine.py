@@ -122,9 +122,10 @@ def test_euler_half_steps_differ_second_order():
 
 def _one_step(tab, width, field, F, z, src, h, e=None):
     """One step of the generated segment, with F called per stage or, given
-    field, F's component expressions inlined."""
+    field, F's component expressions inlined around the factors F declares."""
     args = () if e is None else (e,)
-    got, steps = _step_kernel(tab, width, field, e is not None, None, None)(F, z, src, h, 0, 1, math.inf, *args)
+    seg = _step_kernel(tab, width, field, e is not None, None, None, getattr(F, "factors", ()))
+    got, steps = seg(F, z, src, h, 0, 1, math.inf, *args)
     assert steps == 1
     return got
 
@@ -269,29 +270,38 @@ def test_step_kernel_folds_literal_components_bit_for_bit(name, width, form):
                     assert [_bits(v) for v in got] == [_bits(v) for v in want], (literal, trial, inlined, got, want)
 
 
-def _identity_components(m):
-    """Components in the forms the field factories once wrote, 1.0 * x,
-    t ** 1.0 and t ** 0.0, with the last input as t, around factors every
-    component shares (t ** 1.0 * 0.5 and t * -1.5, which the kernel computes
-    once per stage) and neighbours that make each output depend on the
-    order of operations."""
+def _identity_components(m, declared=True):
+    """(components, factors): components in the forms the field factories
+    once wrote, 1.0 * x, t ** 1.0 and t ** 0.0, with the last input as t,
+    around factors every component shares (t ** 1.0 * 0.5 and t * -1.5,
+    declared as clock factors, which the kernel computes once per stage, or
+    written out in each component with none declared) and neighbours that
+    make each output depend on the order of operations."""
     t = m - 1
-    return tuple("(1.0 * {%d} - {%d} ** 1.0 * 0.5) * ({%d} * -1.5) + {%d} ** 0.0 * {%d} * {%d}"
-                 % (i, t, t, t, (i + 1) % m, (i - 1) % m) for i in range(m))
+    factors = ("{%d} ** 1.0 * 0.5" % t, "{%d} * -1.5" % t)
+    refs = ("{f0}", "{f1}") if declared else factors
+    comps = tuple("(1.0 * {%d} - %s) * (%s) + {%d} ** 0.0 * {%d} * {%d}"
+                  % (i, refs[0], refs[1], t, (i + 1) % m, (i - 1) % m) for i in range(m))
+    return comps, factors if declared else ()
 
 
 @pytest.mark.parametrize("name", sorted(TABLEAUS))
 @pytest.mark.parametrize("width", [1, 3, 5])
-@pytest.mark.parametrize("form", ["float", "float64"])
-def test_segment_steps_in_place_match_repeated_stage_loops(name, width, form):
+@pytest.mark.parametrize("form, declared", [pytest.param(form, declared, id=form + ("" if declared else "-undeclared"))
+                                            for declared in (True, False) for form in ("float", "float64")])
+def test_segment_steps_in_place_match_repeated_stage_loops(name, width, form, declared):
     # a segment handed src is z steps the running state in place, n steps
     # at a time: each must give the bits of the stage loops repeated n
-    # times, past a non-finite z[0] too, with shared factors computed once
+    # times, past a non-finite z[0] too, with declared factors computed once
+    # per stage where a stage uses them twice or more; the same field
+    # without declared factors writes each out and shares none
     tab = TABLEAUS[name]
     rng = np.random.default_rng(200 + width)
     mixed = np.concatenate([SPECIAL, rng.standard_normal(10)])
-    field = _identity_components(width)
-    F = compile_components("identity_field", width, field)
+    field, factors = _identity_components(width, declared)
+    F = compile_components("identity_field", width, field, factors)
+    source, _ = _loop_text(_step_kernel(tab, width, field, False, None, None, factors))
+    assert bool(re.search(r"^ +f\d+ = ", source, re.M)) == (declared and width > 1), source
 
     def draw(pool):
         return [(float if form == "float" else np.float64)(v) for v in rng.choice(pool, width)]
@@ -307,7 +317,7 @@ def test_segment_steps_in_place_match_repeated_stage_loops(name, width, form):
             for _ in range(n):
                 want = _stage_loop_step(F, tab, h, want, want, e)
             for inlined in (None, field):
-                seg = _step_kernel(tab, width, inlined, e is not None, None, None)
+                seg = _step_kernel(tab, width, inlined, e is not None, None, None, factors)
                 got, got_steps = seg(F, z, z, h, 0, n, math.inf, *(() if e is None else (e,)))
                 assert got_steps == n, (trial, inlined)
                 assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, inlined, got, want)
@@ -322,8 +332,7 @@ def test_segment_fault_is_the_first_non_finite_z0(name, width):
     tab = TABLEAUS[name]
     rng = np.random.default_rng(300 + width)
     mixed = np.concatenate([[v for v in SPECIAL if math.isfinite(v)], rng.standard_normal(10)])
-    field = _identity_components(width)
-    sys = flow_only_system(compile_components("identity_field", width, field), (width - 1) // 2)
+    sys = flow_only_system(compile_components("identity_field", width, *_identity_components(width)), (width - 1) // 2)
     faults = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -365,23 +374,36 @@ def test_kernel_text_is_identity_free_and_shares_stage_factors(dim):
     # the generated step multiplies by no 1.0 and raises to no 1.0 or 0.0,
     # computes the hand field's 2.0 / tau once per distinct timer argument
     # (rk4: the state's, stages 2 and 3's shared one, stage 4's), and its
-    # loop copies no state
+    # loop copies no state. A shared factor reads the clock's stage value
+    # alone; one used once is inlined, so the dimension-1 euler hand kernel
+    # names none, and rk4 shares the ODE fields' clock factors as well
     m = 2 * dim + 1
     sys = hand2(sphere_cost(dim), HandParams(t_min=1.0, t_max=2.0, c=1.0))
     membership = (sys.in_C.condition, sys.in_D.condition)
-    kernels = {(kind, name): _step_kernel(TABLEAUS[name], m, F.components, disturbed, membership, None)
+    kernels = {(kind, name, disturbed):
+               _step_kernel(TABLEAUS[name], m, F.components, disturbed, membership, None, F.factors)
                for kind, F in [("hand", sys.F),
                                ("rep1", make_rep1_flow(OdeParams(c=0.25), sphere_cost(dim))),
                                ("rep1-p3", make_rep1_flow(OdeParams(p=3.0), sphere_cost(dim))),
                                ("rep2", make_rep2_flow(OdeParams(), sphere_cost(dim)))]
                for name in sorted(TABLEAUS) for disturbed in (False, True)}
-    for (kind, name), seg in kernels.items():
+    for (kind, name, _), seg in kernels.items():
         source, loop = _loop_text(seg)
         assert not re.search(r"\* 1\.0(?![\d.e])|\*\* [01]\.0(?![\d.e])", source), source
         assert not re.search(r"\bs\d", loop), source
         if kind == "hand":
             taus = {"euler": 1, "heun": 2, "midpoint": 2, "rk4": 3}[name]
             assert loop.count("2.0 /") == loop.count("-2.0 *") == taus, source
+        factors = re.findall(r"^ +f\d+ = (.*)$", source, re.M)
+        for text in factors:
+            clocks = ({"z%d" % (m - 1)}, {"s%d" % (m - 1)}, {"a%d" % (m - 1)})
+            assert set(re.findall(r"\b[a-z_]\w*", text)) in clocks, source
+        if (kind, name, dim) == ("hand", "euler", 1):
+            assert not factors, source
+        if name == "rk4":
+            clock = "a%d" % (m - 1)
+            want = {"rep1-p3": ["9.0 * " + clock], "rep2": ["2.0 / " + clock, "-2.0 * " + clock]}.get(kind, [])
+            assert all(re.search(r"^ +f\d+ = %s$" % re.escape(w), loop, re.M) for w in want), source
 
 
 @pytest.mark.parametrize("returned", [2, 4])
@@ -432,7 +454,7 @@ def test_hand_field_kernel_assigns_no_timer_stage(name, dim):
     m = 2 * dim + 1
     F = make_hand_flow(1.0, sphere_cost(dim))
     for disturbed in (False, True):
-        seg = _step_kernel(TABLEAUS[name], m, F.components, disturbed, None, None)
+        seg = _step_kernel(TABLEAUS[name], m, F.components, disturbed, None, None, F.factors)
         source, loop = _loop_text(seg)
         stages = ["k%d_%d" % (k, m - 1) for k in range(TABLEAUS[name].stages)]
         assert not any(s in seg.__code__.co_varnames for s in stages), source
@@ -524,7 +546,7 @@ def test_segment_loop_computes_no_time_or_key(kind):
     sig = make_signal(specs[kind])
     for name in sorted(TABLEAUS):
         seg = _step_kernel(TABLEAUS[name], m, sys.F.components, True,
-                           (sys.in_C.condition, sys.in_D.condition), (sig.key, sig.until))
+                           (sys.in_C.condition, sys.in_D.condition), (sig.key, sig.until), sys.F.factors)
         source, loop = _loop_text(seg)
         for text in ("t =", "fmod", "floor", "key"):
             assert text not in loop, source
@@ -541,7 +563,7 @@ def test_segment_loop_counts_no_steps_and_tests_no_z0(name):
     sig = make_signal(_e2_specs(m)["square"])
     for membership in (None, (sys.in_C.condition, sys.in_D.condition)):
         for disturbed, switch in ((False, None), (True, None), (True, (sig.key, sig.until))):
-            seg = _step_kernel(TABLEAUS[name], m, sys.F.components, disturbed, membership, switch)
+            seg = _step_kernel(TABLEAUS[name], m, sys.F.components, disturbed, membership, switch, sys.F.factors)
             source, loop = _loop_text(seg)
             for text in ("z0 - z0", "i += 1", "while True"):
                 assert text not in loop, source
@@ -1010,11 +1032,11 @@ def test_generated_code_shows_in_tracebacks():
     # it names the line that raised
     f = sphere_cost(1)
     F = make_hand_flow(1.0, f)
-    seg = _step_kernel(TABLEAUS["euler"], 3, F.components, False, None, None)
+    seg = _step_kernel(TABLEAUS["euler"], 3, F.components, False, None, None, F.factors)
     with pytest.raises(ZeroDivisionError) as info:
         seg(F, [1.0, 2.0, 0.0], [1.0, 2.0, 0.0], 0.1, 0, 1, math.inf)
     text = "".join(traceback.format_tb(info.tb))
     assert "k0_0 = 2.0 / s2 * (s1 - s0)" in text
     code = seg.__code__
     assert linecache.getline(code.co_filename, code.co_firstlineno).startswith("def seg(F, z, src, h, k, n, t_stop)")
-    assert linecache.getline(F.__code__.co_filename, 2).strip().startswith("return [2.0 / x[2] * (x[1] - x[0])")
+    assert linecache.getline(F.__code__.co_filename, 2).strip().startswith("return [(2.0 / x[2]) * (x[1] - x[0])")
