@@ -44,7 +44,6 @@ from .analysis import (
     hand1_phase_probe,
     jump_decrease_hand1,
     jump_decrease_hand2,
-    k0_constant,
     k1_constant,
     lyapunov,
     optimal_restart,

@@ -31,7 +31,6 @@ __all__ = [
     "check_monotonicity",
     "beta_constant",
     "check_inverse_square_rate",
-    "k0_constant",
     "k1_constant",
     "check_exponential_rate",
     "check_period_contraction",
@@ -134,7 +133,7 @@ def jump_decrease_hand1(z, f: CostFunction, params: HandParams) -> float:
     _require_minimizer(f)
     z = np.asarray(z, dtype=float)
     tau = float(z[-1])
-    return -params.c * f.gap(z[: f.dim]) * (tau * tau - params.t_min**2)
+    return -params.c * f.gap(z[: f.dim]) * (tau * tau - params.t_min * params.t_min)
 
 
 def jump_decrease_hand2(z, f: CostFunction, params: HandParams) -> float:
@@ -145,7 +144,8 @@ def jump_decrease_hand2(z, f: CostFunction, params: HandParams) -> float:
     n = f.dim
     d1, d2 = z[:n] - f.xstar, z[n : 2 * n] - f.xstar
     tau = float(z[-1])
-    return 0.5 * row_dot(d1, d1) - 0.5 * row_dot(d2, d2) - params.c * f.gap(z[:n]) * (tau * tau - params.t_min**2)
+    return (0.5 * row_dot(d1, d1) - 0.5 * row_dot(d2, d2)
+            - params.c * f.gap(z[:n]) * (tau * tau - params.t_min * params.t_min))
 
 
 def check_monotonicity(trace: Trace, f: CostFunction, c: float, slack_per_step: float) -> RateReport:
@@ -188,10 +188,10 @@ def beta_constant(r: float, c: float, t_min: float, f_gap0: float) -> float:
         raise ValueError("need r >= 0 and f_gap0 >= 0")
     if not (c > 0.0 and t_min > 0.0):
         raise ValueError("need c > 0 and t_min > 0")
-    return r * r / (2.0 * c) + t_min**2 * f_gap0
+    return r * r / (2.0 * c) + t_min * t_min * f_gap0
 
 
-def _check_rate_ics(trace: Trace, f: CostFunction, t_min: Optional[float]):
+def _check_rate_ics(trace: Trace, t_min: Optional[float]):
     n = trace.dim
     z0 = trace.zs[0]
     x1_0 = z0[:n]
@@ -215,7 +215,7 @@ def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
     has no bound at t = 0 and skips that row. With no sample to check, the
     check fails (checked 0)."""
     _require_minimizer(f)
-    _check_rate_ics(trace, f, trace.meta.get("t_min"))
+    _check_rate_ics(trace, trace.meta.get("t_min"))
     fault = trace.tags == TAG_FAULT
     if not use_clock:
         fault = fault | (trace.ts == 0.0)
@@ -231,23 +231,17 @@ def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
     )
 
 
-def k0_constant(c: float, mu: float, t_min: float, t_max: float) -> float:
-    """Per-period contraction factor ((c mu)^-1 + t_min^2) / t_max^2."""
-    if not (c > 0.0 and mu > 0.0 and 0.0 < t_min < t_max):
-        raise ValueError("need c > 0, mu > 0, 0 < t_min < t_max")
-    return (1.0 / (c * mu) + t_min * t_min) / (t_max * t_max)
-
-
 def k1_constant(c: float, mu: float, t_min: float, dT: float) -> float:
     """Window-normalized expansion constant ((c mu)^-1 + t_min^2) / dT^2.
 
     With dT = t_max - t_min this is the per-restart-period overhead that the
     restart design trades against; with dT = t_min it bounds within-flow
-    growth of the cost gap relative to its start-of-period value.
+    growth of the cost gap relative to its start-of-period value; with
+    dT = t_max it is k0, the per-period contraction factor of momentum resets.
     """
     if not (c > 0.0 and mu > 0.0 and t_min > 0.0 and dT > 0.0):
         raise ValueError("need c > 0, mu > 0, t_min > 0, dT > 0")
-    return (1.0 / (c * mu) + t_min**2) / (dT * dT)
+    return (1.0 / (c * mu) + t_min * t_min) / (dT * dT)
 
 
 def check_exponential_rate(trace: Trace, f: CostFunction, params: HandParams, tol: float = 0.0) -> RateReport:
@@ -268,8 +262,8 @@ def check_exponential_rate(trace: Trace, f: CostFunction, params: HandParams, to
         raise ValueError(
             "dwell condition violated (t_max^2 - t_min^2 <= 1/(mu c)); exponential certificate unavailable"
         )
-    x1_0 = _check_rate_ics(trace, f, params.t_min)
-    k0 = k0_constant(params.c, f.mu, params.t_min, params.t_max)
+    x1_0 = _check_rate_ics(trace, params.t_min)
+    k0 = k1_constant(params.c, f.mu, params.t_min, params.t_max)
     k_a = 0.5 * f.lipschitz * k1_constant(params.c, f.mu, params.t_min, params.t_min)
     dT = params.t_max - params.t_min
     r0sq = row_dot(x1_0 - f.xstar, x1_0 - f.xstar)
@@ -294,7 +288,7 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
     _require_minimizer(f)
     if f.mu is None:
         raise ValueError("contraction check needs mu on the cost")
-    k0 = k0_constant(params.c, f.mu, params.t_min, params.t_max)
+    k0 = k1_constant(params.c, f.mu, params.t_min, params.t_max)
     n = f.dim
     margins = []
     times = []

@@ -1,26 +1,27 @@
 """Continuous-time fields: the time-varying accelerated-gradient ODE in its two
-state-space forms, the timer-based restarting flow, disturbance signals, and
-the damping-integral diagnostic behind the non-uniformity probe.
+state-space forms, disturbance signals, and the damping-integral diagnostic
+behind the non-uniformity probe. The timer-based restarting flow is the
+averaged form at p = 2 (ell = 3) with the restartable timer tau in place of
+the clock t: make_rep2_flow(OdeParams(c=c), f).
 
-Each field (restarting flow, velocity form, averaged form) is built by its
-make_* factory as one closure F(z) on packed states z = [x1, x2, tau or
-clock] that returns the 2*dim + 1 field components as a list, computed
-component by component on a list of floats (numpy scalars where the engine
-redoes a step that raised). The factory writes each component as an
-expression from its constants and compiles F from that text, which F
-carries as its components for the engine to inline. A coefficient in the
-timer or clock alone (2/tau and -2c tau, ell/t, c p^2 t^(p-2)) is declared
-as a clock factor, carried as F.factors, which the engine computes once per
-stage value of the clock. The closures assume in-domain states (positive
-timer or clock); the engine is their caller and applies the disturbance
-channels around them.
+Each field (velocity form, averaged form) is built by its make_* factory as
+one closure F(z) on packed states z = [x1, x2, tau or clock] that returns the
+2*dim + 1 field components as a list, computed component by component on a
+list of floats (numpy scalars where the engine redoes a step that raised).
+The factory writes each component as an expression from its constants and
+compiles F from that text, which F carries as its components for the engine
+to inline. A coefficient in the timer or clock alone (ell/t, (ell-1)/t,
+c p^2 t^(p-2), -c p^2 t^(p-1)/(ell-1)) is declared as a clock factor,
+carried as F.factors, which the engine computes once per stage value of the
+clock. The closures assume in-domain states (positive timer or clock); the
+engine is their caller and applies the disturbance channels around them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,7 +33,6 @@ __all__ = [
     "make_signal",
     "make_rep1_flow",
     "make_rep2_flow",
-    "make_hand_flow",
     "limiting_integral",
 ]
 
@@ -41,8 +41,9 @@ __all__ = [
 class OdeParams:
     """Parameters of x'' + (ell/t) x' + c p^2 t^(p-2) grad f(x) = 0.
 
-    ell defaults to p + 1, the value under which the restarting flow is the
-    frozen-time specialization of the second state-space form.
+    ell defaults to p + 1. At p = 2 (ell = 3) the averaged form on z =
+    [x1, x2, tau] is the restarting flow, dz = ((2/tau)(x2 - x1),
+    -2 c tau grad f(x1), 1), with the timer tau in place of the clock t.
     """
 
     p: float = 2.0
@@ -197,20 +198,6 @@ def _gradient_components(f: CostFunction):
         return comps, {}
     x1 = ", ".join("{%d}" % j for j in range(f.dim))
     return ["_grad([%s])[%d]" % (x1, i) for i in range(f.dim)], {"_grad": f.gradient}
-
-
-def make_hand_flow(c: float, f: CostFunction) -> Callable[[Sequence], list]:
-    """Restarting field F(z) on packed z = [x1, x2, tau]:
-
-        dz = ((2/tau)(x2 - x1), -2 c tau grad f(x1), 1)
-    """
-    n = f.dim
-    if not (c > 0.0):
-        raise ValueError("c must be positive, got %r" % (c,))
-    grad, names = _gradient_components(f)
-    comps = ["{f0} * ({%d} - {%d})" % (n + i, i) for i in range(n)] + ["{f1} * (%s)" % g for g in grad]
-    factors = ["2.0 / {%d}" % (2 * n), "%r * {%d}" % (-(2.0 * float(c)), 2 * n)]
-    return compile_components("hand_flow", 2 * n + 1, comps + ["1.0"], factors, **names)
 
 
 def _make_rep_flow(params: OdeParams, f: CostFunction, rep1: bool) -> Callable:

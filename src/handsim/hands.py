@@ -1,8 +1,9 @@
 """Constructors for the two timer-based restarting hybrid systems.
 
-Both flow the restarting field while the timer tau is inside [t_min, t_max]
-and reset the timer to t_min on jumps. The two differ in the jump set and in
-what the jump does to the state:
+Both flow the restarting field, the averaged ODE form at p = 2 with the
+timer tau as its clock, while tau is inside [t_min, t_max] and reset the
+timer to t_min on jumps. The two differ in the jump set and in what the
+jump does to the state:
 
   variant 1: jumps allowed anywhere in tau in [t_med, t_max]; the jump keeps
              (x1, x2) and only resets the timer.
@@ -23,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .core import CostFunction, compile_source, per_row, row_dot
-from .dynamics import make_hand_flow
+from .dynamics import OdeParams, make_rep2_flow
 from .engine import HybridSystem
 
 __all__ = [
@@ -75,17 +76,26 @@ def _timer_test(name: str, condition: str):
     return test
 
 
-def _timer_sets(params: HandParams, d_lo: float, d_hi: float, point_jump: bool):
+def _restarting_system(kind: str, f: CostFunction, params: HandParams, G, t_med: float,
+                       point_jump: bool) -> HybridSystem:
+    """The restarting system: the averaged ODE form at p = 2 with the timer
+    as its clock, flowing while tau is in [t_min, t_max] and jumping by G
+    where tau is in [t_med, t_max] (at t_max when point_jump)."""
+    flow = make_rep2_flow(OdeParams(c=params.c), f)
     window = "%r - {inflation} <= {tau} <= %r + {inflation}"
-    in_C = _timer_test("in_C", window % (float(params.t_min), float(params.t_max)))
-    d_lo, d_hi = float(d_lo), float(d_hi)
+    t_max = float(params.t_max)
+    in_C = _timer_test("in_C", window % (float(params.t_min), t_max))
     if point_jump:
         # the timer accumulates fixed steps in floating point, so an exact
         # deadline is reached only up to roundoff; the band keeps deadline
         # hits from slipping one step per period
-        tol = 1e-9 * max(1.0, d_hi)
-        return in_C, _timer_test("in_D", "-({inflation} + %r) <= {tau} - %r <= {inflation} + %r" % (tol, d_hi, tol))
-    return in_C, _timer_test("in_D", window % (d_lo, d_hi))
+        tol = 1e-9 * max(1.0, t_max)
+        in_D = _timer_test("in_D", "-({inflation} + %r) <= {tau} - %r <= {inflation} + %r" % (tol, t_max, tol))
+    else:
+        in_D = _timer_test("in_D", window % (float(t_med), t_max))
+    meta = {"kind": kind, "t_min": params.t_min, "t_med": t_med, "t_max": params.t_max, "c": params.c,
+            "cost": f.name}
+    return HybridSystem(dim=f.dim, F=flow, G=G, in_C=in_C, in_D=in_D, meta=meta)
 
 
 def hand1(f: CostFunction, params: HandParams) -> HybridSystem:
@@ -94,25 +104,12 @@ def hand1(f: CostFunction, params: HandParams) -> HybridSystem:
     Jumps may fire anywhere in tau in [t_med, t_max] (policy decides where);
     the attractor is {xstar} x {xstar} x [t_min, t_max].
     """
-    t_med = params.t_med if params.t_med is not None else params.t_max
-    if not (params.t_min < t_med <= params.t_max):
-        raise ValueError("need t_min < t_med <= t_max")
-    n = f.dim
-    flow = make_hand_flow(params.c, f)
 
     def G(z, _t_min=params.t_min):
         return [*z[:-1], _t_min]
 
-    in_C, in_D = _timer_sets(params, t_med, params.t_max, point_jump=False)
-    meta = {
-        "kind": "hand1",
-        "t_min": params.t_min,
-        "t_med": t_med,
-        "t_max": params.t_max,
-        "c": params.c,
-        "cost": f.name,
-    }
-    return HybridSystem(dim=n, F=flow, G=G, in_C=in_C, in_D=in_D, meta=meta)
+    t_med = params.t_med if params.t_med is not None else params.t_max
+    return _restarting_system("hand1", f, params, G, t_med, point_jump=False)
 
 
 def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
@@ -133,22 +130,11 @@ def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
             "timer window too short for guaranteed contraction: t_max^2 - t_min^2 = %g <= 1/(mu c) = %g"
             % (params.t_max * params.t_max - params.t_min * params.t_min, 1.0 / mu_c if mu_c else math.inf)
         )
-    n = f.dim
-    flow = make_hand_flow(params.c, f)
 
-    def G(z, _n=n, _t_min=params.t_min):
+    def G(z, _n=f.dim, _t_min=params.t_min):
         return [*z[:_n], *z[:_n], _t_min]
 
-    in_C, in_D = _timer_sets(params, params.t_max, params.t_max, point_jump=True)
-    meta = {
-        "kind": "hand2",
-        "t_min": params.t_min,
-        "t_med": params.t_max,
-        "t_max": params.t_max,
-        "c": params.c,
-        "cost": f.name,
-    }
-    return HybridSystem(dim=n, F=flow, G=G, in_C=in_C, in_D=in_D, meta=meta)
+    return _restarting_system("hand2", f, params, G, params.t_max, point_jump=True)
 
 
 def validate_dwell(params: HandParams, mu: float) -> bool:

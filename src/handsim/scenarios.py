@@ -42,7 +42,6 @@ from .dynamics import (
     DisturbanceSpec,
     OdeParams,
     limiting_integral,
-    make_hand_flow,
     make_rep1_flow,
     make_rep2_flow,
 )
@@ -877,8 +876,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
 def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     f, hp = run.f, run.hand
     p = config["params"]
-    flow = make_hand_flow(hp.c, f)
-    probe = flow_only_system(flow, f.dim, meta={"kind": "order-probe"})
+    probe = _ode_system("rep2", OdeParams(c=hp.c), f)
     z0 = _hand_z0(f, run.offset, hp.t_min)
     period = hp.t_max - hp.t_min
 

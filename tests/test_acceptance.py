@@ -318,6 +318,5 @@ def test_criterion_10_reruns_are_byte_identical(tmp_path):
         lists = [sorted(os.listdir(d)) for d in dirs]
         assert lists[0] == lists[1] and lists[0], scenario
         for fname in lists[0]:
-            a = open(os.path.join(dirs[0], fname), "rb").read()
-            b = open(os.path.join(dirs[1], fname), "rb").read()
-            assert a == b, (scenario, fname)
+            with open(os.path.join(dirs[0], fname), "rb") as fa, open(os.path.join(dirs[1], fname), "rb") as fb:
+                assert fa.read() == fb.read(), (scenario, fname)

@@ -21,7 +21,6 @@ from handsim import (
     hand2,
     jump_decrease_hand1,
     jump_decrease_hand2,
-    k0_constant,
     k1_constant,
     lyapunov,
     make_quadratic,
@@ -104,10 +103,31 @@ def test_beta_constant_values():
 
 
 def test_rate_constants():
-    assert k0_constant(1.0, 1.0, 1.0, 2.0) == pytest.approx(0.5)
+    # k0, the per-period contraction factor, is k1 at dT = t_max
+    k0 = k1_constant(1.0, 1.0, 1.0, 2.0)
+    assert k0 == pytest.approx(0.5)
     k1 = k1_constant(1.0, 1.0, 1.0, 1.0)
     assert k1 == pytest.approx(2.0)
-    assert k1 > k0_constant(1.0, 1.0, 1.0, 2.0)
+    assert k1 > k0
+
+
+def test_certificate_constants_square_t_min_by_product():
+    # t_min^2 is t_min * t_min, correctly rounded, in every constant: at
+    # this t_min a libm pow can round t_min ** 2 the other way, and the
+    # other inputs carry that last bit through to each result
+    t = 1.604021
+    c, mu, t_max, r, gap0 = 0.7, 1.3, 5.5, 0.3, 0.37
+    assert k1_constant(c, mu, t, t_max) == (1.0 / (c * mu) + t * t) / (t_max * t_max)
+    assert beta_constant(r, c, t, gap0) == r * r / (2.0 * c) + t * t * gap0
+    f = sphere_cost(2)
+    params = HandParams(t_min=t, t_max=t_max, c=c)
+    z = np.array([0.3, -1.1, 0.8, 0.2, 2.0])
+    x1, x2, tau = z[:2], z[2:4], float(z[-1])
+    gap = f.gap(x1)
+    assert jump_decrease_hand1(z, f, params) == -c * gap * (tau * tau - t * t)
+    d1, d2 = x1 - f.xstar, x2 - f.xstar
+    dv = 0.5 * (d1[0] * d1[0] + d1[1] * d1[1]) - 0.5 * (d2[0] * d2[0] + d2[1] * d2[1]) - c * gap * (tau * tau - t * t)
+    assert jump_decrease_hand2(z, f, params) == dv
 
 
 def test_k1_at_optimal_restart_is_e_minus_2():

@@ -1,6 +1,7 @@
 """Flow fields, disturbance signals, and the vanishing-damping integral."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from handsim import (
     OdeParams,
     PerturbationSet,
     SolverConfig,
+    corpus,
     coupled_cost,
     example1_cost,
+    hand1,
     hand2,
     limiting_integral,
     make_quadratic,
@@ -21,7 +24,7 @@ from handsim import (
     sphere_cost,
 )
 from handsim.core import compile_source
-from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow, make_signal
+from handsim.dynamics import make_rep1_flow, make_rep2_flow, make_signal
 from handsim.engine import flow_only_system
 
 
@@ -93,38 +96,48 @@ def test_rep_equivalence_along_trajectory():
 
 def test_hand_flow_hand_values():
     f = sphere_cost(1)
-    dz = _field(make_hand_flow(1.0, f), [1.0, 3.0, 2.0])
+    dz = _field(make_rep2_flow(OdeParams(c=1.0), f), [1.0, 3.0, 2.0])
     assert np.allclose(dz, [2.0, -4.0, 1.0], atol=1e-12)
 
 
 def test_hand_flow_equilibrium_clock_still_runs():
     f = sphere_cost(2)
     z = np.concatenate([f.xstar, f.xstar, [1.7]])
-    dz = _field(make_hand_flow(1.0, f), z)
+    dz = _field(make_rep2_flow(OdeParams(c=1.0), f), z)
     assert np.all(dz[:-1] == 0.0)
     assert dz[-1] == 1.0
 
 
 def test_hand_flow_matches_rep2_with_clock():
-    # timer-augmented field equals the averaged nominal field at t = tau
-    rng = np.random.default_rng(5)
-    f = make_quadratic(np.diag([1.0, 4.0]), np.array([1.0, 0.0]))
-    params = OdeParams(p=2.0, c=0.7, t0=1.0)
-    hand = make_hand_flow(0.7, f)
-    rep2 = make_rep2_flow(params, f)
-    for _ in range(1000):
-        x1 = rng.standard_normal(2) * 3.0
-        x2 = rng.standard_normal(2) * 3.0
-        tau = float(rng.uniform(0.2, 9.0))
-        z = np.concatenate([x1, x2, [tau]])
-        dz = _field(hand, z)
-        dz2 = _field(rep2, z)
-        assert np.allclose(dz[:2], dz2[:2], atol=1e-12)
-        assert np.allclose(dz[2:4], dz2[2:4], atol=1e-12)
-        assert dz[-1] == 1.0
+    # both restarting systems flow the averaged field at p = 2 with the
+    # timer as its clock: the same component and factor text, and bit for
+    # bit the same values, (2/tau)(x2 - x1) and -2c tau grad f(x1)
+    for f in corpus().values():
+        n = f.dim
+        for c in (0.25, 0.7, 1.0):
+            rng = np.random.default_rng(5)
+            rep2 = make_rep2_flow(OdeParams(p=2.0, c=c, t0=1.0), f)
+            hp = HandParams(t_min=1.0, t_max=2.0 * math.e, c=c)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                hands = [hand1(f, hp).F, hand2(f, hp).F]
+            for F in hands:
+                assert F.components == rep2.components and F.factors == rep2.factors
+            for _ in range(1000):
+                x1 = rng.standard_normal(n) * 3.0
+                x2 = rng.standard_normal(n) * 3.0
+                tau = float(rng.uniform(0.2, 9.0))
+                z = np.concatenate([x1, x2, [tau]])
+                dz2 = _field(rep2, z)
+                for F in hands:
+                    assert np.array_equal(_field(F, z), dz2)
+                assert np.array_equal(dz2[:n], (2.0 / tau) * (x2 - x1))
+                force = -2.0 * c * tau * np.asarray(f.gradient(x1))
+                assert np.allclose(dz2[n:2 * n], force, rtol=1e-12, atol=1e-12)
+                assert dz2[-1] == 1.0
 
 
-@pytest.mark.parametrize("make", [lambda f: make_hand_flow(1.0, f),
+@pytest.mark.parametrize("make", [lambda f: make_rep2_flow(OdeParams(c=1.0), f),
                                   lambda f: make_rep1_flow(OdeParams(), f),
                                   lambda f: make_rep2_flow(OdeParams(p=2.5, c=0.7), f)],
                          ids=["hand", "rep1", "rep2"])
@@ -149,7 +162,7 @@ def test_flow_closures_on_column_block(make, f):
 
 def test_make_hand_flow_returns_components():
     f = sphere_cost(1)
-    F = make_hand_flow(1.0, f)
+    F = hand2(f, HandParams(c=1.0)).F
     z = [1.0, 3.0, 2.0]
     out = F(z)
     assert isinstance(out, list) and len(out) == 3
@@ -237,7 +250,7 @@ def test_sinusoid_period():
 
 def _run(f, z0, h, n, pert=None):
     """Recorded states of n euler steps of the restarting flow via simulate."""
-    sys = flow_only_system(make_hand_flow(1.0, f), f.dim)
+    sys = flow_only_system(make_rep2_flow(OdeParams(c=1.0), f), f.dim)
     cfg = SolverConfig(h=h, t_end=n * h, integrator="euler")
     return simulate(sys, np.asarray(z0, dtype=float), cfg, pert=pert)
 
@@ -256,7 +269,7 @@ def test_perturbed_flow_additive_shift():
     # additive channel shifts the field by the signal value on its axis,
     # read at each step's start time
     f = sphere_cost(1)
-    F = make_hand_flow(1.0, f)
+    F = make_rep2_flow(OdeParams(c=1.0), f)
     e_a = DisturbanceSpec.square_wave(dim=3, eps=1e-3, period=0.4, axis=[0.0, 1.0, 0.0])
     h = 0.1
     tr = _run(f, [1.0, 3.0, 2.0], h, 4, PerturbationSet(e2=e_a))
@@ -270,7 +283,7 @@ def test_perturbed_flow_additive_shift():
 def test_perturbed_flow_state_shift_moves_gradient_argument():
     # state channel on x1 evaluates the field at x1 + delta
     f = sphere_cost(1)
-    F = make_hand_flow(1.0, f)
+    F = make_rep2_flow(OdeParams(c=1.0), f)
     delta = 0.25
     e_s = DisturbanceSpec.constant(np.array([delta, 0.0, 0.0]))
     z = np.array([1.0, 3.0, 2.0])

@@ -25,7 +25,7 @@ from handsim import (
     tableau,
 )
 from handsim.core import TAG_FAULT, TAG_JUMP, compile_components, compile_source
-from handsim.dynamics import make_hand_flow, make_rep1_flow, make_rep2_flow, make_signal
+from handsim.dynamics import make_rep1_flow, make_rep2_flow, make_signal
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import hand1
 
@@ -43,7 +43,7 @@ def _steps(F, z0, h, n=1, integrator="euler"):
 
 def test_euler_step_hand_values():
     f = sphere_cost(1)
-    F = make_hand_flow(1.0, f)
+    F = make_rep2_flow(OdeParams(c=1.0), f)
     z1 = _steps(F, [1.0, 3.0, 2.0], 0.1)
     assert np.allclose(z1, [1.2, 2.6, 2.1], atol=1e-14)
 
@@ -134,7 +134,7 @@ def test_degenerate_tableau_is_euler():
     tab = tableau("euler")
     assert tab.stages == 1
     f = sphere_cost(1)
-    F = make_hand_flow(1.0, f)
+    F = make_rep2_flow(OdeParams(c=1.0), f)
     rng = np.random.default_rng(2)
     for _ in range(20):
         z = rng.standard_normal(3)
@@ -452,7 +452,7 @@ def test_jump_output_takes_e5_as_numpy_would():
 def test_hand_field_kernel_assigns_no_timer_stage(name, dim):
     # the timer's "1.0" is folded: the loop never assigns a stage value of it
     m = 2 * dim + 1
-    F = make_hand_flow(1.0, sphere_cost(dim))
+    F = make_rep2_flow(OdeParams(c=1.0), sphere_cost(dim))
     for disturbed in (False, True):
         seg = _step_kernel(TABLEAUS[name], m, F.components, disturbed, None, None, F.factors)
         source, loop = _loop_text(seg)
@@ -609,7 +609,7 @@ def test_rk4_exponential_value():
 def test_rk4_global_error_fourth_order():
     # Richardson on the flow over a fixed horizon: halving h gains ~2^4
     f = sphere_cost(1)
-    sys = flow_only_system(make_hand_flow(1.0, f), f.dim)
+    sys = flow_only_system(make_rep2_flow(OdeParams(c=1.0), f), f.dim)
     z0 = np.array([2.0, 2.0, 1.0])
     ref = simulate(sys, z0, SolverConfig(h=1e-4, t_end=2.0, integrator="rk4", record_stride=10**9)).zs[-1]
     errs = []
@@ -693,7 +693,7 @@ def test_simulate_jump_policies_in_C_and_D():
 
 def test_flow_only_trace_never_jumps():
     f = sphere_cost(1)
-    sys = flow_only_system(make_hand_flow(1.0, f), f.dim)
+    sys = flow_only_system(make_rep2_flow(OdeParams(c=1.0), f), f.dim)
     tr = simulate(sys, np.array([2.0, 2.0, 1.0]), SolverConfig(h=1e-2, t_end=5.0))
     assert np.all(tr.js == 0)
     assert tr.termination == "horizon"
@@ -753,7 +753,7 @@ def test_max_jumps_termination():
 
 def test_stop_condition_termination():
     f = sphere_cost(1)
-    sys = flow_only_system(make_hand_flow(1.0, f), f.dim)
+    sys = flow_only_system(make_rep2_flow(OdeParams(c=1.0), f), f.dim)
 
     def past_two(t, j, z):
         return t >= 2.0
@@ -962,7 +962,7 @@ def test_fault_inside_a_segment_matches_per_step_calls(case, integrator):
     cfg = SolverConfig(h=0.25, t_end=20.0, integrator=integrator, record_stride=50)
     if case == "raises":
         # the timer runs from -1 through an exact 0.0, where 2/tau raises
-        sys = flow_only_system(make_hand_flow(1.0, f), 1)
+        sys = flow_only_system(make_rep2_flow(OdeParams(c=1.0), f), 1)
         z0 = [1.0, 2.0, -1.0]
     else:
         # z[0] grows by a factor of about 2.5e19 per euler step and
@@ -1031,7 +1031,7 @@ def test_generated_code_shows_in_tracebacks():
     # a generated segment registers its source, so a traceback from inside
     # it names the line that raised
     f = sphere_cost(1)
-    F = make_hand_flow(1.0, f)
+    F = make_rep2_flow(OdeParams(c=1.0), f)
     seg = _step_kernel(TABLEAUS["euler"], 3, F.components, False, None, None, F.factors)
     with pytest.raises(ZeroDivisionError) as info:
         seg(F, [1.0, 2.0, 0.0], [1.0, 2.0, 0.0], 0.1, 0, 1, math.inf)

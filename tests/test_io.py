@@ -27,6 +27,11 @@ from handsim.core import TAG_FAULT, TAG_NAMES
 from handsim.io import format_float, write_table_csv, write_text
 
 
+def _read(path, mode="r"):
+    with open(path, mode) as fh:
+        return fh.read()
+
+
 def _run(dim=1, t_end=4.0):
     f = sphere_cost(dim)
     params = HandParams(t_min=1.0, t_max=2.0, c=1.0)
@@ -50,9 +55,9 @@ def test_format_float_compact_integers():
     assert format_float(-4.0) == "-4"
 
 
-def test_trace_csv_roundtrip():
+def test_trace_csv_roundtrip(tmp_path):
     f, params, tr = _run()
-    path = "/tmp/io_trace_roundtrip.csv"
+    path = str(tmp_path / "trace_roundtrip.csv")
     write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
     table = read_trace_csv(path)
     assert table.x1.shape[1] == 1
@@ -120,11 +125,12 @@ def test_trace_csv_rows_match_csv_writer_reference(tmp_path):
     assert ",-0," in text and text.endswith(",fault\n") and ",jump\n" in text and ",flow\n" in text
 
 
-def test_trace_csv_multidim_headers():
+def test_trace_csv_multidim_headers(tmp_path):
     f, params, tr = _run(dim=2)
-    path = "/tmp/io_trace_dim2.csv"
+    path = str(tmp_path / "trace_dim2.csv")
     write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
-    header = open(path).readline().strip().split(",")
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
     assert header[:3] == ["t", "j", "tau"]
     assert "x1_0" in header and "x1_1" in header and "x2_1" in header
     table = read_trace_csv(path)
@@ -132,32 +138,32 @@ def test_trace_csv_multidim_headers():
     assert table.x1.shape == (len(tr), 2)
 
 
-def test_trace_csv_lf_only():
+def test_trace_csv_lf_only(tmp_path):
     f, params, tr = _run()
-    path = "/tmp/io_trace_lf.csv"
+    path = str(tmp_path / "trace_lf.csv")
     write_trace_csv(path, tr, f, params.c, target_distance_fn(f, params))
-    raw = open(path, "rb").read()
+    raw = _read(path, "rb")
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
 
 
-def test_trace_csv_rejects_foreign_header():
-    path = "/tmp/io_bad_header.csv"
+def test_trace_csv_rejects_foreign_header(tmp_path):
+    path = str(tmp_path / "bad_header.csv")
     write_text(path, "a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
         read_trace_csv(path)
 
 
-def test_trace_csv_byte_identical_rewrites():
+def test_trace_csv_byte_identical_rewrites(tmp_path):
     f, params, tr = _run()
-    p1, p2 = "/tmp/io_trace_a.csv", "/tmp/io_trace_b.csv"
+    p1, p2 = str(tmp_path / "trace_a.csv"), str(tmp_path / "trace_b.csv")
     write_trace_csv(p1, tr, f, params.c, target_distance_fn(f, params))
     write_trace_csv(p2, tr, f, params.c, target_distance_fn(f, params))
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert _read(p1, "rb") == _read(p2, "rb")
 
 
-def test_summary_json_sorted_and_normalized():
-    path = "/tmp/io_summary.json"
+def test_summary_json_sorted_and_normalized(tmp_path):
+    path = str(tmp_path / "summary.json")
     write_summary_json(
         path,
         {
@@ -169,7 +175,7 @@ def test_summary_json_sorted_and_normalized():
             "nested": {"b": 2, "a": 1},
         },
     )
-    raw = open(path).read()
+    raw = _read(path)
     assert raw.endswith("\n")
     data = json.loads(raw)
     assert data["alpha"] is True
@@ -181,19 +187,19 @@ def test_summary_json_sorted_and_normalized():
     assert read_summary_json(path) == data
 
 
-def test_summary_json_no_timestamps():
-    path = "/tmp/io_summary_repeat.json"
+def test_summary_json_no_timestamps(tmp_path):
+    path = str(tmp_path / "summary_repeat.json")
     payload = {"x": 1.0, "note": "fixed"}
     write_summary_json(path, payload)
-    first = open(path, "rb").read()
+    first = _read(path, "rb")
     write_summary_json(path, payload)
-    assert open(path, "rb").read() == first
+    assert _read(path, "rb") == first
 
 
-def test_table_csv_cell_conventions():
-    path = "/tmp/io_table.csv"
+def test_table_csv_cell_conventions(tmp_path):
+    path = str(tmp_path / "table.csv")
     write_table_csv(path, ["name", "ok", "val"], [["a", True, 0.5], ["b", False, None]])
-    lines = open(path).read().splitlines()
+    lines = _read(path).splitlines()
     assert lines[0] == "name,ok,val"
     assert lines[1] == "a,true,0.5"
     assert lines[2] == "b,false,"
@@ -202,7 +208,8 @@ def test_table_csv_cell_conventions():
 def _corrupt(path, edit):
     """Rewrite a trace CSV with edit applied to its list of lines (no
     terminators; index 0 is the header)."""
-    lines = open(path, encoding="utf-8").read().split("\n")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
     edit(lines)
     write_text(path, "\n".join(lines))
 
