@@ -45,6 +45,17 @@ def row_dot(a: np.ndarray, b: np.ndarray):
     return per_row(sum((a[..., i] * b[..., i] for i in range(1, a.shape[-1])), a[..., 0] * b[..., 0]))
 
 
+def scaled_norm(v) -> float:
+    """|v| of a vector as top * sqrt(row_dot(u, u)), with top the largest
+    |v_i| and u = v / top, so the squares of a tiny or huge v neither
+    underflow to 0 nor overflow to inf; a top of 0, inf or nan is not
+    divided by. For one component it is |v_i| exactly."""
+    v = np.asarray(v, dtype=float)
+    top = max(map(abs, v.tolist()))
+    u = v / top if 0.0 < top < math.inf else v
+    return top * math.sqrt(row_dot(u, u))
+
+
 def per_row(v):
     """A certificate quantity as returned: a float for one state (a scalar
     or 0-d v), else the array of row values."""

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CostFunction, compile_components, compile_source, row_dot
+from .core import CostFunction, compile_components, compile_source, row_dot, scaled_norm
 
 __all__ = [
     "OdeParams",
@@ -102,10 +102,8 @@ class DisturbanceSpec:
             object.__setattr__(self, "axis", axis)
         if self.kind == "constant":
             value = np.asarray(self.value, dtype=float).reshape(self.dim)
-            top = float(np.abs(value).max())  # scaled by top, a tiny |value| does not underflow to 0
-            u = value / top if 0.0 < top < math.inf else value
             object.__setattr__(self, "value", value)
-            object.__setattr__(self, "eps", top * math.sqrt(row_dot(u, u)))
+            object.__setattr__(self, "eps", scaled_norm(value))  # a tiny |value| does not underflow to 0
         if self.kind == "uniform_random" and not (self.hold > 0.0):
             raise ValueError("uniform_random needs hold > 0")
 

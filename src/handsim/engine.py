@@ -163,7 +163,7 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
 
 @functools.lru_cache(maxsize=None)
 def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed: bool,
-                 membership: Optional[tuple], switch: Optional[tuple], factors: tuple = ()):
+                 membership: Optional[tuple], switch: Optional[tuple], factors: tuple = (), replay: bool = False):
     """One flow segment of explicit Runge-Kutta steps of tab on m
     components, generated as straight-line code on first use and cached by
     its arguments: seg(F, z, src, h, k, n, t_stop[, e]) returns (z', steps).
@@ -218,7 +218,22 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     value at most once before until, so a step before until with an
     unchanged key has only unchanged steps before it. A switch whose until
     is "inf" (a constant e2) never comes, and the segment computes neither
-    t nor key."""
+    t nor key.
+
+    With replay, the kernel is the second loop shape, made from the same
+    step statements, for a field whose clock is a literal under a
+    membership exit (None otherwise). replay(z, h, k, n, t_stop, table[,
+    e]) lowers n as above and returns (z', min(n, len(table))), its loop
+    taking from each row of table what the step reads of the clock: every
+    factor that a stage assigning the clock's argument and the stages up
+    to the next use, the clock's stage arguments where a component reads
+    the clock outside a factor, and the clock after the step. So it makes
+    no clock arithmetic and no membership test. replay.build(tau, d, h,
+    cap) makes that table from the clock value tau and the clock step d by
+    the segment loop's own statements, ending after the first step whose
+    clock is outside the flow set or inside the jump set, or after cap
+    steps; replay.rate is the literal's folded step sum, so the segment's
+    d is (rate + e_i) * h, or rate * h undisturbed."""
     r = range(m)
 
     def names(prefix):
@@ -230,9 +245,8 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
             consts[i] = float(text)
         except ValueError:
             pass
-    lines = ["def seg(F, z, src, h, k, n, t_stop%s):" % (", e" if disturbed else ""), "    %s= z" % names("z")]
-    if disturbed:
-        lines.append("    %s= e" % names("e"))
+    if replay and (membership is None or m - 1 not in consts):
+        return None
     # a literal component's stage sums, taken in the loop's order; a stage
     # assigns its a_i only where the sum differs from the last one assigned
     folded, last = {}, {}
@@ -245,13 +259,31 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
             if last.get(i) != repr(c):
                 last[i] = repr(c)
                 folded["c%d_%d" % (k, i)] = "%r * h" % c
+    # and its step sum, the timer's rate: z_i = z_i + d_i
+    weights = [(k, b) for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
+    rates = {}
+    for i in consts:
+        d = None
+        for k, b in weights:
+            term = consts[i] if b == 1.0 else consts[i] * b
+            d = term if d is None else d + term
+        rates[i] = d
+        folded["d%d" % i] = "(%r + e%d) * h" % (d, i) if disturbed else "%r * h" % d
+    # the clock's stage sums, which only the table builder reads
+    clocked = {"c%d_%d" % (k, m - 1) for k in range(tab.stages)}
     # the stages that assign the clock's argument (stage 0 reads x's)
     fresh = [k for k in range(tab.stages) if not k or "c%d_%d" % (k, m - 1) in folded or m - 1 not in consts]
     live = [(i, c) for i, c in enumerate(field or ()) if i not in consts]
+    reads_clock = any("{%d}" % (m - 1) in c for _, c in live)
 
-    def step(x):
-        # one step's statements, reading stage 0 and the stage bases from x
-        body, named = [], []
+    def step(x, clock=None):
+        # one step's statements, reading stage 0 and the stage bases from x.
+        # Given a list clock, the clock's own statements go there instead:
+        # its stage arguments, and at each stage that assigns one, every
+        # factor the stages up to the next use and that argument where a
+        # component reads it, into names that entries lists in order;
+        # the step reads those names and never updates the clock
+        body, named, t = [], [], None
         for k, row in enumerate(tab.a):
             arg = ["%s%d" % (x, i) for i in r]
             if k:
@@ -261,17 +293,30 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                             " + k%d_%d%s" % (j, i, "" if a == 1.0 else " * %r" % a)
                             for j, a in enumerate(row) if a != 0.0), x, i))
                     elif "c%d_%d" % (k, i) in folded:
-                        body.append("a%d = c%d_%d + %s%d" % (i, k, i, x, i))
+                        (body if clock is None or i < m - 1 else clock).append("a%d = c%d_%d + %s%d" % (i, k, i, x, i))
                 arg = ["a%d" % i for i in r]
             if field is None:
                 body.append("%s= F([%s])" % (names("k%d_" % k), ", ".join(arg)))
                 continue
             if k in fresh:
                 # computed once: the factors that the stages up to the
-                # clock's next assignment use twice or more
+                # clock's next assignment use twice or more (any, for clock)
                 run = (fresh + [tab.stages])[fresh.index(k) + 1] - k
                 refs = {"f%d" % j: f.format(*arg) for j, f in enumerate(factors)}
-                pending = [ref for ref in refs if run * sum(c.count("{%s}" % ref) for _, c in live) >= 2]
+                pending = [ref for ref in refs if run * sum(c.count("{%s}" % ref) for _, c in live)
+                           >= (2 if clock is None else 1)]
+                if clock is not None:
+                    for ref in pending:
+                        named.append("f%d" % len(named))
+                        clock.append("%s = %s" % (named[-1], refs[ref]))
+                        refs[ref] = named[-1]
+                    pending = []
+                    if reads_clock:
+                        t = "t%d" % k
+                        named.append(t)
+                        clock.append("%s = %s" % (t, arg[m - 1]))
+            if t is not None:
+                arg[m - 1] = t
             for i, c in live:
                 for ref in [ref for ref in pending if "{%s}" % ref in c]:
                     pending.remove(ref)
@@ -279,7 +324,6 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                     body.append("%s = %s" % (named[-1], refs[ref]))
                     refs[ref] = named[-1]
                 body.append("k%d_%d = %s" % (k, i, c.format(*arg, **refs)))
-        weights = [(k, b) for k, b in enumerate(tab.b) if k == 0 or b != 0.0]
         for i in r:
             if i not in consts:
                 terms = ["k%d_%d%s" % (k, i, "" if b == 1.0 else " * %r" % b) for k, b in weights]
@@ -287,34 +331,24 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                     terms.append("e%d" % i)
                 body.append("z%d = z%d + (%s) * h" % (i, i, " + ".join(terms)))
                 continue
-            d = None
-            for k, b in weights:
-                term = consts[i] if b == 1.0 else consts[i] * b
-                d = term if d is None else d + term
-            folded["d%d" % i] = "(%r + e%d) * h" % (d, i) if disturbed else "%r * h" % d
-            body.append("z%d = z%d + d%d" % (i, i, i))
-        return body
+            (body if clock is None or i < m - 1 else clock).append("z%d = z%d + d%d" % (i, i, i))
+        return body, named
 
-    shifted = step("s")
-    loop = step("z")
-    lines += ["    %s = %s" % item for item in folded.items()]
-    lines += ["    if src is not z:", "        %s= src" % names("s")]
-    lines += ["        " + b for b in shifted]
-    lines.append("        return [%s], 1" % names("z")[:-2])
+    head = ["    %s= z" % names("z")] + (["    %s= e" % names("e")] if disturbed else [])
     # the first steps >= 1 with (k + steps) * h >= t_stop, which is monotone
     # in steps; the guard keeps an infinite t_stop out of int()
-    lines += ["    if (k + n) * h >= t_stop:",
-              "        n = min(n, max(1, int(max(t_stop / h, 0.0)) - k))",
-              "        while n > 1 and (k + n - 1) * h >= t_stop:",
-              "            n -= 1",
-              "        while (k + n) * h < t_stop:",
-              "            n += 1"]
+    bound = ["    if (k + n) * h >= t_stop:",
+             "        n = min(n, max(1, int(max(t_stop / h, 0.0)) - k))",
+             "        while n > 1 and (k + n - 1) * h >= t_stop:",
+             "            n -= 1",
+             "        while (k + n) * h < t_stop:",
+             "            n += 1"]
     if switch is not None and switch[1] != "inf":
         # the first i >= 1 whose key differs from step k's, or n: estimated
         # from until, then walked down past every step at or after until or
         # with a changed key, then up to the first changed key
         key, until = switch
-        lines += ["    if n > 1:",
+        bound += ["    if n > 1:",
                   "        t = k * h",
                   "        key = %s" % key,
                   "        u = %s" % until,
@@ -330,15 +364,47 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                   "                break",
                   "            i += 1",
                   "        n = i"]
+    if membership is not None:
+        exits = "not (%s) or (%s)" % tuple(c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
+    if replay:
+        clock = []
+        loop, entries = step("z", clock)
+        tau = "z%d" % (m - 1)
+        lines = ["def build(%s, d%d, h, cap):" % (tau, m - 1)]
+        lines += ["    %s = %s" % item for item in folded.items() if item[0] in clocked]
+        lines += ["    table = []",
+                  "    for _ in range(cap):"]
+        lines += ["        " + b for b in clock]
+        lines += ["        table.append((%s%s,))" % ("".join(v + ", " for v in entries), tau),
+                  "        if %s:" % exits,
+                  "            break",
+                  "    return table"]
+        build = compile_source("\n".join(lines) + "\n", "build")
+        lines = ["def replay(z, h, k, n, t_stop, table%s):" % (", e" if disturbed else "")] + head
+        lines += ["    %s = %s" % item for item in folded.items() if item[0] not in clocked | {"d%d" % (m - 1)}]
+        lines += bound
+        lines.append("    for %s%s, in table[:n]:" % ("".join(v + ", " for v in entries), tau))
+        lines += ["        " + b for b in loop]
+        lines.append("    return [%s], min(n, len(table))" % names("z")[:-2])
+        seg = compile_source("\n".join(lines) + "\n", "replay")
+        seg.build, seg.rate = build, rates[m - 1]
+        return seg
+    shifted, _ = step("s")
+    loop, _ = step("z")
+    lines = ["def seg(F, z, src, h, k, n, t_stop%s):" % (", e" if disturbed else "")] + head
+    lines += ["    %s = %s" % item for item in folded.items()]
+    lines += ["    if src is not z:", "        %s= src" % names("s")]
+    lines += ["        " + b for b in shifted]
+    lines.append("        return [%s], 1" % names("z")[:-2])
+    lines += bound
     if membership is None:
         lines.append("    for _ in range(n):")
         lines += ["        " + b for b in loop]
         lines.append("    return [%s], n" % names("z")[:-2])
     else:
-        flows, jumps = (c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
         lines.append("    for i in range(1, n + 1):")
         lines += ["        " + b for b in loop]
-        lines += ["        if not (%s) or (%s):" % (flows, jumps),
+        lines += ["        if %s:" % exits,
                   "            break",
                   "    return [%s], i" % names("z")[:-2]]
     return compile_source("\n".join(lines) + "\n", "seg")
@@ -375,11 +441,24 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     z[0] at its end (once there, an inf or nan stays) has the segment
     replayed from its start state one step at a time, to the step where
     z[0] first went non-finite. All of it gives the bits and the step
-    counts of a step-by-step loop. One-step segments serve the "latest"
-    lookahead, the "uniform" draws in C intersect D, the e1, e3 and e6
-    channels, sinusoid signals, and closures without component expressions
-    or conditions, which are called per step. A
-    segment that raises ZeroDivisionError or OverflowError (a float division
+    counts of a step-by-step loop.
+
+    Restart periods replay their clock. A jump resets the timer to one
+    value, so each period flows the clock sequence of the last, and all
+    that the field and the sets read of it repeats. A segment of more than
+    one step from z, on a literal clock under a membership exit, is keyed
+    by its start (z[-1], d), d the segment's exact clock step: the second
+    segment from a key builds its clock table (to the period's exit, or
+    record_stride steps), and it and every later one from that key run the
+    replay loop on it (see _step_kernel), with the bits and step counts of
+    the segment kernel. A first start, a numpy scalar, zero or nan start or
+    d, and a table whose build raises take the segment kernel. Tables live
+    in this call alone; meta counts replayed_steps and clock_tables.
+
+    One-step segments serve the "latest" lookahead, the "uniform" draws in
+    C intersect D, the e1, e3 and e6 channels, sinusoid signals, and
+    closures without component expressions or conditions, which are called
+    per step. A segment that raises ZeroDivisionError or OverflowError (a float division
     by zero, an overflowing power) is redone once from the same state on
     numpy scalars, which give inf or nan instead, so a blow-up still ends
     as a recorded fault; the replay of a redone segment starts from the
@@ -439,8 +518,15 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     membership = None if empty_jump_set else (getattr(in_C, "condition", None), getattr(in_D, "condition", None))
     fused = (field is not None and sig1 is None and sig3 is None and sig6 is None
              and (sig2 is None or key is not None) and (membership is None or None not in membership))
-    seg = _step_kernel(TABLEAUS[cfg.integrator], m, field, sig2 is not None, membership if fused else None,
-                       (key, sig2.until) if fused and key is not None else None, getattr(F, "factors", ()))
+    kernel = (TABLEAUS[cfg.integrator], m, field, sig2 is not None, membership if fused else None,
+              (key, sig2.until) if fused and key is not None else None, getattr(F, "factors", ()))
+    seg = _step_kernel(*kernel)
+    # a restart period flows the clock sequence of every earlier one from
+    # the same start: a segment from a start seen before replays a table of
+    # it (None: the clock is no literal or there is no membership exit)
+    rep = _step_kernel(*kernel, replay=True)
+    tables = {}
+    replayed_steps = clock_tables = 0
 
     t_stop = t_end - 1e-12 * max(1.0, t_end)
 
@@ -474,7 +560,9 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         src = z if sig1 is None else [a + e for a, e in zip(z, sig1(t).tolist())]
         e2 = () if sig2 is None else (sig2(t).tolist(),)
         try:
-            end = seg(F, z, src, h, k_step, n, t_stop, *e2)
+            end = replay(z, n, e2) if rep is not None and n > 1 and src is z else None
+            if end is None:
+                end = seg(F, z, src, h, k_step, n, t_stop, *e2)
         except (ZeroDivisionError, OverflowError):
             # a float division by zero or an overflowing power raises where
             # numpy scalars give inf or nan: redo the segment on numpy
@@ -492,6 +580,34 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             z = flow(t, z, 1)[0]
             steps += 1
         return z, steps
+
+    def replay(z, n, e2):
+        """The segment from z replayed from the clock table of its start
+        (z[-1], d), d the segment's clock step, built the second time that
+        start comes; None where there is no table. A numpy scalar, zero or
+        nan start or d keys nothing, so floats equal as keys have one bit
+        pattern. A table whose build raises is empty."""
+        nonlocal replayed_steps, clock_tables
+        tau = z[-1]
+        d = (rep.rate + e2[0][-1]) * h if e2 else rep.rate * h
+        if type(tau) is not float or not (0.0 != tau == tau and 0.0 != d == d):
+            return None
+        table = tables.get((tau, d))
+        if table is None:
+            tables[tau, d] = False
+            return None
+        if table is False:
+            try:
+                table = rep.build(tau, d, h, stride)
+                clock_tables += 1
+            except (ZeroDivisionError, OverflowError):
+                table = []
+            tables[tau, d] = table
+        if not table:
+            return None
+        end = rep(z, h, k_step, n, t_stop, table, *e2)
+        replayed_steps += end[1]
+        return end
 
     record(0.0, 0, z, TAG_FLOW)
     stop_hit = stop_condition is not None and stop_condition(0.0, 0, z)
@@ -588,6 +704,10 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             since_record = 0
             stop_hit = stop_condition is not None and stop_condition(t, j, z)
 
+    # flow refers to itself (its blow-up replay calls it), a reference cycle
+    # through which replay's tables would outlive the call until the
+    # collector next runs
+    tables.clear()
     if stop_hit:
         termination = "condition"
     # final sample: the fault row, or the last state when flow steps since
@@ -612,6 +732,8 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         record_stride=stride,
         dim=sys.dim,
         flow_steps=k_step,
+        replayed_steps=replayed_steps,
+        clock_tables=clock_tables,
     )
     return Trace(
         dim=sys.dim,

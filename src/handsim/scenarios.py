@@ -37,7 +37,7 @@ from .analysis import (
     optimal_restart,
     uniformity_probe,
 )
-from .core import CostFunction, SolverConfig, Trace, corpus, per_row, row_dot
+from .core import CostFunction, SolverConfig, Trace, corpus, per_row, row_dot, scaled_norm
 from .dynamics import (
     DisturbanceSpec,
     OdeParams,
@@ -448,7 +448,7 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     # a run from the minimizer measures nothing: every gap, error and time
     # to eps is 0
     if scenario in ("instability", "discretization-order", "uniformity-probe"):
-        if row_dot(run.offset, run.offset) <= 0.0:
+        if not np.any(run.offset):
             raise ConfigError("params.%s must give a nonzero initial offset" % key)
     if scenario == "instability":
         run.hand_solver = replace(run.solver, t_end=p["hand_t_end"],
@@ -539,13 +539,12 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
     f, ode, hp = run.f, run.ode, run.hand
     p = config["params"]
     offset = run.offset
-    r0 = math.sqrt(row_dot(offset, offset))
+    r0 = scaled_norm(offset)
     threshold = p["growth_factor"] * r0
     xstar = f.xstar
 
     def escaped(t, j, z):
-        d = z[:f.dim] - xstar
-        return math.sqrt(row_dot(d, d)) >= threshold
+        return scaled_norm(z[:f.dim] - xstar) >= threshold
 
     summary = {"config": config, "checks": {}, "runs": {}}
     artifacts = []
@@ -566,8 +565,7 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
 
         write_trace_csv(os.path.join(out_dir, name), trace, f, ode.c, dist_fn=dist)
         artifacts.append(name)
-        d = trace.zs[-1][:f.dim] - xstar
-        final_growth = math.sqrt(row_dot(d, d)) / r0
+        final_growth = scaled_norm(trace.zs[-1][:f.dim] - xstar) / r0
         diverged = trace.termination == "condition" or trace.termination == "fault"
         summary["runs"][rep] = {
             "termination": trace.termination,

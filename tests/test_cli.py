@@ -590,6 +590,20 @@ def test_cli_run_boundary_values_exit_cleanly(scenario, extra, code, tmp_path, c
         assert (tmp_path / "out" / "summary.json").exists()
 
 
+@pytest.mark.parametrize("cost, x0", [("example1", 1e-170), ("sphere2", [1e-170, -3e-171])])
+def test_instability_tiny_offset_reaches_a_verdict(cost, x0, tmp_path):
+    # an offset whose squares underflow is still nonzero: the run goes ahead
+    # and measures its growth against the offset's own size, not against 0
+    path = _write_config(tmp_path, "instability", cost=cost, solver={"h": 0.04, "t_end": 400.0},
+                         params={"x0": x0, "hand_t_end": 100.0})
+    assert main(["run", path, "--quiet"]) in (0, 1)
+    with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
+        runs = json.load(fh)["runs"]
+    for rep in ("rep1", "rep2"):
+        assert runs[rep]["diverged"] and runs[rep]["termination"] == "condition"
+        assert 100.0 <= runs[rep]["growth_reached"] < math.inf
+
+
 def _resolved_pert(**section):
     """The perturbation resolved from an instability config on sphere2 (packed length 5)."""
     return _resolve({"scenario": "instability", "cost": "sphere2", "disturbance": section})[1].pert

@@ -1,8 +1,10 @@
 """Integrator steps, jump handling, and the hybrid simulation loop."""
 
 import dataclasses
+import hashlib
 import linecache
 import math
+import os
 import re
 import struct
 import traceback
@@ -26,10 +28,14 @@ from handsim import (
 )
 from handsim.core import TAG_FAULT, TAG_JUMP, compile_components, compile_source
 from handsim.dynamics import make_rep1_flow, make_rep2_flow, make_signal
+from handsim import engine
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
-from handsim.hands import hand1
+from handsim.hands import _timer_test, hand1
+from handsim.scenarios import apply_override, load_config, run_scenario
 
 from trace_checks import assert_recorded
+
+CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
 
 def _steps(F, z0, h, n=1, integrator="euler"):
@@ -404,6 +410,96 @@ def test_kernel_text_is_identity_free_and_shares_stage_factors(dim):
             clock = "a%d" % (m - 1)
             want = {"rep1-p3": ["9.0 * " + clock], "rep2": ["2.0 / " + clock, "-2.0 * " + clock]}.get(kind, [])
             assert all(re.search(r"^ +f\d+ = %s$" % re.escape(w), loop, re.M) for w in want), source
+
+
+# the segment kernels of the seven bundled configs, named by the crc32 of
+# their source (core._compiled), and the sha256 of those sources in name order
+BUNDLED_SEGMENTS = """
+    235a874f 29a60a61 2d3ac405 34b9ad57 3f9f6486 491d94fb 4b573329 545ae56d 5c7304a8 6f38cb6b
+    8106cfe3 81d7210d 8c81d9f7 96b64391 978c0d62 9889f108 9a5f1182 9dcd0532 b9b58672 bc5d9b97
+    c2c1574e c403e910 ce60ab1e d1e0154d d2b05297 d529813d d57bf761 ec63b43d ed34a726 fe937e66
+""".split()
+BUNDLED_SEGMENTS_SHA256 = "b8a8fd06026107aeb3caffbe76d586540fcecbe2a384c84f677498fabb94d924"
+
+# the bundled configs shrunk: h and the horizons enter no kernel's text
+SHRUNK = {
+    "discretization-order": {"solver.t_end": 2.0},
+    "hand1-rate": {"solver.t_end": 1.0},
+    "hand2-rate": {"solver.t_end": 2.0},
+    "instability": {"solver.t_end": 60.0, "params.hand_t_end": 60.0},
+    "restart-sweep": {"solver.t_end": 2.0},
+    "robustness-margin": {"solver.t_end": 60.0, "params.bisect_steps": 1},
+    "uniformity-probe": {"solver.t_end": 2.0, "params.t_end_scale": 0.01},
+}
+
+
+def test_bundled_configs_keep_their_segment_kernels(tmp_path, monkeypatch):
+    # the seven configs, run in one process, generate the same segment
+    # kernels as the inline loop alone did, name for name and byte for byte;
+    # the replay kernels and table builders of the restart periods are
+    # extra code, and their replay loops test no membership and compute no
+    # clock factor: each reads the clock's values from its table alone
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append((kwargs.get("replay", False), _step_kernel(*args, **kwargs)))
+        return made[-1][1]
+
+    monkeypatch.setattr(engine, "_step_kernel", recording)
+    for name, overrides in SHRUNK.items():
+        cfg = load_config(os.path.join(CONFIGS, name + ".json"))
+        for key, value in overrides.items():
+            cfg = apply_override(cfg, key, value)
+        run_scenario(cfg, out_dir=str(tmp_path / name), quiet=True)
+    segs = {seg.__code__.co_filename: seg for replay, seg in made if not replay}
+    assert sorted(segs) == ["<seg %s>" % crc for crc in BUNDLED_SEGMENTS]
+    text = "".join("".join(linecache.getlines(name)) for name in sorted(segs))
+    assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_SEGMENTS_SHA256
+    replays = {rep for replay, rep in made if replay and rep is not None}
+    assert len(replays) >= 5
+    for rep in replays:
+        _assert_replay_loop(rep)
+
+
+def _assert_replay_loop(rep, divides=False):
+    # the loop takes each step's clock, and the factors and stage arguments
+    # of it that the step reads, from the table, and names no other clock
+    # value; only the table's build tests membership. Where the field
+    # declares its clock factors the loop divides by nothing
+    source = "".join(linecache.getlines(rep.__code__.co_filename))
+    loop = source[source.index("\n    for "):source.index("\n    return ")]
+    clock = re.match(r"\n    for (?:\w+, )*(z\d+), in table\[:n\]:\n", loop).group(1)
+    body = loop[loop.index(":\n"):]
+    assert not re.search(r"[<>=]=|[<>]|\bbreak\b|\bnot\b" + ("" if divides else "|/"), body), source
+    assert not re.search(r"\b(?:%s|a%s)\b|\bf\d+ = " % (clock, clock[1:]), body), source
+    build = "".join(linecache.getlines(rep.build.__code__.co_filename))
+    assert build.count("break") == 1 and "%s = %s + d" % (clock, clock) in build, build
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_replay_kernels_read_the_clock_from_their_table(dim):
+    # every field on a literal clock gets a replay kernel under a membership
+    # exit: the hand field, the ODE forms and a field that reads the clock
+    # outside any factor; without a membership exit or with a clock that is
+    # not a literal there is none
+    m = 2 * dim + 1
+    sys = hand2(sphere_cost(dim), HandParams(t_min=1.0, t_max=2.0, c=1.0))
+    membership = (sys.in_C.condition, sys.in_D.condition)
+    raw = tuple("{%d} * 0.5 + 1.0 / {%d}" % (i, m - 1) for i in range(m - 1)) + ("1.0",)
+    fields = [(sys.F.components, sys.F.factors),
+              (make_rep1_flow(OdeParams(p=3.0), sphere_cost(dim)).components,
+               make_rep1_flow(OdeParams(p=3.0), sphere_cost(dim)).factors),
+              (make_rep2_flow(OdeParams(p=2.5), sphere_cost(dim)).components,
+               make_rep2_flow(OdeParams(p=2.5), sphere_cost(dim)).factors),
+              (raw, ())]
+    for name in sorted(TABLEAUS):
+        for components, factors in fields:
+            for disturbed in (False, True):
+                kernel = (TABLEAUS[name], m, components, disturbed, membership, None, factors)
+                _assert_replay_loop(_step_kernel(*kernel, replay=True), divides=components is raw)
+                assert _step_kernel(*kernel[:4], None, None, factors, replay=True) is None
+        timer = sys.F.components[:-1] + ("{%d} * 0.0 + 1.0" % (m - 1),)
+        assert _step_kernel(TABLEAUS[name], m, timer, False, membership, None, sys.F.factors, replay=True) is None
 
 
 @pytest.mark.parametrize("returned", [2, 4])
@@ -841,13 +937,18 @@ def test_jump_rows_tagged():
         assert tr.zs[k, -1] == pytest.approx(1.0, abs=1e-12)  # post-jump timer
 
 
+def _without_replay(meta):
+    return {k: v for k, v in meta.items() if k not in ("replayed_steps", "clock_tables")}
+
+
 def _assert_same_trace(a, b):
     assert np.array_equal(a.ts, b.ts)
     assert np.array_equal(a.js, b.js)
     assert np.array_equal(a.zs, b.zs)
     assert np.array_equal(a.tags, b.tags)
     assert a.termination == b.termination
-    assert a.meta == b.meta
+    # the replay counts say how the steps were taken, not what they gave
+    assert _without_replay(a.meta) == _without_replay(b.meta)
     assert len(a.events) == len(b.events)
     for x, y in zip(a.events, b.events):
         assert (x.t, x.j_pre) == (y.t, y.j_pre)
@@ -926,7 +1027,13 @@ def _e2_specs(m):
 def test_fused_segments_equal_per_step_calls(integrator, system):
     # the fused path (inlined field and membership, segments between
     # control events) and the one-step calls give the same trace bit for
-    # bit: every jump, record, horizon and disturbance switch lands alike
+    # bit: every jump, record, horizon and disturbance switch lands alike.
+    # The horizon spans four restart periods or more, so the hand runs
+    # replay clock tables, cut short by record points (every 17 steps) and
+    # by square-wave switches (every 35) inside a period; the constant and
+    # square e2 have a clock component, which the square wave flips, so a
+    # start is flowed at two clock steps d. The ODE forms' clock never
+    # repeats a start, and the per-step path replays nothing
     for f in (sphere_cost(1), COUPLED2):
         x = f.xstar + 1.0
         if system == "hand1":
@@ -940,7 +1047,7 @@ def test_fused_segments_equal_per_step_calls(integrator, system):
         for e2 in _e2_specs(2 * f.dim + 1).values():
             pert = None if e2 is None else PerturbationSet(e2=e2)
             for policy in ("earliest", "latest", "uniform"):
-                cfg = SolverConfig(h=0.01, t_end=3.0, integrator=integrator, jump_policy=policy,
+                cfg = SolverConfig(h=0.01, t_end=5.0, integrator=integrator, jump_policy=policy,
                                    policy_seed=5, record_stride=17)
                 fused = simulate(sys, z0, cfg, pert)
                 ref = simulate(_per_step(sys), z0, cfg, pert)
@@ -949,6 +1056,74 @@ def test_fused_segments_equal_per_step_calls(integrator, system):
                 assert_recorded(ref)
                 assert fused.termination == "horizon"
                 assert len(fused.events) == (0 if system.startswith("rep") else len(ref.events))
+                assert ref.meta["replayed_steps"] == ref.meta["clock_tables"] == 0
+                if system.startswith("rep"):
+                    assert fused.meta["replayed_steps"] == fused.meta["clock_tables"] == 0
+                else:
+                    assert len(fused.events) >= 4
+                    if e2 is None or e2.kind != "uniform_random":
+                        assert fused.meta["replayed_steps"] > 0 and fused.meta["clock_tables"] >= 2, fused.meta
+
+
+@pytest.mark.parametrize("integrator", sorted(TABLEAUS))
+def test_replayed_clock_tables_follow_d_and_the_cuts(integrator):
+    # one hand2 run of 13 periods: a square-wave e2 on the clock alone
+    # switches every 43 steps, and records fall every 25 steps, both inside
+    # periods. Each switch moves the clock step d between 1.25 h and 0.75 h,
+    # and a start replays only the table built at its own d; the segments
+    # cut at a record point or a switch replay a slice of a table. A table
+    # reused after d changed, or keyed without d, moves a clock value and
+    # the trace
+    f = sphere_cost(1)
+    sys = hand2(f, HandParams(t_min=0.5, t_max=1.4, c=1.0))
+    z0 = np.array([1.0, 0.5, 0.5])
+    cfg = SolverConfig(h=0.01, t_end=12.0, integrator=integrator, jump_policy="earliest", record_stride=25)
+    pert = PerturbationSet(e2=DisturbanceSpec.square_wave(3, 0.25, 0.86, [0.0, 0.0, 1.0]))
+    fused = simulate(sys, z0, cfg, pert)
+    ref = simulate(_per_step(sys), z0, cfg, pert)
+    _assert_same_trace(fused, ref)
+    assert len(fused.events) >= 10
+    assert 0 < fused.meta["replayed_steps"] < fused.meta["flow_steps"] and fused.meta["clock_tables"] >= 4
+
+
+@pytest.mark.parametrize("integrator", sorted(TABLEAUS))
+@pytest.mark.parametrize("policy", ["earliest", "latest"])
+def test_every_period_after_the_first_replays_whole(integrator, policy):
+    # with records further apart than a period, each period is one segment
+    # from the timer's reset value 0.5, the initial one included: the first
+    # runs the segment kernel, the second builds the one table, and it and
+    # every later period replay that table to its exit, so every flow step
+    # after the first period is replayed. A table a step short or long
+    # splits a period into two segments and shows in these counts
+    sys = hand2(COUPLED2, HandParams(t_min=0.5, t_max=1.4, c=1.0))
+    z0 = np.concatenate([COUPLED2.xstar + 1.0, COUPLED2.xstar, [0.5]])
+    cfg = SolverConfig(h=0.01, t_end=6.0, integrator=integrator, jump_policy=policy, record_stride=1000)
+    tr = simulate(sys, z0, cfg)
+    _assert_same_trace(tr, simulate(_per_step(sys), z0, cfg))
+    first = round(tr.events[0].t / cfg.h)
+    assert len(tr.events) >= 5 and first == 90
+    assert tr.meta["clock_tables"] == 1
+    assert tr.meta["replayed_steps"] == tr.meta["flow_steps"] - first
+
+
+@pytest.mark.parametrize("integrator", sorted(TABLEAUS))
+def test_jump_disturbed_clock_starts_build_no_table(integrator):
+    # e5 moves each restart's timer start by a sinusoid of the jump time on
+    # the clock (and e4 shifts the state the jump map reads), so no segment
+    # starts from a clock value an earlier one started from: no table is
+    # built, nothing is replayed, and the trace is the per-step path's
+    f = sphere_cost(1)
+    sys = dataclasses.replace(hand2(f, HandParams(t_min=0.5, t_max=1.4, c=1.0)),
+                              in_C=_timer_test("in_C", "0.25 - {inflation} <= {tau} <= 1.4 + {inflation}"))
+    cfg = SolverConfig(h=0.01, t_end=8.0, integrator=integrator, record_stride=30)
+    pert = PerturbationSet(e4=DisturbanceSpec.constant([0.01, -0.02, 0.0]),
+                           e5=DisturbanceSpec.sinusoid(3, 0.2, 1.7, [0.0, 0.0, 1.0]))
+    z0 = np.array([1.0, 0.5, 0.5])
+    fused = simulate(sys, z0, cfg, pert)
+    ref = simulate(_per_step(sys), z0, cfg, pert)
+    _assert_same_trace(fused, ref)
+    assert len(fused.events) >= 6 and len({rec.z_post[-1] for rec in fused.events}) == len(fused.events)
+    assert fused.meta["replayed_steps"] == fused.meta["clock_tables"] == 0
 
 
 @pytest.mark.parametrize("integrator", ["euler", "rk4"])
@@ -982,7 +1157,7 @@ def test_fault_inside_a_segment_matches_per_step_calls(case, integrator):
 
 
 @pytest.mark.parametrize("integrator", sorted(TABLEAUS))
-@pytest.mark.parametrize("case", ["raises-after-blowup", "hybrid", "numpy-start"])
+@pytest.mark.parametrize("case", ["raises-after-blowup", "hybrid", "numpy-start", "clock-table"])
 def test_replayed_segment_fault_matches_per_step_calls(case, integrator):
     # a segment runs past the step where z[0] goes non-finite; simulate
     # replays it one step at a time from its start state and ends the run
@@ -1004,7 +1179,7 @@ def test_replayed_segment_fault_matches_per_step_calls(case, integrator):
         sys = dataclasses.replace(hand1(f, HandParams(t_min=0.5, t_max=2.0, c=1.0, t_med=2.0)), F=grow)
         z0 = [1.0, 1.0, 0.6]
         t_fault = 0.5 if integrator == "euler" else 0.25
-    else:
+    elif case == "numpy-start":
         # the first segment divides by zero at tau = 0 and is redone on
         # numpy scalars, whose 1 / (1 + 1 / 0) is 0.0; the segments after it
         # start from numpy scalars, and z[0] overflows a few steps into a
@@ -1012,6 +1187,15 @@ def test_replayed_segment_fault_matches_per_step_calls(case, integrator):
         sys = flow_only_system(compile_components("masked", 3, ["{0} * 1e5", "1.0 / (1.0 + 1.0 / {2})", "1.0"]), 1)
         z0 = [1.0, 0.0, -0.5]
         cfg = dataclasses.replace(cfg, record_stride=8)
+    else:
+        # z[0] grows by a factor of 1.5 to 1.65 per step and overflows some
+        # 1,400 to 1,800 steps in, inside one of the hundreds of 6-step
+        # periods of timer [0.5, 2.0] that replay the clock table of the
+        # start 0.5; the clock reaches the field through a term that is 0.0
+        grow = compile_components("grow", 3, ["{0} * 2.0 + 0.0 * {2}", "0.0", "1.0"])
+        sys = dataclasses.replace(hand2(f, HandParams(t_min=0.5, t_max=2.0, c=1.0)), F=grow)
+        z0 = [1.0, 1.0, 0.5]
+        cfg = dataclasses.replace(cfg, t_end=1000.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         fused = simulate(sys, np.array(z0), cfg)
@@ -1022,9 +1206,12 @@ def test_replayed_segment_fault_matches_per_step_calls(case, integrator):
     assert np.array_equal(fused.fault.z_last, ref.fault.z_last)
     if t_fault is not None:
         assert (fused.fault.t, fused.meta["flow_steps"]) == (t_fault, t_fault / cfg.h)
-    else:
+    elif case == "numpy-start":
         steps = fused.meta["flow_steps"]
         assert steps > cfg.record_stride and steps % cfg.record_stride > 1
+    else:
+        assert fused.fault.j > 200 and fused.meta["replayed_steps"] > 1000
+        assert ref.meta["replayed_steps"] == 0
 
 
 def test_generated_code_shows_in_tracebacks():
