@@ -137,15 +137,14 @@ def jump_decrease_hand1(z, f: CostFunction, params: HandParams) -> float:
 
 
 def jump_decrease_hand2(z, f: CostFunction, params: HandParams) -> float:
-    """Closed-form energy change of a momentum-reset jump:
+    """Closed-form energy change of a momentum-reset jump: the timer
+    reset's plus the momentum reset's,
     0.5 |x1 - xstar|^2 - 0.5 |x2 - xstar|^2 - c (f(x1) - fstar)(tau^2 - t_min^2)."""
     _require_minimizer(f)
     z = np.asarray(z, dtype=float)
     n = f.dim
     d1, d2 = z[:n] - f.xstar, z[n : 2 * n] - f.xstar
-    tau = float(z[-1])
-    return (0.5 * row_dot(d1, d1) - 0.5 * row_dot(d2, d2)
-            - params.c * f.gap(z[:n]) * (tau * tau - params.t_min * params.t_min))
+    return 0.5 * row_dot(d1, d1) - 0.5 * row_dot(d2, d2) + jump_decrease_hand1(z, f, params)
 
 
 def check_monotonicity(trace: Trace, f: CostFunction, c: float, slack_per_step: float) -> RateReport:

@@ -252,10 +252,10 @@ def _compiled(text: str, name: str):
 def compile_source(text: str, name: str, **names):
     """Run text, Python source defining name, in a fresh namespace and
     return that object. The code is compiled once per text (see _compiled);
-    each call binds its own names. The source sees math's fmod, floor, inf
-    and nan, and the given names.
+    each call binds its own names. The source sees math's inf and nan, and
+    the given names.
     """
-    namespace = {"fmod": math.fmod, "floor": math.floor, "inf": math.inf, "nan": math.nan, **names}
+    namespace = {"inf": math.inf, "nan": math.nan, **names}
     exec(_compiled(text, name), namespace)
     return namespace[name]
 

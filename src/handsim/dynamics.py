@@ -19,13 +19,14 @@ engine is their caller and applies the disturbance channels around them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import CostFunction, compile_components, compile_source, row_dot, scaled_norm
+from .core import CostFunction, compile_components, row_dot, scaled_norm
 
 __all__ = [
     "OdeParams",
@@ -128,16 +129,33 @@ class DisturbanceSpec:
         return self.kind == "zero" or self.eps == 0.0
 
 
+def _switch_steps(key, until, k: int, h: float, n: int) -> int:
+    """The least i in [1, n] with key((k + i) * h) != key(k * h), else n,
+    searched from the step of until(k * h), the next time the key can
+    change: down while the step before is at or after it or has a changed
+    key, then up to the first changed key. The walk down is exact because
+    the key changes value at most once before until, however it rounds (the
+    square wave's until is at most t + P/2, and a uniform key never returns
+    to a value it left)."""
+    t = k * h
+    was, u = key(t), until(t)
+    i = min(n, max(1, int(min(u / h, k + n)) - k))
+    while i > 1:
+        t = (k + i - 1) * h
+        if t < u and key(t) == was:
+            break
+        i -= 1
+    while i < n and key((k + i) * h) == was:
+        i += 1
+    return i
+
+
 def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
     """Closure t -> e(t). Returned arrays are internal buffers; callers read,
-    never mutate. A piecewise-constant signal carries the texts of two
-    expressions in t: key, on which its value depends (the value stays the
-    same while the key does), and until, the next time at which the key can
-    change value: the next multiple of P/2 for the square wave, of hold for
-    uniform_random, and inf for zero and constant signals. However until(t)
-    rounds, the key changes value at most once on [t, until(t)): the square
-    wave's until is at most t + P/2, and the uniform key never returns to a
-    value it left."""
+    never mutate. A piecewise-constant signal carries steps(k, h, n): the
+    steps from t = k * h over which its value holds, at most n; n for zero
+    and constant signals, else the first step at which its key (the square
+    wave's half period, the uniform draw's hold interval) changes."""
     dim = spec.dim
     if spec.kind in ("zero", "constant") or spec.eps == 0.0:
         value = spec.value.copy() if spec.kind == "constant" else np.zeros(dim)
@@ -145,27 +163,34 @@ def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
         def constant(t):
             return value
 
-        constant.key = "0"
-        constant.until = "inf"
+        constant.steps = lambda k, h, n: n
         return constant
     if spec.kind == "square_wave":
-        pos = spec.eps * spec.axis
         # +eps on [0, P/2), -eps on [P/2, P), repeating; phase 0 at t = 0
-        half = float(0.5 * spec.period)
-        key = "fmod(t, %r) < %r" % (float(spec.period), half)
-        square = compile_source("def square(t):\n    return pos if %s else neg\n" % key, "square", pos=pos, neg=-pos)
-        square.key = key
+        pos = spec.eps * spec.axis
+        neg = -pos
+        period, half = float(spec.period), float(0.5 * spec.period)
+
+        def high(t):
+            return math.fmod(t, period) < half
+
+        def square(t):
+            return pos if high(t) else neg
+
         # t + (half - fmod(t, half)) is at most t + half, so no float at or
         # after the second switch from t lies below it
-        square.until = "t + (%r - fmod(t, %r))" % (half, half)
+        square.steps = functools.partial(_switch_steps, high, lambda t: t + (half - math.fmod(t, half)))
         return square
     if spec.kind == "sinusoid":
         amp = spec.eps * spec.axis
         w = 2.0 * math.pi / spec.period
         return lambda t: amp * math.sin(w * t)
     # uniform_random: redraw per hold interval, cache the last interval
-    key = "floor(t / %r)" % float(spec.hold)
-    interval = compile_source("def interval(t):\n    return %s\n" % key, "interval")
+    hold = float(spec.hold)
+
+    def interval(t):
+        return math.floor(t / hold)
+
     state = {"k": None, "v": np.zeros(dim)}
     eps, seed = spec.eps, spec.seed
 
@@ -183,8 +208,7 @@ def make_signal(spec: DisturbanceSpec) -> Callable[[float], np.ndarray]:
             state["k"] = k
         return state["v"]
 
-    uniform.key = key
-    uniform.until = "(%s + 1.0) * %r" % (key, float(spec.hold))
+    uniform.steps = functools.partial(_switch_steps, interval, lambda t: (interval(t) + 1.0) * hold)
     return uniform
 
 

@@ -163,10 +163,10 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
 
 @functools.lru_cache(maxsize=None)
 def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed: bool,
-                 membership: Optional[tuple], switch: Optional[tuple], factors: tuple = (), replay: bool = False):
+                 membership: Optional[tuple], factors: tuple = (), replay: bool = False):
     """One flow segment of explicit Runge-Kutta steps of tab on m
     components, generated as straight-line code on first use and cached by
-    its arguments: seg(F, z, src, h, k, n, t_stop[, e]) returns (z', steps).
+    its arguments: seg(F, z, src, h, n[, e]) returns (z', steps).
 
     A step takes z_i + (K_0,i*b_0 + K_1,i*b_1 + ... [+ e_i]) * h with K_0 =
     F(src) and stage k evaluated at (0.0 + K_0,i*a_k0 + ...) * h + src_i.
@@ -197,37 +197,22 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     the segment takes one step from src whatever n is. With src z its loop
     reads and updates the running state in place, with no per-step copy.
 
-    After step k + steps, at t = (k + steps) * h, the next step starts from
-    the state reached, with the same e, unless steps == n, t >= t_stop, the
-    state is outside the flow set or inside the jump set (membership: their
-    conditions in {tau} and {inflation}, tested at inflation 0), or, given
-    switch = (key, until), the expression key in t, on which e depends,
-    changed value. The loop is a for loop over n: membership, the only test
-    it makes per step, is its one early exit. The horizon and the key switch
-    are step counts, to which the segment lowers n before its loop. z[0] is
-    not tested: every step computes z0 = z0 + (...), so an inf or nan in it
-    stays to the segment's end, where simulate tests it once and finds the
-    step it came in by replaying the segment. When (k + n) * h >= t_stop,
-    n becomes the least steps >= 1 with (k + steps) * h >= t_stop, searched
-    from int(t_stop / h) - k. Then, for n > 1, it becomes the least steps
-    >= 1 at which key differs from its value at t = k * h, if that is less.
-    That search starts at the step of until, an expression in t for the
-    next time key can change (see dynamics.make_signal), walks down while
-    the step before is at or after until or has a changed key, and then up
-    to the first changed key. The walk down is exact because a key changes
-    value at most once before until, so a step before until with an
-    unchanged key has only unchanged steps before it. A switch whose until
-    is "inf" (a constant e2) never comes, and the segment computes neither
-    t nor key.
+    The segment takes n steps with the same e, n set by its caller (see
+    simulate), and ends early only after a step whose state is outside the
+    flow set or inside the jump set (membership: their conditions in {tau}
+    and {inflation}, tested at inflation 0), the one test its for loop
+    makes per step. z[0] is not tested: every step computes z0 = z0 +
+    (...), so an inf or nan in it stays to the segment's end, where
+    simulate tests it once.
 
     With replay, the kernel is the second loop shape, made from the same
     step statements, for a field whose clock is a literal under a
-    membership exit (None otherwise). replay(z, h, k, n, t_stop, table[,
-    e]) lowers n as above and returns (z', min(n, len(table))), its loop
-    taking from each row of table what the step reads of the clock: every
-    factor that a stage assigning the clock's argument and the stages up
-    to the next use, the clock's stage arguments where a component reads
-    the clock outside a factor, and the clock after the step. So it makes
+    membership exit (None otherwise). replay(z, h, n, table[, e]) returns
+    (z', min(n, len(table))), its loop taking from each row of table what
+    the step reads of the clock: every factor that the stages from one
+    assigning the clock's argument up to the next one use, the clock's
+    stage arguments where a component reads the clock outside a factor,
+    and the clock after the step. So it makes
     no clock arithmetic and no membership test. replay.build(tau, d, h,
     cap) makes that table from the clock value tau and the clock step d by
     the segment loop's own statements, ending after the first step whose
@@ -335,35 +320,6 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
         return body, named
 
     head = ["    %s= z" % names("z")] + (["    %s= e" % names("e")] if disturbed else [])
-    # the first steps >= 1 with (k + steps) * h >= t_stop, which is monotone
-    # in steps; the guard keeps an infinite t_stop out of int()
-    bound = ["    if (k + n) * h >= t_stop:",
-             "        n = min(n, max(1, int(max(t_stop / h, 0.0)) - k))",
-             "        while n > 1 and (k + n - 1) * h >= t_stop:",
-             "            n -= 1",
-             "        while (k + n) * h < t_stop:",
-             "            n += 1"]
-    if switch is not None and switch[1] != "inf":
-        # the first i >= 1 whose key differs from step k's, or n: estimated
-        # from until, then walked down past every step at or after until or
-        # with a changed key, then up to the first changed key
-        key, until = switch
-        bound += ["    if n > 1:",
-                  "        t = k * h",
-                  "        key = %s" % key,
-                  "        u = %s" % until,
-                  "        i = min(n, max(1, int(min(u / h, k + n)) - k))",
-                  "        while i > 1:",
-                  "            t = (k + i - 1) * h",
-                  "            if t < u and (%s) == key:" % key,
-                  "                break",
-                  "            i -= 1",
-                  "        while i < n:",
-                  "            t = (k + i) * h",
-                  "            if (%s) != key:" % key,
-                  "                break",
-                  "            i += 1",
-                  "        n = i"]
     if membership is not None:
         exits = "not (%s) or (%s)" % tuple(c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
     if replay:
@@ -380,9 +336,8 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
                   "            break",
                   "    return table"]
         build = compile_source("\n".join(lines) + "\n", "build")
-        lines = ["def replay(z, h, k, n, t_stop, table%s):" % (", e" if disturbed else "")] + head
+        lines = ["def replay(z, h, n, table%s):" % (", e" if disturbed else "")] + head
         lines += ["    %s = %s" % item for item in folded.items() if item[0] not in clocked | {"d%d" % (m - 1)}]
-        lines += bound
         lines.append("    for %s%s, in table[:n]:" % ("".join(v + ", " for v in entries), tau))
         lines += ["        " + b for b in loop]
         lines.append("    return [%s], min(n, len(table))" % names("z")[:-2])
@@ -391,27 +346,36 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
         return seg
     shifted, _ = step("s")
     loop, _ = step("z")
-    lines = ["def seg(F, z, src, h, k, n, t_stop%s):" % (", e" if disturbed else "")] + head
+    lines = ["def seg(F, z, src, h, n%s):" % (", e" if disturbed else "")] + head
     lines += ["    %s = %s" % item for item in folded.items()]
     lines += ["    if src is not z:", "        %s= src" % names("s")]
     lines += ["        " + b for b in shifted]
     lines.append("        return [%s], 1" % names("z")[:-2])
-    lines += bound
-    if membership is None:
-        lines.append("    for _ in range(n):")
-        lines += ["        " + b for b in loop]
-        lines.append("    return [%s], n" % names("z")[:-2])
-    else:
-        lines.append("    for i in range(1, n + 1):")
-        lines += ["        " + b for b in loop]
-        lines += ["        if %s:" % exits,
-                  "            break",
-                  "    return [%s], i" % names("z")[:-2]]
+    lines.append("    for i in range(1, n + 1):")
+    lines += ["        " + b for b in loop]
+    if membership is not None:
+        lines += ["        if %s:" % exits, "            break"]
+    lines.append("    return [%s], i" % names("z")[:-2])
     return compile_source("\n".join(lines) + "\n", "seg")
 
 
 def _all_finite(z) -> bool:
     return all(map(math.isfinite, z))
+
+
+def _horizon_steps(k: int, n: int, h: float, t_stop: float) -> int:
+    """n lowered to the least steps >= 1 with (k + steps) * h >= t_stop,
+    which is monotone in steps, searched from int(t_stop / h) - k. The
+    search runs only where (k + n) * h >= t_stop, which keeps an infinite
+    or overflowing t_stop / h out of int()."""
+    if (k + n) * h < t_stop:
+        return n
+    n = min(n, max(1, int(max(t_stop / h, 0.0)) - k))
+    while n > 1 and (k + n - 1) * h >= t_stop:
+        n -= 1
+    while (k + n) * h < t_stop:
+        n += 1
+    return n
 
 
 def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
@@ -434,10 +398,12 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     horizon; the loop takes over there. A segment folds the field's
     literal components (the timer's rate) out of its loop, computes each
     clock factor F declares once per clock stage value when its stages use
-    it more than once, steps the running state in place, with no per-step
-    copy, and counts its steps to the horizon and to the
-    e2 key's next switch before it starts, so its loop computes no t and
-    tests only membership. z[0] is tested once per segment: a non-finite
+    it more than once, and steps the running state in place, with no
+    per-step copy. Before it starts, flow lowers its step count to the
+    horizon (the least steps with (k + steps) * h >= t_stop) and then to
+    the e2 signal's next switch (its steps method, see
+    dynamics.make_signal), so the kernel computes no t and its loop tests
+    only membership. z[0] is tested once per segment: a non-finite
     z[0] at its end (once there, an inf or nan stays) has the segment
     replayed from its start state one step at a time, to the step where
     z[0] first went non-finite. All of it gives the bits and the step
@@ -514,12 +480,12 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     # a segment runs past one step on an inlined field, timer membership
     # tests and a piecewise-constant e2 only; anything else takes one-step calls
     field = getattr(F, "components", None)
-    key = getattr(sig2, "key", None)
+    next_switch = getattr(sig2, "steps", None)
     membership = None if empty_jump_set else (getattr(in_C, "condition", None), getattr(in_D, "condition", None))
     fused = (field is not None and sig1 is None and sig3 is None and sig6 is None
-             and (sig2 is None or key is not None) and (membership is None or None not in membership))
+             and (sig2 is None or next_switch is not None) and (membership is None or None not in membership))
     kernel = (TABLEAUS[cfg.integrator], m, field, sig2 is not None, membership if fused else None,
-              (key, sig2.until) if fused and key is not None else None, getattr(F, "factors", ()))
+              getattr(F, "factors", ()))
     seg = _step_kernel(*kernel)
     # a restart period flows the clock sequence of every earlier one from
     # the same start: a segment from a start seen before replays a table of
@@ -556,20 +522,24 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
 
     def flow(t, z, n):
         """Up to n steps of z + h (F(z + e1(t)) + e2(t)) from t: (z', steps),
-        ending early at the first non-finite z[0]."""
+        n lowered to the horizon and to e2's next switch, ending early at the
+        first non-finite z[0]."""
+        n = _horizon_steps(k_step, n, h, t_stop)
+        if n > 1 and next_switch is not None:
+            n = next_switch(k_step, h, n)
         src = z if sig1 is None else [a + e for a, e in zip(z, sig1(t).tolist())]
         e2 = () if sig2 is None else (sig2(t).tolist(),)
         try:
             end = replay(z, n, e2) if rep is not None and n > 1 and src is z else None
             if end is None:
-                end = seg(F, z, src, h, k_step, n, t_stop, *e2)
+                end = seg(F, z, src, h, n, *e2)
         except (ZeroDivisionError, OverflowError):
             # a float division by zero or an overflowing power raises where
             # numpy scalars give inf or nan: redo the segment on numpy
             # scalars, so the run ends as the recorded fault it always was.
             # z too: a float clock in z[-1] would raise at the next t ** e
             z64 = [np.float64(v) for v in z]
-            end = seg(F, z64, z64 if src is z else [np.float64(v) for v in src], h, k_step, n, t_stop, *e2)
+            end = seg(F, z64, z64 if src is z else [np.float64(v) for v in src], h, n, *e2)
         if end[1] == 1 or math.isfinite(end[0][0]):
             return end
         # past one step, z[0] went non-finite at some step and stayed so:
@@ -605,7 +575,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             tables[tau, d] = table
         if not table:
             return None
-        end = rep(z, h, k_step, n, t_stop, table, *e2)
+        end = rep(z, h, n, table, *e2)
         replayed_steps += end[1]
         return end
 

@@ -467,7 +467,9 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     if scenario == "discretization-order" and p["k_min"] >= p["k_max"]:
         raise ConfigError("params.k_min must be below params.k_max")
     if scenario == "restart-sweep":
-        run.gap0 = f.gap(f.xstar + run.offset)
+        # an offset like 1e300 overflows the gap to inf, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            run.gap0 = f.gap(f.xstar + run.offset)
         if not run.gap0 > 0.0:
             raise ConfigError("params.x0 must start off the minimizer, at a positive cost gap")
         run.dstar = optimal_restart(p["c"], f.mu, p["t_min"])

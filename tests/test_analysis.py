@@ -34,7 +34,7 @@ from handsim import (
     write_trace_csv,
 )
 from handsim.analysis import _scan, bound_margins
-from handsim.core import TAG_FAULT
+from handsim.core import TAG_FAULT, row_dot
 from handsim.cli import main
 
 
@@ -128,6 +128,28 @@ def test_certificate_constants_square_t_min_by_product():
     d1, d2 = x1 - f.xstar, x2 - f.xstar
     dv = 0.5 * (d1[0] * d1[0] + d1[1] * d1[1]) - 0.5 * (d2[0] * d2[0] + d2[1] * d2[1]) - c * gap * (tau * tau - t * t)
     assert jump_decrease_hand2(z, f, params) == dv
+
+
+def test_jump_decrease_hand2_adds_the_timer_term_bit_for_bit():
+    # hand2's jump drop is the momentum reset's 0.5|d1|^2 - 0.5|d2|^2 plus
+    # hand1's timer term; adding -c gap (...) rounds as subtracting c gap
+    # (...) does, so the sum has the bits of the formula written out, over
+    # the corpus at random states, at the t_min where a libm pow rounds
+    # t_min ** 2 the other way
+    rng = np.random.default_rng(53)
+    for f in corpus().values():
+        for t_min, c in ((1.604021, 0.7), (0.5, 1.3)):
+            params = HandParams(t_min=t_min, t_max=5.5, c=c)
+            for scale in (1e-8, 1.0, 3.0, 1e6):
+                for _ in range(25):
+                    x1 = f.xstar + rng.standard_normal(f.dim) * scale
+                    x2 = f.xstar + rng.standard_normal(f.dim) * scale
+                    tau = float(rng.uniform(t_min, 5.5))
+                    z = np.concatenate([x1, x2, [tau]])
+                    d1, d2 = x1 - f.xstar, x2 - f.xstar
+                    want = (0.5 * row_dot(d1, d1) - 0.5 * row_dot(d2, d2)
+                            - c * f.gap(x1) * (tau * tau - t_min * t_min))
+                    assert _same(jump_decrease_hand2(z, f, params), want), (f.name, t_min, scale, z)
 
 
 def test_k1_at_optimal_restart_is_e_minus_2():

@@ -23,7 +23,6 @@ from handsim import (
     simulate,
     sphere_cost,
 )
-from handsim.core import compile_source
 from handsim.dynamics import make_rep1_flow, make_rep2_flow, make_signal
 from handsim.engine import flow_only_system
 
@@ -224,16 +223,22 @@ def test_uniform_random_signal_deterministic_and_bounded():
 
 
 def test_piecewise_constant_signals_carry_their_next_switch():
-    # until is the next time the key can change: the next multiple of P/2
-    # for the square wave, of hold for uniform draws, never for constants
+    # steps counts the steps to the next time the key can change: the next
+    # multiple of P/2 for the square wave, of hold for uniform draws, never
+    # for constants; a count n that comes first is kept
     square = make_signal(DisturbanceSpec.square_wave(dim=1, eps=1e-3, period=10.0, axis=[1.0]))
     uniform = make_signal(DisturbanceSpec.uniform_random(dim=1, eps=0.05, seed=7, hold=0.5))
-    for sig, t, want in [(square, 0.0, 5.0), (square, 2.0, 5.0), (square, 5.0, 10.0), (square, 7.5, 10.0),
-                         (square, 10.0, 15.0), (uniform, 0.0, 0.5), (uniform, 1.2, 1.5), (uniform, 1.5, 2.0)]:
-        until = compile_source("def until(t):\n    return %s\n" % sig.until, "until")
-        assert until(t) == want, (sig.until, t)
+    for sig, t, want, h in [(square, 0.0, 5.0, 0.5), (square, 2.0, 5.0, 0.5), (square, 5.0, 10.0, 0.5),
+                            (square, 7.5, 10.0, 0.5), (square, 10.0, 15.0, 0.5), (uniform, 0.0, 0.5, 0.1),
+                            (uniform, 1.2, 1.5, 0.1), (uniform, 1.5, 2.0, 0.1)]:
+        k, i = round(t / h), round((want - t) / h)
+        assert k * h == pytest.approx(t) and (k + i) * h == pytest.approx(want)
+        assert sig.steps(k, h, 1000) == sig.steps(k, h, i) == i, (t, want)
+        assert sig.steps(k, h, i - 1) == i - 1, (t, want)
     for spec in (DisturbanceSpec(kind="zero", dim=2), DisturbanceSpec.constant([0.1, 0.0])):
-        assert make_signal(spec).until == "inf"
+        sig = make_signal(spec)
+        for k, n in [(0, 1), (3, 2), (10**6, 1000), (2**53 - 2, 97)]:
+            assert sig.steps(k, 0.1, n) == n
 
 
 def test_sinusoid_period():

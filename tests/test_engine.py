@@ -1,6 +1,7 @@
 """Integrator steps, jump handling, and the hybrid simulation loop."""
 
 import dataclasses
+import functools
 import hashlib
 import linecache
 import math
@@ -26,8 +27,8 @@ from handsim import (
     sphere_cost,
     tableau,
 )
-from handsim.core import TAG_FAULT, TAG_JUMP, compile_components, compile_source
-from handsim.dynamics import make_rep1_flow, make_rep2_flow, make_signal
+from handsim.core import TAG_FAULT, TAG_JUMP, compile_components
+from handsim.dynamics import _switch_steps, make_rep1_flow, make_rep2_flow, make_signal
 from handsim import engine
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import _timer_test, hand1
@@ -130,8 +131,8 @@ def _one_step(tab, width, field, F, z, src, h, e=None):
     """One step of the generated segment, with F called per stage or, given
     field, F's component expressions inlined around the factors F declares."""
     args = () if e is None else (e,)
-    seg = _step_kernel(tab, width, field, e is not None, None, None, getattr(F, "factors", ()))
-    got, steps = seg(F, z, src, h, 0, 1, math.inf, *args)
+    seg = _step_kernel(tab, width, field, e is not None, None, getattr(F, "factors", ()))
+    got, steps = seg(F, z, src, h, 1, *args)
     assert steps == 1
     return got
 
@@ -306,7 +307,7 @@ def test_segment_steps_in_place_match_repeated_stage_loops(name, width, form, de
     mixed = np.concatenate([SPECIAL, rng.standard_normal(10)])
     field, factors = _identity_components(width, declared)
     F = compile_components("identity_field", width, field, factors)
-    source, _ = _loop_text(_step_kernel(tab, width, field, False, None, None, factors))
+    source, _ = _loop_text(_step_kernel(tab, width, field, False, None, factors))
     assert bool(re.search(r"^ +f\d+ = ", source, re.M)) == (declared and width > 1), source
 
     def draw(pool):
@@ -323,8 +324,8 @@ def test_segment_steps_in_place_match_repeated_stage_loops(name, width, form, de
             for _ in range(n):
                 want = _stage_loop_step(F, tab, h, want, want, e)
             for inlined in (None, field):
-                seg = _step_kernel(tab, width, inlined, e is not None, None, None, factors)
-                got, got_steps = seg(F, z, z, h, 0, n, math.inf, *(() if e is None else (e,)))
+                seg = _step_kernel(tab, width, inlined, e is not None, None, factors)
+                got, got_steps = seg(F, z, z, h, n, *(() if e is None else (e,)))
                 assert got_steps == n, (trial, inlined)
                 assert [_bits(v) for v in got] == [_bits(v) for v in want], (trial, inlined, got, want)
 
@@ -387,7 +388,7 @@ def test_kernel_text_is_identity_free_and_shares_stage_factors(dim):
     sys = hand2(sphere_cost(dim), HandParams(t_min=1.0, t_max=2.0, c=1.0))
     membership = (sys.in_C.condition, sys.in_D.condition)
     kernels = {(kind, name, disturbed):
-               _step_kernel(TABLEAUS[name], m, F.components, disturbed, membership, None, F.factors)
+               _step_kernel(TABLEAUS[name], m, F.components, disturbed, membership, F.factors)
                for kind, F in [("hand", sys.F),
                                ("rep1", make_rep1_flow(OdeParams(c=0.25), sphere_cost(dim))),
                                ("rep1-p3", make_rep1_flow(OdeParams(p=3.0), sphere_cost(dim))),
@@ -415,11 +416,11 @@ def test_kernel_text_is_identity_free_and_shares_stage_factors(dim):
 # the segment kernels of the seven bundled configs, named by the crc32 of
 # their source (core._compiled), and the sha256 of those sources in name order
 BUNDLED_SEGMENTS = """
-    235a874f 29a60a61 2d3ac405 34b9ad57 3f9f6486 491d94fb 4b573329 545ae56d 5c7304a8 6f38cb6b
-    8106cfe3 81d7210d 8c81d9f7 96b64391 978c0d62 9889f108 9a5f1182 9dcd0532 b9b58672 bc5d9b97
-    c2c1574e c403e910 ce60ab1e d1e0154d d2b05297 d529813d d57bf761 ec63b43d ed34a726 fe937e66
+    039a36c5 0b9927d1 2b5fd273 34464f98 3987c08e 46eb59bd 5ad38877 5fc16595 639493b7 67bd663b
+    6b2c5aad 77b45a82 7e3e0f69 7e704042 8503f47a 9273d6b0 99545601 9bef1e7b a4427969 a8fd8673
+    ac66645f b29cb11c bbdcc470 d4537833 d650def8 e1946236 eb0b8b24 ee919e5c f8cab233
 """.split()
-BUNDLED_SEGMENTS_SHA256 = "b8a8fd06026107aeb3caffbe76d586540fcecbe2a384c84f677498fabb94d924"
+BUNDLED_SEGMENTS_SHA256 = "debe569d14998482ed5a8913d3789d62894b7a0cef1a67064340a67cf050b66f"
 
 # the bundled configs shrunk: h and the horizons enter no kernel's text
 SHRUNK = {
@@ -433,30 +434,37 @@ SHRUNK = {
 }
 
 
-def test_bundled_configs_keep_their_segment_kernels(tmp_path, monkeypatch):
-    # the seven configs, run in one process, generate the same segment
-    # kernels as the inline loop alone did, name for name and byte for byte;
-    # the replay kernels and table builders of the restart periods are
-    # extra code, and their replay loops test no membership and compute no
-    # clock factor: each reads the clock's values from its table alone
+def _recording(monkeypatch):
+    """The kernels simulate makes from here on, in order (None where it
+    makes no replay kernel)."""
     made = []
 
     def recording(*args, **kwargs):
-        made.append((kwargs.get("replay", False), _step_kernel(*args, **kwargs)))
-        return made[-1][1]
+        made.append(_step_kernel(*args, **kwargs))
+        return made[-1]
 
     monkeypatch.setattr(engine, "_step_kernel", recording)
+    return made
+
+
+def test_bundled_configs_keep_their_segment_kernels(tmp_path, monkeypatch):
+    # the seven configs, run in one process, generate these 29 segment
+    # kernels, name for name and byte for byte, and 7 replay kernels (a
+    # square wave's period enters neither); the replay loops test no
+    # membership and compute no clock factor: each reads the clock's values
+    # from its table alone
+    made = _recording(monkeypatch)
     for name, overrides in SHRUNK.items():
         cfg = load_config(os.path.join(CONFIGS, name + ".json"))
         for key, value in overrides.items():
             cfg = apply_override(cfg, key, value)
         run_scenario(cfg, out_dir=str(tmp_path / name), quiet=True)
-    segs = {seg.__code__.co_filename: seg for replay, seg in made if not replay}
+    segs = {seg.__code__.co_filename: seg for seg in made if seg is not None and seg.__name__ == "seg"}
     assert sorted(segs) == ["<seg %s>" % crc for crc in BUNDLED_SEGMENTS]
     text = "".join("".join(linecache.getlines(name)) for name in sorted(segs))
     assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_SEGMENTS_SHA256
-    replays = {rep for replay, rep in made if replay and rep is not None}
-    assert len(replays) >= 5
+    replays = {rep for rep in made if rep is not None and rep.__name__ == "replay"}
+    assert len({rep.__code__.co_filename for rep in replays}) == 7
     for rep in replays:
         _assert_replay_loop(rep)
 
@@ -495,11 +503,11 @@ def test_replay_kernels_read_the_clock_from_their_table(dim):
     for name in sorted(TABLEAUS):
         for components, factors in fields:
             for disturbed in (False, True):
-                kernel = (TABLEAUS[name], m, components, disturbed, membership, None, factors)
+                kernel = (TABLEAUS[name], m, components, disturbed, membership, factors)
                 _assert_replay_loop(_step_kernel(*kernel, replay=True), divides=components is raw)
-                assert _step_kernel(*kernel[:4], None, None, factors, replay=True) is None
+                assert _step_kernel(*kernel[:4], None, factors, replay=True) is None
         timer = sys.F.components[:-1] + ("{%d} * 0.0 + 1.0" % (m - 1),)
-        assert _step_kernel(TABLEAUS[name], m, timer, False, membership, None, sys.F.factors, replay=True) is None
+        assert _step_kernel(TABLEAUS[name], m, timer, False, membership, sys.F.factors, replay=True) is None
 
 
 @pytest.mark.parametrize("returned", [2, 4])
@@ -550,7 +558,7 @@ def test_hand_field_kernel_assigns_no_timer_stage(name, dim):
     m = 2 * dim + 1
     F = make_rep2_flow(OdeParams(c=1.0), sphere_cost(dim))
     for disturbed in (False, True):
-        seg = _step_kernel(TABLEAUS[name], m, F.components, disturbed, None, None, F.factors)
+        seg = _step_kernel(TABLEAUS[name], m, F.components, disturbed, None, F.factors)
         source, loop = _loop_text(seg)
         stages = ["k%d_%d" % (k, m - 1) for k in range(TABLEAUS[name].stages)]
         assert not any(s in seg.__code__.co_varnames for s in stages), source
@@ -558,14 +566,26 @@ def test_hand_field_kernel_assigns_no_timer_stage(name, dim):
         assert "k0_%d = " % (m - 2) in loop
 
 
+def _euler_timer(h, steps, e=0.0):
+    """The timer after steps euler steps of rate 1.0 from 0.0, as a
+    one-component kernel takes them: z0 = z0 + (1.0 + e) * h, or z0 + 1.0 * h
+    undisturbed (the same float at e = 0.0)."""
+    z = 0.0
+    for _ in range(steps):
+        z = z + (1.0 + e) * h
+    return z
+
+
 @pytest.mark.parametrize("h", [0.1, 0.3, 1e-3, 2.0])
 @pytest.mark.parametrize("k", [0, 7, 10**6, 2**53 - 2])
 def test_segment_stops_at_the_horizon_step_count(h, k):
-    # the segment counts its steps to the horizon before its loop; each count
-    # must be the first i >= 1 with (k + i) * h >= t_stop, tested step by
-    # step, or n when that comes first. Past 2**53, k + i rounds to an even
-    # float, so two steps can end at one time and the count must not
-    # overshoot the first of them
+    # simulate counts a segment's steps to the horizon before the kernel
+    # runs (engine._horizon_steps); each count must be the first i >= 1 with
+    # (k + i) * h >= t_stop, tested step by step, or n when that comes
+    # first. Past 2**53, k + i rounds to an even float, so two steps can end
+    # at one time and the count must not overshoot the first of them. The
+    # kernel, undisturbed or under a zero e2, then takes exactly that many
+    # steps
     def reference(n, t_stop):
         i = 0
         while True:
@@ -573,11 +593,11 @@ def test_segment_stops_at_the_horizon_step_count(h, k):
             if i == n or (k + i) * h >= t_stop:
                 return i
 
-    segs = [(_step_kernel(TABLEAUS["euler"], 1, ("1.0",), False, None, None), ())]
+    segs = [(_step_kernel(TABLEAUS["euler"], 1, ("1.0",), False, None), ()),
+            (_step_kernel(TABLEAUS["euler"], 1, ("1.0",), True, None), ([0.0],))]
     # a key in t that never changes value, its switch searched from the
-    # first step and from the last: the count alone ends it
-    segs += [(_step_kernel(TABLEAUS["euler"], 1, ("1.0",), True, None, ("0.0 * t", until)), ([0.0],))
-             for until in ("t", "1e300")]
+    # first step and from the last: the horizon's count alone ends it
+    switches = [functools.partial(_switch_steps, lambda t: 0.0 * t, until) for until in (lambda t: t, lambda t: 1e300)]
     stops = [math.inf, -math.inf, 0.0, k * h, math.nextafter(k * h, math.inf)]
     for q in (1, 2, 3, 10, 97):
         at = (k + q) * h
@@ -585,88 +605,113 @@ def test_segment_stops_at_the_horizon_step_count(h, k):
     for t_stop in stops:
         for n in (1, 2, 3, 10, 50, 97, 120):
             want = reference(n, t_stop)
-            z = 0.0
-            for _ in range(want):
-                z = z + 1.0 * h
+            got = engine._horizon_steps(k, n, h, t_stop)
+            assert got == want, (t_stop, n)
+            for steps in switches:
+                assert (steps(k, h, got) if got > 1 else got) == want, (t_stop, n)
             for seg, e in segs:
                 z0 = [0.0]
-                assert seg(None, z0, z0, h, k, n, t_stop, *e) == ([z], want), (t_stop, n)
+                assert seg(None, z0, z0, h, got, *e) == ([_euler_timer(h, want)], want), (t_stop, n)
 
 
 @pytest.mark.parametrize("h", [0.1, 0.3, 1e-3, 2.0])
 @pytest.mark.parametrize("k", [0, 7, 10**6, 2**53 - 2])
 def test_segment_stops_at_the_key_switch_step_count(h, k):
-    # the segment counts its steps to the e2 key's next switch before its
-    # loop; each count must be the first i >= 1 whose key differs from step
-    # k's, tested step by step, or the horizon's count or n when that comes
-    # first. The switches lie about 0.4 h apart (two between steps), h, 3.7 h
-    # (not a multiple of h), and q steps or more, and one of them falls at
-    # the step time (k + q) * h, give or take the rounding of the length; a
-    # length one ulp shorter or longer moves it by about an ulp of that time
+    # a piecewise-constant e2 counts the steps to its key's next switch
+    # (sig.steps), which simulate takes after the horizon's count; each
+    # count must be the first i >= 1 whose key differs from step k's, tested
+    # step by step, or the horizon's count or n when that comes first. The
+    # switches lie about 0.4 h apart (two between steps), h, 3.7 h (not a
+    # multiple of h), and q steps or more, and one of them falls at the step
+    # time (k + q) * h, give or take the rounding of the length; a length one
+    # ulp shorter or longer moves it by about an ulp of that time. The kernel
+    # then takes exactly that many steps
     e = 0.25
 
     def first_end(key, t_stop):
         was = key(k * h)
         return next((i for i in range(1, 121) if (k + i) * h >= t_stop or key((k + i) * h) != was), 121)
 
+    seg = _step_kernel(TABLEAUS["euler"], 1, ("1.0",), True, None)
     for q in (1, 2, 3, 10, 97):
         at = (k + q) * h
         for parts in {max(1, round(at / (c * h))) for c in (0.4, 1.0, 3.7)} | {(k + q) // q}:
             base = at / parts
             for length in (math.nextafter(base, 0.0), base, math.nextafter(base, math.inf)):
-                for spec in (DisturbanceSpec.square_wave(1, 1.0, 2.0 * length, [1.0]),
-                             DisturbanceSpec.uniform_random(1, 1.0, seed=0, hold=length)):
+                # the keys by definition: the half period the square wave is
+                # in, and the hold interval of the uniform draw
+                for spec, key in ((DisturbanceSpec.square_wave(1, 1.0, 2.0 * length, [1.0]),
+                                   lambda t: math.fmod(t, 2.0 * length) < length),
+                                  (DisturbanceSpec.uniform_random(1, 1.0, seed=0, hold=length),
+                                   lambda t: math.floor(t / length))):
                     sig = make_signal(spec)
-                    key = compile_source("def key(t):\n    return %s\n" % sig.key, "key")
-                    seg = _step_kernel(TABLEAUS["euler"], 1, ("1.0",), True, None, (sig.key, sig.until))
                     for t_stop in (math.inf, (k + 5) * h):
                         first = first_end(key, t_stop)
                         for n in (1, 2, 3, 10, 50, 97, 120):
                             want = min(n, first)
-                            z = 0.0
-                            for _ in range(want):
-                                z = z + (1.0 + e) * h
+                            got = engine._horizon_steps(k, n, h, t_stop)
+                            if got > 1:
+                                got = sig.steps(k, h, got)
+                            assert got == want, (spec.kind, length, t_stop, n)
                             z0 = [0.0]
-                            assert seg(None, z0, z0, h, k, n, t_stop, [e]) == ([z], want), (
+                            assert seg(None, z0, z0, h, got, [e]) == ([_euler_timer(h, want, e)], want), (
                                 spec.kind, length, t_stop, n)
 
 
 @pytest.mark.parametrize("kind", ["zero", "constant", "square", "uniform"])
-def test_segment_loop_computes_no_time_or_key(kind):
-    # the e2 key's switch is a step count found before the loop, so the
-    # loop computes no t and evaluates no key; for a constant e2 the
-    # segment computes neither anywhere
+def test_segment_loop_computes_no_time_or_key(kind, monkeypatch):
+    # simulate counts the steps to the horizon and to the e2 key's next
+    # switch before a segment starts, so no kernel it makes under any e2
+    # takes k or t_stop, computes a t or evaluates a key: each takes its
+    # step count n and runs it
     m = 3
     sys = hand2(sphere_cost(1), HandParams(t_min=0.5, t_max=1.4, c=1.0))
     specs = dict(_e2_specs(m), zero=DisturbanceSpec(kind="zero", dim=m))
-    sig = make_signal(specs[kind])
+    made = _recording(monkeypatch)
     for name in sorted(TABLEAUS):
-        seg = _step_kernel(TABLEAUS[name], m, sys.F.components, True,
-                           (sys.in_C.condition, sys.in_D.condition), (sig.key, sig.until), sys.F.factors)
-        source, loop = _loop_text(seg)
-        for text in ("t =", "fmod", "floor", "key"):
-            assert text not in loop, source
-            if kind in ("zero", "constant"):
-                assert text not in source, source
+        cfg = SolverConfig(h=0.01, t_end=3.0, integrator=name, record_stride=40)
+        tr = simulate(sys, np.array([1.0, 0.5, 0.5]), cfg, PerturbationSet(e2=specs[kind]))
+        assert tr.meta["replayed_steps"] > 0 or kind == "uniform"
+    kernels = [kernel for kernel in made if kernel is not None]
+    assert len(kernels) == 2 * len(TABLEAUS)
+    for kernel in kernels:
+        source, _ = _loop_text(kernel)
+        e = "" if kind == "zero" else ", e"
+        assert source.startswith(("def seg(F, z, src, h, n%s):" % e, "def replay(z, h, n, table%s):" % e)), source
+        assert not re.search(r"\b(?:t|k|t_stop|fmod|floor|key|until)\b", source), source
 
 
 @pytest.mark.parametrize("name", sorted(TABLEAUS))
 def test_segment_loop_counts_no_steps_and_tests_no_z0(name):
-    # the loop is a for loop over its step count: it keeps no counter of its
-    # own, makes no finite test, and breaks only at a membership exit
+    # the loop is one for loop over its step count, with and without a
+    # membership exit: it keeps no counter of its own, makes no finite test,
+    # breaks only at a membership exit and returns the steps it took
     m = 3
     sys = hand2(sphere_cost(1), HandParams(t_min=0.5, t_max=1.4, c=1.0))
-    sig = make_signal(_e2_specs(m)["square"])
     for membership in (None, (sys.in_C.condition, sys.in_D.condition)):
-        for disturbed, switch in ((False, None), (True, None), (True, (sig.key, sig.until))):
-            seg = _step_kernel(TABLEAUS[name], m, sys.F.components, disturbed, membership, switch, sys.F.factors)
+        for disturbed in (False, True):
+            seg = _step_kernel(TABLEAUS[name], m, sys.F.components, disturbed, membership, sys.F.factors)
             source, loop = _loop_text(seg)
             for text in ("z0 - z0", "i += 1", "while True"):
                 assert text not in loop, source
-            if membership is None:
-                assert loop.startswith("\n    for _ in range(n):") and "break" not in loop, source
-            else:
-                assert loop.startswith("\n    for i in range(1, n + 1):") and loop.count("break") == 1, source
+            assert loop.startswith("\n    for i in range(1, n + 1):"), source
+            assert loop.count("break") == (membership is not None), source
+            assert loop.endswith("\n    return [z0, z1, z2], i\n"), source
+
+
+def test_square_wave_periods_share_one_kernel(monkeypatch):
+    # a square wave's period enters no kernel text, as its switch is counted
+    # in simulate: periods 1e4 and 100 (a switch at t = 50) on one system
+    # run one segment kernel and one replay kernel
+    sys = hand2(sphere_cost(1), HandParams(t_min=0.5, t_max=1.4, c=1.0))
+    made = _recording(monkeypatch)
+    for period in (1e4, 100.0):
+        pert = PerturbationSet(e2=DisturbanceSpec.square_wave(3, 0.05, period, [0.0, 1.0, 0.0]))
+        cfg = SolverConfig(h=0.01, t_end=60.0, integrator="euler", record_stride=1000)
+        tr = simulate(sys, np.array([1.0, 0.5, 0.5]), cfg, pert)
+        assert tr.meta["replayed_steps"] > 0
+    names = sorted({kernel.__code__.co_filename for kernel in made})
+    assert [name.split()[0] for name in names] == ["<replay", "<seg"], names
 
 
 @pytest.mark.parametrize("a, b", [(((),), (math.nan,)), (((), (0.5,)), (math.nan, 1.0)),
@@ -1219,11 +1264,11 @@ def test_generated_code_shows_in_tracebacks():
     # it names the line that raised
     f = sphere_cost(1)
     F = make_rep2_flow(OdeParams(c=1.0), f)
-    seg = _step_kernel(TABLEAUS["euler"], 3, F.components, False, None, None, F.factors)
+    seg = _step_kernel(TABLEAUS["euler"], 3, F.components, False, None, F.factors)
     with pytest.raises(ZeroDivisionError) as info:
-        seg(F, [1.0, 2.0, 0.0], [1.0, 2.0, 0.0], 0.1, 0, 1, math.inf)
+        seg(F, [1.0, 2.0, 0.0], [1.0, 2.0, 0.0], 0.1, 1)
     text = "".join(traceback.format_tb(info.tb))
     assert "k0_0 = 2.0 / s2 * (s1 - s0)" in text
     code = seg.__code__
-    assert linecache.getline(code.co_filename, code.co_firstlineno).startswith("def seg(F, z, src, h, k, n, t_stop)")
+    assert linecache.getline(code.co_filename, code.co_firstlineno).startswith("def seg(F, z, src, h, n)")
     assert linecache.getline(F.__code__.co_filename, 2).strip().startswith("return [(2.0 / x[2]) * (x[1] - x[0])")
