@@ -127,24 +127,25 @@ def lyapunov(z, f: CostFunction, c: float):
     return per_row(0.5 * row_dot(d2, d2) + c * tau * tau * f.gap(z[..., :n]))
 
 
-def jump_decrease_hand1(z, f: CostFunction, params: HandParams) -> float:
-    """Closed-form energy change of a timer-reset jump:
-    -c (f(x1) - fstar) (tau^2 - t_min^2)."""
+def jump_decrease_hand1(z, f: CostFunction, params: HandParams):
+    """Closed-form energy change -c (f(x1) - fstar) (tau^2 - t_min^2) of a
+    timer-reset jump from a pre-jump state (2n+1,), or from each row of a
+    block (rows, 2n+1)."""
     _require_minimizer(f)
     z = np.asarray(z, dtype=float)
-    tau = float(z[-1])
-    return -params.c * f.gap(z[: f.dim]) * (tau * tau - params.t_min * params.t_min)
+    tau = z[..., -1]
+    return per_row(-params.c * f.gap(z[..., : f.dim]) * (tau * tau - params.t_min * params.t_min))
 
 
-def jump_decrease_hand2(z, f: CostFunction, params: HandParams) -> float:
+def jump_decrease_hand2(z, f: CostFunction, params: HandParams):
     """Closed-form energy change of a momentum-reset jump: the timer
     reset's plus the momentum reset's,
     0.5 |x1 - xstar|^2 - 0.5 |x2 - xstar|^2 - c (f(x1) - fstar)(tau^2 - t_min^2)."""
     _require_minimizer(f)
     z = np.asarray(z, dtype=float)
     n = f.dim
-    d1, d2 = z[:n] - f.xstar, z[n : 2 * n] - f.xstar
-    return 0.5 * row_dot(d1, d1) - 0.5 * row_dot(d2, d2) + jump_decrease_hand1(z, f, params)
+    d1, d2 = z[..., :n] - f.xstar, z[..., n : 2 * n] - f.xstar
+    return per_row(0.5 * row_dot(d1, d1) - 0.5 * row_dot(d2, d2) + jump_decrease_hand1(z, f, params))
 
 
 def check_monotonicity(trace: Trace, f: CostFunction, c: float, slack_per_step: float) -> RateReport:
@@ -283,32 +284,27 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
                            slack: float = 1e-3) -> RateReport:
     """Per-period contraction: across every completed flow period the cost gap
     at the pre-jump state is at most (k0 + slack) times its value at the
-    period's start (the previous post-jump state, or the initial state)."""
+    period's start (the previous jump row, or the initial row)."""
     _require_minimizer(f)
     if f.mu is None:
         raise ValueError("contraction check needs mu on the cost")
     k0 = k1_constant(params.c, f.mu, params.t_min, params.t_max)
     n = f.dim
-    margins = []
-    times = []
-    start_x1 = trace.zs[0, :n]
-    for rec in trace.events:
-        gap_start = f.gap(start_x1)
-        gap_end = f.gap(rec.z_pre[:n])
-        start_x1 = rec.z_post[:n]
-        if gap_start <= 0.0:
-            # started the period on the minimizer; nothing to contract
-            continue
-        margins.append((k0 + slack) - gap_end / gap_start)
-        times.append(HybridTime(rec.t, rec.j_pre))
+    jumps = trace.events
+    gap_start = f.gap(trace.zs[np.r_[0, jumps][:-1], :n])
+    gap_end = f.gap(trace.zs[jumps - 1, :n])
+    # a period started on the minimizer has nothing to contract
+    scored = np.flatnonzero(~(gap_start <= 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        margins = (k0 + slack) - gap_end[scored] / gap_start[scored]
     worst, bad = _scan(margins)
-    if not trace.events:
+    if not len(jumps):
         worst = 0.0
     return RateReport(
         satisfied=not bad,
         worst_margin=worst,
-        violation_times=[times[i] for i in bad],
-        checked=len(trace.events),
+        violation_times=[trace.time(jumps[i] - 1) for i in scored[bad]],
+        checked=len(jumps),
         detail={"k0": k0, "slack": slack},
     )
 

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "CostFunction",
     "HybridTime",
-    "JumpRecord",
     "FaultRecord",
     "Trace",
     "SolverConfig",
@@ -113,23 +112,14 @@ class HybridTime(NamedTuple):
     j: int
 
 
-class JumpRecord(NamedTuple):
-    """One jump event: pre/post packed states at hybrid time (t, j_pre)."""
-
-    t: float
-    j_pre: int
-    z_pre: np.ndarray
-    z_post: np.ndarray
-
-
 class FaultRecord(NamedTuple):
-    """Simulation fault: kind is 'blowup' or 'escaped', state is the last finite one."""
+    """Simulation fault at hybrid time (t, j): kind is 'blowup' or 'escaped';
+    the trace's fault row holds the last finite state."""
 
     t: float
     j: int
     kind: str
     detail: str
-    z_last: np.ndarray
 
 
 # recorded-point tags
@@ -179,8 +169,10 @@ class Trace:
     """Recorded solution of a hybrid system.
 
     Packed rows zs[k] = [x1, x2, tau] at hybrid time (ts[k], js[k]); tags mark
-    how each point was produced (flow sample, post-jump state, fault marker);
-    events holds one JumpRecord per jump.
+    how each point was produced (flow sample, post-jump state, fault marker).
+    The rows are the one record of each jump and fault: a jump row's
+    predecessor is its pre-jump state, and the fault row holds the last
+    finite state.
     """
 
     dim: int
@@ -188,7 +180,6 @@ class Trace:
     js: np.ndarray
     zs: np.ndarray
     tags: np.ndarray
-    events: list
     meta: dict = field(default_factory=dict)
     termination: str = "horizon"
     fault: Optional[FaultRecord] = None
@@ -198,6 +189,12 @@ class Trace:
 
     def time(self, k: int) -> HybridTime:
         return HybridTime(float(self.ts[k]), int(self.js[k]))
+
+    @property
+    def events(self) -> np.ndarray:
+        """The row index k of each jump, in order: row k is the post-jump
+        state at (t, j) and row k - 1 the pre-jump state at (t, j - 1)."""
+        return np.flatnonzero(self.tags == TAG_JUMP)
 
 
 _INTEGRATORS = ("euler", "heun", "midpoint", "rk4")

@@ -26,7 +26,6 @@ from .core import (
     TAG_FLOW,
     TAG_JUMP,
     FaultRecord,
-    JumpRecord,
     SolverConfig,
     Trace,
     compile_source,
@@ -430,8 +429,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     as a recorded fault; the replay of a redone segment starts from the
     float state. A jump takes G's output as a list of floats: a
     wrong number of components raises ValueError, e5 is added and the
-    finite test made on that list, and numpy arrays are built only for the
-    JumpRecord's two states.
+    finite test made on that list, and no numpy array is built for it.
 
     Recording: the initial state, every record_stride-th flow step, both
     sides of every jump, and the final state. stop_condition(t, j, z) is
@@ -439,7 +437,8 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     reason "condition". Other termination reasons: "horizon", "jump_cap"
     (the next required jump would exceed max_jumps; the pre-jump state is the
     final sample), "fault" (non-finite state, or a jump landing outside
-    C union D, with the fault kind and last finite state kept on the trace).
+    C union D, with the fault kind kept on the trace and the last finite
+    state on its fault row).
 
     A state in C intersect D jumps under the "earliest" policy, flows under
     "latest" unless the next flow step would leave C, and under "uniform"
@@ -516,7 +515,6 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         zs.append(z)
         tags.append(tag)
 
-    events: list = []
     fault: Optional[FaultRecord] = None
     termination = "horizon"
 
@@ -628,7 +626,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                 break
             if since_record > 0:
                 if not _all_finite(z):
-                    fault = FaultRecord(t, j, "blowup", "non-finite state before jump", np.array(zs[-1]))
+                    fault = FaultRecord(t, j, "blowup", "non-finite state before jump")
                     termination = "fault"
                     break
                 record(t, j, z, TAG_FLOW)
@@ -640,18 +638,16 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             if sig5 is not None:
                 z_post = [a + e for a, e in zip(z_post, sig5(t).tolist())]
             if not _all_finite(z_post):
-                fault = FaultRecord(t, j, "blowup", "jump map produced non-finite state", np.array(z))
+                fault = FaultRecord(t, j, "blowup", "jump map produced non-finite state")
                 termination = "fault"
                 break
-            events.append(JumpRecord(t, j, np.array(z), np.array(z_post)))
             j += 1
             z = z_post
             from_flow = False
             record(t, j, z, TAG_JUMP)
             since_record = 0
             if not (in_C(z, infl(sig3, t)) or in_D(z, infl(sig6, t))):
-                fault = FaultRecord(t, j, "escaped", "jump landed outside C union D (tau=%g)" % z[-1],
-                                    events[-1].z_post)
+                fault = FaultRecord(t, j, "escaped", "jump landed outside C union D (tau=%g)" % z[-1])
                 termination = "fault"
                 break
             stop_hit = stop_condition is not None and stop_condition(t, j, z)
@@ -666,7 +662,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         since_record += n
         # z[0] is tested after every segment, the whole state where it is recorded
         if not math.isfinite(z[0]) or (since_record >= stride and not _all_finite(z)):
-            fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t, np.array(zs[-1]))
+            fault = FaultRecord(t, j, "blowup", "non-finite state during flow at t=%g" % t)
             termination = "fault"
             break
         if since_record >= stride:
@@ -680,17 +676,17 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     tables.clear()
     if stop_hit:
         termination = "condition"
-    # final sample: the fault row, or the last state when flow steps since
-    # the last sample went unrecorded (a non-finite one turns into a fault)
-    if termination == "fault":
-        record(fault.t, fault.j, fault.z_last, TAG_FAULT)
-    elif since_record > 0:
+    # final sample: the last state when flow steps since the last sample
+    # went unrecorded (a non-finite one turns into a fault), or the fault
+    # row, which repeats the last recorded state, the last finite one
+    if termination != "fault" and since_record > 0:
         if _all_finite(z):
             record(t, j, z, TAG_FLOW)
         else:
-            fault = FaultRecord(t, j, "blowup", "non-finite state at horizon", np.array(zs[-1]))
+            fault = FaultRecord(t, j, "blowup", "non-finite state at horizon")
             termination = "fault"
-            record(fault.t, fault.j, fault.z_last, TAG_FAULT)
+    if termination == "fault":
+        record(fault.t, fault.j, zs[-1], TAG_FAULT)
     meta = dict(sys.meta)
     meta.update(
         h=h,
@@ -711,7 +707,6 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         js=np.asarray(js, dtype=np.int64),
         zs=np.asarray(zs, dtype=float),
         tags=np.asarray(tags, dtype=np.int8),
-        events=events,
         meta=meta,
         termination=termination,
         fault=fault,

@@ -171,9 +171,9 @@ def test_criterion_05_lyapunov_monotone_with_exact_jump_forms():
             assert len(tr.events) >= 3, (name, sys.meta["kind"])
             rep = check_monotonicity(tr, f, params.c, slack_per_step=10.0 * f.lipschitz * h)
             assert rep.satisfied, (name, sys.meta["kind"], rep.worst_margin)
-            for rec in tr.events:
-                actual = lyapunov(rec.z_post, f, params.c) - lyapunov(rec.z_pre, f, params.c)
-                predicted = closed_form(rec.z_pre, f, params)
+            for k in tr.events:
+                actual = lyapunov(tr.zs[k], f, params.c) - lyapunov(tr.zs[k - 1], f, params.c)
+                predicted = closed_form(tr.zs[k - 1], f, params)
                 assert actual == pytest.approx(predicted, abs=1e-12 * max(1.0, abs(predicted))), (
                     name,
                     sys.meta["kind"],

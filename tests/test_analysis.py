@@ -34,7 +34,7 @@ from handsim import (
     write_trace_csv,
 )
 from handsim.analysis import _scan, bound_margins
-from handsim.core import TAG_FAULT, row_dot
+from handsim.core import TAG_FAULT, TAG_JUMP, row_dot
 from handsim.cli import main
 
 
@@ -223,9 +223,9 @@ def _bits(values):
 
 
 def test_row_wise_certificates_match_per_row_calls_bitwise():
-    # gap, energy and target distance of a block of packed rows are the
-    # per-row calls bit for bit, on random states from 1e-8 to 10 and on the
-    # rows of a hand2 run with jumps
+    # gap, energy, target distance and the closed-form jump changes of a
+    # block of packed rows are the per-row calls bit for bit, on random
+    # states from 1e-8 to 10 and on the rows of a hand2 run with jumps
     params = HandParams(t_min=1.0, t_max=2.5, c=1.0)
     rng = np.random.default_rng(59)
     for f in corpus().values():
@@ -241,8 +241,12 @@ def test_row_wise_certificates_match_per_row_calls_bitwise():
             assert np.array_equal(_bits(V), _bits([lyapunov(z, f, params.c) for z in zs])), f.name
             d = target_distance(zs, f.xstar, params)
             assert np.array_equal(_bits(d), _bits([target_distance(z, f.xstar, params) for z in zs])), f.name
+            for closed_form in (jump_decrease_hand1, jump_decrease_hand2):
+                dv = closed_form(zs, f, params)
+                assert np.array_equal(_bits(dv), _bits([closed_form(z, f, params) for z in zs])), f.name
         assert isinstance(f.gap(states[0, : f.dim]), float)
         assert isinstance(lyapunov(states[0], f, params.c), float)
+        assert isinstance(jump_decrease_hand2(states[0], f, params), float)
         assert isinstance(target_distance(states[0], f.xstar, params), float)
         for bad in (states[:, :-1], np.concatenate([states, states[:, :1]], axis=1)):
             with pytest.raises(ValueError):
@@ -304,6 +308,31 @@ def test_check_exponential_rate_and_contraction():
     assert con.satisfied
     # one contraction ratio per completed flow period
     assert con.checked >= 30
+
+
+def test_period_contraction_scores_each_block_of_rows():
+    # one ratio per period: the gap at the row before each jump row over the
+    # gap at the period's first row (the initial or the previous jump row),
+    # a violation at the pre-jump row's hybrid time; a period started on
+    # the minimizer is counted but not scored
+    f = sphere_cost(1)
+    params = HandParams(t_min=1.0, t_max=2.0, c=1.0)
+    tr = _hand2_trace(f, params, np.array([5.0]), t_end=8.0)
+    jumps = np.flatnonzero(tr.tags == TAG_JUMP).tolist()
+    starts = [0] + jumps[:-1]
+    k0 = k1_constant(params.c, f.mu, params.t_min, params.t_max)
+    con = check_period_contraction(tr, f, params, slack=1e-3)
+    margins = [(k0 + 1e-3) - f.gap(tr.zs[k - 1, :1]) / f.gap(tr.zs[s, :1]) for s, k in zip(starts, jumps)]
+    assert con.satisfied and con.checked == len(jumps) >= 6 and con.worst_margin == min(margins)
+    # a pre-jump row far from the minimizer fails its own period only
+    tr.zs[jumps[1] - 1, 0] *= 10.0
+    con = check_period_contraction(tr, f, params, slack=1e-3)
+    assert con.violation_times == [tr.time(jumps[1] - 1)]
+    assert con.worst_margin == (k0 + 1e-3) - f.gap(tr.zs[jumps[1] - 1, :1]) / f.gap(tr.zs[jumps[0], :1])
+    tr.zs[jumps[2], 0] = f.xstar[0]
+    con = check_period_contraction(tr, f, params, slack=-1.0)
+    assert con.checked == len(jumps)
+    assert con.violation_times == [tr.time(k - 1) for k in jumps if k != jumps[3]]
 
 
 def test_nonfinite_sample_is_a_violation():

@@ -5,15 +5,17 @@ import json
 import math
 import os
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 
 from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_scenario
 from handsim.cli import _build_parser, _parse_values, _thread_cap, main
-from handsim.core import hybrid_time_fault
+from handsim.core import Trace, hybrid_time_fault, sphere_cost
+from handsim.hands import HandParams
 from handsim.io import read_trace_csv
-from handsim.scenarios import _leaf, _resolve, apply_override, load_config
+from handsim.scenarios import _hand2_checks, _leaf, _resolve, apply_override, load_config
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -532,6 +534,10 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     # runs from the minimizer and equal damping masses, which measure nothing
     ("discretization-order", {"params": {"x0": 0.0}}, "params.x0"),
     ("uniformity-probe", {"params": {"x_offset": 0.0}}, "params.x_offset"),
+    # offsets whose cost gap is already within eps (1.25e-3 and an underflowed
+    # 0 against 1e-2): every time to eps reads 0
+    ("uniformity-probe", {"params": {"x_offset": 0.1}}, "params.x_offset must start outside params.eps"),
+    ("uniformity-probe", {"params": {"x_offset": 1e-170}}, "params.x_offset must start outside params.eps"),
     ("uniformity-probe", {"params": {"s_values": [0.0, 0.0, 0.0, 0.0]}}, "params.s_values"),
     # mu c underflows to 0, so 1/(mu c) is inf and no window meets the dwell condition
     ("hand2-rate", {"cost": "example1", "hand": {"c": 5e-324}}, "hand: t_min, t_max and c must meet the dwell"),
@@ -544,7 +550,8 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
         "hand1-negative-seed", "hand2-negative-policy-seed", "instability-negative-disturbance-seed",
         "uniformity-negative-t0", "uniformity-phase-outside-window", "robustness-inverted-bracket",
         "instability-growth-factor-one", "robustness-zero-eps-lo", "discretization-zero-offset",
-        "uniformity-zero-offset", "uniformity-equal-s-values", "hand2-c-subnormal"])
+        "uniformity-zero-offset", "uniformity-offset-inside-eps", "uniformity-tiny-offset",
+        "uniformity-equal-s-values", "hand2-c-subnormal"])
 def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, **extra)
@@ -602,6 +609,34 @@ def test_instability_tiny_offset_reaches_a_verdict(cost, x0, tmp_path):
     for rep in ("rep1", "rep2"):
         assert runs[rep]["diverged"] and runs[rep]["termination"] == "condition"
         assert 100.0 <= runs[rep]["growth_reached"] < math.inf
+
+
+def test_hand2_jump_identity_fails_on_non_finite_energy(tmp_path):
+    # at x0 1e200 every energy overflows to inf, so each jump's change is
+    # inf - inf = nan: the closed-form identity fails instead of passing
+    # over jumps it never scored
+    path = _write_config(tmp_path, "hand2-rate", params={"x0": 1e200}, solver={"t_end": 20.0, "h": 0.01})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["run", path, "--quiet"]) == 1
+    with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert summary["checks"]["jump_identity_matches"] is False
+    assert summary["results"]["jumps"] == 19
+    assert summary["results"]["closed_form_worst_rel_err"] is None
+
+
+def test_hand2_jump_identity_scores_a_non_finite_energy_change_at_zero_form():
+    # a closed-form change of 0 leaves a jump unscored only while the
+    # simulated change is finite: here the post-jump energy is inf * 0
+    f = sphere_cost(1)
+    tr = Trace(dim=1, ts=np.array([0.0, 1.0, 1.0]), js=np.array([0, 0, 1]),
+               zs=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 1e200]]),
+               tags=np.array([0, 0, 1], dtype=np.int8), meta={"h": 0.5})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        worst_rel = _hand2_checks(tr, f, HandParams(t_min=1.0, t_max=2.0, c=1.0),
+                                  default_config("hand2-rate")["params"], 0.5)[3]
+    assert math.isnan(worst_rel)
 
 
 def _resolved_pert(**section):

@@ -275,7 +275,7 @@ def _tiny_trace():
         ]
     )
     tags = np.array([0, 0, 1, 0])
-    return Trace(dim=1, ts=ts, js=js, zs=zs, tags=tags, events=[], meta={"h": 0.5})
+    return Trace(dim=1, ts=ts, js=js, zs=zs, tags=tags, meta={"h": 0.5})
 
 
 def test_trace_accessors():

@@ -105,7 +105,8 @@ def test_float_step_ends_in_the_numpy_fault(case):
     assert (tr.fault.t, tr.fault.j) == (t_fault, 0)
     assert tr.meta["flow_steps"] == steps
     assert len(tr) == 2
-    assert np.array_equal(tr.fault.z_last, z0) and np.array_equal(tr.zs, [z0, z0])
+    # the fault row holds the last finite state, the initial one
+    assert tr.tags[-1] == TAG_FAULT and np.array_equal(tr.zs, [z0, z0])
 
 
 def test_euler_half_steps_differ_second_order():
@@ -533,22 +534,21 @@ def test_non_finite_jump_output_is_a_fault(bad, e5):
     tr = simulate(sys, z0, SolverConfig(h=0.1, t_end=1.0), pert)
     assert tr.termination == "fault" and tr.fault.kind == "blowup"
     assert tr.fault.detail == "jump map produced non-finite state"
-    assert (tr.fault.t, tr.fault.j) == (0.0, 0) and tr.events == []
-    assert np.array_equal(tr.fault.z_last, z0) and np.array_equal(tr.zs, [z0, z0])
+    assert (tr.fault.t, tr.fault.j) == (0.0, 0) and len(tr.events) == 0
+    assert tr.tags[-1] == TAG_FAULT and np.array_equal(tr.zs, [z0, z0])
 
 
 def test_jump_output_takes_e5_as_numpy_would():
-    # z+ = G(z) + e5 on floats equals numpy's float64 sum bit for bit, and the
-    # JumpRecord holds both states as float arrays
+    # z+ = G(z) + e5 on floats equals numpy's float64 sum bit for bit: each
+    # jump row is G of the row before it plus e5
     f = sphere_cost(1)
     sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))
     e5 = np.array([0.1, -0.3, 2.5e-320])
     tr = simulate(sys, np.array([0.7, 0.3, 2.0]), SolverConfig(h=0.1, t_end=2.0),
                   PerturbationSet(e5=DisturbanceSpec.constant(e5)))
-    assert tr.events
-    for rec in tr.events:
-        assert rec.z_pre.dtype == rec.z_post.dtype == np.float64
-        assert np.array_equal(rec.z_post, np.array(sys.G(rec.z_pre.tolist()), dtype=float) + e5)
+    assert len(tr.events) and tr.zs.dtype == np.float64
+    for k in tr.events:
+        assert np.array_equal(tr.zs[k], np.array(sys.G(tr.zs[k - 1].tolist()), dtype=float) + e5)
 
 
 @pytest.mark.parametrize("name", sorted(TABLEAUS))
@@ -787,18 +787,20 @@ def test_dh_membership_cases():
     cfg = SolverConfig(h=0.006, t_end=0.012, jump_policy="earliest")
     # in D: the jump fires before any flow
     tr = simulate(sys, np.array([0.5, 0.5, 2.0]), cfg)
-    assert tr.events[0].t == 0.0 and tr.events[0].z_pre[-1] == 2.0
+    k = tr.events[0]
+    assert tr.ts[k] == 0.0 and tr.zs[k - 1, -1] == 2.0
     # one flow step from C overshoots the deadline to tau = 2.003, outside C
     # and off the D slice: the step's provenance puts it in D_h, jump fires next
     tr = simulate(sys, np.array([0.5, 0.5, 1.997]), cfg)
-    assert tr.events[0].t == pytest.approx(0.006)
-    assert tr.events[0].z_pre[-1] == pytest.approx(2.003)
+    k = tr.events[0]
+    assert tr.ts[k] == pytest.approx(0.006)
+    assert tr.zs[k - 1, -1] == pytest.approx(2.003)
     # the same state without flow-step provenance is outside C union D_h
     with pytest.raises(ValueError, match="outside C union D"):
         simulate(sys, np.array([0.5, 0.5, 2.003]), cfg)
     # a flow step that stays inside C does not jump
     tr = simulate(sys, np.array([0.5, 0.5, 1.194]), cfg)
-    assert tr.events == [] and tr.termination == "horizon"
+    assert len(tr.events) == 0 and tr.termination == "horizon"
     # a non-finite or wrong-length initial state is refused before membership
     for bad in ([0.5, math.nan, 1.5], [0.5, 0.5, math.inf]):
         with pytest.raises(ValueError, match="finite"):
@@ -847,12 +849,12 @@ def test_hand2_jump_cadence():
     sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))
     cfg = SolverConfig(h=1e-3, t_end=5.5, integrator="rk4", record_stride=100)
     tr = simulate(sys, np.array([5.0, 5.0, 1.0]), cfg)
-    jump_times = [rec.t for rec in tr.events]
+    jump_times = tr.ts[tr.events].tolist()
     assert len(jump_times) == 5
     for k, t in enumerate(jump_times):
         assert abs(t - (k + 1.0)) <= cfg.h + 1e-12
     # j increments by one at each event
-    assert [rec.j_pre for rec in tr.events] == [0, 1, 2, 3, 4]
+    assert tr.js[tr.events - 1].tolist() == [0, 1, 2, 3, 4]
     assert_recorded(tr)
 
 
@@ -880,7 +882,7 @@ def test_simulate_is_deterministic_by_seed():
     c = simulate(sys, z0, SolverConfig(h=1e-2, t_end=12.0, jump_policy="uniform", policy_seed=43))
     # different seed moves at least one jump time
     assert len(a.events) > 0 and len(c.events) > 0
-    assert a.events[0].t != c.events[0].t
+    assert a.ts[a.events[0]] != c.ts[c.events[0]]
 
 
 def test_max_jumps_termination():
@@ -945,7 +947,7 @@ def test_simulate_fault_exits(case, kind, t, j):
     assert (tr.fault.t, tr.fault.j) == (t, j)
     # the fault row is last and holds the last recorded state
     assert tr.tags[-1] == TAG_FAULT and (tr.ts[-1], tr.js[-1]) == (t, j)
-    assert np.array_equal(tr.zs[-1], tr.zs[-2]) and np.array_equal(tr.fault.z_last, tr.zs[-2])
+    assert np.array_equal(tr.zs[-1], tr.zs[-2])
     assert np.all(np.isfinite(tr.zs))
     assert_recorded(tr)
 
@@ -957,9 +959,9 @@ def test_latest_policy_on_hand1_window():
     cfg = SolverConfig(h=1e-3, t_end=9.0, integrator="rk4", jump_policy="latest", record_stride=200)
     tr = simulate(sys, np.array([2.0, 2.0, 1.0]), cfg)
     assert len(tr.events) >= 3
-    for rec in tr.events:
-        assert rec.z_pre[-1] == pytest.approx(3.0, abs=cfg.h + 1e-9)
-        assert rec.z_post[-1] == pytest.approx(1.0, abs=1e-12)
+    for k in tr.events:
+        assert tr.zs[k - 1, -1] == pytest.approx(3.0, abs=cfg.h + 1e-9)
+        assert tr.zs[k, -1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_earliest_policy_jumps_at_window_entry():
@@ -968,8 +970,8 @@ def test_earliest_policy_jumps_at_window_entry():
     cfg = SolverConfig(h=1e-3, t_end=9.0, integrator="rk4", jump_policy="earliest", record_stride=200)
     tr = simulate(sys, np.array([2.0, 2.0, 1.0]), cfg)
     assert len(tr.events) >= 3
-    for rec in tr.events:
-        assert rec.z_pre[-1] == pytest.approx(2.0, abs=cfg.h + 1e-9)
+    for k in tr.events:
+        assert tr.zs[k - 1, -1] == pytest.approx(2.0, abs=cfg.h + 1e-9)
 
 
 def test_jump_rows_tagged():
@@ -977,7 +979,7 @@ def test_jump_rows_tagged():
     sys = hand2(f, HandParams(t_min=1.0, t_max=2.0, c=1.0))
     tr = simulate(sys, np.array([5.0, 5.0, 1.0]), SolverConfig(h=1e-2, t_end=3.0))
     jump_rows = np.flatnonzero(tr.tags == TAG_JUMP)
-    assert len(jump_rows) == len(tr.events)
+    assert np.array_equal(jump_rows, tr.events)
     for k in jump_rows:
         assert tr.zs[k, -1] == pytest.approx(1.0, abs=1e-12)  # post-jump timer
 
@@ -994,14 +996,9 @@ def _assert_same_trace(a, b):
     assert a.termination == b.termination
     # the replay counts say how the steps were taken, not what they gave
     assert _without_replay(a.meta) == _without_replay(b.meta)
-    assert len(a.events) == len(b.events)
-    for x, y in zip(a.events, b.events):
-        assert (x.t, x.j_pre) == (y.t, y.j_pre)
-        assert np.array_equal(x.z_pre, y.z_pre) and np.array_equal(x.z_post, y.z_post)
-    assert (a.fault is None) == (b.fault is None)
-    if a.fault is not None:
-        assert tuple(a.fault[:4]) == tuple(b.fault[:4])
-        assert np.array_equal(a.fault.z_last, b.fault.z_last)
+    # the rows above hold each jump's two states and the fault's state
+    assert np.array_equal(a.events, b.events)
+    assert a.fault == b.fault
 
 
 @pytest.mark.parametrize("integrator", ["euler", "heun", "rk4"])
@@ -1145,7 +1142,7 @@ def test_every_period_after_the_first_replays_whole(integrator, policy):
     cfg = SolverConfig(h=0.01, t_end=6.0, integrator=integrator, jump_policy=policy, record_stride=1000)
     tr = simulate(sys, z0, cfg)
     _assert_same_trace(tr, simulate(_per_step(sys), z0, cfg))
-    first = round(tr.events[0].t / cfg.h)
+    first = round(tr.ts[tr.events[0]] / cfg.h)
     assert len(tr.events) >= 5 and first == 90
     assert tr.meta["clock_tables"] == 1
     assert tr.meta["replayed_steps"] == tr.meta["flow_steps"] - first
@@ -1167,7 +1164,7 @@ def test_jump_disturbed_clock_starts_build_no_table(integrator):
     fused = simulate(sys, z0, cfg, pert)
     ref = simulate(_per_step(sys), z0, cfg, pert)
     _assert_same_trace(fused, ref)
-    assert len(fused.events) >= 6 and len({rec.z_post[-1] for rec in fused.events}) == len(fused.events)
+    assert len(fused.events) >= 6 and len(set(fused.zs[fused.events, -1].tolist())) == len(fused.events)
     assert fused.meta["replayed_steps"] == fused.meta["clock_tables"] == 0
 
 
@@ -1198,7 +1195,7 @@ def test_fault_inside_a_segment_matches_per_step_calls(case, integrator):
     assert fused.termination == "fault" and fused.fault.kind == "blowup"
     assert 2 < fused.meta["flow_steps"] < cfg.record_stride
     assert (fused.fault.t, fused.fault.j) == (ref.fault.t, ref.fault.j)
-    assert np.array_equal(fused.fault.z_last, ref.fault.z_last)
+    assert np.array_equal(fused.zs[-1], ref.zs[-1])
 
 
 @pytest.mark.parametrize("integrator", sorted(TABLEAUS))
@@ -1248,7 +1245,7 @@ def test_replayed_segment_fault_matches_per_step_calls(case, integrator):
     _assert_same_trace(fused, ref)
     assert fused.termination == "fault" and fused.fault.kind == "blowup"
     assert (fused.fault.t, fused.fault.j) == (ref.fault.t, ref.fault.j)
-    assert np.array_equal(fused.fault.z_last, ref.fault.z_last)
+    assert np.array_equal(fused.zs[-1], ref.zs[-1])
     if t_fault is not None:
         assert (fused.fault.t, fused.meta["flow_steps"]) == (t_fault, t_fault / cfg.h)
     elif case == "numpy-start":

@@ -165,12 +165,14 @@ def _pack(*values):
 def _trace_bytes(tr):
     parts = [tr.ts.tobytes(), tr.js.tobytes(), np.ascontiguousarray(tr.zs).tobytes(), tr.tags.tobytes(),
              tr.termination.encode()]
-    for ev in tr.events:
-        parts += [_pack(ev.t), str(ev.j_pre).encode(), np.asarray(ev.z_pre, dtype=float).tobytes(),
-                  np.asarray(ev.z_post, dtype=float).tobytes()]
+    # each jump as its time, its pre-jump j and its two states, and the
+    # fault with its state, all read from the rows: GRID_DIGEST hashes them
+    # in this layout
+    for k in tr.events:
+        parts += [_pack(tr.ts[k]), str(tr.js[k - 1]).encode(), tr.zs[k - 1].tobytes(), tr.zs[k].tobytes()]
     if tr.fault is not None:
         parts += [_pack(tr.fault.t), str(tr.fault.j).encode(), tr.fault.kind.encode(), tr.fault.detail.encode(),
-                  np.asarray(tr.fault.z_last, dtype=float).tobytes()]
+                  tr.zs[-1].tobytes()]
     return b"|".join(parts)
 
 

@@ -49,7 +49,7 @@ def test_hand1_periodic_when_t_med_equals_t_max():
     sys = hand1(f, params)
     cfg = SolverConfig(h=1e-3, t_end=9.0, integrator="rk4", record_stride=100)
     tr = simulate(sys, np.array([2.0, 2.0, 1.0]), cfg)
-    times = [rec.t for rec in tr.events]
+    times = tr.ts[tr.events].tolist()
     assert len(times) == 4
     for k, t in enumerate(times):
         # each period overshoots by at most one step on the h grid
