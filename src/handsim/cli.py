@@ -15,12 +15,20 @@ import json
 import math
 import os
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .analysis import bound_margins
 from .core import hybrid_time_fault
 from .io import read_summary_json, read_trace_csv, write_summary_json
-from .scenarios import ConfigError, apply_override, load_config, parse_config, run_scenario
+from .scenarios import (
+    ConfigError,
+    _fan_out,
+    _thread_cap,
+    apply_override,
+    load_config,
+    parse_config,
+    run_scenario,
+)
 
 __all__ = ["main"]
 
@@ -107,24 +115,6 @@ def _value_token(value) -> str:
     return str(value)
 
 
-def _sweep_job(payload: Tuple[dict, str]) -> int:
-    config, out_dir = payload
-    return run_scenario(config, out_dir=out_dir, quiet=True)
-
-
-def _thread_cap(n_jobs: int) -> int:
-    cap = os.environ.get("HAND_SIM_THREADS")
-    if cap is not None:
-        try:
-            cap_n = int(cap)
-        except ValueError:
-            raise ConfigError("HAND_SIM_THREADS must be an integer, got %r" % cap)
-        if cap_n < 1:
-            raise ConfigError("HAND_SIM_THREADS must be at least 1")
-        return min(cap_n, max(1, n_jobs))
-    return min(max(1, n_jobs), os.cpu_count() or 1)
-
-
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
     values = _parse_values(args.values)
@@ -148,20 +138,8 @@ def _cmd_sweep(args) -> int:
         jobs.append((token, cfg, out_dir))
     os.makedirs(parent, exist_ok=True)
 
-    results = {}
-    workers = _thread_cap(len(jobs))
-    if jobs and workers > 1:
-        # imported here, as only a sweep on workers uses it: loading it
-        # (and logging with it) costs every process start some milliseconds
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            codes = list(pool.map(_sweep_job, [(cfg, out) for _, cfg, out in jobs]))
-        for (token, _, out_dir), code in zip(jobs, codes):
-            results[token] = (out_dir, code)
-    else:
-        for token, cfg, out_dir in jobs:
-            results[token] = (out_dir, run_scenario(cfg, out_dir=out_dir, quiet=True))
+    codes = _fan_out(lambda job: run_scenario(job[1], out_dir=job[2], quiet=True), jobs)
+    results = {token: (out_dir, code) for (token, _, out_dir), code in zip(jobs, codes)}
 
     # merge in sorted-key order so the artifact is independent of scheduling
     merged = {
@@ -238,6 +216,9 @@ def _cmd_check(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.command != "check":
+            # a bad HAND_SIM_THREADS is refused before any output exists
+            _thread_cap(1)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":

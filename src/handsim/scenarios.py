@@ -17,9 +17,12 @@ from __future__ import annotations
 import copy
 import math
 import os
+import pickle
+import sys
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
-from typing import Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -541,6 +544,151 @@ def _ode_system(rep: str, params: OdeParams, f: CostFunction) -> HybridSystem:
 
 
 # ---------------------------------------------------------------------------
+# fan-out: independent runs on forked workers
+
+# True in a forked worker, and in the parent while it runs its own share: a
+# fan-out there runs serially, so a worker never starts workers of its own
+_in_worker = False
+
+
+def _thread_cap(n_jobs: int) -> int:
+    """The number of workers for n_jobs independent runs: HAND_SIM_THREADS
+    when it is set (a ConfigError unless it is an integer of at least 1),
+    else the number of CPUs this process may run on; at most n_jobs, and at
+    least 1."""
+    cap = os.environ.get("HAND_SIM_THREADS")
+    if cap is None:
+        cap_n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    else:
+        try:
+            cap_n = int(cap)
+        except ValueError:
+            raise ConfigError("HAND_SIM_THREADS must be an integer, got %r" % cap)
+        if cap_n < 1:
+            raise ConfigError("HAND_SIM_THREADS must be at least 1")
+    return min(cap_n, max(1, n_jobs))
+
+
+def _run_share(job: Callable, share: Sequence):
+    """job over share in order, up to the first run that raises: (the
+    results, that exception or None)."""
+    results = []
+    try:
+        for x in share:
+            results.append(job(x))
+    except Exception as e:
+        return results, e
+    return results, None
+
+
+def _worker(job: Callable, share: Sequence, fd: int, inherited: Sequence[int]) -> None:
+    """A forked worker: close the pipe ends it inherited, run its share and
+    send the parent one pickle of (results, exception or None, its
+    traceback text, the warnings it recorded) through the pipe end fd. It
+    ends in os._exit, so it never returns into the caller's stack and never
+    flushes the stdio it inherited."""
+    global _in_worker
+    _in_worker = True
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        with warnings.catch_warnings(record=True) as caught:
+            results, error = _run_share(job, share)
+        tb = ""
+        if error is not None:
+            import traceback
+
+            tb = "".join(traceback.format_exception(type(error), error, error.__traceback__))
+        try:
+            if error is not None:
+                pickle.loads(pickle.dumps(error))
+            data = pickle.dumps((results, error, tb,
+                                 [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+        except Exception as e:
+            data = pickle.dumps(([], RuntimeError("a forked worker's outcome cannot be pickled (%r)\n%s"
+                                                  % (e, tb)), "", []))
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _collect(pid: int, fd: int):
+    """Read worker pid's pickle from the pipe end fd and reap it; re-issue
+    the warnings it recorded. Returns (results, exception or None, its
+    traceback text)."""
+    try:
+        with open(fd, "rb") as fh:
+            data = fh.read()
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status != 0:
+        raise RuntimeError("a forked worker ended with exit code %d" % status)
+    results, error, tb, caught = pickle.loads(data)
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    return results, error, tb
+
+
+def _fan_out(job: Callable, items: Sequence) -> List:
+    """[job(x) for x in items], the runs spread over W = _thread_cap(len(items))
+    processes: worker k runs items[k::W], the calling process being worker 0
+    and the others os.fork()ed, so job is never pickled; each result is. The
+    results come back in item order, the same for every W. A run that raises
+    stops its worker; the exception of the first such item is raised here,
+    with its type and message (a RuntimeError with the worker's traceback
+    where it cannot be pickled), after every worker has ended. Warnings a
+    worker records are issued again here; a job prints nothing, as its
+    caller prints what it reports, in item order. Runs serially for W = 1,
+    inside a worker, and where fork is missing or unsafe (not Linux)."""
+    global _in_worker
+    items = list(items)
+    if _in_worker or not (sys.platform.startswith("linux") and hasattr(os, "fork")):
+        return [job(x) for x in items]
+    w = _thread_cap(len(items))
+    if w == 1:
+        return [job(x) for x in items]
+    pending = {}  # worker index -> (pid, read end of its pipe)
+    try:
+        for k in range(1, w):
+            r, wr = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(job, items[k::w], wr, [r] + [other for _, other in pending.values()])
+            os.close(wr)
+            pending[k] = (pid, r)
+        _in_worker = True
+        try:
+            results, error = _run_share(job, items[::w])
+        finally:
+            _in_worker = False
+        shares = {0: (results, error, "")}
+        for k in range(1, w):
+            shares[k] = _collect(*pending.pop(k))
+    finally:
+        # reached with workers left only when this process raised: end them
+        if pending:
+            import signal
+
+            for pid, r in pending.values():
+                os.close(r)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    failures = [(k + w * len(res), error, tb) for k, (res, error, tb) in shares.items() if error is not None]
+    if failures:
+        _, error, tb = min(failures, key=lambda f: f[0])
+        if tb:
+            raise error from RuntimeError("raised in a forked worker:\n" + tb)
+        raise error
+    out = [None] * len(items)
+    for k, (res, _, _) in shares.items():
+        out[k::w] = res
+    return out
+
+
+# ---------------------------------------------------------------------------
 # scenario runners
 
 def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
@@ -679,9 +827,10 @@ def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
 def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     costs, hp, cfg = run.costs, run.hand, run.solver
     p = config["params"]
-    summary = {"config": config, "checks": {}, "traces": {}, "bound_checks": {}}
-    artifacts = []
-    for cname in sorted(costs):
+
+    def one(cname: str):
+        """One cost's run, its monitors and its trace CSV: (the summary's
+        trace entry, its bound_checks entry, the check verdict)."""
         f = costs[cname]
         sys = hand1(f, hp)
         rng = np.random.default_rng(p["seed"])
@@ -700,8 +849,7 @@ def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
         fname = "trace_%s.csv" % cname
         write_trace_csv(os.path.join(out_dir, fname), trace, f, hp.c,
                         dist_fn=target_distance_fn(f, hp))
-        artifacts.append(fname)
-        summary["traces"][cname] = {
+        entry = {
             "file": fname,
             "beta": beta,
             "tolerance": tol,
@@ -709,13 +857,20 @@ def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
             "worst_margin": rep.worst_margin,
             "energy_monotone": mono.satisfied,
         }
-        summary["bound_checks"][fname] = {
-            "kind": "inverse-square", "beta": beta, "tol": tol, "t_min": hp.t_min,
-        }
+        return entry, {"kind": "inverse-square", "beta": beta, "tol": tol, "t_min": hp.t_min}, ok
+
+    summary = {"config": config, "checks": {}, "traces": {}, "bound_checks": {}}
+    artifacts = []
+    names = sorted(costs)
+    for cname, (entry, bc, ok) in zip(names, _fan_out(one, names)):
+        artifacts.append(entry["file"])
+        summary["traces"][cname] = entry
+        summary["bound_checks"][entry["file"]] = bc
         summary["checks"][cname] = ok
         if not quiet:
             print("  %-10s bound %s (margin %.3g), energy monotone %s"
-                  % (cname, "holds" if rep.satisfied else "VIOLATED", rep.worst_margin, mono.satisfied))
+                  % (cname, "holds" if entry["quadratic_bound_satisfied"] else "VIOLATED",
+                     entry["worst_margin"], entry["energy_monotone"]))
     summary["artifacts"] = artifacts + ["summary.json", "plot.gp"]
     first = sorted(costs)[0]
     bc = summary["bound_checks"]["trace_%s.csv" % first]
@@ -795,19 +950,26 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
     rows = []
     measured = np.full(n, math.inf)
     bound = np.full(n, math.inf)
-    # one independent hand2 run per grid period, all from the same state
+    # one independent hand2 run per grid period, all from the same state;
+    # the systems are built here, so their dwell warnings are this process's
     z0 = _hand_z0(f, run.offset, t_min)
-    for i, dT in enumerate(grid):
-        trace = simulate(hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)), z0, run.solver)
+    systems = [hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)) for dT in grid]
+
+    def one(system: HybridSystem):
+        """One period's run: (the jump count at which the gap is within eps
+        for good, or None, and the run's jump count)."""
+        trace = simulate(system, z0, run.solver)
         # end-of-period samples: the gap just before each reset, which x1
         # carries unchanged through the jump to hybrid time (t, j) = ((k+1)dT, k+1)
         gaps = f.gap(trace.zs[trace.events - 1, :f.dim])
-        k1 = k1_constant(c, f.mu, t_min, float(dT))
         # first period after the last one not yet within eps (a nan gap is
         # not within eps)
         late = np.flatnonzero(~(gaps <= eps))
         first = int(late[-1]) + 1 if late.size else 0
-        hit_j = first + 1 if first < len(gaps) else None
+        return (first + 1 if first < len(gaps) else None), len(trace.events)
+
+    for i, (dT, (hit_j, jumps)) in enumerate(zip(grid, _fan_out(one, systems))):
+        k1 = k1_constant(c, f.mu, t_min, float(dT))
         if hit_j is not None:
             measured[i] = hit_j * float(dT)
         if k1 < 1.0 and gap0 > eps:
@@ -819,7 +981,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
                      None if hit_j is None else measured[i],
                      None if hit_j is None else hit_j,
                      None if not np.isfinite(bound[i]) else bound[i],
-                     len(trace.events)])
+                     jumps])
         if not quiet:
             print("  dT=%-8.4f k1=%.4f measured t=%-8s bound t=%-8s"
                   % (dT, k1,
@@ -891,17 +1053,30 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
         return simulate(probe, z0, cfg).zs[-1]
 
     h_grid = [2.0 ** (-k) for k in range(p["k_min"], p["k_max"] + 1)]
-    order_rows = []
+    # the order part measures each step's global error over one flow period
+    # against a run at h / ref_factor; the stability part asks the
+    # exponential-rate and energy checks of the restarting run to keep
+    # passing for every step below the largest passing one
+    sys2 = hand2(f, hp)
+    runs = [(integ, h) for integ in ("euler", "rk4") for h in h_grid]
+
+    def one(pair: Tuple[str, float]):
+        """One (scheme, h): (its global error, its stability row's checks)."""
+        integ, h = pair
+        zh = final_state(h, integ)
+        zr = final_state(h / p["ref_factor"], integ)
+        d = zh[:2 * f.dim] - zr[:2 * f.dim]
+        cfg = replace(run.solver, h=h, integrator=integ, jump_policy="latest",
+                      record_stride=max(1, int(round(0.01 / h))))
+        trace = simulate(sys2, z0, cfg)
+        rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, h)
+        return math.sqrt(row_dot(d, d)), (rep.satisfied, con.satisfied, mono.satisfied, worst_rel)
+
+    outcomes = _fan_out(one, runs)
+    order_rows = [[integ, h, err] for (integ, h), (err, _) in zip(runs, outcomes)]
     fitted = {}
     for integ in ("euler", "rk4"):
-        errs = []
-        for h in h_grid:
-            zh = final_state(h, integ)
-            zr = final_state(h / p["ref_factor"], integ)
-            d = zh[:2 * f.dim] - zr[:2 * f.dim]
-            err = math.sqrt(row_dot(d, d))
-            errs.append(err)
-            order_rows.append([integ, h, err])
+        errs = [err for scheme, _, err in order_rows if scheme == integ]
         slope = float(np.polyfit(np.log(h_grid), np.log(errs), 1)[0])
         fitted[integ] = slope
         if not quiet:
@@ -913,23 +1088,12 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
     euler_ok = lo_e <= fitted["euler"] <= hi_e
     rk4_ok = lo_r <= fitted["rk4"] <= hi_r
 
-    # stability part: the exponential-rate and energy checks of the
-    # restarting run must keep passing for every step below the largest
-    # passing one
-    sys2 = hand2(f, hp)
     stab_rows = []
     pass_h = {}
-    for integ in ("euler", "rk4"):
-        for h in h_grid:
-            cfg = replace(run.solver, h=h, integrator=integ, jump_policy="latest",
-                          record_stride=max(1, int(round(0.01 / h))))
-            trace = simulate(sys2, z0, cfg)
-            rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, h)
-            ok = (rep.satisfied and con.satisfied and mono.satisfied
-                  and worst_rel <= p["closed_form_tol"])
-            pass_h[(integ, h)] = ok
-            stab_rows.append([integ, h, rep.satisfied, con.satisfied, mono.satisfied,
-                              worst_rel, ok])
+    for (integ, h), (_, (rate_ok, con_ok, mono_ok, worst_rel)) in zip(runs, outcomes):
+        ok = rate_ok and con_ok and mono_ok and worst_rel <= p["closed_form_tol"]
+        pass_h[(integ, h)] = ok
+        stab_rows.append([integ, h, rate_ok, con_ok, mono_ok, worst_rel, ok])
     write_table_csv(os.path.join(out_dir, "stability.csv"),
                     ["scheme", "h", "rate_ok", "contraction_ok", "monotone_ok",
                      "jump_identity_rel_err", "all_ok"], stab_rows)

@@ -11,11 +11,19 @@ import numpy as np
 import pytest
 
 from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_scenario
-from handsim.cli import _build_parser, _parse_values, _thread_cap, main
+from handsim.cli import _build_parser, _parse_values, main
 from handsim.core import Trace, hybrid_time_fault, sphere_cost
 from handsim.hands import HandParams
 from handsim.io import read_trace_csv
-from handsim.scenarios import _hand2_checks, _leaf, _resolve, apply_override, load_config
+from handsim.scenarios import (
+    _fan_out,
+    _hand2_checks,
+    _leaf,
+    _resolve,
+    _thread_cap,
+    apply_override,
+    load_config,
+)
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
 
@@ -273,6 +281,104 @@ def test_thread_cap_env(monkeypatch):
     assert _thread_cap(3) >= 1
 
 
+@pytest.mark.parametrize("cpus, cap", [({0}, 1), ({0, 2, 5}, 3)])
+def test_thread_cap_counts_the_cpus_this_process_may_use(monkeypatch, cpus, cap):
+    # under taskset the affinity mask, not the machine's CPU count, bounds
+    # the default
+    monkeypatch.delenv("HAND_SIM_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    assert _thread_cap(8) == cap
+    assert _thread_cap(2) == min(2, cap)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value", ["zero", "0", "-2"])
+def test_cli_bad_thread_cap_leaves_no_output(tmp_path, monkeypatch, capsys, command, value):
+    monkeypatch.setenv("HAND_SIM_THREADS", value)
+    path = _fast_hand2(tmp_path)
+    out = tmp_path / "given"
+    argv = [command, path, "--out", str(out), "--quiet"]
+    if command == "sweep":
+        argv += ["--param", "solver.h", "--values", "0.002,0.001"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("config error: HAND_SIM_THREADS")
+    assert not out.exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_fan_out_returns_results_in_item_order(monkeypatch, workers):
+    # the job, a closure, is never pickled: the workers are forks of this
+    # process
+    monkeypatch.setenv("HAND_SIM_THREADS", str(workers))
+    assert _fan_out(lambda x: x * x, range(11)) == [x * x for x in range(11)]
+    assert _fan_out(lambda x: x * x, []) == []
+
+
+class _Unpicklable(Exception):
+    def __init__(self, a, b):
+        super().__init__("%s and %s" % (a, b))
+
+
+@pytest.mark.parametrize("failing, error, match", [
+    ({0, 4}, ValueError, "item 0"),  # the parent's own share
+    ({4, 8}, ConfigError, "item 4"),  # worker 1's, the first failure in item order
+    ({5, 7}, ValueError, "item 5"),  # worker 2's
+    ({7}, RuntimeError, "_Unpicklable: a and b"),
+], ids=["parent", "worker-config-error", "worker-value-error", "unpicklable"])
+def test_fan_out_reraises_the_first_failure_and_reaps_every_worker(monkeypatch, failing, error, match):
+    monkeypatch.setenv("HAND_SIM_THREADS", "3")
+
+    def job(x):
+        if x in failing:
+            if error is RuntimeError:
+                raise _Unpicklable("a", "b")
+            raise error("item %d" % x)
+        return x
+
+    with pytest.raises(error, match=match) as info:
+        _fan_out(job, range(10))
+    assert type(info.value) is error
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fan_out_reissues_a_workers_warning(monkeypatch):
+    monkeypatch.setenv("HAND_SIM_THREADS", "2")
+
+    def job(x):
+        if x == 1:
+            warnings.warn("from item %d" % x, UserWarning)
+        return x
+
+    with pytest.warns(UserWarning, match="from item 1"):
+        assert _fan_out(job, range(4)) == [0, 1, 2, 3]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the bundled scenarios that fan out, shrunk
+_FANNED = {
+    "restart-sweep": {"solver.h": 0.02, "solver.t_end": 20.0},
+    "hand1-rate": {"solver.h": 0.01, "solver.t_end": 10.0},
+    "discretization-order": {"solver.t_end": 2.0, "params.k_max": 9, "params.ref_factor": 16},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(_FANNED))
+def test_fanned_out_artifacts_do_not_depend_on_the_worker_count(scenario, tmp_path, monkeypatch):
+    config = load_config(os.path.join(CONFIGS, scenario + ".json"))
+    for key, value in _FANNED[scenario].items():
+        config = apply_override(config, key, value)
+    files = {}
+    for workers in ("1", "3"):
+        monkeypatch.setenv("HAND_SIM_THREADS", workers)
+        out = tmp_path / workers
+        assert run_scenario(config, out_dir=str(out), quiet=True) == 0
+        files[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert files["1"] == files["3"]
+    assert len(files["1"]) == len(json.loads(files["1"]["summary.json"])["artifacts"])
+
+
 def test_cli_sweep_merges_runs(tmp_path, monkeypatch):
     monkeypatch.setenv("HAND_SIM_THREADS", "1")
     path = _fast_hand2(tmp_path)
@@ -286,6 +392,33 @@ def test_cli_sweep_merges_runs(tmp_path, monkeypatch):
         assert entry["pass"] is True
         sub = tmp_path / "sweep" / entry["out_dir"]
         assert (sub / "summary.json").exists()
+
+
+def test_cli_sweep_on_workers_matches_a_serial_sweep(tmp_path, monkeypatch):
+    # each restart-sweep runs serially inside its sweep worker: the one fork
+    # is the sweep's own, and a fork in a worker fails the run
+    path = _write_config(tmp_path, "restart-sweep", solver={"h": 0.02, "t_end": 20.0})
+    parent, real_fork = os.getpid(), os.fork
+    forks = []
+
+    def fork():
+        if os.getpid() != parent:
+            raise AssertionError("a worker started a worker")
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    trees = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("HAND_SIM_THREADS", workers)
+        out = tmp_path / ("sweep" + workers)
+        assert main(["sweep", path, "--param", "params.n_grid", "--values", "5,7", "--out", str(out),
+                     "--quiet"]) == 0
+        trees[workers] = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(forks) == 1
+    assert trees["1"] == trees["2"]
+    assert sorted(trees["1"]) == ["params-n_grid=%d/%s" % (n, name) for n in (5, 7)
+                                  for name in ("plot.gp", "summary.json", "sweep.csv")] + ["sweep_summary.json"]
 
 
 def test_cli_sweep_unknown_param(tmp_path):
@@ -383,8 +516,11 @@ def test_cli_check_rejects_fault_label_before_last_row(tmp_path, capsys):
 ], ids=["hand1-rate", "hand2-rate", "hand2-rate-coupled2"])
 def test_cli_check_verdict_matches_run_monitor(scenario, overrides, tmp_path, monkeypatch, capsys):
     # the offline audit re-verifies the monitor's own constants over the rows
-    # the monitor checked, and reaches the run's verdict and worst margin
+    # the monitor checked, and reaches the run's verdict and worst margin;
+    # the runs stay in this process, where the spy records them
     import handsim.scenarios as scenarios
+
+    monkeypatch.setenv("HAND_SIM_THREADS", "1")
 
     name = "check_inverse_square_rate" if scenario == "hand1-rate" else "check_exponential_rate"
     monitor = getattr(scenarios, name)

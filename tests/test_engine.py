@@ -453,7 +453,9 @@ def test_bundled_configs_keep_their_segment_kernels(tmp_path, monkeypatch):
     # kernels, name for name and byte for byte, and 7 replay kernels (a
     # square wave's period enters neither); the replay loops test no
     # membership and compute no clock factor: each reads the clock's values
-    # from its table alone
+    # from its table alone; the runs stay in this process, where the spy
+    # records them
+    monkeypatch.setenv("HAND_SIM_THREADS", "1")
     made = _recording(monkeypatch)
     for name, overrides in SHRUNK.items():
         cfg = load_config(os.path.join(CONFIGS, name + ".json"))
