@@ -14,6 +14,7 @@ C intersect D are resolved by a jump policy; "escaped hybrid domain" and
 
 from __future__ import annotations
 
+import ast
 import functools
 import math
 from dataclasses import dataclass, field
@@ -104,8 +105,9 @@ class HybridSystem:
     0 widens the timer bounds (used to realize membership perturbations).
     meta carries timer bounds and labels for policies, reporting, and fast
     paths ("empty_jump_set" marks D = empty). simulate inlines F's
-    components and in_C's and in_D's condition where the closures carry
-    them (see dynamics and hands); a closure without them is called.
+    components and in_C's and in_D's condition, with the values of the
+    bounds it names, where the closures carry them (see dynamics and
+    hands); a closure without them is called.
     """
 
     dim: int
@@ -160,12 +162,36 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
     return make_signal(spec)
 
 
+def _exit_test(membership: tuple, tau: str):
+    """A segment's exit test at inflation 0, not (C) or (D), of the
+    membership conditions on the clock named tau: (the names of the bounds
+    it reads, sorted; its text; the head lines that compute each comparison
+    operand not reading tau, such as t_max + 0.0, once per call into b0,
+    b1, ...), so the per-step test makes no arithmetic on the bounds."""
+    tree = ast.parse("not (%s) or (%s)" % tuple(c.format(tau=tau, inflation="0.0") for c in membership),
+                     mode="eval")
+
+    def reads(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    limits, hoisted = tuple(sorted(reads(tree) - {tau, "inf", "nan"})), []
+    for node in sorted((n for n in ast.walk(tree) if isinstance(n, ast.Compare)), key=lambda n: n.col_offset):
+        operands = [node.left] + node.comparators
+        for k, op in enumerate(operands):
+            if not isinstance(op, (ast.Name, ast.Constant)) and tau not in reads(op):
+                hoisted.append("    b%d = %s" % (len(hoisted), ast.unparse(op)))
+                operands[k] = ast.Name("b%d" % (len(hoisted) - 1), ast.Load())
+        node.left, node.comparators = operands[0], operands[1:]
+    return limits, ast.unparse(tree), hoisted
+
+
 @functools.lru_cache(maxsize=None)
 def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed: bool,
                  membership: Optional[tuple], factors: tuple = (), replay: bool = False):
     """One flow segment of explicit Runge-Kutta steps of tab on m
     components, generated as straight-line code on first use and cached by
-    its arguments: seg(F, z, src, h, n[, e]) returns (z', steps).
+    its arguments: seg(F, z, src, h, n[, e][, bounds...]) returns (z',
+    steps), the bounds being the values of the names seg.bounds lists.
 
     A step takes z_i + (K_0,i*b_0 + K_1,i*b_1 + ... [+ e_i]) * h with K_0 =
     F(src) and stage k evaluated at (0.0 + K_0,i*a_k0 + ...) * h + src_i.
@@ -198,11 +224,16 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
 
     The segment takes n steps with the same e, n set by its caller (see
     simulate), and ends early only after a step whose state is outside the
-    flow set or inside the jump set (membership: their conditions in {tau}
-    and {inflation}, tested at inflation 0), the one test its for loop
-    makes per step. z[0] is not tested: every step computes z0 = z0 +
-    (...), so an inf or nan in it stays to the segment's end, where
-    simulate tests it once.
+    flow set or inside the jump set (membership: their conditions in {tau},
+    {inflation} and the names of their bounds, tested at inflation 0), the
+    one test its for loop makes per step. The bounds are arguments, after
+    the others in sorted name order (seg.bounds), so no timer window enters
+    the text or the cache key, and every window shares one kernel of each
+    shape. A comparison operand that does not read the clock (t_max + 0.0)
+    is computed once in the head (see _exit_test), so the loop makes the
+    same comparisons on the same floats and no arithmetic on the bounds.
+    z[0] is not tested: every step computes z0 = z0 + (...), so an inf or
+    nan in it stays to the segment's end, where simulate tests it once.
 
     With replay, the kernel is the second loop shape, made from the same
     step statements, for a field whose clock is a literal under a
@@ -211,13 +242,13 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     the step reads of the clock: every factor that the stages from one
     assigning the clock's argument up to the next one use, the clock's
     stage arguments where a component reads the clock outside a factor,
-    and the clock after the step. So it makes
-    no clock arithmetic and no membership test. replay.build(tau, d, h,
-    cap) makes that table from the clock value tau and the clock step d by
-    the segment loop's own statements, ending after the first step whose
-    clock is outside the flow set or inside the jump set, or after cap
-    steps; replay.rate is the literal's folded step sum, so the segment's
-    d is (rate + e_i) * h, or rate * h undisturbed."""
+    and the clock after the step. So it makes no clock arithmetic and no
+    membership test, and takes no bounds. replay.build(tau, d, h, cap[,
+    bounds...]) makes that table from the clock value tau and the clock
+    step d by the segment loop's own statements, ending after the first
+    step whose clock is outside the flow set or inside the jump set, or
+    after cap steps; replay.rate is the literal's folded step sum, so the
+    segment's d is (rate + e_i) * h, or rate * h undisturbed."""
     r = range(m)
 
     def names(prefix):
@@ -319,13 +350,15 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
         return body, named
 
     head = ["    %s= z" % names("z")] + (["    %s= e" % names("e")] if disturbed else [])
+    limits, exits, hoisted = (), None, []
     if membership is not None:
-        exits = "not (%s) or (%s)" % tuple(c.format(tau="z%d" % (m - 1), inflation="0.0") for c in membership)
+        limits, exits, hoisted = _exit_test(membership, "z%d" % (m - 1))
+    bound = "".join(", " + b for b in limits)
     if replay:
         clock = []
         loop, entries = step("z", clock)
         tau = "z%d" % (m - 1)
-        lines = ["def build(%s, d%d, h, cap):" % (tau, m - 1)]
+        lines = ["def build(%s, d%d, h, cap%s):" % (tau, m - 1, bound)] + hoisted
         lines += ["    %s = %s" % item for item in folded.items() if item[0] in clocked]
         lines += ["    table = []",
                   "    for _ in range(cap):"]
@@ -345,7 +378,7 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
         return seg
     shifted, _ = step("s")
     loop, _ = step("z")
-    lines = ["def seg(F, z, src, h, n%s):" % (", e" if disturbed else "")] + head
+    lines = ["def seg(F, z, src, h, n%s%s):" % (", e" if disturbed else "", bound)] + head + hoisted
     lines += ["    %s = %s" % item for item in folded.items()]
     lines += ["    if src is not z:", "        %s= src" % names("s")]
     lines += ["        " + b for b in shifted]
@@ -355,7 +388,9 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     if membership is not None:
         lines += ["        if %s:" % exits, "            break"]
     lines.append("    return [%s], i" % names("z")[:-2])
-    return compile_source("\n".join(lines) + "\n", "seg")
+    seg = compile_source("\n".join(lines) + "\n", "seg")
+    seg.bounds = limits
+    return seg
 
 
 def _all_finite(z) -> bool:
@@ -392,7 +427,10 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
 
     Flow steps run in segments of the integrator's generated loop (see
     _step_kernel), which inlines F's components and the timer conditions of
-    in_C and in_D. A segment ends at the next record point, when tau leaves
+    in_C and in_D; the values of the bounds those name come from in_C's and
+    in_D's bounds attributes (a name given two values raises ValueError)
+    and are the kernel's arguments, so one kernel serves every timer
+    window. A segment ends at the next record point, when tau leaves
     C or enters D, when a piecewise-constant e2 switches, or at the
     horizon; the loop takes over there. A segment folds the field's
     literal components (the timer's rate) out of its loop, computes each
@@ -490,6 +528,13 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     # the same start: a segment from a start seen before replays a table of
     # it (None: the clock is no literal or there is no membership exit)
     rep = _step_kernel(*kernel, replay=True)
+    # the kernels name the timer bounds, which in_C and in_D carry
+    bounds = {}
+    for test in (in_C, in_D):
+        for name, value in getattr(test, "bounds", {}).items():
+            if bounds.setdefault(name, value) != value:
+                raise ValueError("in_C and in_D give the bound %s two values" % name)
+    limits = tuple(bounds[name] for name in seg.bounds)
     tables = {}
     replayed_steps = clock_tables = 0
 
@@ -530,14 +575,14 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         try:
             end = replay(z, n, e2) if rep is not None and n > 1 and src is z else None
             if end is None:
-                end = seg(F, z, src, h, n, *e2)
+                end = seg(F, z, src, h, n, *e2, *limits)
         except (ZeroDivisionError, OverflowError):
             # a float division by zero or an overflowing power raises where
             # numpy scalars give inf or nan: redo the segment on numpy
             # scalars, so the run ends as the recorded fault it always was.
             # z too: a float clock in z[-1] would raise at the next t ** e
             z64 = [np.float64(v) for v in z]
-            end = seg(F, z64, z64 if src is z else [np.float64(v) for v in src], h, n, *e2)
+            end = seg(F, z64, z64 if src is z else [np.float64(v) for v in src], h, n, *e2, *limits)
         if end[1] == 1 or math.isfinite(end[0][0]):
             return end
         # past one step, z[0] went non-finite at some step and stayed so:
@@ -566,7 +611,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             return None
         if table is False:
             try:
-                table = rep.build(tau, d, h, stride)
+                table = rep.build(tau, d, h, stride, *limits)
                 clock_tables += 1
             except (ZeroDivisionError, OverflowError):
                 table = []

@@ -642,7 +642,9 @@ def _fan_out(job: Callable, items: Sequence) -> List:
     where it cannot be pickled), after every worker has ended. Warnings a
     worker records are issued again here; a job prints nothing, as its
     caller prints what it reports, in item order. Runs serially for W = 1,
-    inside a worker, and where fork is missing or unsafe (not Linux)."""
+    inside a worker, and where fork is missing or unsafe (not Linux); where
+    a fork fails (OSError), this process runs the shares of the workers
+    that did not start."""
     global _in_worker
     items = list(items)
     if _in_worker or not (sys.platform.startswith("linux") and hasattr(os, "fork")):
@@ -654,18 +656,24 @@ def _fan_out(job: Callable, items: Sequence) -> List:
     try:
         for k in range(1, w):
             r, wr = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                # no process to spare (EAGAIN, ENOMEM): this process runs
+                # the shares of the workers that did not start
+                os.close(r)
+                os.close(wr)
+                break
             if pid == 0:
                 _worker(job, items[k::w], wr, [r] + [other for _, other in pending.values()])
             os.close(wr)
             pending[k] = (pid, r)
         _in_worker = True
         try:
-            results, error = _run_share(job, items[::w])
+            shares = {k: (*_run_share(job, items[k::w]), "") for k in range(w) if k not in pending}
         finally:
             _in_worker = False
-        shares = {0: (results, error, "")}
-        for k in range(1, w):
+        for k in sorted(pending):
             shares[k] = _collect(*pending.pop(k))
     finally:
         # reached with workers left only when this process raised: end them
@@ -698,19 +706,31 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
     r0 = scaled_norm(offset)
     threshold = p["growth_factor"] * r0
     xstar = f.xstar
+    after = p["bounded_after"]
+    # built here, so its dwell warning is this process's
+    hsys = hand2(f, hp)
 
     def escaped(t, j, z):
         return scaled_norm(z[:f.dim] - xstar) >= threshold
 
-    summary = {"config": config, "checks": {}, "runs": {}}
-    artifacts = []
-    for rep in ("rep1", "rep2"):
-        sys = _ode_system(rep, ode, f)
-        x1 = f.xstar + offset
+    def one(rep: str):
+        """One run and its trace CSV: its summary["runs"] entry."""
+        if rep == "hand2":
+            trace = simulate(hsys, _hand_z0(f, offset, hp.t_min), run.hand_solver, run.pert)
+            dist_fn = target_distance_fn(f, hp)
+            write_trace_csv(os.path.join(out_dir, "trace_hand2.csv"), trace, f, hp.c, dist_fn=dist_fn)
+            dists = dist_fn(trace.zs[trace.ts >= after])
+            worst = float(dists.max()) if dists.size else float("nan")
+            return {
+                "termination": trace.termination,
+                "jumps": len(trace.events),
+                "worst_distance_after_settle": worst,
+                "bounded": trace.termination == "horizon" and dists.size > 0 and worst <= p["bounded_threshold"],
+            }
+        x1 = xstar + offset
         x2 = np.zeros(f.dim) if rep == "rep1" else x1.copy()
-        z0 = np.concatenate([x1, x2, [ode.t0]])
-        trace = simulate(sys, z0, run.solver, run.pert, stop_condition=escaped)
-        name = "trace_%s.csv" % rep
+        trace = simulate(_ode_system(rep, ode, f), np.concatenate([x1, x2, [ode.t0]]), run.solver, run.pert,
+                         stop_condition=escaped)
 
         # distance to the ODE's rest point (xstar, rest2): rep1's second
         # block is a velocity, at rest 0; rep2's is a position, at xstar
@@ -719,41 +739,26 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
             d2 = z[..., _n:2 * _n] - _rest2
             return per_row(np.sqrt(row_dot(d1, d1) + row_dot(d2, d2)))
 
-        write_trace_csv(os.path.join(out_dir, name), trace, f, ode.c, dist_fn=dist)
-        artifacts.append(name)
-        final_growth = scaled_norm(trace.zs[-1][:f.dim] - xstar) / r0
-        diverged = trace.termination == "condition" or trace.termination == "fault"
-        summary["runs"][rep] = {
+        write_trace_csv(os.path.join(out_dir, "trace_%s.csv" % rep), trace, f, ode.c, dist_fn=dist)
+        return {
             "termination": trace.termination,
             "stopped_at_t": float(trace.ts[-1]),
-            "growth_reached": final_growth,
-            "diverged": diverged,
+            "growth_reached": scaled_norm(trace.zs[-1][:f.dim] - xstar) / r0,
+            "diverged": trace.termination == "condition" or trace.termination == "fault",
         }
-        summary["checks"]["%s_diverges" % rep] = diverged
-        if not quiet:
-            print("  %s: %s at t=%.6g (growth %.3g x)" % (rep, trace.termination, trace.ts[-1], final_growth))
 
-    hsys = hand2(f, hp)
-    z0 = _hand_z0(f, offset, hp.t_min)
-    trace = simulate(hsys, z0, run.hand_solver, run.pert)
-    dist_fn = target_distance_fn(f, hp)
-    name = "trace_hand2.csv"
-    write_trace_csv(os.path.join(out_dir, name), trace, f, hp.c, dist_fn=dist_fn)
-    artifacts.append(name)
-    after = p["bounded_after"]
-    dists = dist_fn(trace.zs[trace.ts >= after])
-    worst = float(dists.max()) if dists.size else float("nan")
-    bounded = trace.termination == "horizon" and dists.size > 0 and worst <= p["bounded_threshold"]
-    summary["runs"]["hand2"] = {
-        "termination": trace.termination,
-        "jumps": len(trace.events),
-        "worst_distance_after_settle": worst,
-        "bounded": bounded,
-    }
-    summary["checks"]["hand2_bounded"] = bounded
-    summary["artifacts"] = artifacts + ["summary.json", "plot.gp"]
+    # at two workers this process runs rep1 and rep2, the worker hand2 and its longer CSV
+    runs = dict(zip(("rep1", "hand2", "rep2"), _fan_out(one, ("rep1", "hand2", "rep2"))))
+    summary = {"config": config, "runs": runs,
+               "checks": {"rep1_diverges": runs["rep1"]["diverged"], "rep2_diverges": runs["rep2"]["diverged"],
+                          "hand2_bounded": runs["hand2"]["bounded"]},
+               "artifacts": ["trace_rep1.csv", "trace_rep2.csv", "trace_hand2.csv", "summary.json", "plot.gp"]}
     if not quiet:
-        print("  hand2: %s, worst distance after t=%g: %.3g" % (trace.termination, after, worst))
+        for rep in ("rep1", "rep2"):
+            print("  %s: %s at t=%.6g (growth %.3g x)"
+                  % (rep, runs[rep]["termination"], runs[rep]["stopped_at_t"], runs[rep]["growth_reached"]))
+        print("  hand2: %s, worst distance after t=%g: %.3g"
+              % (runs["hand2"]["termination"], after, runs["hand2"]["worst_distance_after_settle"]))
 
     plot = (_gnuplot_header("disturbed runs: distance to the target set")
             + "set logscale y\nset xlabel 't'\nset ylabel 'dist_A'\n"

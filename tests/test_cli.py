@@ -1,6 +1,7 @@
 """Config plumbing and the hand-sim command line."""
 
 import copy
+import errno
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from handsim import ConfigError, SCENARIOS, default_config, parse_config, run_scenario
+from handsim import ConfigError, SCENARIOS, core, default_config, parse_config, run_scenario
 from handsim.cli import _build_parser, _parse_values, main
 from handsim.core import Trace, hybrid_time_fault, sphere_cost
 from handsim.hands import HandParams
@@ -356,27 +357,121 @@ def test_fan_out_reissues_a_workers_warning(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_fan_out_runs_the_shares_of_workers_that_did_not_start(monkeypatch):
+    # a fork that fails (EAGAIN under a process limit) leaves its share and
+    # every later one to this process: the results, and the first failure in
+    # item order, are those of any worker count, and the started worker is
+    # reaped; no real process limit is reached
+    monkeypatch.setenv("HAND_SIM_THREADS", "4")
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(1)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _fan_out(lambda x: x * x, range(11)) == [x * x for x in range(11)]
+
+    def job(x):
+        if x in (6, 9):  # shares 2 and 1: share 2 never started
+            raise ValueError("item %d" % x)
+        return x
+
+    forks.clear()
+    with pytest.raises(ValueError, match="item 6"):
+        _fan_out(job, range(11))
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_cli_run_survives_a_failing_fork(tmp_path, monkeypatch, capsys):
+    # hand-sim run at three workers whose second fork fails writes the
+    # artifacts of a serial run and exits 0, with no traceback
+    path = _write_config(tmp_path, "restart-sweep", solver={"h": 0.02, "t_end": 20.0})
+    trees = {}
+    for workers in ("1", "3"):
+        monkeypatch.setenv("HAND_SIM_THREADS", workers)
+        if workers == "3":
+            real_fork, forks = os.fork, []
+
+            def fork():
+                forks.append(1)
+                if len(forks) == 2:
+                    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+                return real_fork()
+
+            monkeypatch.setattr(os, "fork", fork)
+        out = tmp_path / workers
+        assert main(["run", path, "--out", str(out), "--quiet"]) == 0
+        trees[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(forks) == 2 and trees["1"] == trees["3"]
+    assert capsys.readouterr().err == ""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 # the bundled scenarios that fan out, shrunk
 _FANNED = {
     "restart-sweep": {"solver.h": 0.02, "solver.t_end": 20.0},
     "hand1-rate": {"solver.h": 0.01, "solver.t_end": 10.0},
     "discretization-order": {"solver.t_end": 2.0, "params.k_max": 9, "params.ref_factor": 16},
+    "instability": {"solver.h": 0.04, "params.hand_t_end": 3000.0},
 }
 
 
 @pytest.mark.parametrize("scenario", sorted(_FANNED))
-def test_fanned_out_artifacts_do_not_depend_on_the_worker_count(scenario, tmp_path, monkeypatch):
+def test_fanned_out_artifacts_do_not_depend_on_the_worker_count(scenario, tmp_path, monkeypatch, capsys):
+    # the artifacts, and the progress lines the caller prints, in run order
     config = load_config(os.path.join(CONFIGS, scenario + ".json"))
     for key, value in _FANNED[scenario].items():
         config = apply_override(config, key, value)
-    files = {}
+    files, stdout = {}, {}
     for workers in ("1", "3"):
         monkeypatch.setenv("HAND_SIM_THREADS", workers)
         out = tmp_path / workers
-        assert run_scenario(config, out_dir=str(out), quiet=True) == 0
+        assert run_scenario(config, out_dir=str(out)) == 0
         files[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        stdout[workers] = capsys.readouterr().out.replace(str(out), "<out>")
     assert files["1"] == files["3"]
     assert len(files["1"]) == len(json.loads(files["1"]["summary.json"])["artifacts"])
+    assert stdout["1"] == stdout["3"]
+    assert stdout["1"].count("\n") > 1 + len(json.loads(files["1"]["summary.json"])["checks"])
+
+
+def test_a_repeated_fanned_out_run_compiles_no_source_in_any_process(tmp_path, monkeypatch):
+    # every timer window shares one kernel of each shape, so after one
+    # restart-sweep the calling process holds every kernel the next needs,
+    # and the workers it forks inherit them: the second run compiles no
+    # generated text in any process. The spy records each compile, with the
+    # compiling process, in a file, which the forked workers append to
+    monkeypatch.setenv("HAND_SIM_THREADS", "2")
+    config = load_config(os.path.join(CONFIGS, "restart-sweep.json"))
+    for key, value in _FANNED["restart-sweep"].items():
+        config = apply_override(config, key, value)
+    assert run_scenario(config, out_dir=str(tmp_path / "a"), quiet=True) == 0
+    log = tmp_path / "compiled.log"
+    real = core._compiled
+
+    def spy(text, name):
+        misses = real.cache_info().misses
+        code = real(text, name)
+        if real.cache_info().misses > misses:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write("%d %s\n" % (os.getpid(), name))
+        return code
+
+    monkeypatch.setattr(core, "_compiled", spy)
+    assert run_scenario(config, out_dir=str(tmp_path / "b"), quiet=True) == 0
+    assert not log.exists()
+    assert (tmp_path / "a" / "sweep.csv").read_bytes() == (tmp_path / "b" / "sweep.csv").read_bytes()
+    # the spy sees a new text in each process: here and in a forked worker
+    pids = _fan_out(lambda k: (core.compile_source("def probe():\n    return %d\n" % k, "probe")(), os.getpid()),
+                    [hash(str(tmp_path)) + k for k in range(2)])
+    assert len({pid for _, pid in pids}) == 2
+    assert sorted(log.read_text().split("\n")[:-1]) == sorted("%d probe" % pid for _, pid in pids)
 
 
 def test_cli_sweep_merges_runs(tmp_path, monkeypatch):

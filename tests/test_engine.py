@@ -417,11 +417,10 @@ def test_kernel_text_is_identity_free_and_shares_stage_factors(dim):
 # the segment kernels of the seven bundled configs, named by the crc32 of
 # their source (core._compiled), and the sha256 of those sources in name order
 BUNDLED_SEGMENTS = """
-    039a36c5 0b9927d1 2b5fd273 34464f98 3987c08e 46eb59bd 5ad38877 5fc16595 639493b7 67bd663b
-    6b2c5aad 77b45a82 7e3e0f69 7e704042 8503f47a 9273d6b0 99545601 9bef1e7b a4427969 a8fd8673
-    ac66645f b29cb11c bbdcc470 d4537833 d650def8 e1946236 eb0b8b24 ee919e5c f8cab233
+    1b2d7234 3987c08e 5c469f17 632191c0 64fce778 69e076b3 77b45a82 7e704042 8089710e 9bef1e7b
+    cbc14613 cdbe5c7a d4537833 e2121581
 """.split()
-BUNDLED_SEGMENTS_SHA256 = "debe569d14998482ed5a8913d3789d62894b7a0cef1a67064340a67cf050b66f"
+BUNDLED_SEGMENTS_SHA256 = "771796abe67292a3849466c5b5d10455a910fca61dedc3233681a88f9068e4e8"
 
 # the bundled configs shrunk: h and the horizons enter no kernel's text
 SHRUNK = {
@@ -449,12 +448,13 @@ def _recording(monkeypatch):
 
 
 def test_bundled_configs_keep_their_segment_kernels(tmp_path, monkeypatch):
-    # the seven configs, run in one process, generate these 29 segment
-    # kernels, name for name and byte for byte, and 7 replay kernels (a
-    # square wave's period enters neither); the replay loops test no
-    # membership and compute no clock factor: each reads the clock's values
-    # from its table alone; the runs stay in this process, where the spy
-    # records them
+    # the seven configs, run in one process, generate these 14 segment
+    # kernels, name for name and byte for byte, 7 replay kernels and 6
+    # table builds (no timer window or square wave period enters any text:
+    # restart-sweep's 15 periods share one of each); the replay loops test
+    # no membership and compute no clock factor: each reads the clock's
+    # values from its table alone; the runs stay in this process, where the
+    # spy records them
     monkeypatch.setenv("HAND_SIM_THREADS", "1")
     made = _recording(monkeypatch)
     for name, overrides in SHRUNK.items():
@@ -468,6 +468,7 @@ def test_bundled_configs_keep_their_segment_kernels(tmp_path, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_SEGMENTS_SHA256
     replays = {rep for rep in made if rep is not None and rep.__name__ == "replay"}
     assert len({rep.__code__.co_filename for rep in replays}) == 7
+    assert len({rep.build.__code__.co_filename for rep in replays}) == 6
     for rep in replays:
         _assert_replay_loop(rep)
 
@@ -679,7 +680,8 @@ def test_segment_loop_computes_no_time_or_key(kind, monkeypatch):
     for kernel in kernels:
         source, _ = _loop_text(kernel)
         e = "" if kind == "zero" else ", e"
-        assert source.startswith(("def seg(F, z, src, h, n%s):" % e, "def replay(z, h, n, table%s):" % e)), source
+        assert source.startswith(("def seg(F, z, src, h, n%s, t_max, t_min, tol):" % e,
+                                  "def replay(z, h, n, table%s):" % e)), source
         assert not re.search(r"\b(?:t|k|t_stop|fmod|floor|key|until)\b", source), source
 
 
@@ -714,6 +716,36 @@ def test_square_wave_periods_share_one_kernel(monkeypatch):
         assert tr.meta["replayed_steps"] > 0
     names = sorted({kernel.__code__.co_filename for kernel in made})
     assert [name.split()[0] for name in names] == ["<replay", "<seg"], names
+
+
+def test_timer_windows_share_their_tests_and_kernels(monkeypatch):
+    # the timer bounds are arguments, not text: hand1 (with and without
+    # t_med) and hand2 on two windows, the second with t_max above 1 and so
+    # a wider point-jump band, share their compiled membership tests and get
+    # the same kernel objects from simulate, and their runs match the
+    # per-step path's
+    f = sphere_cost(1)
+    cfg = SolverConfig(h=0.01, t_end=6.0, integrator="rk4", record_stride=40)
+    z0 = np.array([1.0, 0.5, 0.5])
+    made = _recording(monkeypatch)
+    for hand, t_med in ((hand1, 1.1), (hand2, None)):
+        systems = [hand(f, HandParams(t_min=0.5, t_max=0.9, c=4.0)),
+                   hand(f, HandParams(t_min=0.25, t_max=1.4, c=4.0, t_med=t_med))]
+        a, b = systems
+        assert a.in_C.__code__ is b.in_C.__code__ and a.in_D.__code__ is b.in_D.__code__
+        assert a.in_C.bounds != b.in_C.bounds and a.in_D.bounds != b.in_D.bounds
+        kernels = []
+        for sys in systems:
+            del made[:]
+            tr = simulate(sys, z0, cfg)
+            kernels.append(made[:2])
+            _assert_same_trace(tr, simulate(_per_step(sys), z0, cfg))
+            assert len(tr.events) > 2 and tr.meta["replayed_steps"] > 0
+        assert None not in kernels[0] and all(x is y for x, y in zip(*kernels))
+    # the kernels take one value per name: tests that give t_max two are refused
+    a, b = (hand2(f, HandParams(t_min=0.5, t_max=t_max, c=4.0)) for t_max in (0.9, 1.4))
+    with pytest.raises(ValueError, match="bound t_max two values"):
+        simulate(dataclasses.replace(a, in_D=b.in_D), z0, cfg)
 
 
 @pytest.mark.parametrize("a, b", [(((),), (math.nan,)), (((), (0.5,)), (math.nan, 1.0)),
