@@ -334,17 +334,18 @@ def time_to_epsilon(trace: Trace, f: CostFunction, eps: float) -> Optional[Hybri
     if not (eps > 0.0):
         raise ValueError("eps must be positive")
     idx = np.flatnonzero(trace.tags != TAG_FAULT)
-    gaps = f.gap(trace.zs[idx, : f.dim])
-    ok_from = None
-    for i in range(len(idx) - 1, -1, -1):
-        if gaps[i] <= eps:
-            ok_from = i
-        else:
-            break
-    if ok_from is None:
+    first = _settled_from(f.gap(trace.zs[idx, : f.dim]), eps)
+    if first == len(idx):
         return None
-    k = idx[ok_from]
+    k = idx[first]
     return HybridTime(float(trace.ts[k]), int(trace.js[k]))
+
+
+def _settled_from(gaps, eps: float) -> int:
+    """Index of the first gap after the last one not within eps (a nan gap
+    is not within eps): len(gaps) when the last one is not."""
+    late = np.flatnonzero(~(np.asarray(gaps) <= eps))
+    return int(late[-1]) + 1 if late.size else 0
 
 
 def uniformity_probe(f: CostFunction, params: OdeParams, t0_offsets, x_offset,

@@ -17,6 +17,8 @@ import os
 import sys
 from typing import List, Optional
 
+import numpy as np
+
 from .analysis import bound_margins
 from .core import hybrid_time_fault
 from .io import read_summary_json, read_trace_csv, write_summary_json
@@ -199,12 +201,19 @@ def _cmd_check(args) -> int:
         worst, bad, rows = bound_margins(bc, table.t, table.j, table.tau, table.f_gap, fault)
     except KeyError as e:
         raise ConfigError("summary %s: bound_checks[%r] has no %s" % (summary_path, table_key, e))
-    ok = bool(rows) and not bad and disorder is None
+    # the engine writes a fault row as a copy of the state row before it,
+    # so its cells repeat that row's bit for bit
+    cells = np.column_stack([table.tau, table.x1, table.x2, table.f_gap, table.v, table.dist_a])
+    moved = [k for k in np.flatnonzero(fault) if k and cells[k].tobytes() != cells[k - 1].tobytes()]
+    ok = bool(rows) and not bad and disorder is None and not moved
     if disorder is not None:
         k, rule = disorder
         after = " after (%r, %d)" % (float(table.t[k - 1]), table.j[k - 1]) if k else ""
         print("hybrid time out of order on data row %d of %d: (t, j) = (%r, %d)%s, labelled %s; %s"
               % (k + 1, len(fault), float(table.t[k]), table.j[k], after, table.event[k], rule))
+    for k in moved:
+        print("fault row on data row %d of %d differs from the row before it; a run's fault row repeats"
+              " its last recorded state" % (k + 1, len(fault)))
     # the margin (bound + tol) - gap with summary.json's sign, negative on a
     # violation; + 0.0 prints a -0.0 margin as 0
     print("%s bound on %s: %s (%d samples, worst margin %.6g)"

@@ -14,7 +14,6 @@ C intersect D are resolved by a jump policy; "escaped hybrid domain" and
 
 from __future__ import annotations
 
-import ast
 import functools
 import math
 from dataclasses import dataclass, field
@@ -162,36 +161,13 @@ def _signal_or_none(spec: Optional[DisturbanceSpec], m: int, name: str):
     return make_signal(spec)
 
 
-def _exit_test(membership: tuple, tau: str):
-    """A segment's exit test at inflation 0, not (C) or (D), of the
-    membership conditions on the clock named tau: (the names of the bounds
-    it reads, sorted; its text; the head lines that compute each comparison
-    operand not reading tau, such as t_max + 0.0, once per call into b0,
-    b1, ...), so the per-step test makes no arithmetic on the bounds."""
-    tree = ast.parse("not (%s) or (%s)" % tuple(c.format(tau=tau, inflation="0.0") for c in membership),
-                     mode="eval")
-
-    def reads(node):
-        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-
-    limits, hoisted = tuple(sorted(reads(tree) - {tau, "inf", "nan"})), []
-    for node in sorted((n for n in ast.walk(tree) if isinstance(n, ast.Compare)), key=lambda n: n.col_offset):
-        operands = [node.left] + node.comparators
-        for k, op in enumerate(operands):
-            if not isinstance(op, (ast.Name, ast.Constant)) and tau not in reads(op):
-                hoisted.append("    b%d = %s" % (len(hoisted), ast.unparse(op)))
-                operands[k] = ast.Name("b%d" % (len(hoisted) - 1), ast.Load())
-        node.left, node.comparators = operands[0], operands[1:]
-    return limits, ast.unparse(tree), hoisted
-
-
 @functools.lru_cache(maxsize=None)
 def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed: bool,
-                 membership: Optional[tuple], factors: tuple = (), replay: bool = False):
+                 membership: Optional[tuple], factors: tuple = (), bounds: tuple = (), replay: bool = False):
     """One flow segment of explicit Runge-Kutta steps of tab on m
     components, generated as straight-line code on first use and cached by
     its arguments: seg(F, z, src, h, n[, e][, bounds...]) returns (z',
-    steps), the bounds being the values of the names seg.bounds lists.
+    steps), given the values of the names bounds lists.
 
     A step takes z_i + (K_0,i*b_0 + K_1,i*b_1 + ... [+ e_i]) * h with K_0 =
     F(src) and stage k evaluated at (0.0 + K_0,i*a_k0 + ...) * h + src_i.
@@ -224,14 +200,13 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
 
     The segment takes n steps with the same e, n set by its caller (see
     simulate), and ends early only after a step whose state is outside the
-    flow set or inside the jump set (membership: their conditions in {tau},
-    {inflation} and the names of their bounds, tested at inflation 0), the
-    one test its for loop makes per step. The bounds are arguments, after
-    the others in sorted name order (seg.bounds), so no timer window enters
-    the text or the cache key, and every window shares one kernel of each
-    shape. A comparison operand that does not read the clock (t_max + 0.0)
-    is computed once in the head (see _exit_test), so the loop makes the
-    same comparisons on the same floats and no arithmetic on the bounds.
+    flow set or inside the jump set (membership: their conditions in {tau}
+    and the names of their bounds, tested at inflation 0: the {lo} and {hi}
+    markers of what inflation moves read as nothing, so the loop compares
+    the clock with the bounds as given), the one test its for loop makes
+    per step. The bounds are arguments, after the others in the order of
+    the names bounds lists, so no timer window enters the text or the cache
+    key, and every window shares one kernel of each shape.
     z[0] is not tested: every step computes z0 = z0 + (...), so an inf or
     nan in it stays to the segment's end, where simulate tests it once.
 
@@ -350,15 +325,14 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
         return body, named
 
     head = ["    %s= z" % names("z")] + (["    %s= e" % names("e")] if disturbed else [])
-    limits, exits, hoisted = (), None, []
+    tau = "z%d" % (m - 1)
     if membership is not None:
-        limits, exits, hoisted = _exit_test(membership, "z%d" % (m - 1))
-    bound = "".join(", " + b for b in limits)
+        exits = "not (%s) or (%s)" % tuple(c.format(tau=tau, lo="", hi="") for c in membership)
+    bound = "".join(", " + b for b in bounds)
     if replay:
         clock = []
         loop, entries = step("z", clock)
-        tau = "z%d" % (m - 1)
-        lines = ["def build(%s, d%d, h, cap%s):" % (tau, m - 1, bound)] + hoisted
+        lines = ["def build(%s, d%d, h, cap%s):" % (tau, m - 1, bound)]
         lines += ["    %s = %s" % item for item in folded.items() if item[0] in clocked]
         lines += ["    table = []",
                   "    for _ in range(cap):"]
@@ -378,7 +352,7 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
         return seg
     shifted, _ = step("s")
     loop, _ = step("z")
-    lines = ["def seg(F, z, src, h, n%s%s):" % (", e" if disturbed else "", bound)] + head + hoisted
+    lines = ["def seg(F, z, src, h, n%s%s):" % (", e" if disturbed else "", bound)] + head
     lines += ["    %s = %s" % item for item in folded.items()]
     lines += ["    if src is not z:", "        %s= src" % names("s")]
     lines += ["        " + b for b in shifted]
@@ -388,9 +362,7 @@ def _step_kernel(tab: ButcherTableau, m: int, field: Optional[tuple], disturbed:
     if membership is not None:
         lines += ["        if %s:" % exits, "            break"]
     lines.append("    return [%s], i" % names("z")[:-2])
-    seg = compile_source("\n".join(lines) + "\n", "seg")
-    seg.bounds = limits
-    return seg
+    return compile_source("\n".join(lines) + "\n", "seg")
 
 
 def _all_finite(z) -> bool:
@@ -521,20 +493,22 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     membership = None if empty_jump_set else (getattr(in_C, "condition", None), getattr(in_D, "condition", None))
     fused = (field is not None and sig1 is None and sig3 is None and sig6 is None
              and (sig2 is None or next_switch is not None) and (membership is None or None not in membership))
-    kernel = (TABLEAUS[cfg.integrator], m, field, sig2 is not None, membership if fused else None,
-              getattr(F, "factors", ()))
-    seg = _step_kernel(*kernel)
-    # a restart period flows the clock sequence of every earlier one from
-    # the same start: a segment from a start seen before replays a table of
-    # it (None: the clock is no literal or there is no membership exit)
-    rep = _step_kernel(*kernel, replay=True)
-    # the kernels name the timer bounds, which in_C and in_D carry
+    if not fused:
+        membership = None
+    # the membership exit names the timer bounds, which in_C and in_D carry
     bounds = {}
     for test in (in_C, in_D):
         for name, value in getattr(test, "bounds", {}).items():
             if bounds.setdefault(name, value) != value:
                 raise ValueError("in_C and in_D give the bound %s two values" % name)
-    limits = tuple(bounds[name] for name in seg.bounds)
+    names = () if membership is None else tuple(sorted(bounds))
+    limits = tuple(bounds[name] for name in names)
+    kernel = (TABLEAUS[cfg.integrator], m, field, sig2 is not None, membership, getattr(F, "factors", ()), names)
+    seg = _step_kernel(*kernel)
+    # a restart period flows the clock sequence of every earlier one from
+    # the same start: a segment from a start seen before replays a table of
+    # it (None: the clock is no literal or there is no membership exit)
+    rep = _step_kernel(*kernel, replay=True)
     tables = {}
     replayed_steps = clock_tables = 0
 

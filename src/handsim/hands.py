@@ -67,14 +67,17 @@ class HandParams:
 
 
 def _timer_test(name: str, condition: str, **bounds):
-    """Membership test name(z, inflation=0.0) compiled from condition, an
-    expression in {tau}, {inflation} and the names of the keyword arguments
-    bounds (t_min, t_max, ...). The test carries condition and bounds as
-    attributes, so the engine can inline it and pass its kernels the
-    values. The text names no value, so every timer window shares one
-    compiled test and one kernel of each shape."""
+    """Membership test name(z, inflation=0.0) compiled from condition, a
+    comparison of {tau} with the names of the keyword arguments bounds
+    (t_min, t_max, ...), in which {lo} follows each bound that inflation
+    lowers and {hi} each one that it raises: the test reads them as
+    " - inflation" and " + inflation". The test carries condition and
+    bounds as attributes, so the engine can inline it at inflation 0 and
+    pass its kernels the values. The text names no value, so every timer
+    window shares one compiled test and one kernel of each shape."""
     test = compile_source("def %s(z, inflation=0.0):\n    return %s\n"
-                          % (name, condition.format(tau="z[-1]", inflation="inflation")), name, **bounds)
+                          % (name, condition.format(tau="z[-1]", lo=" - inflation", hi=" + inflation")),
+                          name, **bounds)
     test.condition = condition
     test.bounds = bounds
     return test
@@ -86,15 +89,15 @@ def _restarting_system(kind: str, f: CostFunction, params: HandParams, G, t_med:
     as its clock, flowing while tau is in [t_min, t_max] and jumping by G
     where tau is in [t_med, t_max] (at t_max when point_jump)."""
     flow = make_rep2_flow(OdeParams(c=params.c), f)
-    window = "%s - {inflation} <= {tau} <= t_max + {inflation}"
+    window = "%s{lo} <= {tau} <= t_max{hi}"
     t_max = float(params.t_max)
     in_C = _timer_test("in_C", window % "t_min", t_min=float(params.t_min), t_max=t_max)
     if point_jump:
         # the timer accumulates fixed steps in floating point, so an exact
         # deadline is reached only up to roundoff; the band keeps deadline
         # hits from slipping one step per period
-        in_D = _timer_test("in_D", "-({inflation} + tol) <= {tau} - t_max <= {inflation} + tol",
-                           t_max=t_max, tol=1e-9 * max(1.0, t_max))
+        tol = 1e-9 * max(1.0, t_max)
+        in_D = _timer_test("in_D", "neg_tol{lo} <= {tau} - t_max <= tol{hi}", t_max=t_max, tol=tol, neg_tol=-tol)
     else:
         in_D = _timer_test("in_D", window % "t_med", t_med=float(t_med), t_max=t_max)
     meta = {"kind": kind, "t_min": params.t_min, "t_med": t_med, "t_max": params.t_max, "c": params.c,

@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .analysis import (
+    _settled_from,
     beta_constant,
     check_monotonicity,
     check_inverse_square_rate,
@@ -960,17 +961,17 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
     z0 = _hand_z0(f, run.offset, t_min)
     systems = [hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)) for dT in grid]
 
+    # the pre-jump rows, which every jump records, are all a run is read for
+    cfg = replace(run.solver, record_stride=2 ** 62)
+
     def one(system: HybridSystem):
         """One period's run: (the jump count at which the gap is within eps
         for good, or None, and the run's jump count)."""
-        trace = simulate(system, z0, run.solver)
+        trace = simulate(system, z0, cfg)
         # end-of-period samples: the gap just before each reset, which x1
         # carries unchanged through the jump to hybrid time (t, j) = ((k+1)dT, k+1)
         gaps = f.gap(trace.zs[trace.events - 1, :f.dim])
-        # first period after the last one not yet within eps (a nan gap is
-        # not within eps)
-        late = np.flatnonzero(~(gaps <= eps))
-        first = int(late[-1]) + 1 if late.size else 0
+        first = _settled_from(gaps, eps)
         return (first + 1 if first < len(gaps) else None), len(trace.events)
 
     for i, (dT, (hit_j, jumps)) in enumerate(zip(grid, _fan_out(one, systems))):
@@ -1071,11 +1072,14 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
         zh = final_state(h, integ)
         zr = final_state(h / p["ref_factor"], integ)
         d = zh[:2 * f.dim] - zr[:2 * f.dim]
+        # an error whose squares fall below the normal range is scaled first
+        dd = row_dot(d, d)
+        err = math.sqrt(dd) if dd >= sys.float_info.min else scaled_norm(d)
         cfg = replace(run.solver, h=h, integrator=integ, jump_policy="latest",
                       record_stride=max(1, int(round(0.01 / h))))
         trace = simulate(sys2, z0, cfg)
         rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, h)
-        return math.sqrt(row_dot(d, d)), (rep.satisfied, con.satisfied, mono.satisfied, worst_rel)
+        return err, (rep.satisfied, con.satisfied, mono.satisfied, worst_rel)
 
     outcomes = _fan_out(one, runs)
     order_rows = [[integ, h, err] for (integ, h), (err, _) in zip(runs, outcomes)]

@@ -591,6 +591,7 @@ def test_cli_check_rejects_fault_label_before_last_row(tmp_path, capsys):
     path = _fast_hand2(tmp_path, t_end=20.0)
     assert main(["run", path, "--quiet"]) == 0
     trace = tmp_path / "out" / "trace.csv"
+    pristine = trace.read_text()
     assert main(["check", str(trace), "--bound", "exponential"]) == 0
     assert "holds" in capsys.readouterr().out
     _set_cells(trace, [40], "1e9")
@@ -602,6 +603,23 @@ def test_cli_check_rejects_fault_label_before_last_row(tmp_path, capsys):
     assert main(["check", str(trace), "--bound", "exponential"]) == 1
     out = capsys.readouterr().out
     assert "VIOLATED" in out and "fault" in out
+    # nor as the last row: a fault row repeats the row before it
+    trace.write_text(pristine)
+    last = len(pristine.splitlines()) - 1
+    _set_cells(trace, [last], "1e9")
+    assert main(["check", str(trace), "--bound", "exponential"]) == 1
+    assert "VIOLATED" in capsys.readouterr().out
+    _set_cells(trace, [last], "fault", column="event")
+    assert main(["check", str(trace), "--bound", "exponential"]) == 1
+    out = capsys.readouterr().out
+    assert "VIOLATED" in out and "fault row on data row %d of %d differs" % (last, last) in out
+    # a fault row as the engine writes it, at its own (t, j) with the state
+    # cells of the row before it, passes
+    lines = pristine.splitlines()
+    lines[last] = ",".join(lines[last].split(",")[:2] + lines[last - 1].split(",")[2:-1] + ["fault"])
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["check", str(trace), "--bound", "exponential"]) == 0
+    assert "holds" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("scenario, overrides", [
@@ -840,6 +858,21 @@ def test_instability_tiny_offset_reaches_a_verdict(cost, x0, tmp_path):
     for rep in ("rep1", "rep2"):
         assert runs[rep]["diverged"] and runs[rep]["termination"] == "condition"
         assert 100.0 <= runs[rep]["growth_reached"] < math.inf
+
+
+def test_discretization_order_tiny_offset_fits_its_orders(tmp_path):
+    # the global errors of an offset of 1e-170 square below the smallest
+    # normal double: each is scaled before its norm, so no error reads 0 and
+    # both fitted orders land in their bands
+    path = _write_config(tmp_path, "discretization-order", params={"x0": 1e-170}, solver={"t_end": 10.0})
+    assert main(["run", path, "--quiet"]) == 0
+    with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    fitted, p = summary["results"]["fitted_order"], summary["config"]["params"]
+    for scheme in ("euler", "rk4"):
+        lo, hi = p["%s_order" % scheme]
+        assert lo <= fitted[scheme] <= hi
+    assert summary["checks"]["euler_order_near_one"] and summary["checks"]["rk4_order_near_four"]
 
 
 def test_hand2_jump_identity_fails_on_non_finite_energy(tmp_path):

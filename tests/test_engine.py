@@ -29,7 +29,7 @@ from handsim import (
 )
 from handsim.core import TAG_FAULT, TAG_JUMP, compile_components
 from handsim.dynamics import _switch_steps, make_rep1_flow, make_rep2_flow, make_signal
-from handsim import engine
+from handsim import core, engine
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import _timer_test, hand1
 from handsim.scenarios import apply_override, load_config, run_scenario
@@ -417,10 +417,10 @@ def test_kernel_text_is_identity_free_and_shares_stage_factors(dim):
 # the segment kernels of the seven bundled configs, named by the crc32 of
 # their source (core._compiled), and the sha256 of those sources in name order
 BUNDLED_SEGMENTS = """
-    1b2d7234 3987c08e 5c469f17 632191c0 64fce778 69e076b3 77b45a82 7e704042 8089710e 9bef1e7b
-    cbc14613 cdbe5c7a d4537833 e2121581
+    2409a86d 3987c08e 4f6a74dd 6e7e933f 728fd960 77b45a82 7c329ae0 7e704042 9294f5ae 9bef1e7b
+    a1975f2a c621a164 d4537833 eaeb93bd
 """.split()
-BUNDLED_SEGMENTS_SHA256 = "771796abe67292a3849466c5b5d10455a910fca61dedc3233681a88f9068e4e8"
+BUNDLED_SEGMENTS_SHA256 = "76f428cdd4ef6d5f734e6f6be810ce66972aabb207d13aef88c9c0fa4e4a4571"
 
 # the bundled configs shrunk: h and the horizons enter no kernel's text
 SHRUNK = {
@@ -680,7 +680,7 @@ def test_segment_loop_computes_no_time_or_key(kind, monkeypatch):
     for kernel in kernels:
         source, _ = _loop_text(kernel)
         e = "" if kind == "zero" else ", e"
-        assert source.startswith(("def seg(F, z, src, h, n%s, t_max, t_min, tol):" % e,
+        assert source.startswith(("def seg(F, z, src, h, n%s, neg_tol, t_max, t_min, tol):" % e,
                                   "def replay(z, h, n, table%s):" % e)), source
         assert not re.search(r"\b(?:t|k|t_stop|fmod|floor|key|until)\b", source), source
 
@@ -746,6 +746,12 @@ def test_timer_windows_share_their_tests_and_kernels(monkeypatch):
     a, b = (hand2(f, HandParams(t_min=0.5, t_max=t_max, c=4.0)) for t_max in (0.9, 1.4))
     with pytest.raises(ValueError, match="bound t_max two values"):
         simulate(dataclasses.replace(a, in_D=b.in_D), z0, cfg)
+
+
+def test_solver_integrators_are_the_tableaus():
+    # SolverConfig validates its integrator against core's names, and
+    # simulate indexes TABLEAUS by it: the two list the same names
+    assert sorted(core._INTEGRATORS) == sorted(TABLEAUS)
 
 
 @pytest.mark.parametrize("a, b", [(((),), (math.nan,)), (((), (0.5,)), (math.nan, 1.0)),
@@ -1190,7 +1196,7 @@ def test_jump_disturbed_clock_starts_build_no_table(integrator):
     # built, nothing is replayed, and the trace is the per-step path's
     f = sphere_cost(1)
     sys = dataclasses.replace(hand2(f, HandParams(t_min=0.5, t_max=1.4, c=1.0)),
-                              in_C=_timer_test("in_C", "0.25 - {inflation} <= {tau} <= 1.4 + {inflation}"))
+                              in_C=_timer_test("in_C", "0.25{lo} <= {tau} <= 1.4{hi}"))
     cfg = SolverConfig(h=0.01, t_end=8.0, integrator=integrator, record_stride=30)
     pert = PerturbationSet(e4=DisturbanceSpec.constant([0.01, -0.02, 0.0]),
                            e5=DisturbanceSpec.sinusoid(3, 0.2, 1.7, [0.0, 0.0, 1.0]))

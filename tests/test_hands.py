@@ -1,5 +1,8 @@
 """Restarting jump maps, dwell conditions, and target-set distance."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from handsim import (
     target_distance_fn,
     validate_dwell,
 )
+from handsim.core import compile_source
 
 
 def test_hand1_jump_resets_only_the_timer():
@@ -180,3 +184,39 @@ def test_target_distance_fn_matches_direct_call():
         z = rng.standard_normal(5)
         z[-1] = abs(z[-1]) + 0.2
         assert dist(z) == target_distance(z, f.xstar, params)
+
+
+@pytest.mark.parametrize("t_min, t_med, t_max", [(1.0, 2.0, 3.0), (0.5, None, 0.9), (0.25, 1.1, 1.4),
+                                                 (5e-324, 1e-322, 1e-320), (1.0, 1e300, 1e300)])
+def test_timer_tests_decide_as_the_inflation_formulas(t_min, t_med, t_max):
+    # the {lo} and {hi} markers, read as " - inflation" and " + inflation" by
+    # the membership closures and as nothing by the engine's exit test, give
+    # the decisions of the conditions written out in inflation, at every
+    # clock value and inflation on the grid: bounds, their neighbours and
+    # their inflated values, +-0, subnormals, +-inf and nan
+    f = sphere_cost(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        systems = [hand1(f, HandParams(t_min=t_min, t_max=t_max, c=1.0, t_med=t_med)),
+                   hand2(f, HandParams(t_min=t_min, t_max=t_max, c=1.0))]
+    t_med = t_max if t_med is None else t_med
+    tol = 1e-9 * max(1.0, t_max)
+    reference = {
+        "in_C": lambda tau, i: t_min - i <= tau <= t_max + i,
+        "in_D": lambda tau, i: t_med - i <= tau <= t_max + i,
+        "band": lambda tau, i: -(i + tol) <= tau - t_max <= i + tol,
+    }
+    inflations = [0.0, -0.0, 5e-324, 1e-300, tol, 0.25, math.inf, math.nan]
+    edges = [t_min, t_med, t_max, t_max - tol, t_max + tol]
+    near = [v for e in edges for i in inflations for v in (e - i, e + i)]
+    taus = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
+    taus += [x for v in near for x in (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf))]
+    for sys in systems:
+        for test, name in ((sys.in_C, "in_C"), (sys.in_D, "band" if sys is systems[1] else "in_D")):
+            exit_test = compile_source("def exit_test(tau):\n    return %s\n"
+                                       % test.condition.format(tau="tau", lo="", hi=""), "exit_test", **test.bounds)
+            for tau in taus:
+                z = [0.0, 0.0, tau]
+                for i in inflations:
+                    assert test(z, i) == reference[name](tau, i), (name, tau, i)
+                assert exit_test(tau) == reference[name](tau, 0.0), (name, tau)

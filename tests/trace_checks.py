@@ -9,11 +9,15 @@ from handsim.core import TAG_FAULT, TAG_JUMP, hybrid_time_fault
 def assert_recorded(tr, rel_tol=1e-9):
     """Assert that tr keeps core.hybrid_time_fault's rule, with its jump and
     fault tags as the masks, and that it records as the engine does: finite
-    states, flow strides of whole numbers of steps h, equal strides within a
+    states, a fault row that repeats the state row before it bit for bit,
+    flow strides of whole numbers of steps h, equal strides within a
     j-segment but for its last one."""
     assert len(tr) > 0, "empty trace"
     assert hybrid_time_fault(tr.ts, tr.js, tr.tags == TAG_JUMP, tr.tags == TAG_FAULT) is None
     assert np.all(np.isfinite(tr.zs)), "recorded state has non-finite coordinates"
+    # the fault row is a copy of the state row before it
+    assert tr.tags[-1] != TAG_FAULT or tr.zs[-1].tobytes() == tr.zs[-2].tobytes(), \
+        "the fault row does not repeat the last recorded state"
     h = tr.meta.get("h")
     if h is not None:
         ts, js = tr.ts, tr.js
