@@ -41,14 +41,12 @@ from .analysis import (
     check_period_contraction,
     check_exponential_rate,
     convergence_time_estimate,
-    hand1_phase_probe,
     jump_decrease_hand1,
     jump_decrease_hand2,
     k1_constant,
     lyapunov,
     optimal_restart,
     time_to_epsilon,
-    uniformity_probe,
 )
 from .io import read_summary_json, read_trace_csv, write_summary_json, write_trace_csv
 from .scenarios import (

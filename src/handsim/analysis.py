@@ -1,7 +1,7 @@
 """Runtime certificates for restarting runs: the timer-weighted energy
 function, its monotonicity along trajectories, the quadratic and exponential
-decay bounds, restart-period design, and the non-uniformity probes for the
-time-varying ODE.
+decay bounds, restart-period design, and the time for a run's cost gap to
+settle within eps. Nothing here runs a simulation.
 
 All checks run on recorded traces and return RateReport rather than raising:
 a violated bound is a result, not an error. Errors are reserved for checks
@@ -12,15 +12,15 @@ constants) do not match the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import TAG_FAULT, CostFunction, HybridTime, SolverConfig, Trace, per_row, row_dot
-from .dynamics import OdeParams, make_rep1_flow
-from .engine import flow_only_system, simulate
-from .hands import HandParams, hand1, validate_dwell
+from .core import TAG_FAULT, CostFunction, HybridTime, Trace, per_row, row_dot
+# nothing here calls simulate: the name stays for perfbench's tracer, which patches it
+from .engine import simulate
+from .hands import HandParams, validate_dwell
 
 __all__ = [
     "RateReport",
@@ -37,8 +37,6 @@ __all__ = [
     "optimal_restart",
     "convergence_time_estimate",
     "time_to_epsilon",
-    "uniformity_probe",
-    "hand1_phase_probe",
 ]
 
 
@@ -347,55 +345,3 @@ def _settled_from(gaps, eps: float) -> int:
     late = np.flatnonzero(~(np.asarray(gaps) <= eps))
     return int(late[-1]) + 1 if late.size else 0
 
-
-def uniformity_probe(f: CostFunction, params: OdeParams, t0_offsets, x_offset,
-                     eps: float, solver: SolverConfig, t_end_scale: float = 6.0) -> List[dict]:
-    """Convergence times of the velocity-form time-varying ODE started at
-    different absolute times t0 (same initial offset from the minimizer,
-    rest start).
-
-    Each run is solver with its horizon replaced by
-    max(20, t_end_scale * t0). Returns one row per t0 with the elapsed flow
-    time for the cost gap to reach and stay below eps (None when that
-    horizon is not enough). Growth of these times with t0 is the
-    non-uniformity signature.
-
-    Use rk4 (the scenario's default): forward Euler at h=1e-2 pumps the
-    oscillatory mode faster than the 3/t damping drains it once
-    t > ~3/(h w^2), so late t0 probes would measure the discretization
-    artifact, not the flow.
-    """
-    _require_minimizer(f)
-    x_offset = np.asarray(x_offset, dtype=float).reshape(f.dim)
-    rows = []
-    for t0 in t0_offsets:
-        if not (t0 > 0.0):
-            raise ValueError("start times must be positive, got %r" % (t0,))
-        sys = flow_only_system(make_rep1_flow(replace(params, t0=float(t0)), f), f.dim,
-                               meta={"kind": "ode-rep1", "t0": float(t0)})
-        z0 = np.concatenate([f.xstar + x_offset, np.zeros(f.dim), [float(t0)]])
-        trace = simulate(sys, z0, replace(solver, t_end=max(20.0, t_end_scale * float(t0))))
-        hit = time_to_epsilon(trace, f, eps)
-        rows.append({"t0": float(t0), "time": None if hit is None else hit.t, "termination": trace.termination})
-    return rows
-
-
-def hand1_phase_probe(f: CostFunction, params: HandParams, phases, x_offset,
-                      eps: float, solver: SolverConfig) -> List[dict]:
-    """Convergence times of the timer-reset system started at different timer
-    phases (same state offset), each run with solver as given. Phase
-    independence of these times is the uniformity signature the restarting
-    regularization restores."""
-    _require_minimizer(f)
-    x_offset = np.asarray(x_offset, dtype=float).reshape(f.dim)
-    sys = hand1(f, params)
-    rows = []
-    for tau0 in phases:
-        if not (params.t_min <= tau0 <= params.t_max):
-            raise ValueError("phase tau0=%g outside timer window" % tau0)
-        x1_0 = f.xstar + x_offset
-        z0 = np.concatenate([x1_0, x1_0, [float(tau0)]])
-        trace = simulate(sys, z0, solver)
-        hit = time_to_epsilon(trace, f, eps)
-        rows.append({"tau0": float(tau0), "time": None if hit is None else hit.t, "termination": trace.termination})
-    return rows

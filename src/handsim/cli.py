@@ -25,6 +25,7 @@ from .io import read_summary_json, read_trace_csv, write_summary_json
 from .scenarios import (
     ConfigError,
     _fan_out,
+    _make_out_dir,
     _thread_cap,
     apply_override,
     load_config,
@@ -120,6 +121,8 @@ def _value_token(value) -> str:
 def _cmd_sweep(args) -> int:
     base = load_config(args.config)
     values = _parse_values(args.values)
+    if not values:
+        raise ConfigError("--values names no value")
     tokens = [_value_token(v) for v in values]
     # each token names one run's directory under the parent: reject tokens
     # that repeat or that would climb out of it, before anything runs
@@ -138,7 +141,7 @@ def _cmd_sweep(args) -> int:
         cfg = parse_config(apply_override(base, args.param, value))
         out_dir = os.path.join(parent, "%s=%s" % (param_slug, token))
         jobs.append((token, cfg, out_dir))
-    os.makedirs(parent, exist_ok=True)
+    _make_out_dir(parent)
 
     codes = _fan_out(lambda job: run_scenario(job[1], out_dir=job[2], quiet=True), jobs)
     results = {token: (out_dir, code) for (token, _, out_dir), code in zip(jobs, codes)}

@@ -34,12 +34,11 @@ from .analysis import (
     check_period_contraction,
     check_exponential_rate,
     convergence_time_estimate,
-    hand1_phase_probe,
     jump_decrease_hand2,
     k1_constant,
     lyapunov,
     optimal_restart,
-    uniformity_probe,
+    time_to_epsilon,
 )
 from .core import CostFunction, SolverConfig, Trace, corpus, per_row, row_dot, scaled_norm
 from .dynamics import (
@@ -467,8 +466,9 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
             raise ConfigError("params.x_offset must start outside params.eps, at a cost gap above it")
         if not all(run.hand.t_min <= tau0 <= run.hand.t_max for tau0 in p["phases"] or ()):
             raise ConfigError("params.phases must lie in the timer window [hand.t_min, hand.t_max]")
-        if not all(a < b for a, b in zip(p["s_values"], p["s_values"][1:])):
-            raise ConfigError("params.s_values must strictly increase")
+        for key in ("t0_values", "s_values"):
+            if not all(a < b for a, b in zip(p[key], p[key][1:])):
+                raise ConfigError("params.%s must strictly increase" % key)
         run.integrals = [limiting_integral(p["ell2"], s, p["r"]) for s in p["s_values"]]
     if scenario in ("hand2-rate", "discretization-order"):
         hp = run.hand
@@ -539,9 +539,14 @@ def _hand2_checks(trace: Trace, f: CostFunction, hp: HandParams, p: dict, h: flo
     return rep, con, mono, float(rel.max(initial=0.0))
 
 
-def _ode_system(rep: str, params: OdeParams, f: CostFunction) -> HybridSystem:
+def _ode_run(rep: str, params: OdeParams, f: CostFunction, offset: np.ndarray) -> Tuple[HybridSystem, np.ndarray]:
+    """One ODE form's flow-only system and its start at the clock params.t0,
+    x1 = xstar + offset: at rest for rep1, with equal blocks for rep2."""
     flow = make_rep1_flow(params, f) if rep == "rep1" else make_rep2_flow(params, f)
-    return flow_only_system(flow, f.dim, meta={"kind": "ode-" + rep, "t0": params.t0})
+    x1 = f.xstar + offset
+    x2 = np.zeros(f.dim) if rep == "rep1" else x1
+    return (flow_only_system(flow, f.dim, meta={"kind": "ode-" + rep, "t0": params.t0}),
+            np.concatenate([x1, x2, [params.t0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -728,10 +733,7 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
                 "worst_distance_after_settle": worst,
                 "bounded": trace.termination == "horizon" and dists.size > 0 and worst <= p["bounded_threshold"],
             }
-        x1 = xstar + offset
-        x2 = np.zeros(f.dim) if rep == "rep1" else x1.copy()
-        trace = simulate(_ode_system(rep, ode, f), np.concatenate([x1, x2, [ode.t0]]), run.solver, run.pert,
-                         stop_condition=escaped)
+        trace = simulate(*_ode_run(rep, ode, f, offset), run.solver, run.pert, stop_condition=escaped)
 
         # distance to the ODE's rest point (xstar, rest2): rep1's second
         # block is a velocity, at rest 0; rep2's is a position, at xstar
@@ -773,8 +775,31 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
 def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     f, hp = run.f, run.hand
     p = config["params"]
-    rows = uniformity_probe(f, run.ode, p["t0_values"], run.offset, p["eps"], run.solver,
-                            t_end_scale=p["t_end_scale"])
+    phases = p["phases"]
+    if phases is None:
+        phases = [hp.t_min, 0.5 * (hp.t_min + hp.t_max), hp.t_max]
+    # built here, so a forked worker inherits it
+    sys1 = hand1(f, hp)
+
+    def one(start: Tuple[str, float]):
+        """One probe row: the flow time for the cost gap to settle within
+        eps (None if never) of the velocity-form ODE from the clock t0 at
+        rest, over max(20, t_end_scale * t0), or of hand1 from the timer
+        phase tau0. rk4 is the default, as forward Euler at h = 1e-2 pumps
+        the oscillatory mode faster than the 3/t damping drains it once
+        t > ~3/(h w^2): late t0 runs would time that artifact."""
+        key, s = start
+        if key == "t0":
+            trace = simulate(*_ode_run("rep1", replace(run.ode, t0=s), f, run.offset),
+                             replace(run.solver, t_end=max(20.0, p["t_end_scale"] * s)))
+        else:
+            trace = simulate(sys1, _hand_z0(f, run.offset, s), run.solver)
+        hit = time_to_epsilon(trace, f, p["eps"])
+        return {key: s, "time": None if hit is None else hit.t, "termination": trace.termination}
+
+    n_ode = len(p["t0_values"])
+    rows = _fan_out(one, [("t0", t0) for t0 in p["t0_values"]] + [("tau0", tau0) for tau0 in phases])
+    rows, rows2 = rows[:n_ode], rows[n_ode:]
     write_table_csv(os.path.join(out_dir, "probe_ode.csv"),
                     ["t0", "time_to_eps", "termination"],
                     [[r["t0"], r["time"], r["termination"]] for r in rows])
@@ -782,10 +807,6 @@ def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
     increasing = (all(t is not None for t in times)
                   and all(times[i] < times[i + 1] for i in range(len(times) - 1)))
 
-    phases = p["phases"]
-    if phases is None:
-        phases = [hp.t_min, 0.5 * (hp.t_min + hp.t_max), hp.t_max]
-    rows2 = hand1_phase_probe(f, hp, phases, run.offset, p["eps"], run.solver)
     write_table_csv(os.path.join(out_dir, "probe_hand1.csv"),
                     ["tau0", "time_to_eps", "termination"],
                     [[r["tau0"], r["time"], r["termination"]] for r in rows2])
@@ -1050,8 +1071,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
 def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, quiet: bool) -> int:
     f, hp = run.f, run.hand
     p = config["params"]
-    probe = _ode_system("rep2", OdeParams(c=hp.c), f)
-    z0 = _hand_z0(f, run.offset, hp.t_min)
+    probe, z0 = _ode_run("rep2", OdeParams(c=hp.c, t0=hp.t_min), f, run.offset)
     period = hp.t_max - hp.t_min
 
     def final_state(h: float, integ: str) -> np.ndarray:
@@ -1211,12 +1231,20 @@ _RUNNERS = {
 }
 
 
+def _make_out_dir(path: str) -> None:
+    """os.makedirs(path, exist_ok=True), a ConfigError where a file is in the way."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        raise ConfigError("cannot make output directory %s: %s" % (path, e.strerror or e))
+
+
 def run_scenario(config: dict, out_dir: Optional[str] = None, quiet: bool = False) -> int:
     """Run one resolved scenario config; writes artifacts, returns the exit
     status (0 all checks pass, 1 otherwise)."""
     config, run = _resolve(config)
     out = out_dir if out_dir is not None else config["out_dir"]
-    os.makedirs(out, exist_ok=True)
+    _make_out_dir(out)
     if not quiet:
         print("scenario %s -> %s" % (config["scenario"], out))
     return _RUNNERS[config["scenario"]](config, run, out, quiet)

@@ -419,6 +419,7 @@ _FANNED = {
     "hand1-rate": {"solver.h": 0.01, "solver.t_end": 10.0},
     "discretization-order": {"solver.t_end": 2.0, "params.k_max": 9, "params.ref_factor": 16},
     "instability": {"solver.h": 0.04, "params.hand_t_end": 3000.0},
+    "uniformity-probe": {"params.t0_values": [1.0, 10.0], "solver.t_end": 20.0},
 }
 
 
@@ -531,12 +532,28 @@ def test_cli_sweep_bad_value_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_sweep_empty_values(tmp_path):
+def test_cli_sweep_empty_values(tmp_path, capsys):
+    # a sweep over no value runs nothing, so it cannot pass
     path = _fast_hand2(tmp_path)
-    out = str(tmp_path / "sweep0")
-    assert main(["sweep", path, "--param", "solver.h", "--values", "", "--out", out, "--quiet"]) == 0
-    merged = json.loads((tmp_path / "sweep0" / "sweep_summary.json").read_text())
-    assert merged["runs"] == {}
+    out = tmp_path / "sweep0"
+    for values in ("", ",,"):
+        assert main(["sweep", path, "--param", "solver.h", "--values", values, "--out", str(out), "--quiet"]) == 2
+        assert "config error: --values names no value" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_an_out_that_cannot_be_a_directory_is_a_config_error(sub, tmp_path, capsys):
+    # a file at the output path or at one of its parents
+    path = _fast_hand2(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = str(blocker / sub) if sub else str(blocker)
+    assert main(["run", path, "--out", out, "--quiet"]) == 2
+    assert main(["sweep", path, "--param", "solver.h", "--values", "0.01", "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error: cannot make output directory %s: " % out) == 2
+    assert blocker.read_text() == "kept\n"
 
 
 def _set_cells(trace, rows, value, column="f_gap"):
@@ -788,6 +805,11 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     ("uniformity-probe", {"params": {"x_offset": 0.1}}, "params.x_offset must start outside params.eps"),
     ("uniformity-probe", {"params": {"x_offset": 1e-170}}, "params.x_offset must start outside params.eps"),
     ("uniformity-probe", {"params": {"s_values": [0.0, 0.0, 0.0, 0.0]}}, "params.s_values"),
+    # start times out of order or repeated, which read as a failed claim
+    ("uniformity-probe", {"params": {"t0_values": [10.0, 1.0]}, "solver": {"t_end": 5.0}},
+     "params.t0_values must strictly increase"),
+    ("uniformity-probe", {"params": {"t0_values": [1.0, 1.0]}, "solver": {"t_end": 5.0}},
+     "params.t0_values must strictly increase"),
     # mu c underflows to 0, so 1/(mu c) is inf and no window meets the dwell condition
     ("hand2-rate", {"cost": "example1", "hand": {"c": 5e-324}}, "hand: t_min, t_max and c must meet the dwell"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
@@ -800,7 +822,8 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
         "uniformity-negative-t0", "uniformity-phase-outside-window", "robustness-inverted-bracket",
         "instability-growth-factor-one", "robustness-zero-eps-lo", "discretization-zero-offset",
         "uniformity-zero-offset", "uniformity-offset-inside-eps", "uniformity-tiny-offset",
-        "uniformity-equal-s-values", "hand2-c-subnormal"])
+        "uniformity-equal-s-values", "uniformity-unsorted-t0-values", "uniformity-repeated-t0-values",
+        "hand2-c-subnormal"])
 def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, **extra)
