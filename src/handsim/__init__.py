@@ -46,6 +46,7 @@ from .analysis import (
     k1_constant,
     lyapunov,
     optimal_restart,
+    settling_bound,
     time_to_epsilon,
 )
 from .io import read_summary_json, read_trace_csv, write_summary_json, write_trace_csv

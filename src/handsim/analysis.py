@@ -1,7 +1,8 @@
 """Runtime certificates for restarting runs: the timer-weighted energy
 function, its monotonicity along trajectories, the quadratic and exponential
-decay bounds, restart-period design, and the time for a run's cost gap to
-settle within eps. Nothing here runs a simulation.
+decay bounds, restart-period design, the time for a run's cost gap to
+settle within eps, and the bound that certifies it settled for good.
+Nothing here runs a simulation.
 
 All checks run on recorded traces and return RateReport rather than raising:
 a violated bound is a result, not an error. Errors are reserved for checks
@@ -36,6 +37,7 @@ __all__ = [
     "check_period_contraction",
     "optimal_restart",
     "convergence_time_estimate",
+    "settling_bound",
     "time_to_epsilon",
 ]
 
@@ -323,6 +325,59 @@ def convergence_time_estimate(c: float, mu: float, t_min: float, f_gap0: float, 
     if f_gap0 <= eps:
         return 0.0
     return 0.5 * math.e * math.sqrt(1.0 / (c * mu) + t_min * t_min) * math.log(f_gap0 / eps)
+
+
+def settling_bound(kind: str, f: CostFunction, params, disturbed: bool = False):
+    """The certificate that a run's cost gap stays small for good: (bound,
+    None), bound(z) an upper bound on the cost gap at every later hybrid time
+    of the run from the packed state z (a list of floats), or (None, the
+    reason) where the theory gives none. kind is the system's meta kind,
+    params its OdeParams ("ode-rep1") or HandParams ("hand1", "hand2"):
+
+      ode-rep1 at p = 2: E = 0.5 |x2|^2 + c p^2 (f - fstar) has
+        dE/dt = -(ell/t) |x2|^2 <= 0, so gap <= E / (c p^2);
+      hand1: V = 0.5 |x2 - xstar|^2 + c tau^2 (f - fstar) does not increase
+        on flows (f convex) or jumps, and tau >= t_min, so
+        gap <= V / (c t_min^2);
+      hand2: the same, where the dwell condition makes its jumps' energy
+        change, at most 0.5 |x1 - xstar|^2 (1 - c mu (tau^2 - t_min^2))
+        - 0.5 |x2 - xstar|^2, nonpositive.
+
+    The bounds hold for the continuous-time run; none holds for a disturbed
+    one. The gap is the cost's value.floats where it has one."""
+    if disturbed:
+        return None, "a disturbed run's energy need not decrease"
+    if f.fstar is None:
+        return None, "the cost has no fstar"
+    floats, fstar, n, c = getattr(f.value, "floats", None), f.fstar, f.dim, params.c
+    gap = ((lambda x: floats(x) - fstar) if floats is not None
+           else (lambda x: f.gap(np.asarray(x, dtype=float))))
+    if kind == "ode-rep1":
+        if params.p != 2.0:
+            return None, "the velocity-form energy bounds the gap at p = 2 only, not p = %r" % params.p
+        cp2 = c * 4.0
+
+        def bound(z):
+            return (0.5 * sum(v * v for v in z[n:2 * n]) + cp2 * gap(z[:n])) / cp2
+
+        return bound, None
+    if kind not in ("hand1", "hand2"):
+        return None, "no certificate for a %r run" % kind
+    if f.xstar is None:
+        return None, "the cost has no xstar"
+    if kind == "hand2":
+        if f.mu is None:
+            return None, "the cost has no mu, so hand2's jumps may raise its energy"
+        if not validate_dwell(params, f.mu):
+            return None, "the dwell condition t_max^2 - t_min^2 > 1/(mu c) fails, so hand2's jumps may raise its energy"
+    xstar, ct2 = f.xstar.tolist(), c * params.t_min * params.t_min
+
+    def bound(z):
+        tau = z[-1]
+        return (0.5 * sum((v - s) * (v - s) for v, s in zip(z[n:2 * n], xstar))
+                + c * tau * tau * gap(z[:n])) / ct2
+
+    return bound, None
 
 
 def time_to_epsilon(trace: Trace, f: CostFunction, eps: float) -> Optional[HybridTime]:

@@ -66,7 +66,8 @@ class CostFunction:
     """Smooth cost with optional convexity metadata.
 
     value takes a shape-(dim,) float64 vector, and make_quadratic's value
-    also a block (rows, dim), one value per row by row_dot. gradient takes a
+    also a block (rows, dim), one value per row by row_dot, and carries
+    value.floats, the same value of a list of dim floats. gradient takes a
     sequence of dim components and returns a sequence of dim components; the
     flow closures pass it a list of floats, or of numpy scalars in the
     engine's fallback step. mu and lipschitz are strong-convexity and
@@ -309,6 +310,16 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
     def value(x, _Q=Q, _b=b):
         x = np.asarray(x, dtype=float)
         return 0.5 * row_dot(x, row_dot(x[..., None, :], _Q)) + row_dot(x, _b)
+
+    # value on a list of floats, its products summed in row_dot's order, so
+    # its bits are value's with no array built
+    def dot(terms):
+        return "(%s)" % " + ".join(terms)
+
+    xs = ["x[%d]" % i for i in range(n)]
+    value.floats = compile_source("def value(x):\n    return 0.5 * %s + %s\n" % (
+        dot("%s * %s" % (xk, dot("%s * %r" % (xi, q) for xi, q in zip(xs, row))) for xk, row in zip(xs, Q.tolist())),
+        dot("%s * %r" % (xk, bk) for xk, bk in zip(xs, b.tolist()))), "value")
 
     # component i is row_dot(Q[i], x) + b[i], written out; a coefficient 1.0
     # is not multiplied: 1.0 * x is x for every float

@@ -38,6 +38,7 @@ from .analysis import (
     k1_constant,
     lyapunov,
     optimal_restart,
+    settling_bound,
     time_to_epsilon,
 )
 from .core import CostFunction, SolverConfig, Trace, corpus, per_row, row_dot, scaled_norm
@@ -277,14 +278,16 @@ _CHOICES = {"disturbance.kind": ("zero", *_DISTURBANCE_NEEDS),
             "disturbance.channel": ("e1", "e2", "e3", "e4", "e5", "e6"),
             "disturbance.axis": ("x1", "x2", "clock")}
 _RANGES = {
-    **dict.fromkeys(("eps", "t0_values", "phases", "t_end_scale", "ratio_budget", "tail_budget",
-                     "factor_budget", "delta", "bounded_threshold", "t_min", "c", "span",
-                     "hand_t_end", "eps_lo"), (">", 0)),
+    **dict.fromkeys(("eps", "t0_values", "phases", "t_end_scale", "tail_budget", "delta",
+                     "bounded_threshold", "t_min", "c", "span", "hand_t_end", "eps_lo"), (">", 0)),
+    # a budget b bands a max/min ratio, at least 1, into [1/b, b]: empty for b < 1
+    **dict.fromkeys(("ratio_budget", "factor_budget"), (">=", 1)),
     "growth_factor": (">", 1), "ell2": (">", 1), "ref_factor": (">=", 2), "n_grid": (">=", 3),
     **dict.fromkeys(("x0", "x_offset", "tol", "tol_abs", "tol_scale", "contraction_slack",
                      "closed_form_tol", "mono_slack_scale"), None),
 }
 _PAIRS = ("span", "euler_order", "rk4_order")
+_BOUND_WORDS = {">": "above", ">=": "at least"}
 
 
 def _form(value) -> Optional[str]:
@@ -323,7 +326,7 @@ def _leaf(default, value, key: str):
     name = key.rpartition(".")[2]
     bound = _RANGES.get(name, (">=", 0)) if key.startswith("params.") or name.endswith("seed") else None
     if bound and not all(v > bound[1] if bound[0] == ">" else v >= bound[1] for v in nums):
-        raise ConfigError("%s must be %s %s" % (key, *bound))
+        raise ConfigError("%s must be %s %s" % (key, _BOUND_WORDS[bound[0]], bound[1]))
     if name in _PAIRS and not (len(nums) == 2 and nums[0] < nums[1]):
         raise ConfigError("%s must be [lo, hi] with lo < hi" % key)
     return value if form == "int" else nums if form == "list" else nums[0]
@@ -460,10 +463,11 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
         # an offset like 1e300 overflows the gap to inf, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             run.gap0 = f.gap(f.xstar + run.offset)
-    if scenario == "uniformity-probe":
-        # a probe started inside eps reads 0 for every time to eps
+        # a run started inside eps reads 0 for every time to eps, where a
+        # run that reads only end-of-period samples reads one period
         if not run.gap0 > p["eps"]:
-            raise ConfigError("params.x_offset must start outside params.eps, at a cost gap above it")
+            raise ConfigError("params.%s must start outside params.eps, at a cost gap above it" % key)
+    if scenario == "uniformity-probe":
         if not all(run.hand.t_min <= tau0 <= run.hand.t_max for tau0 in p["phases"] or ()):
             raise ConfigError("params.phases must lie in the timer window [hand.t_min, hand.t_max]")
         for key in ("t0_values", "s_values"):
@@ -478,8 +482,6 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     if scenario == "discretization-order" and p["k_min"] >= p["k_max"]:
         raise ConfigError("params.k_min must be below params.k_max")
     if scenario == "restart-sweep":
-        if not run.gap0 > 0.0:
-            raise ConfigError("params.x0 must start off the minimizer, at a positive cost gap")
         run.dstar = optimal_restart(p["c"], f.mu, p["t_min"])
         run.t_eps = convergence_time_estimate(p["c"], f.mu, p["t_min"], run.gap0, p["eps"])
         if not math.isfinite(run.dstar + run.t_eps):
@@ -537,6 +539,41 @@ def _hand2_checks(trace: Trace, f: CostFunction, hp: HandParams, p: dict, h: flo
         scored = ~(np.abs(dv_form) <= 1e-300) | ~np.isfinite(dv_sim)
         rel = np.abs(dv_sim - dv_form)[scored] / np.abs(dv_form[scored])
     return rep, con, mono, float(rel.max(initial=0.0))
+
+
+def _settling_stop(system: HybridSystem, f: CostFunction, params, eps: float):
+    """(stop, outcome) for a run of system with params: stop, a simulate
+    stop_condition that ends the run at the first state it is handed whose
+    settling bound (analysis.settling_bound) is at most eps, so the gap
+    stays within eps for good; outcome, the run's settling record, filled in
+    as it goes: certified, and the stop's (t, j) or the reason there was
+    none. The bound holds for continuous time; on the discrete run stop
+    trusts it only while it never rose between the states stop was handed,
+    with no slack, and a rise turns stop off. stop is None where there is
+    no certificate."""
+    bound, reason = settling_bound(system.meta["kind"], f, params)
+    outcome = {"certified": False, "t": None, "j": None,
+               "reason": reason or "the bound stayed above params.eps to the end of the run"}
+    if bound is None:
+        return None, outcome
+    last = math.inf
+
+    def stop(t, j, z):
+        nonlocal bound, last
+        if bound is None:
+            return False
+        b = bound(z)
+        if not b <= last:
+            outcome["reason"] = "the bound rose at (t, j) = (%r, %d)" % (t, j)
+            bound = None
+            return False
+        last = b
+        if b <= eps:
+            outcome.update(certified=True, t=t, j=j, reason=None)
+            return True
+        return False
+
+    return stop, outcome
 
 
 def _ode_run(rep: str, params: OdeParams, f: CostFunction, offset: np.ndarray) -> Tuple[HybridSystem, np.ndarray]:
@@ -785,17 +822,22 @@ def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
         """One probe row: the flow time for the cost gap to settle within
         eps (None if never) of the velocity-form ODE from the clock t0 at
         rest, over max(20, t_end_scale * t0), or of hand1 from the timer
-        phase tau0. rk4 is the default, as forward Euler at h = 1e-2 pumps
-        the oscillatory mode faster than the 3/t damping drains it once
-        t > ~3/(h w^2): late t0 runs would time that artifact."""
+        phase tau0, each run ending where its settling is certified. rk4 is
+        the default, as forward Euler at h = 1e-2 pumps the oscillatory mode
+        faster than the 3/t damping drains it once t > ~3/(h w^2): late t0
+        runs would time that artifact."""
         key, s = start
         if key == "t0":
-            trace = simulate(*_ode_run("rep1", replace(run.ode, t0=s), f, run.offset),
-                             replace(run.solver, t_end=max(20.0, p["t_end_scale"] * s)))
+            params = replace(run.ode, t0=s)
+            system, z0 = _ode_run("rep1", params, f, run.offset)
+            cfg = replace(run.solver, t_end=max(20.0, p["t_end_scale"] * s))
         else:
-            trace = simulate(sys1, _hand_z0(f, run.offset, s), run.solver)
+            params, system, z0, cfg = hp, sys1, _hand_z0(f, run.offset, s), run.solver
+        stop, settling = _settling_stop(system, f, params, p["eps"])
+        trace = simulate(system, z0, cfg, stop_condition=stop)
         hit = time_to_epsilon(trace, f, p["eps"])
-        return {key: s, "time": None if hit is None else hit.t, "termination": trace.termination}
+        return {key: s, "time": None if hit is None else hit.t, "termination": trace.termination,
+                "settling": settling}
 
     n_ode = len(p["t0_values"])
     rows = _fan_out(one, [("t0", t0) for t0 in p["t0_values"]] + [("tau0", tau0) for tau0 in phases])
@@ -980,30 +1022,34 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
     # one independent hand2 run per grid period, all from the same state;
     # the systems are built here, so their dwell warnings are this process's
     z0 = _hand_z0(f, run.offset, t_min)
-    systems = [hand2(f, HandParams(t_min=t_min, t_max=t_min + float(dT), c=c)) for dT in grid]
+    windows = [HandParams(t_min=t_min, t_max=t_min + float(dT), c=c) for dT in grid]
+    systems = [(hand2(f, hp), hp) for hp in windows]
 
     # the pre-jump rows, which every jump records, are all a run is read for
     cfg = replace(run.solver, record_stride=2 ** 62)
 
-    def one(system: HybridSystem):
-        """One period's run: (the jump count at which the gap is within eps
-        for good, or None, and the run's jump count)."""
-        trace = simulate(system, z0, cfg)
+    def one(job: Tuple[HybridSystem, HandParams]):
+        """One period's run, up to its certified settling: (the jump count
+        at which the gap is within eps for good, or None, the run's jump
+        count, its settling record)."""
+        system, hp = job
+        stop, settling = _settling_stop(system, f, hp, eps)
+        trace = simulate(system, z0, cfg, stop_condition=stop)
         # end-of-period samples: the gap just before each reset, which x1
         # carries unchanged through the jump to hybrid time (t, j) = ((k+1)dT, k+1)
         gaps = f.gap(trace.zs[trace.events - 1, :f.dim])
         first = _settled_from(gaps, eps)
-        return (first + 1 if first < len(gaps) else None), len(trace.events)
+        return (first + 1 if first < len(gaps) else None), len(trace.events), settling
 
-    for i, (dT, (hit_j, jumps)) in enumerate(zip(grid, _fan_out(one, systems))):
+    settling = []
+    for i, (dT, (hit_j, jumps, settled)) in enumerate(zip(grid, _fan_out(one, systems))):
+        settling.append(settled)
         k1 = k1_constant(c, f.mu, t_min, float(dT))
         if hit_j is not None:
             measured[i] = hit_j * float(dT)
-        if k1 < 1.0 and gap0 > eps:
+        if k1 < 1.0:
             bj = int(math.ceil(math.log(gap0 / eps) / (-math.log(k1))))
             bound[i] = bj * float(dT)
-        elif gap0 <= eps:
-            bound[i] = 0.0
         rows.append([i, float(dT), k1,
                      None if hit_j is None else measured[i],
                      None if hit_j is None else hit_j,
@@ -1058,6 +1104,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
             "measured_optimum_over_t_eps": (measured[m_arg] / t_eps
                                             if np.isfinite(measured[m_arg]) else None),
             "time_at_nearest_over_t_eps": (at_opt_ratio if np.isfinite(at_opt_ratio) else None),
+            "settling": settling,
         },
         "artifacts": ["sweep.csv", "summary.json", "plot.gp"],
     }

@@ -812,6 +812,13 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
      "params.t0_values must strictly increase"),
     # mu c underflows to 0, so 1/(mu c) is inf and no window meets the dwell condition
     ("hand2-rate", {"cost": "example1", "hand": {"c": 5e-324}}, "hand: t_min, t_max and c must meet the dwell"),
+    # a sweep started inside eps (gaps 5e-7 and 5e-9 against 1e-6): its
+    # certified time is 0, but its end-of-period samples read one period
+    ("restart-sweep", {"params": {"x0": 1e-3}, "solver": {"h": 0.02}}, "params.x0 must start outside params.eps"),
+    ("restart-sweep", {"params": {"x0": 1e-4}, "solver": {"h": 0.02}}, "params.x0 must start outside params.eps"),
+    # a budget below 1 bands a max/min ratio into an empty [1/b, b]
+    ("restart-sweep", {"params": {"factor_budget": 0.5}}, "params.factor_budget must be at least 1"),
+    ("uniformity-probe", {"params": {"ratio_budget": 0.5}}, "params.ratio_budget must be at least 1"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
         "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan",
         "restart-sweep-zero-budget", "restart-sweep-zero-t-min", "restart-sweep-negative-c",
@@ -823,7 +830,8 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
         "instability-growth-factor-one", "robustness-zero-eps-lo", "discretization-zero-offset",
         "uniformity-zero-offset", "uniformity-offset-inside-eps", "uniformity-tiny-offset",
         "uniformity-equal-s-values", "uniformity-unsorted-t0-values", "uniformity-repeated-t0-values",
-        "hand2-c-subnormal"])
+        "hand2-c-subnormal", "restart-sweep-offset-inside-eps", "restart-sweep-tiny-offset",
+        "restart-sweep-budget-below-one", "uniformity-budget-below-one"])
 def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, **extra)

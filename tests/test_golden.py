@@ -5,11 +5,19 @@ to the engine kept its numbers. The artifact digests were recorded from the
 numpy engine that preceded the float stepper (Python 3.11.7, numpy 2.4.6,
 x86-64 Linux); a last-bit change anywhere in a trajectory changes a CSV cell
 and fails this test. The configs are the bundled ones shrunk by overrides so
-the five runs take about four seconds. The robustness-margin digests were
+each run takes well under a second. The robustness-margin digests were
 recorded later, from the per-row distance evaluation that preceded the
 row-wise certificate columns (same platform). The hand1-rate traces of the
 2-d costs were recorded again when core.row_dot began to sum its products
 column by column instead of by BLAS ddot: only their f_gap and V cells moved.
+The restart-sweep digests were recorded again when its runs began to end at
+their certified settling: only sweep.csv's jumps column and the summary's
+new settling records moved. The uniformity-probe digests (three start
+times) come from that change too; before it, probe_hand1.csv was b511d6e7,
+probe_ode.csv 7d264140 and summary.json 0e967c63, which differ only in the
+termination reason and the settling records. The discretization-order
+digests (a shrunk step grid and horizon) were recorded before that change,
+which left them alone.
 
 The engine cross-check grid below pins the engine paths the shrunk configs
 may leave out: every integrator and jump policy, a square wave on each of
@@ -56,6 +64,8 @@ OVERRIDES = {
     "restart-sweep": {"solver.h": 0.02},
     "hand2-rate": {"solver.h": 0.01},
     "robustness-margin": {"solver.h": 0.02, "params.bisect_steps": 2},
+    "uniformity-probe": {"params.t0_values": [1.0, 10.0, 100.0]},
+    "discretization-order": {"params.k_min": 4, "params.k_max": 7, "params.ref_factor": 8, "solver.t_end": 20.0},
 }
 
 DIGESTS = {
@@ -77,8 +87,8 @@ DIGESTS = {
     },
     "restart-sweep": {
         "plot.gp": "eabad3ec6665687a2d2ea05da7633acaec8fdd6cdaf0a0d2e6871d40bd503501",
-        "summary.json": "8078af6dcb07313134cd04b1ffe32f629237f745494cd4bb9e9f4f94d354cd0f",
-        "sweep.csv": "70474aac48fe8df0e151c0fe5c14ea0a22c35060d3fb302b566614bbc644aad5",
+        "summary.json": "7207c7d28ddbf768b042b71132a64c6cbace5f5be50e633f95a0abed9353ad0f",
+        "sweep.csv": "19f36d386867f2db6f45f98890a1f2f603b8474bdcb670b2c1fdd8439e68e75d",
     },
     "hand2-rate": {
         "plot.gp": "4dedd59e7d9ebd509c0d75f1b1effb67d79dc3be9ecdc30260771dc27730e2c4",
@@ -89,6 +99,19 @@ DIGESTS = {
         "bisection.csv": "10bf5f5ef7bed45fea33086113f204fbc12ee2e52412d5f61519b94b5838cf48",
         "plot.gp": "7751f5bed3719aa2905e8d0b147ef88be086c8b21e877439ee64727a2f41de0a",
         "summary.json": "ef8b68b84debbe457db6dfb1b583d1f922705cc29e9bdd8408c10902b59fbef3",
+    },
+    "uniformity-probe": {
+        "limiting_integral.csv": "7d237a192964207dc883c39d74ebe0280c6be82c1de14a171996d3a36436dbf8",
+        "plot.gp": "9aeb317d6587352a8bb209a3d0f507db0d8ea9dfccc0ef101b25b40d956e4bb0",
+        "probe_hand1.csv": "c7415668fd22af8eb88f35afb0e09ddf26626dbc84304ada94a0866ea9b2194f",
+        "probe_ode.csv": "43297559f1541b42d707741ba6edbd45bbcbf51f32dcbd62becb4e7f9496b617",
+        "summary.json": "56d35593dc5c893d8bbbe4568a5ff4eb0f927e4083e9955519727635f30ebce5",
+    },
+    "discretization-order": {
+        "orders.csv": "42ff809d24c1af9b5ac30ebfd47f3807a29cf8c25578204ab8f33fb10bc91283",
+        "plot.gp": "d4824ae70f1f4927624e9188f430bf5e3a4934b4c9d1c70e0d18c9767fae54e1",
+        "stability.csv": "dd56ee90cb13d69c979f15076930b0819c60ac0551f05dea39dae6a5c4b05afc",
+        "summary.json": "0a07264b45dd903960754693f67b4e4b4295b957f4ca5f640b12f1b86dc396b6",
     },
 }
 
