@@ -327,7 +327,7 @@ def convergence_time_estimate(c: float, mu: float, t_min: float, f_gap0: float, 
     return 0.5 * math.e * math.sqrt(1.0 / (c * mu) + t_min * t_min) * math.log(f_gap0 / eps)
 
 
-def settling_bound(kind: str, f: CostFunction, params, disturbed: bool = False):
+def settling_bound(kind: str, f: CostFunction, params):
     """The certificate that a run's cost gap stays small for good: (bound,
     None), bound(z) an upper bound on the cost gap at every later hybrid time
     of the run from the packed state z (a list of floats), or (None, the
@@ -343,13 +343,13 @@ def settling_bound(kind: str, f: CostFunction, params, disturbed: bool = False):
         change, at most 0.5 |x1 - xstar|^2 (1 - c mu (tau^2 - t_min^2))
         - 0.5 |x2 - xstar|^2, nonpositive.
 
-    The bounds hold for the continuous-time run; none holds for a disturbed
+    The bounds hold for the continuous-time run, and not for a disturbed
     one. The gap is the cost's value.floats where it has one."""
-    if disturbed:
-        return None, "a disturbed run's energy need not decrease"
     if f.fstar is None:
         return None, "the cost has no fstar"
     floats, fstar, n, c = getattr(f.value, "floats", None), f.fstar, f.dim, params.c
+    # every bundled cost has value.floats; a CostFunction built by hand and
+    # passed in here takes the numpy gap, as _gradient_components falls back
     gap = ((lambda x: floats(x) - fstar) if floats is not None
            else (lambda x: f.gap(np.asarray(x, dtype=float))))
     if kind == "ode-rep1":

@@ -541,21 +541,16 @@ def _hand2_checks(trace: Trace, f: CostFunction, hp: HandParams, p: dict, h: flo
     return rep, con, mono, float(rel.max(initial=0.0))
 
 
-def _settling_stop(system: HybridSystem, f: CostFunction, params, eps: float):
-    """(stop, outcome) for a run of system with params: stop, a simulate
-    stop_condition that ends the run at the first state it is handed whose
-    settling bound (analysis.settling_bound) is at most eps, so the gap
-    stays within eps for good; outcome, the run's settling record, filled in
-    as it goes: certified, and the stop's (t, j) or the reason there was
-    none. The bound holds for continuous time; on the discrete run stop
-    trusts it only while it never rose between the states stop was handed,
-    with no slack, and a rise turns stop off. stop is None where there is
-    no certificate."""
+def _settled_run(system: HybridSystem, z0, cfg: SolverConfig, f: CostFunction, params, eps: float):
+    """simulate(system, z0, cfg), ended at the first state the engine hands
+    its stop condition whose settling bound (analysis.settling_bound) is at
+    most eps, so the gap stays within eps for good: (the trace, the run's
+    settling record: certified, and the stop's (t, j) or the reason there
+    was none). The bound holds for continuous time; on the discrete run the
+    stop trusts it only while it stayed finite and never rose between the
+    states handed to it, with no slack, and a rise turns the stop off."""
     bound, reason = settling_bound(system.meta["kind"], f, params)
-    outcome = {"certified": False, "t": None, "j": None,
-               "reason": reason or "the bound stayed above params.eps to the end of the run"}
-    if bound is None:
-        return None, outcome
+    settling = {"certified": False, "t": None, "j": None, "reason": reason}
     last = math.inf
 
     def stop(t, j, z):
@@ -563,17 +558,23 @@ def _settling_stop(system: HybridSystem, f: CostFunction, params, eps: float):
         if bound is None:
             return False
         b = bound(z)
-        if not b <= last:
-            outcome["reason"] = "the bound rose at (t, j) = (%r, %d)" % (t, j)
-            bound = None
+        if b <= last and math.isfinite(b):
+            last = b
+            if b <= eps:
+                settling.update(certified=True, t=t, j=j)
+                return True
             return False
-        last = b
-        if b <= eps:
-            outcome.update(certified=True, t=t, j=j, reason=None)
-            return True
+        settling["reason"] = "the bound %s at (t, j) = (%r, %d)" % (
+            "rose" if math.isfinite(b) else "was %r" % b, t, j)
+        bound = None
         return False
 
-    return stop, outcome
+    trace = simulate(system, z0, cfg, stop_condition=None if bound is None else stop)
+    if not settling["certified"] and settling["reason"] is None:
+        settling["reason"] = ("the bound stayed above params.eps to the end of the run"
+                              if trace.termination == "horizon" else
+                              "the run ended by %s before the bound reached params.eps" % trace.termination)
+    return trace, settling
 
 
 def _ode_run(rep: str, params: OdeParams, f: CostFunction, offset: np.ndarray) -> Tuple[HybridSystem, np.ndarray]:
@@ -833,8 +834,7 @@ def _run_uniformity(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
             cfg = replace(run.solver, t_end=max(20.0, p["t_end_scale"] * s))
         else:
             params, system, z0, cfg = hp, sys1, _hand_z0(f, run.offset, s), run.solver
-        stop, settling = _settling_stop(system, f, params, p["eps"])
-        trace = simulate(system, z0, cfg, stop_condition=stop)
+        trace, settling = _settled_run(system, z0, cfg, f, params, p["eps"])
         hit = time_to_epsilon(trace, f, p["eps"])
         return {key: s, "time": None if hit is None else hit.t, "termination": trace.termination,
                 "settling": settling}
@@ -1033,8 +1033,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
         at which the gap is within eps for good, or None, the run's jump
         count, its settling record)."""
         system, hp = job
-        stop, settling = _settling_stop(system, f, hp, eps)
-        trace = simulate(system, z0, cfg, stop_condition=stop)
+        trace, settling = _settled_run(system, z0, cfg, f, hp, eps)
         # end-of-period samples: the gap just before each reset, which x1
         # carries unchanged through the jump to hybrid time (t, j) = ((k+1)dT, k+1)
         gaps = f.gap(trace.zs[trace.events - 1, :f.dim])
