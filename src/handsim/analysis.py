@@ -26,6 +26,7 @@ from .hands import HandParams, validate_dwell
 __all__ = [
     "RateReport",
     "bound_margins",
+    "energy",
     "lyapunov",
     "jump_decrease_hand1",
     "jump_decrease_hand2",
@@ -72,7 +73,7 @@ def _scan(margins) -> Tuple[float, List[int]]:
     return (float(m[m.argmin()]) if finite.all() else math.nan), bad
 
 
-def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], List[int]]:
+def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], List[int], Optional[str]]:
     """Margins (bound + tol) - gap of one certified bound over the rows of a
     trace, given as equal-length numpy arrays of hybrid time (t, j), timer
     tau, cost gap and a boolean fault mask. bc is a summary bound_checks
@@ -85,8 +86,10 @@ def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], Li
     (delta_t + 1). Each is evaluated as numpy blocks, except exp: math.exp
     maps over the exponents, so the bound's last bits are libm's and not
     those of numpy's own exp. Returns the worst margin (inf when no row is
-    covered, nan when one is not finite), the violating rows and the
-    covered rows.
+    covered, nan when one is not finite), the violating rows, the covered
+    rows, and None where the bound holds, else why not. It holds with no
+    violating row and a covered row after t = 0: the start row holds by how
+    beta and k_a are built, so it alone proves nothing.
     """
     covered = ~fault
     kind = bc.get("kind")
@@ -105,7 +108,9 @@ def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], Li
         margins = (bounds + float(bc["tol"])) - gap[covered]
     rows = np.flatnonzero(covered)
     worst, bad = _scan(margins)
-    return worst, rows[bad].tolist(), rows.tolist()
+    why = ("violated on %d covered rows" % len(bad) if bad
+           else None if (t[rows] > 0.0).any() else "no covered sample after t = 0")
+    return worst, rows[bad].tolist(), rows.tolist(), why
 
 
 def _require_minimizer(f: CostFunction):
@@ -113,18 +118,27 @@ def _require_minimizer(f: CostFunction):
         raise ValueError("cost %r needs xstar and fstar for certificate checks" % f.name)
 
 
+def energy(x2, target, weight, gap):
+    """0.5 |x2 - target|^2 + weight * gap on components: x2 a list of n
+    floats, or a block's n columns with weight and gap one value per row.
+    The squares sum from the first, in row_dot's order, so both agree."""
+    sq = 0.0
+    for v, s in zip(x2, target):
+        sq += (v - s) * (v - s)
+    return 0.5 * sq + weight * gap
+
+
 def lyapunov(z, f: CostFunction, c: float):
     """Timer-weighted energy 0.5 |x2 - xstar|^2 + c tau^2 (f(x1) - fstar) of a
     packed state (2n+1,) as a float, or of every row of a block (rows, 2n+1)
-    as an array."""
+    as an array: energy at target xstar and weight c tau^2."""
     _require_minimizer(f)
     z = np.asarray(z, dtype=float)
     n = f.dim
     if z.shape[-1:] != (2 * n + 1,):
         raise ValueError("packed state must have length %d, got shape %r" % (2 * n + 1, z.shape))
-    d2 = z[..., n : 2 * n] - f.xstar
     tau = z[..., -1]
-    return per_row(0.5 * row_dot(d2, d2) + c * tau * tau * f.gap(z[..., :n]))
+    return per_row(energy(np.moveaxis(z[..., n:2 * n], -1, 0), f.xstar.tolist(), c * tau * tau, f.gap(z[..., :n])))
 
 
 def jump_decrease_hand1(z, f: CostFunction, params: HandParams):
@@ -206,29 +220,21 @@ def _check_rate_ics(trace: Trace, t_min: Optional[float]):
     return x1_0
 
 
-def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float,
-                    tol: float = 0.0, use_clock: bool = True) -> RateReport:
+def _bound_report(trace: Trace, f: CostFunction, bc: dict, detail: dict) -> RateReport:
+    """bound_margins' margins and verdict of the bound bc over a trace."""
+    worst, bad, rows, why = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1], f.gap(trace.zs[:, : f.dim]),
+                                          trace.tags == TAG_FAULT)
+    return RateReport(satisfied=why is None, worst_margin=worst, violation_times=[trace.time(k) for k in bad],
+                      checked=len(rows), detail=detail)
+
+
+def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float, tol: float = 0.0) -> RateReport:
     """Quadratic decay along the first flow interval: the cost gap at hybrid
     time (t, 0) must stay below beta / tau(t,0)^2 + tol, where tau(t,0) =
-    t + t_min. use_clock=False checks the weaker beta / t^2 form instead
-    (implied by the timer form since tau > t; reported for reference), which
-    has no bound at t = 0 and skips that row. With no sample to check, the
-    check fails (checked 0)."""
+    t + t_min."""
     _require_minimizer(f)
     _check_rate_ics(trace, trace.meta.get("t_min"))
-    fault = trace.tags == TAG_FAULT
-    if not use_clock:
-        fault = fault | (trace.ts == 0.0)
-    bc = {"kind": "inverse-square", "beta": beta, "tol": tol}
-    worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1] if use_clock else trace.ts,
-                                     f.gap(trace.zs[:, : f.dim]), fault)
-    return RateReport(
-        satisfied=bool(rows) and not bad,
-        worst_margin=worst,
-        violation_times=[trace.time(k) for k in bad],
-        checked=len(rows),
-        detail={"beta": beta, "use_clock": use_clock},
-    )
+    return _bound_report(trace, f, {"kind": "inverse-square", "beta": beta, "tol": tol}, {"beta": beta})
 
 
 def k1_constant(c: float, mu: float, t_min: float, dT: float) -> float:
@@ -269,15 +275,7 @@ def check_exponential_rate(trace: Trace, f: CostFunction, params: HandParams, to
     r0sq = row_dot(x1_0 - f.xstar, x1_0 - f.xstar)
     kb = 1.0 - k0
     bc = {"kind": "exponential", "k_a": k_a, "k_b": kb, "delta_t": dT, "r0_sq": r0sq, "tol": tol}
-    worst, bad, rows = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1], f.gap(trace.zs[:, : f.dim]),
-                                     trace.tags == TAG_FAULT)
-    return RateReport(
-        satisfied=not bad,
-        worst_margin=worst,
-        violation_times=[trace.time(k) for k in bad],
-        checked=len(rows),
-        detail={"k0": k0, "k_a": k_a, "k_b": kb, "dT": dT, "r0sq": r0sq},
-    )
+    return _bound_report(trace, f, bc, {"k0": k0, "k_a": k_a, "k_b": kb, "dT": dT, "r0sq": r0sq})
 
 
 def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
@@ -343,22 +341,23 @@ def settling_bound(kind: str, f: CostFunction, params):
         change, at most 0.5 |x1 - xstar|^2 (1 - c mu (tau^2 - t_min^2))
         - 0.5 |x2 - xstar|^2, nonpositive.
 
-    The bounds hold for the continuous-time run, and not for a disturbed
-    one. The gap is the cost's value.floats where it has one."""
+    E and V are energy on the state's components, and the gap is the
+    cost's value.on_components where it has one. The bounds hold for the
+    continuous-time run, and not for a disturbed one."""
     if f.fstar is None:
         return None, "the cost has no fstar"
-    floats, fstar, n, c = getattr(f.value, "floats", None), f.fstar, f.dim, params.c
-    # every bundled cost has value.floats; a CostFunction built by hand and
-    # passed in here takes the numpy gap, as _gradient_components falls back
-    gap = ((lambda x: floats(x) - fstar) if floats is not None
+    on_components, fstar, n, c = getattr(f.value, "on_components", None), f.fstar, f.dim, params.c
+    # a CostFunction built by hand, with no value.on_components, takes the
+    # numpy gap, as _gradient_components falls back
+    gap = ((lambda x: on_components(x) - fstar) if on_components is not None
            else (lambda x: f.gap(np.asarray(x, dtype=float))))
     if kind == "ode-rep1":
         if params.p != 2.0:
             return None, "the velocity-form energy bounds the gap at p = 2 only, not p = %r" % params.p
-        cp2 = c * 4.0
+        cp2, rest = c * params.p * params.p, [0.0] * n
 
         def bound(z):
-            return (0.5 * sum(v * v for v in z[n:2 * n]) + cp2 * gap(z[:n])) / cp2
+            return energy(z[n:2 * n], rest, cp2, gap(z[:n])) / cp2
 
         return bound, None
     if kind not in ("hand1", "hand2"):
@@ -374,8 +373,7 @@ def settling_bound(kind: str, f: CostFunction, params):
 
     def bound(z):
         tau = z[-1]
-        return (0.5 * sum((v - s) * (v - s) for v, s in zip(z[n:2 * n], xstar))
-                + c * tau * tau * gap(z[:n])) / ct2
+        return energy(z[n:2 * n], xstar, c * tau * tau, gap(z[:n])) / ct2
 
     return bound, None
 

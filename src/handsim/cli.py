@@ -201,14 +201,14 @@ def _cmd_check(args) -> int:
     fault = table.event == "fault"
     disorder = hybrid_time_fault(table.t, table.j, table.event == "jump", fault)
     try:
-        worst, bad, rows = bound_margins(bc, table.t, table.j, table.tau, table.f_gap, fault)
+        worst, bad, rows, why = bound_margins(bc, table.t, table.j, table.tau, table.f_gap, fault)
     except KeyError as e:
         raise ConfigError("summary %s: bound_checks[%r] has no %s" % (summary_path, table_key, e))
     # the engine writes a fault row as a copy of the state row before it,
     # so its cells repeat that row's bit for bit
     cells = np.column_stack([table.tau, table.x1, table.x2, table.f_gap, table.v, table.dist_a])
     moved = [k for k in np.flatnonzero(fault) if k and cells[k].tobytes() != cells[k - 1].tobytes()]
-    ok = bool(rows) and not bad and disorder is None and not moved
+    ok = why is None and disorder is None and not moved
     if disorder is not None:
         k, rule = disorder
         after = " after (%r, %d)" % (float(table.t[k - 1]), table.j[k - 1]) if k else ""
@@ -219,9 +219,9 @@ def _cmd_check(args) -> int:
               " its last recorded state" % (k + 1, len(fault)))
     # the margin (bound + tol) - gap with summary.json's sign, negative on a
     # violation; + 0.0 prints a -0.0 margin as 0
-    print("%s bound on %s: %s (%d samples, worst margin %.6g)"
+    print("%s bound on %s: %s (%d samples, worst margin %.6g)%s"
           % (args.bound, table_key, "holds" if ok else "VIOLATED", len(rows),
-             worst + 0.0 if rows else math.nan))
+             worst + 0.0 if rows else math.nan, "" if why is None else "; " + why))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 

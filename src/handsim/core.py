@@ -66,13 +66,14 @@ class CostFunction:
     """Smooth cost with optional convexity metadata.
 
     value takes a shape-(dim,) float64 vector, and make_quadratic's value
-    also a block (rows, dim), one value per row by row_dot, and carries
-    value.floats, the same value of a list of dim floats. gradient takes a
-    sequence of dim components and returns a sequence of dim components; the
-    flow closures pass it a list of floats, or of numpy scalars in the
-    engine's fallback step. mu and lipschitz are strong-convexity and
-    gradient-Lipschitz constants when known; xstar/fstar are the minimizer
-    and minimum, required by any sub-optimality reporting.
+    also a block (rows, dim), one value per row, by value.on_components,
+    the one expression, on dim components: floats or a block's columns.
+    gradient takes a sequence of dim components and returns a sequence of
+    dim components; the flow closures pass it a list of floats, or of numpy
+    scalars in the engine's fallback step. mu and lipschitz are
+    strong-convexity and gradient-Lipschitz constants when known;
+    xstar/fstar are the minimizer and minimum, required by any
+    sub-optimality reporting.
     """
 
     dim: int
@@ -307,19 +308,22 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
     if lam_min < -_SYM_TOL * scale:
         raise ValueError("Q must be positive semidefinite, smallest eigenvalue %g" % lam_min)
 
-    def value(x, _Q=Q, _b=b):
-        x = np.asarray(x, dtype=float)
-        return 0.5 * row_dot(x, row_dot(x[..., None, :], _Q)) + row_dot(x, _b)
-
-    # value on a list of floats, its products summed in row_dot's order, so
-    # its bits are value's with no array built
+    # the value as one expression on the components x[0..n-1], summed in
+    # row_dot's order; a list of floats takes it with no array built
     def dot(terms):
         return "(%s)" % " + ".join(terms)
 
     xs = ["x[%d]" % i for i in range(n)]
-    value.floats = compile_source("def value(x):\n    return 0.5 * %s + %s\n" % (
+    on_components = compile_source("def value(x):\n    return 0.5 * %s + %s\n" % (
         dot("%s * %s" % (xk, dot("%s * %r" % (xi, q) for xi, q in zip(xs, row))) for xk, row in zip(xs, Q.tolist())),
         dot("%s * %r" % (xk, bk) for xk, bk in zip(xs, b.tolist()))), "value")
+
+    def value(x):
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != (n,):
+            raise ValueError("value: expected %d components, got shape %r" % (n, x.shape))
+        return per_row(on_components(np.moveaxis(x, -1, 0)))
+    value.on_components = on_components
 
     # component i is row_dot(Q[i], x) + b[i], written out; a coefficient 1.0
     # is not multiplied: 1.0 * x is x for every float
@@ -330,31 +334,14 @@ def make_quadratic(Q, b, name: str = "") -> CostFunction:
     singular = lam_min <= _SYM_TOL * scale
     if not singular:
         xstar = np.linalg.solve(Q, -b)
-        return CostFunction(
-            dim=n,
-            value=value,
-            gradient=gradient,
-            mu=lam_min,
-            lipschitz=lam_max,
-            xstar=xstar,
-            fstar=value(xstar),
-            name=name,
-        )
+        return CostFunction(dim=n, value=value, gradient=gradient, mu=lam_min, lipschitz=lam_max,
+                            xstar=xstar, fstar=value(xstar), name=name)
 
     # singular: a minimizer exists iff the stationarity system Qx = -b is consistent
     x_ls, residual, _, _ = np.linalg.lstsq(Q, -b, rcond=None)
     if not np.allclose(row_dot(Q, x_ls), -b, atol=1e-9 * max(scale, float(np.abs(b).max(initial=1.0)))):
         raise ValueError("singular Q with b outside range(Q): cost has no minimizer")
-    return CostFunction(
-        dim=n,
-        value=value,
-        gradient=gradient,
-        mu=None,
-        lipschitz=lam_max,
-        xstar=None,
-        fstar=value(x_ls),
-        name=name,
-    )
+    return CostFunction(dim=n, value=value, gradient=gradient, lipschitz=lam_max, fstar=value(x_ls), name=name)
 
 
 def example1_cost() -> CostFunction:

@@ -16,11 +16,12 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from .analysis import lyapunov
+from .analysis import energy
 from .core import TAG_NAMES, CostFunction, Trace
 
 __all__ = [
     "format_float",
+    "trace_header",
     "write_trace_csv",
     "read_trace_csv",
     "TraceTable",
@@ -40,36 +41,37 @@ def _open_lf(path: str):
     return open(path, "w", newline="", encoding="utf-8")
 
 
+def trace_header(n: int) -> List[str]:
+    """A trace CSV's columns: t, j, tau, x1_0..x1_{n-1}, x2_0..x2_{n-1},
+    f_gap, V, dist_A, event."""
+    return (["t", "j", "tau"] + ["x1_%d" % i for i in range(n)] + ["x2_%d" % i for i in range(n)]
+            + ["f_gap", "V", "dist_A", "event"])
+
+
 def write_trace_csv(path: str, trace: Trace, f: CostFunction, c: float,
                     dist_fn: Callable[[np.ndarray], np.ndarray]) -> None:
-    """Write a recorded run with columns
-
-        t, j, tau, x1_0..x1_{n-1}, x2_0..x2_{n-1}, f_gap, V, dist_A, event
-
-    f_gap is f.gap(x1), V is analysis.lyapunov at weight c (for
-    velocity-form ODE traces the x2 block is a velocity, and V reads the
-    same formula), and dist_A is dist_fn of the packed state. Each of the
-    three is computed once for the whole trace: dist_fn takes the block of
-    packed rows (rows, 2n+1) and returns one distance per row. No field
-    ever needs CSV quoting, so each row is one format string.
+    """Write a recorded run with the columns of trace_header. f_gap is
+    f.gap(x1), V is analysis.lyapunov's V at weight c, its energy taken on
+    that gap (for velocity-form ODE traces the x2 block is a velocity, and
+    V reads the same formula), and dist_A is dist_fn of the packed state.
+    Each of the three is computed once for the whole trace: dist_fn takes
+    the block of packed rows (rows, 2n+1) and returns one distance per row.
+    No field ever needs CSV quoting, so each row is one format string.
     """
     n = trace.dim
     if f.dim != n:
         raise ValueError("cost dimension %d does not match trace dimension %d" % (f.dim, n))
     if f.xstar is None or f.fstar is None:
         raise ValueError("trace CSV needs a cost with known minimizer and value")
-    header = (["t", "j", "tau"]
-              + ["x1_%d" % i for i in range(n)]
-              + ["x2_%d" % i for i in range(n)]
-              + ["f_gap", "V", "dist_A", "event"])
     # %.17g is format_float's form
     row = ",".join(["%.17g", "%d"] + ["%.17g"] * (2 * n + 4) + ["%s"]) + "\n"
     zs = trace.zs
-    cols = zip(trace.ts.tolist(), trace.js.tolist(), zs[:, -1].tolist(), zs[:, :-1].tolist(),
-               f.gap(zs[:, :n]).tolist(), lyapunov(zs, f, c).tolist(), dist_fn(zs).tolist(),
+    tau, gap = zs[:, -1], f.gap(zs[:, :n])
+    cols = zip(trace.ts.tolist(), trace.js.tolist(), tau.tolist(), zs[:, :-1].tolist(), gap.tolist(),
+               energy(zs[:, n:2 * n].T, f.xstar.tolist(), c * tau * tau, gap).tolist(), dist_fn(zs).tolist(),
                trace.tags.tolist())
     with _open_lf(path) as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(trace_header(n)) + "\n")
         fh.writelines(row % (t, j, tau, *x, gap, v, dist, TAG_NAMES[tag])
                       for t, j, tau, x, gap, v, dist, tag in cols)
 
@@ -145,9 +147,7 @@ def read_trace_csv(path: str) -> TraceTable:
         lines.pop()  # the last row's line terminator
     names = header.split(",")
     n = sum(1 for name in names if name.startswith("x1_"))
-    expected = ["t", "j", "tau"] + ["x1_%d" % i for i in range(n)] \
-        + ["x2_%d" % i for i in range(n)] + ["f_gap", "V", "dist_A", "event"]
-    if names != expected:
+    if names != trace_header(n):
         raise ValueError("%s: unexpected trace header %r" % (path, names))
     dtype = np.dtype([("t", "f8"), ("j", "i8"), ("tau", "f8"), ("x", "f8", (2 * n,)),
                       ("f_gap", "f8"), ("V", "f8"), ("dist_A", "f8"), ("event", "U%d" % _EVENT_WIDTH)])

@@ -53,6 +53,7 @@ from .engine import HybridSystem, PerturbationSet, flow_only_system, simulate
 from .hands import HandParams, hand1, hand2, target_distance_fn, validate_dwell
 from .io import (
     format_float,
+    trace_header,
     write_summary_json,
     write_table_csv,
     write_text,
@@ -158,7 +159,6 @@ _DEFAULTS = {
             "tol_abs": 1e-6,
             "tol_scale": 10.0,
             "mono_slack_scale": 10.0,
-            "check_t_form": True,
         },
     },
     "hand2-rate": {
@@ -262,7 +262,7 @@ _LEAF_FORMS = {
                      "disturbance.hold"), ("null", "number")),
 }
 
-_FORM_NAMES = {"null": "null", "bool": "true or false", "str": "a string", "int": "an integer",
+_FORM_NAMES = {"null": "null", "str": "a string", "int": "an integer",
                "number": "a number", "list": "a non-empty list of numbers"}
 
 # the field each disturbance kind cannot do without
@@ -474,6 +474,9 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
             if not all(a < b for a, b in zip(p[key], p[key][1:])):
                 raise ConfigError("params.%s must strictly increase" % key)
         run.integrals = [limiting_integral(p["ell2"], s, p["r"]) for s in p["s_values"]]
+    if scenario in ("hand2-rate", "instability", "discretization-order", "robustness-margin") \
+            and run.hand.t_med not in (None, run.hand.t_max):
+        raise ConfigError("hand.t_med must be null or hand.t_max: the momentum-reset system jumps only at t_max")
     if scenario in ("hand2-rate", "discretization-order"):
         hp = run.hand
         if not (validate_dwell(hp, f.mu) and hp.t_min * hp.t_min > 0.0
@@ -803,10 +806,10 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
 
     plot = (_gnuplot_header("disturbed runs: distance to the target set")
             + "set logscale y\nset xlabel 't'\nset ylabel 'dist_A'\n"
-            + "plot 'trace_rep1.csv' using 1:%d with lines title 'ODE (velocity form)', \\\n"
-              "     'trace_rep2.csv' using 1:%d with lines title 'ODE (averaged form)', \\\n"
-              "     'trace_hand2.csv' using 1:%d with lines title 'restarting run'\n"
-            % (6 + 2 * f.dim, 6 + 2 * f.dim, 6 + 2 * f.dim))
+            + "plot 'trace_rep1.csv' using 1:{0} with lines title 'ODE (velocity form)', \\\n"
+              "     'trace_rep2.csv' using 1:{0} with lines title 'ODE (averaged form)', \\\n"
+              "     'trace_hand2.csv' using 1:{0} with lines title 'restarting run'\n"
+            .format(trace_header(f.dim).index("dist_A") + 1))
     return _finish(out_dir, summary, plot, quiet)
 
 
@@ -912,9 +915,6 @@ def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
         rep = check_inverse_square_rate(trace, f, beta, tol=tol)
         mono = check_monotonicity(trace, f, hp.c, slack_per_step=p["mono_slack_scale"] * f.lipschitz * cfg.h)
         ok = rep.satisfied and mono.satisfied
-        if p["check_t_form"]:
-            rep_t = check_inverse_square_rate(trace, f, beta, tol=tol, use_clock=False)
-            ok = ok and rep_t.satisfied
         fname = "trace_%s.csv" % cname
         write_trace_csv(os.path.join(out_dir, fname), trace, f, hp.c,
                         dist_fn=target_distance_fn(f, hp))
@@ -948,7 +948,7 @@ def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
             + "beta=%s\ntmin=%s\n" % (format_float(bc["beta"]), format_float(bc["t_min"]))
             + "plot 'trace_%s.csv' using 1:%d with lines title 'measured gap', \\\n"
               "     beta/((x+tmin)**2) with lines dashtype 2 title 'certified bound'\n"
-            % (first, 4 + 2 * costs[first].dim))
+            % (first, trace_header(costs[first].dim).index("f_gap") + 1))
     return _finish(out_dir, summary, plot, quiet)
 
 
@@ -1004,7 +1004,7 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
             + "alpha(t)=(t-dT > 0 ? t-dT : 0)/(dT+1)\n"
             + "plot 'trace.csv' using 1:%d with lines title 'measured gap', \\\n"
               "     'trace.csv' using 1:(ka*exp(-kb*alpha($1+$2))*r0sq) with lines dashtype 2 title 'certified bound'\n"
-            % (4 + 2 * f.dim))
+            % (trace_header(f.dim).index("f_gap") + 1))
     return _finish(out_dir, summary, plot, quiet)
 
 

@@ -1,5 +1,6 @@
 """Energy function, rate constants, and trace monitors."""
 
+import dataclasses
 import math
 import struct
 
@@ -270,9 +271,11 @@ def test_check_inverse_square_rate_on_first_flow(tmp_path):
     tol = 1e-6 + 10.0 * f.lipschitz * 1e-3
     rep = check_inverse_square_rate(tr, f, beta, tol=tol)
     assert rep.satisfied
-    # the clock-free form reads the bound off hybrid time instead of the timer
-    rep_t = check_inverse_square_rate(tr, f, beta, tol=tol, use_clock=False)
-    assert rep_t.satisfied
+    # the start row holds by how beta is built, so a run cut to it proves
+    # nothing and fails, with its one row checked
+    start = dataclasses.replace(tr, ts=tr.ts[:1], js=tr.js[:1], zs=tr.zs[:1], tags=tr.tags[:1])
+    rep_0 = check_inverse_square_rate(start, f, beta, tol=tol)
+    assert not rep_0.satisfied and rep_0.checked == 1 and rep_0.violation_times == []
     # a first-flow row whose timer reads 0 has no finite bound: the monitor
     # and the offline check both flag it rather than skip it
     tr.zs[7, -1] = 0.0
@@ -430,7 +433,12 @@ def _bound_margins_reference(bc, t, j, tau, gap, fault):
                   for s in (t[covered] + j[covered]).tolist()]
     rows = np.flatnonzero(covered).tolist()
     worst, bad = _scan_reference([b + bc["tol"] - g for b, g in zip(bounds, gap[covered].tolist())])
-    return worst, [rows[i] for i in bad], rows
+    # a bound holds with no violation and a covered row after t = 0
+    if bad:
+        why = "violated on %d covered rows" % len(bad)
+    else:
+        why = None if any(t[k] > 0.0 for k in rows) else "no covered sample after t = 0"
+    return worst, [rows[i] for i in bad], rows, why
 
 
 @pytest.mark.parametrize("kind", ["inverse-square", "exponential"])
@@ -460,6 +468,11 @@ def test_bound_margins_blocks_match_per_row_bounds(kind):
         exact = np.zeros(m)
         exact[k] = bound_margins(bc, t, j, tau, exact, only_k)[0]
         assert _same(bound_margins(bc, t, j, tau, exact, only_k)[0], 0.0)
+    # the start row holds by construction: with the later row a fault row,
+    # nothing after t = 0 is covered and the bound fails with no violation
+    rows = (np.array([0.0, 0.5]), np.zeros(2, dtype=np.int64), np.array([1.0, 1.5]), np.zeros(2))
+    assert bound_margins(bc, *rows, np.array([False, False]))[1:] == ([], [0, 1], None)
+    assert bound_margins(bc, *rows, np.array([False, True]))[1:] == ([], [0], "no covered sample after t = 0")
 
 
 def _monotonicity_reference(trace, f, c, slack_per_step):

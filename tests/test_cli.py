@@ -162,7 +162,7 @@ def test_leaf_rule_stores_numbers_as_floats():
 
 @pytest.mark.parametrize("scenario, key, value", [
     ("hand2-rate", "params.tol", None),
-    ("hand1-rate", "params.check_t_form", "oops"),
+    ("hand1-rate", "params.seed", True),
     ("restart-sweep", "params.n_grid", 15.0),
     ("instability", "ode.ell", [1, 2]),
     ("robustness-margin", "disturbance.axis", True),
@@ -658,8 +658,7 @@ def test_cli_check_verdict_matches_run_monitor(scenario, overrides, tmp_path, mo
 
     def recording(*args, **kwargs):
         rep = monitor(*args, **kwargs)
-        if kwargs.get("use_clock", True):
-            checked.append(rep.checked)
+        checked.append(rep.checked)
         return rep
 
     monkeypatch.setattr(scenarios, name, recording)
@@ -819,6 +818,11 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     # a budget below 1 bands a max/min ratio into an empty [1/b, b]
     ("restart-sweep", {"params": {"factor_budget": 0.5}}, "params.factor_budget must be at least 1"),
     ("uniformity-probe", {"params": {"ratio_budget": 0.5}}, "params.ratio_budget must be at least 1"),
+    # a momentum-reset system jumps only at t_max, so an earlier t_med is refused
+    ("hand2-rate", {"hand": {"t_med": 1.5}}, "hand.t_med must be null or hand.t_max"),
+    ("instability", {"hand": {"t_med": 1.5}}, "hand.t_med must be null or hand.t_max"),
+    ("discretization-order", {"hand": {"t_med": 1.5}}, "hand.t_med must be null or hand.t_max"),
+    ("robustness-margin", {"hand": {"t_med": 1.5}}, "hand.t_med must be null or hand.t_max"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
         "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan",
         "restart-sweep-zero-budget", "restart-sweep-zero-t-min", "restart-sweep-negative-c",
@@ -831,7 +835,8 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
         "uniformity-zero-offset", "uniformity-offset-inside-eps", "uniformity-tiny-offset",
         "uniformity-equal-s-values", "uniformity-unsorted-t0-values", "uniformity-repeated-t0-values",
         "hand2-c-subnormal", "restart-sweep-offset-inside-eps", "restart-sweep-tiny-offset",
-        "restart-sweep-budget-below-one", "uniformity-budget-below-one"])
+        "restart-sweep-budget-below-one", "uniformity-budget-below-one", "hand2-t-med",
+        "instability-t-med", "discretization-t-med", "robustness-t-med"])
 def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, **extra)
@@ -867,7 +872,7 @@ def test_cli_run_boundary_values_exit_cleanly(scenario, extra, code, tmp_path, c
     # restart period) or in exit 2 after the output directory existed: what
     # the config alone decides is refused before the directory is made, and
     # a run that goes ahead writes its summary. A hand1 run that takes no
-    # first-flow sample, or faults on its first step, fails its t-form check.
+    # first-flow sample, or faults on its first step, fails its rate check.
     path = _write_config(tmp_path, scenario, **extra)
     assert main(["run", path, "--quiet"]) == code
     err = capsys.readouterr().err
@@ -875,6 +880,35 @@ def test_cli_run_boundary_values_exit_cleanly(scenario, extra, code, tmp_path, c
         assert err.startswith("config error: ") and not (tmp_path / "out").exists()
     else:
         assert (tmp_path / "out" / "summary.json").exists()
+
+
+@pytest.mark.parametrize("scenario, extra", [
+    ("hand1-rate", {"solver": {"t_end": 1e-300}}),
+    ("hand1-rate", {"solver": {"h": 1e300}}),
+    ("hand1-rate", {"hand": {"c": 1e300}}),
+    ("hand2-rate", {"solver": {"t_end": 1e-300}}),
+], ids=["hand1-t-end-tiny", "hand1-h-huge", "hand1-c-huge", "hand2-t-end-tiny"])
+def test_rate_check_with_nothing_after_the_start_fails_in_run_and_check(scenario, extra, tmp_path, capsys):
+    # the start row holds by how beta and k_a are built, so a run that
+    # records no covered sample after t = 0 (its horizon is shorter than a
+    # step, or it faults on its first step) proves nothing: the run's
+    # monitor and the offline audit read the one rule and both fail
+    path = _write_config(tmp_path, scenario, **extra)
+    assert main(["run", path, "--quiet"]) == 1
+    out = tmp_path / "out"
+    summary = json.loads((out / "summary.json").read_text())
+    if scenario == "hand1-rate":
+        verdicts = [entry["quadratic_bound_satisfied"] for entry in summary["traces"].values()]
+    else:
+        verdicts = [summary["checks"]["exponential_bound"]]
+    assert verdicts and not any(verdicts)
+    capsys.readouterr()
+    for name, bc in sorted(summary["bound_checks"].items()):
+        table = read_trace_csv(str(out / name))
+        covered = int(np.sum((table.event != "fault") & ((table.j == 0) | (bc["kind"] != "inverse-square"))))
+        assert main(["check", str(out / name), "--bound", bc["kind"]]) == 1
+        text = capsys.readouterr().out
+        assert "VIOLATED (%d samples" % covered in text and "no covered sample after t = 0" in text, text
 
 
 @pytest.mark.parametrize("cost, x0", [("example1", 1e-170), ("sphere2", [1e-170, -3e-171])])

@@ -144,8 +144,9 @@ def test_row_dot_is_the_left_to_right_float_sum():
 
 def test_quadratic_value_is_the_left_to_right_float_formula():
     # f(x) = 1/2 sum_i x_i (sum_j Q_ij x_j) + sum_i b_i x_i, every sum on
-    # Python floats from its first term, bit for bit, on one state and on a
-    # block, for the corpus and random positive definite Q of width 1 to 5
+    # Python floats from its first term, bit for bit, on one state, on a
+    # block and on a list of floats, for the corpus and random positive
+    # definite Q of width 1 to 5
     rng = np.random.default_rng(21)
     terms = [([[0.25]], [0.0]), ([[1.0]], [0.0]), (np.eye(2), [0.0, 0.0]), (np.diag([1.0, 4.0]), [1.0, 0.0]),
              ([[2.0, 0.5], [0.5, 1.0]], [-1.0, 2.0])]
@@ -160,6 +161,8 @@ def test_quadratic_value_is_the_left_to_right_float_formula():
                 for x in X.tolist()]
         assert np.array_equal(f.value(X), want), Q
         assert [f.value(x) for x in X[:100]] == want[:100], Q
+        # the one expression value evaluates, on a list of floats
+        assert [f.value.on_components(x) for x in X[:100].tolist()] == want[:100], Q
         assert type(f.value(X[0])) is float
 
 

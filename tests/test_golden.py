@@ -17,7 +17,9 @@ times) come from that change too; before it, probe_hand1.csv was b511d6e7,
 probe_ode.csv 7d264140 and summary.json 0e967c63, which differ only in the
 termination reason and the settling records. The discretization-order
 digests (a shrunk step grid and horizon) were recorded before that change,
-which left them alone.
+which left them alone. The hand1-rate summary.json was recorded again when
+the params.check_t_form config key was removed: before it, it was 91a3c5df,
+which differs only in that key of the config echo.
 
 The engine cross-check grid below pins the engine paths the shrunk configs
 may leave out: every integrator and jump policy, a square wave on each of
@@ -71,7 +73,7 @@ OVERRIDES = {
 DIGESTS = {
     "hand1-rate": {
         "plot.gp": "a04ecb3ebc82f1390e9433c8f908789cafab5ac460f0dce107c4dd3194c13659",
-        "summary.json": "91a3c5df4d73d61e3e8373a140a37ecc0fa3e8db42f9f00d28bd6947c8df4d36",
+        "summary.json": "cc448acc408ddf2e8fafb091c9fc84d24807f0674ff9f9a851637d926af4739a",
         "trace_aniso2.csv": "cb660c6b6360a964adc8ca4fe792b09e39b58fda8ba369c776ee0d4fffd2fe63",
         "trace_coupled2.csv": "5556c804bb8ba6d93ecbeeb746dab13a81bbc1e63f72996817592094d6791707",
         "trace_example1.csv": "618911b0c0ec19630d0556fcf7485c6459d5715493d05ae3fee86396ae363443",

@@ -19,6 +19,7 @@ import pytest
 
 from handsim import HandParams, corpus, hand1, hand2, lyapunov, settling_bound, simulate, sphere_cost
 from handsim.analysis import _settled_from, time_to_epsilon
+from handsim.core import row_dot
 from handsim.dynamics import OdeParams, make_rep1_flow
 from handsim.io import format_float
 from handsim.scenarios import _hand_z0, _ode_run, _resolve, run_scenario
@@ -181,10 +182,11 @@ def test_settling_bound_is_the_energy_over_its_weight():
                 assert bound(z.tolist()) >= f.gap(z[:f.dim])
         bound, reason = settling_bound("ode-rep1", f, OdeParams(c=0.5))
         assert reason is None
+        cp2 = 0.5 * 2.0 * 2.0
         for z in _states(f):
             v = z[f.dim:2 * f.dim]
-            energy = 0.5 * float(v @ v) + 2.0 * f.gap(z[:f.dim])
-            assert bound(z.tolist()) == pytest.approx(energy / 2.0, rel=1e-13)
+            # bit for bit: the energy at target 0 and weight c p^2
+            assert bound(z.tolist()) == (0.5 * row_dot(v, v) + cp2 * f.gap(z[:f.dim])) / cp2
             assert bound(z.tolist()) >= f.gap(z[:f.dim])
 
 
