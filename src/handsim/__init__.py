@@ -40,6 +40,7 @@ from .analysis import (
     check_inverse_square_rate,
     check_period_contraction,
     check_exponential_rate,
+    check_jump_identity,
     convergence_time_estimate,
     jump_decrease_hand1,
     jump_decrease_hand2,

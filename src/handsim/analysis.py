@@ -36,6 +36,7 @@ __all__ = [
     "k1_constant",
     "check_exponential_rate",
     "check_period_contraction",
+    "check_jump_identity",
     "optimal_restart",
     "convergence_time_estimate",
     "settling_bound",
@@ -45,19 +46,24 @@ __all__ = [
 
 @dataclass
 class RateReport:
-    """Outcome of a bound check over a trace.
+    """Outcome of a check over a trace.
 
-    The margin of a checked sample is bound + tolerance - value (signed;
-    negative means violated), worst_margin is their minimum, and the check is
-    satisfied iff no margin is negative. A sample whose margin is not finite
-    (nan or infinite data) is a violation and makes worst_margin nan.
+    The margin of a scored sample is bound + tolerance - value (signed;
+    negative means violated), worst_margin is their minimum (inf when none
+    is scored) and checked their count. A margin that is not finite is a
+    violation and makes worst_margin nan. reason, None where the check
+    holds, says why not (_verdict).
     """
 
-    satisfied: bool
     worst_margin: float
+    reason: Optional[str]
     violation_times: List[HybridTime] = field(default_factory=list)
     checked: int = 0
     detail: dict = field(default_factory=dict)
+
+    @property
+    def satisfied(self) -> bool:
+        return self.reason is None
 
 
 def _scan(margins) -> Tuple[float, List[int]]:
@@ -71,6 +77,22 @@ def _scan(margins) -> Tuple[float, List[int]]:
     if not len(m):
         return math.inf, bad
     return (float(m[m.argmin()]) if finite.all() else math.nan), bad
+
+
+def _verdict(bad: int, scored: int, what: str, empty: str) -> Optional[str]:
+    """Every check's rule: None (it holds) with no violating sample and at
+    least one scored, else why not. A check that scores nothing proves
+    nothing, so it fails with the reason empty."""
+    if bad:
+        return "violated on %d %s" % (bad, what)
+    return None if scored else empty
+
+
+def _scored_report(trace: Trace, margins, rows, what: str, detail: dict) -> RateReport:
+    """The report of a check that scored margins[i] at trace row rows[i]."""
+    worst, bad = _scan(margins)
+    return RateReport(worst_margin=worst, reason=_verdict(len(bad), len(rows), what, "no %s scored" % what),
+                      violation_times=[trace.time(rows[i]) for i in bad], checked=len(rows), detail=detail)
 
 
 def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], List[int], Optional[str]]:
@@ -108,8 +130,7 @@ def bound_margins(bc: dict, t, j, tau, gap, fault) -> Tuple[float, List[int], Li
         margins = (bounds + float(bc["tol"])) - gap[covered]
     rows = np.flatnonzero(covered)
     worst, bad = _scan(margins)
-    why = ("violated on %d covered rows" % len(bad) if bad
-           else None if (t[rows] > 0.0).any() else "no covered sample after t = 0")
+    why = _verdict(len(bad), int((t[rows] > 0.0).sum()), "covered rows", "no covered sample after t = 0")
     return worst, rows[bad].tolist(), rows.tolist(), why
 
 
@@ -183,16 +204,7 @@ def check_monotonicity(trace: Trace, f: CostFunction, c: float, slack_per_step: 
         steps = np.maximum(1.0, np.rint(np.diff(trace.ts)[pair] / h))
         # 0.0 - dv rather than -dv across a jump, so that an exact tie reads 0, not -0
         margins = np.where(np.diff(trace.js)[pair] == 0, slack_per_step * steps - dv, 0.0 - dv)
-    worst, bad = _scan(margins)
-    if not rows:
-        worst = 0.0
-    return RateReport(
-        satisfied=not bad,
-        worst_margin=worst,
-        violation_times=[trace.time(rows[i]) for i in bad],
-        checked=len(rows),
-        detail={"slack_per_step": slack_per_step},
-    )
+    return _scored_report(trace, margins, rows, "row pairs", {"slack_per_step": slack_per_step})
 
 
 def beta_constant(r: float, c: float, t_min: float, f_gap0: float) -> float:
@@ -224,7 +236,7 @@ def _bound_report(trace: Trace, f: CostFunction, bc: dict, detail: dict) -> Rate
     """bound_margins' margins and verdict of the bound bc over a trace."""
     worst, bad, rows, why = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1], f.gap(trace.zs[:, : f.dim]),
                                           trace.tags == TAG_FAULT)
-    return RateReport(satisfied=why is None, worst_margin=worst, violation_times=[trace.time(k) for k in bad],
+    return RateReport(worst_margin=worst, reason=why, violation_times=[trace.time(k) for k in bad],
                       checked=len(rows), detail=detail)
 
 
@@ -282,7 +294,8 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
                            slack: float = 1e-3) -> RateReport:
     """Per-period contraction: across every completed flow period the cost gap
     at the pre-jump state is at most (k0 + slack) times its value at the
-    period's start (the previous jump row, or the initial row)."""
+    period's start (the previous jump row, or the initial row). A period
+    started on the minimizer has nothing to contract and is not scored."""
     _require_minimizer(f)
     if f.mu is None:
         raise ValueError("contraction check needs mu on the cost")
@@ -291,20 +304,29 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
     jumps = trace.events
     gap_start = f.gap(trace.zs[np.r_[0, jumps][:-1], :n])
     gap_end = f.gap(trace.zs[jumps - 1, :n])
-    # a period started on the minimizer has nothing to contract
     scored = np.flatnonzero(~(gap_start <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
         margins = (k0 + slack) - gap_end[scored] / gap_start[scored]
-    worst, bad = _scan(margins)
-    if not len(jumps):
-        worst = 0.0
-    return RateReport(
-        satisfied=not bad,
-        worst_margin=worst,
-        violation_times=[trace.time(jumps[i] - 1) for i in scored[bad]],
-        checked=len(jumps),
-        detail={"k0": k0, "slack": slack},
-    )
+    return _scored_report(trace, margins, jumps[scored] - 1, "periods", {"k0": k0, "slack": slack})
+
+
+def check_jump_identity(trace: Trace, f: CostFunction, params: HandParams, tol: float) -> RateReport:
+    """Each momentum-reset jump's simulated energy change against its closed
+    form (jump_decrease_hand2), to a relative error of at most tol; a jump
+    whose closed form is within 1e-300 of 0 is scored only where its
+    simulated change is not finite, a failure. detail["worst_rel_err"] is
+    the largest relative error: not finite where one is not, nan where none
+    is scored."""
+    jumps = trace.events
+    pre, post = trace.zs[jumps - 1], trace.zs[jumps]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        dv_sim = lyapunov(post, f, params.c) - lyapunov(pre, f, params.c)
+        dv_form = jump_decrease_hand2(pre, f, params)
+        scored = ~(np.abs(dv_form) <= 1e-300) | ~np.isfinite(dv_sim)
+        rel = np.abs(dv_sim - dv_form)[scored] / np.abs(dv_form[scored])
+        margins = tol - rel
+    return _scored_report(trace, margins, jumps[scored], "jumps",
+                          {"worst_rel_err": float(rel.max()) if rel.size else math.nan})
 
 
 def optimal_restart(c: float, mu: float, t_min: float) -> float:

@@ -58,7 +58,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override every seed field the scenario has "
                             "(solver.policy_seed, disturbance.seed, params.seed)")
     run_p.add_argument("--h", type=float, default=None, metavar="H",
-                       help="override solver.h")
+                       help="override solver.h (discretization-order has none: it sets its own "
+                            "steps from params.k_min and params.k_max)")
     run_p.add_argument("--quiet", action="store_true", help="suppress progress lines")
 
     sweep_p = sub.add_parser("sweep", help="run one config across a parameter grid")

@@ -33,10 +33,9 @@ from .analysis import (
     check_inverse_square_rate,
     check_period_contraction,
     check_exponential_rate,
+    check_jump_identity,
     convergence_time_estimate,
-    jump_decrease_hand2,
     k1_constant,
-    lyapunov,
     optimal_restart,
     settling_bound,
     time_to_epsilon,
@@ -75,16 +74,6 @@ class ConfigError(ValueError):
     """Invalid or unknown configuration; maps to process exit status 2."""
 
 
-SCENARIOS = (
-    "instability",
-    "uniformity-probe",
-    "hand1-rate",
-    "hand2-rate",
-    "restart-sweep",
-    "discretization-order",
-    "robustness-margin",
-)
-
 _SOLVER_DEFAULT = {
     "h": 1e-3,
     "t_end": 100.0,
@@ -95,31 +84,21 @@ _SOLVER_DEFAULT = {
     "record_stride": 10,
 }
 
-_DISTURBANCE_OFF = {
-    "kind": "zero",
-    "eps": 0.0,
-    "period": None,
-    "axis": "x2",
-    "value": None,
-    "seed": 0,
-    "hold": None,
-    "channel": "e2",
-}
 
-
-# Default trees. Every key a config file may set appears here; anything
-# else is rejected by name. t_max = 2e for the bounded-contrast run keeps
-# the restart window well inside the dwell condition for example1's mu.
+# Default trees. Every key a config file may set appears here, and only
+# what its runner reads: anything else is rejected by name. t_max = 2e for
+# the bounded-contrast run keeps the restart window well inside the dwell
+# condition for example1's mu.
 _DEFAULTS = {
     "instability": {
         "scenario": "instability",
         "cost": "example1",
         "out_dir": "out",
         "ode": {"p": 2, "c": 0.25, "ell": None, "t0": 1.0},
-        "hand": {"t_min": 1.0, "t_max": 2.0 * math.e, "c": 0.25, "t_med": None},
-        "solver": dict(_SOLVER_DEFAULT, h=1e-2, t_end=2e5, max_jumps=1, integrator="euler",
-                       record_stride=500),
-        "disturbance": dict(_DISTURBANCE_OFF, kind="square_wave", eps=1e-3, period=1e4),
+        "hand": {"t_min": 1.0, "t_max": 2.0 * math.e, "c": 0.25},
+        "solver": {"h": 1e-2, "t_end": 2e5, "integrator": "euler", "policy_seed": 0, "record_stride": 500},
+        "disturbance": {"kind": "square_wave", "eps": 1e-3, "period": 1e4, "axis": "x2", "value": None, "seed": 0,
+                        "hold": None, "channel": "e2"},
         "params": {
             "x0": 1e-3,
             "growth_factor": 100.0,
@@ -132,13 +111,13 @@ _DEFAULTS = {
         "scenario": "uniformity-probe",
         "cost": "example1",
         "out_dir": "out",
-        "ode": {"p": 2, "c": 0.25, "ell": None, "t0": 1.0},
+        "ode": {"p": 2, "c": 0.25, "ell": None},
         "hand": {"t_min": 1.0, "t_max": 4.0, "c": 0.25, "t_med": None},
         "solver": dict(_SOLVER_DEFAULT, h=1e-2, t_end=400.0, record_stride=5, max_jumps=100000),
         "params": {
             "t0_values": [1.0, 10.0, 100.0, 1000.0],
             "phases": None,
-            "x_offset": 1.0,
+            "x0": 1.0,
             "eps": 1e-2,
             "t_end_scale": 6.0,
             "ratio_budget": 1.5,
@@ -165,7 +144,7 @@ _DEFAULTS = {
         "scenario": "hand2-rate",
         "cost": "sphere1",
         "out_dir": "out",
-        "hand": {"t_min": 1.0, "t_max": 2.0, "c": 1.0, "t_med": None},
+        "hand": {"t_min": 1.0, "t_max": 2.0, "c": 1.0},
         "solver": dict(_SOLVER_DEFAULT, h=1e-3, t_end=100.0, record_stride=10),
         "params": {
             "x0": 5.0,
@@ -179,7 +158,8 @@ _DEFAULTS = {
         "scenario": "restart-sweep",
         "cost": "sphere1",
         "out_dir": "out",
-        "solver": dict(_SOLVER_DEFAULT, h=1e-3, t_end=80.0, max_jumps=100000, record_stride=50),
+        "solver": {"h": 1e-3, "t_end": 80.0, "max_jumps": 100000, "integrator": "rk4", "jump_policy": "latest",
+                   "policy_seed": 0},
         "params": {
             "t_min": 0.1,
             "c": 1.0,
@@ -194,8 +174,8 @@ _DEFAULTS = {
         "scenario": "discretization-order",
         "cost": "sphere1",
         "out_dir": "out",
-        "hand": {"t_min": 1.0, "t_max": 2.0, "c": 1.0, "t_med": None},
-        "solver": dict(_SOLVER_DEFAULT, h=1e-3, t_end=100.0, record_stride=10),
+        "hand": {"t_min": 1.0, "t_max": 2.0, "c": 1.0},
+        "solver": {"t_end": 100.0, "max_jumps": 1000000, "policy_seed": 0},
         "params": {
             "x0": 5.0,
             "k_min": 6,
@@ -213,10 +193,12 @@ _DEFAULTS = {
         "scenario": "robustness-margin",
         "cost": "example1",
         "out_dir": "out",
-        "hand": {"t_min": 1.0, "t_max": 2.0 * math.e, "c": 0.25, "t_med": None},
+        "hand": {"t_min": 1.0, "t_max": 2.0 * math.e, "c": 0.25},
         "solver": dict(_SOLVER_DEFAULT, h=1e-2, t_end=1e4, integrator="euler", max_jumps=1000000,
                        record_stride=100),
-        "disturbance": dict(_DISTURBANCE_OFF, kind="square_wave", eps=0.0, period=100.0),
+        # the margin bisection sets the amplitude
+        "disturbance": {"kind": "square_wave", "period": 100.0, "axis": "x2", "seed": 0, "hold": None,
+                        "channel": "e2"},
         "params": {
             "x0": 1e-3,
             "delta": 0.1,
@@ -227,6 +209,8 @@ _DEFAULTS = {
         },
     },
 }
+
+SCENARIOS = tuple(_DEFAULTS)
 
 
 def default_config(scenario: str) -> dict:
@@ -254,10 +238,9 @@ def _merge(default: dict, user: dict, path: str) -> dict:
 # The leaves that take more than their default's type: an offset is one
 # number for every coordinate or a list of them, null phases are three points
 # of the timer window, an axis is a block name or a vector, and the optional
-# numbers may be null in every scenario's tree.
+# numbers may be null in every tree that has them.
 _LEAF_FORMS = {
-    "params.x0": ("number", "list"), "params.x_offset": ("number", "list"),
-    "params.phases": ("null", "list"), "disturbance.axis": ("str", "list"),
+    "params.x0": ("number", "list"), "params.phases": ("null", "list"), "disturbance.axis": ("str", "list"),
     **dict.fromkeys(("hand.t_med", "ode.ell", "disturbance.period", "disturbance.value",
                      "disturbance.hold"), ("null", "number")),
 }
@@ -283,7 +266,7 @@ _RANGES = {
     # a budget b bands a max/min ratio, at least 1, into [1/b, b]: empty for b < 1
     **dict.fromkeys(("ratio_budget", "factor_budget"), (">=", 1)),
     "growth_factor": (">", 1), "ell2": (">", 1), "ref_factor": (">=", 2), "n_grid": (">=", 3),
-    **dict.fromkeys(("x0", "x_offset", "tol", "tol_abs", "tol_scale", "contraction_slack",
+    **dict.fromkeys(("x0", "tol", "tol_abs", "tol_scale", "contraction_slack",
                      "closed_form_tol", "mono_slack_scale"), None),
 }
 _PAIRS = ("span", "euler_order", "rk4_order")
@@ -417,8 +400,8 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     the resolved config, and run with f (the cost; None for hand1-rate's
     "all"), costs (name -> cost, the whole corpus for "all"), hand, ode,
     solver and pert (None where the scenario has no such section, or for a
-    zero disturbance), offset (the initial offset from the minimizer,
-    params.x0 or uniformity-probe's params.x_offset), hand_solver
+    zero disturbance), offset (params.x0, the initial offset from the
+    minimizer, one number per coordinate), hand_solver
     (instability's hand2 run), integrals (uniformity-probe's damping masses,
     one per params.s_values), gap0 (the initial cost gap) and dstar and
     t_eps (restart-sweep's optimal period and its time estimate)."""
@@ -443,22 +426,28 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
                 setattr(run, key, build(**config[key]))
             except ValueError as e:
                 raise ConfigError("%s: %s" % (key, e))
-    if "disturbance" in config:
-        run.pert = _perturbation_from(config["disturbance"], f.dim)
+    section = config.get("disturbance")
+    if scenario == "robustness-margin":
+        # the margin bisection scales eps: zero has no shape to scale, and a
+        # constant's size is its value, which eps leaves alone. The shape is
+        # built at eps 0, and each bisection run sets its own amplitude.
+        if section["kind"] in ("zero", "constant"):
+            raise ConfigError("disturbance.kind: the margin bisection needs a disturbance shape scaled by eps")
+        section = dict(section, eps=0.0)
+    if section is not None:
+        run.pert = _perturbation_from(section, f.dim)
     p = config.get("params", {})
-    key = "x_offset" if scenario == "uniformity-probe" else "x0"
-    if key in p:
-        run.offset = np.asarray(p[key]) if isinstance(p[key], list) else np.full(f.dim, p[key])
+    if "x0" in p:
+        run.offset = np.asarray(p["x0"]) if isinstance(p["x0"], list) else np.full(f.dim, p["x0"])
         if run.offset.shape != (f.dim,):
-            raise ConfigError("params.%s: expected %d components" % (key, f.dim))
+            raise ConfigError("params.x0: expected %d components" % f.dim)
     # a run from the minimizer measures nothing: every gap, error and time
-    # to eps is 0
-    if scenario in ("instability", "discretization-order", "uniformity-probe"):
+    # to eps is 0, and hand2-rate's checks score no period and no jump
+    if scenario in ("instability", "discretization-order", "uniformity-probe", "hand2-rate"):
         if not np.any(run.offset):
-            raise ConfigError("params.%s must give a nonzero initial offset" % key)
+            raise ConfigError("params.x0 must give a nonzero initial offset")
     if scenario == "instability":
-        run.hand_solver = replace(run.solver, t_end=p["hand_t_end"],
-                                  max_jumps=_SOLVER_DEFAULT["max_jumps"], jump_policy="latest")
+        run.hand_solver = replace(run.solver, t_end=p["hand_t_end"], max_jumps=_SOLVER_DEFAULT["max_jumps"])
     if scenario in ("uniformity-probe", "restart-sweep"):
         # an offset like 1e300 overflows the gap to inf, refused below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -466,7 +455,7 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
         # a run started inside eps reads 0 for every time to eps, where a
         # run that reads only end-of-period samples reads one period
         if not run.gap0 > p["eps"]:
-            raise ConfigError("params.%s must start outside params.eps, at a cost gap above it" % key)
+            raise ConfigError("params.x0 must start outside params.eps, at a cost gap above it")
     if scenario == "uniformity-probe":
         if not all(run.hand.t_min <= tau0 <= run.hand.t_max for tau0 in p["phases"] or ()):
             raise ConfigError("params.phases must lie in the timer window [hand.t_min, hand.t_max]")
@@ -474,9 +463,6 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
             if not all(a < b for a, b in zip(p[key], p[key][1:])):
                 raise ConfigError("params.%s must strictly increase" % key)
         run.integrals = [limiting_integral(p["ell2"], s, p["r"]) for s in p["s_values"]]
-    if scenario in ("hand2-rate", "instability", "discretization-order", "robustness-margin") \
-            and run.hand.t_med not in (None, run.hand.t_max):
-        raise ConfigError("hand.t_med must be null or hand.t_max: the momentum-reset system jumps only at t_max")
     if scenario in ("hand2-rate", "discretization-order"):
         hp = run.hand
         if not (validate_dwell(hp, f.mu) and hp.t_min * hp.t_min > 0.0
@@ -490,13 +476,8 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
         if not math.isfinite(run.dstar + run.t_eps):
             raise ConfigError("params.t_min, params.c, params.x0 and params.eps must give a finite "
                               "restart period and time estimate")
-    if scenario == "robustness-margin":
-        # the margin bisection scales eps: zero has no shape to scale, and a
-        # constant's size is its value, which eps leaves alone
-        if config["disturbance"]["kind"] in ("zero", "constant"):
-            raise ConfigError("disturbance.kind: the margin bisection needs a disturbance shape scaled by eps")
-        if p["eps_lo"] > p["eps_hi"]:
-            raise ConfigError("params.eps_lo must not exceed params.eps_hi")
+    if scenario == "robustness-margin" and p["eps_lo"] > p["eps_hi"]:
+        raise ConfigError("params.eps_lo must not exceed params.eps_hi")
     return config, run
 
 
@@ -527,21 +508,12 @@ def _finish(out_dir: str, summary: dict, plot: str, quiet: bool) -> int:
 
 
 def _hand2_checks(trace: Trace, f: CostFunction, hp: HandParams, p: dict, h: float):
-    """The momentum-reset certificate bundle on one run: exponential rate,
-    per-period contraction and energy monotonicity reports, plus the worst
-    relative error of the closed-form jump identity over the run's jump rows
-    (nan, a failure, if an energy change is not finite; a finite
-    closed-form change within 1e-300 of 0 is not scored)."""
-    rep = check_exponential_rate(trace, f, hp, tol=p["tol"])
-    con = check_period_contraction(trace, f, hp, slack=p["contraction_slack"])
-    mono = check_monotonicity(trace, f, hp.c, slack_per_step=p["mono_slack_scale"] * f.lipschitz * h)
-    pre, post = trace.zs[trace.events - 1], trace.zs[trace.events]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        dv_sim = lyapunov(post, f, hp.c) - lyapunov(pre, f, hp.c)
-        dv_form = jump_decrease_hand2(pre, f, hp)
-        scored = ~(np.abs(dv_form) <= 1e-300) | ~np.isfinite(dv_sim)
-        rel = np.abs(dv_sim - dv_form)[scored] / np.abs(dv_form[scored])
-    return rep, con, mono, float(rel.max(initial=0.0))
+    """The momentum-reset certificate reports on one run: exponential rate,
+    per-period contraction, energy monotonicity and the jump identity."""
+    return (check_exponential_rate(trace, f, hp, tol=p["tol"]),
+            check_period_contraction(trace, f, hp, slack=p["contraction_slack"]),
+            check_monotonicity(trace, f, hp.c, slack_per_step=p["mono_slack_scale"] * f.lipschitz * h),
+            check_jump_identity(trace, f, hp, tol=p["closed_form_tol"]))
 
 
 def _settled_run(system: HybridSystem, z0, cfg: SolverConfig, f: CostFunction, params, eps: float):
@@ -958,8 +930,8 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
     sys = hand2(f, hp)
     z0 = _hand_z0(f, run.offset, hp.t_min)
     trace = simulate(sys, z0, cfg)
-    rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, cfg.h)
-    closed_ok = worst_rel <= p["closed_form_tol"]
+    reports = _hand2_checks(trace, f, hp, p, cfg.h)
+    rep, con, mono, ident = reports
     fname = "trace.csv"
     write_trace_csv(os.path.join(out_dir, fname), trace, f, hp.c,
                     dist_fn=target_distance_fn(f, hp))
@@ -970,14 +942,14 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
             "exponential_bound": rep.satisfied,
             "per_period_contraction": con.satisfied,
             "energy_monotone": mono.satisfied,
-            "jump_identity_matches": closed_ok,
+            "jump_identity_matches": ident.satisfied,
         },
         "results": {
             "worst_bound_margin": rep.worst_margin,
             "worst_contraction_ratio": con.worst_margin,
             "periods_checked": con.checked,
             "jumps": len(trace.events),
-            "closed_form_worst_rel_err": worst_rel,
+            "closed_form_worst_rel_err": ident.detail["worst_rel_err"],
         },
         # the audit re-verifies the monitor's own constants
         "bound_checks": {
@@ -996,6 +968,9 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
         print("  exponential bound %s (margin %.3g), contraction worst %.4g over %d periods"
               % ("holds" if rep.satisfied else "VIOLATED", rep.worst_margin,
                  con.worst_margin, con.checked))
+        for name, report in zip(summary["checks"], reports):
+            if not report.satisfied:
+                print("  %s: %s" % (name, report.reason))
     bc = summary["bound_checks"][fname]
     plot = (_gnuplot_header("exponential decay of the cost gap")
             + "set logscale y\nset xlabel 't'\nset ylabel 'f gap'\n"
@@ -1141,11 +1116,10 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
         # an error whose squares fall below the normal range is scaled first
         dd = row_dot(d, d)
         err = math.sqrt(dd) if dd >= sys.float_info.min else scaled_norm(d)
-        cfg = replace(run.solver, h=h, integrator=integ, jump_policy="latest",
-                      record_stride=max(1, int(round(0.01 / h))))
+        cfg = replace(run.solver, h=h, integrator=integ, record_stride=max(1, int(round(0.01 / h))))
         trace = simulate(sys2, z0, cfg)
-        rep, con, mono, worst_rel = _hand2_checks(trace, f, hp, p, h)
-        return err, (rep.satisfied, con.satisfied, mono.satisfied, worst_rel)
+        reports = _hand2_checks(trace, f, hp, p, h)
+        return err, ([r.satisfied for r in reports], reports[3].detail["worst_rel_err"])
 
     outcomes = _fan_out(one, runs)
     order_rows = [[integ, h, err] for (integ, h), (err, _) in zip(runs, outcomes)]
@@ -1165,8 +1139,8 @@ def _run_discretization_order(config: dict, run: SimpleNamespace, out_dir: str, 
 
     stab_rows = []
     pass_h = {}
-    for (integ, h), (_, (rate_ok, con_ok, mono_ok, worst_rel)) in zip(runs, outcomes):
-        ok = rate_ok and con_ok and mono_ok and worst_rel <= p["closed_form_tol"]
+    for (integ, h), (_, ((rate_ok, con_ok, mono_ok, ident_ok), worst_rel)) in zip(runs, outcomes):
+        ok = rate_ok and con_ok and mono_ok and ident_ok
         pass_h[(integ, h)] = ok
         stab_rows.append([integ, h, rate_ok, con_ok, mono_ok, worst_rel, ok])
     write_table_csv(os.path.join(out_dir, "stability.csv"),

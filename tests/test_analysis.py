@@ -15,6 +15,7 @@ from handsim import (
     check_inverse_square_rate,
     check_period_contraction,
     check_exponential_rate,
+    check_jump_identity,
     convergence_time_estimate,
     corpus,
     example1_cost,
@@ -317,7 +318,7 @@ def test_period_contraction_scores_each_block_of_rows():
     # one ratio per period: the gap at the row before each jump row over the
     # gap at the period's first row (the initial or the previous jump row),
     # a violation at the pre-jump row's hybrid time; a period started on
-    # the minimizer is counted but not scored
+    # the minimizer is not scored, so not counted
     f = sphere_cost(1)
     params = HandParams(t_min=1.0, t_max=2.0, c=1.0)
     tr = _hand2_trace(f, params, np.array([5.0]), t_end=8.0)
@@ -334,8 +335,41 @@ def test_period_contraction_scores_each_block_of_rows():
     assert con.worst_margin == (k0 + 1e-3) - f.gap(tr.zs[jumps[1] - 1, :1]) / f.gap(tr.zs[jumps[0], :1])
     tr.zs[jumps[2], 0] = f.xstar[0]
     con = check_period_contraction(tr, f, params, slack=-1.0)
-    assert con.checked == len(jumps)
+    assert con.checked == len(jumps) - 1
     assert con.violation_times == [tr.time(k - 1) for k in jumps if k != jumps[3]]
+
+
+def test_a_check_that_scores_nothing_fails_and_says_why():
+    # the rule bound_margins applies holds for every monitor: no scored
+    # sample is a failure, and checked counts only what was scored
+    f = sphere_cost(1)
+    params = HandParams(t_min=1.0, t_max=2.0, c=1.0)
+    short = _hand2_trace(f, params, np.array([5.0]), t_end=0.5)
+    assert len(short.events) == 0
+    con = check_period_contraction(short, f, params, slack=1e-3)
+    ident = check_jump_identity(short, f, params, tol=1e-12)
+    for rep, reason in ((con, "no periods scored"), (ident, "no jumps scored")):
+        assert not rep.satisfied and rep.reason == reason and rep.checked == 0
+        assert rep.worst_margin == math.inf and rep.violation_times == []
+    assert math.isnan(ident.detail["worst_rel_err"])
+    mono = check_monotonicity(short, f, params.c, slack_per_step=1.0)
+    assert mono.satisfied and mono.reason is None and mono.checked == len(short) - 1
+    short.tags[1:] = TAG_FAULT
+    mono = check_monotonicity(short, f, params.c, slack_per_step=1.0)
+    assert not mono.satisfied and mono.reason == "no row pairs scored" and mono.checked == 0
+    # an offset whose gaps underflow to 0 jumps, but scores no period or jump
+    tiny = _hand2_trace(f, params, np.array([1e-170]), t_end=5.0)
+    assert len(tiny.events) == 4
+    for rep in (check_period_contraction(tiny, f, params), check_jump_identity(tiny, f, params, tol=1e-12)):
+        assert not rep.satisfied and rep.checked == 0
+    # a scored run holds with no reason, and a violation says how many
+    run = _hand2_trace(f, params, np.array([5.0]), t_end=8.0)
+    ident = check_jump_identity(run, f, params, tol=1e-12)
+    assert ident.satisfied and ident.reason is None and ident.checked == len(run.events)
+    assert ident.detail["worst_rel_err"] <= 1e-12
+    ident = check_jump_identity(run, f, params, tol=-1.0)
+    assert ident.reason == "violated on %d jumps" % len(run.events)
+    assert ident.violation_times == [run.time(k) for k in run.events]
 
 
 def test_nonfinite_sample_is_a_violation():
@@ -493,7 +527,7 @@ def _monotonicity_reference(trace, f, c, slack_per_step):
             margins.append(0.0 - dv)
         rows.append(k)
     worst, bad = _scan_reference(margins)
-    return (worst if rows else 0.0), [rows[i] for i in bad], len(rows)
+    return worst, [rows[i] for i in bad], len(rows)
 
 
 def test_check_monotonicity_blocks_match_per_row_loop():

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 
 from handsim import ConfigError, SCENARIOS, core, default_config, parse_config, run_scenario
+from handsim.analysis import check_jump_identity
 from handsim.cli import _build_parser, _parse_values, main
 from handsim.core import Trace, hybrid_time_fault, sphere_cost
 from handsim.hands import HandParams
 from handsim.io import read_trace_csv
 from handsim.scenarios import (
     _fan_out,
-    _hand2_checks,
     _leaf,
     _resolve,
     _thread_cap,
@@ -97,7 +97,7 @@ def _nested(dotted, value):
 # is a list or the key names a vector.
 _NULLABLE = {"hand.t_med", "ode.ell", "disturbance.period", "disturbance.value",
              "disturbance.hold", "params.phases"}
-_VECTOR = {"params.x0", "params.x_offset", "params.phases", "disturbance.axis"}
+_VECTOR = {"params.x0", "params.phases", "disturbance.axis"}
 _BAD_VALUES = {
     "null": (None, lambda key, d: d is None or key in _NULLABLE),
     "string": ("oops", lambda key, d: isinstance(d, str)),
@@ -107,6 +107,12 @@ _BAD_VALUES = {
 
 
 _LEAF_CASES = [(name, key) for name in SCENARIOS for key, _ in _leaves(default_config(name))]
+
+
+def test_settable_value_count_is_pinned():
+    # every settable value, scenario included, over the seven default trees:
+    # a new config key changes this number, and so has to say why it runs
+    assert len(_LEAF_CASES) == 151
 
 
 @pytest.mark.parametrize("scenario, key", _LEAF_CASES)
@@ -154,9 +160,9 @@ def test_every_leaf_keeps_its_default_and_bounds_numbers(scenario, key):
 
 def test_leaf_rule_stores_numbers_as_floats():
     cfg = parse_config({"scenario": "uniformity-probe", "solver": {"h": 1, "max_jumps": 7},
-                        "params": {"x_offset": 2, "phases": [1, 2.5], "s_values": [10, 100]}})
+                        "params": {"x0": 2, "phases": [1, 2.5], "s_values": [10, 100]}})
     assert type(cfg["solver"]["h"]) is float and type(cfg["solver"]["max_jumps"]) is int
-    assert type(cfg["params"]["x_offset"]) is float
+    assert type(cfg["params"]["x0"]) is float
     assert [type(v) for v in cfg["params"]["phases"] + cfg["params"]["s_values"]] == [float] * 4
 
 
@@ -231,6 +237,15 @@ def test_cli_run_h_override(tmp_path):
     assert main(["run", path, "--h", "0.002", "--quiet"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert summary["config"]["solver"]["h"] == 0.002
+
+
+def test_cli_run_h_on_discretization_order_is_refused(tmp_path, capsys):
+    # discretization-order sets its own steps from params.k_min and k_max,
+    # so it has no solver.h for --h to override
+    path = _write_config(tmp_path, "discretization-order")
+    assert main(["run", path, "--h", "0.01", "--quiet"]) == 2
+    assert "config error: unknown override key 'solver.h'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_check_roundtrip(tmp_path):
@@ -752,12 +767,17 @@ def test_cli_check_malformed_summary_exits_2(edit, bound, key, tmp_path, capsys)
 
 def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     # the bisection scales eps, which a constant disturbance ignores: every
-    # amplitude would run the same signal and report a margin it never tested
+    # amplitude would run the same signal and report a margin it never
+    # tested. The scenario has no disturbance.value, so a constant given
+    # none is refused by its kind, before the perturbation is built.
     base = {"solver": {"t_end": 10.0}, "params": {"settle": 5.0, "bisect_steps": 1}}
-    path = _write_config(tmp_path, "robustness-margin", disturbance={"kind": "constant", "value": 1e-6}, **base)
-    assert main(["run", path, "--quiet"]) == 2
-    assert "disturbance.kind" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    for section, message in (({"kind": "constant", "value": 1e-6}, "unknown key 'disturbance.value'"),
+                             ({"kind": "constant"}, "config error: disturbance.kind: "),
+                             ({"kind": "zero"}, "config error: disturbance.kind: ")):
+        path = _write_config(tmp_path, "robustness-margin", disturbance=section, **base)
+        assert main(["run", path, "--quiet"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
     path = _write_config(tmp_path, "robustness-margin", disturbance={"kind": "square_wave", "period": 1.0}, **base)
     assert main(["run", path, "--quiet"]) in (0, 1)
     assert (tmp_path / "out" / "bisection.csv").exists()
@@ -766,7 +786,7 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
 @pytest.mark.parametrize("scenario, extra, message", [
     ("hand2-rate", {"params": {"x0": [1.0, 2.0]}}, "params.x0"),
     ("hand2-rate", {"params": {"x0": None}}, "params.x0"),
-    ("uniformity-probe", {"params": {"x_offset": [1.0, 2.0]}}, "params.x_offset"),
+    ("uniformity-probe", {"params": {"x0": [1.0, 2.0]}}, "params.x0"),
     ("instability", {"params": {"hand_t_end": -1.0}}, "params.hand_t_end"),
     ("instability", {"params": {"x0": 0.0}}, "params.x0"),
     ("hand2-rate", {"params": {"x0": math.nan}}, "params.x0"),
@@ -798,11 +818,11 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     ("robustness-margin", {"params": {"eps_lo": 0.0}}, "params.eps_lo"),
     # runs from the minimizer and equal damping masses, which measure nothing
     ("discretization-order", {"params": {"x0": 0.0}}, "params.x0"),
-    ("uniformity-probe", {"params": {"x_offset": 0.0}}, "params.x_offset"),
+    ("uniformity-probe", {"params": {"x0": 0.0}}, "params.x0"),
     # offsets whose cost gap is already within eps (1.25e-3 and an underflowed
     # 0 against 1e-2): every time to eps reads 0
-    ("uniformity-probe", {"params": {"x_offset": 0.1}}, "params.x_offset must start outside params.eps"),
-    ("uniformity-probe", {"params": {"x_offset": 1e-170}}, "params.x_offset must start outside params.eps"),
+    ("uniformity-probe", {"params": {"x0": 0.1}}, "params.x0 must start outside params.eps"),
+    ("uniformity-probe", {"params": {"x0": 1e-170}}, "params.x0 must start outside params.eps"),
     ("uniformity-probe", {"params": {"s_values": [0.0, 0.0, 0.0, 0.0]}}, "params.s_values"),
     # start times out of order or repeated, which read as a failed claim
     ("uniformity-probe", {"params": {"t0_values": [10.0, 1.0]}, "solver": {"t_end": 5.0}},
@@ -818,11 +838,26 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     # a budget below 1 bands a max/min ratio into an empty [1/b, b]
     ("restart-sweep", {"params": {"factor_budget": 0.5}}, "params.factor_budget must be at least 1"),
     ("uniformity-probe", {"params": {"ratio_budget": 0.5}}, "params.ratio_budget must be at least 1"),
-    # a momentum-reset system jumps only at t_max, so an earlier t_med is refused
-    ("hand2-rate", {"hand": {"t_med": 1.5}}, "hand.t_med must be null or hand.t_max"),
-    ("instability", {"hand": {"t_med": 1.5}}, "hand.t_med must be null or hand.t_max"),
-    ("discretization-order", {"hand": {"t_med": 1.5}}, "hand.t_med must be null or hand.t_max"),
-    ("robustness-margin", {"hand": {"t_med": 1.5}}, "hand.t_med must be null or hand.t_max"),
+    # a momentum-reset system jumps only at t_max, so it has no t_med
+    ("hand2-rate", {"hand": {"t_med": 1.5}}, "unknown key 'hand.t_med'"),
+    ("instability", {"hand": {"t_med": 1.5}}, "unknown key 'hand.t_med'"),
+    ("discretization-order", {"hand": {"t_med": 1.5}}, "unknown key 'hand.t_med'"),
+    ("robustness-margin", {"hand": {"t_med": 1.5}}, "unknown key 'hand.t_med'"),
+    # a run from the minimizer scores no period and no jump
+    ("hand2-rate", {"params": {"x0": 0.0}}, "params.x0 must give a nonzero initial offset"),
+    # keys no run read: a runner set them itself, or only a run that never
+    # jumps saw them; and uniformity-probe's offset is params.x0, as elsewhere
+    ("instability", {"solver": {"max_jumps": 5}}, "unknown key 'solver.max_jumps'"),
+    ("instability", {"solver": {"jump_policy": "earliest"}}, "unknown key 'solver.jump_policy'"),
+    ("discretization-order", {"solver": {"h": 0.01}}, "unknown key 'solver.h'"),
+    ("discretization-order", {"solver": {"integrator": "euler"}}, "unknown key 'solver.integrator'"),
+    ("discretization-order", {"solver": {"jump_policy": "earliest"}}, "unknown key 'solver.jump_policy'"),
+    ("discretization-order", {"solver": {"record_stride": 3}}, "unknown key 'solver.record_stride'"),
+    ("restart-sweep", {"solver": {"record_stride": 3}}, "unknown key 'solver.record_stride'"),
+    ("robustness-margin", {"disturbance": {"eps": 0.1}}, "unknown key 'disturbance.eps'"),
+    ("robustness-margin", {"disturbance": {"value": 0.1}}, "unknown key 'disturbance.value'"),
+    ("uniformity-probe", {"ode": {"t0": 2.0}}, "unknown key 'ode.t0'"),
+    ("uniformity-probe", {"params": {"x_offset": 1.0}}, "unknown key 'params.x_offset'"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
         "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan",
         "restart-sweep-zero-budget", "restart-sweep-zero-t-min", "restart-sweep-negative-c",
@@ -836,7 +871,11 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
         "uniformity-equal-s-values", "uniformity-unsorted-t0-values", "uniformity-repeated-t0-values",
         "hand2-c-subnormal", "restart-sweep-offset-inside-eps", "restart-sweep-tiny-offset",
         "restart-sweep-budget-below-one", "uniformity-budget-below-one", "hand2-t-med",
-        "instability-t-med", "discretization-t-med", "robustness-t-med"])
+        "instability-t-med", "discretization-t-med", "robustness-t-med", "hand2-zero-offset",
+        "instability-max-jumps", "instability-jump-policy", "discretization-h", "discretization-integrator",
+        "discretization-jump-policy", "discretization-record-stride", "restart-sweep-record-stride",
+        "robustness-disturbance-eps", "robustness-disturbance-value", "uniformity-ode-t0",
+        "uniformity-x-offset"])
 def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, **extra)
@@ -847,7 +886,8 @@ def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path
 
 @pytest.mark.parametrize("scenario, extra, code", [
     ("instability", {"hand": {"t_max": 1e300}, "solver": {"t_end": 20.0}, "params": {"hand_t_end": 20.0}}, 1),
-    ("hand2-rate", {"hand": {"t_max": 1e300}, "solver": {"t_end": 10.0}}, 0),
+    # no period ends before the horizon, so contraction and the jump identity score nothing
+    ("hand2-rate", {"hand": {"t_max": 1e300}, "solver": {"t_end": 10.0}}, 1),
     ("robustness-margin", {"hand": {"t_max": 1e300}, "solver": {"t_end": 10.0},
                            "params": {"settle": 5.0, "bisect_steps": 1}}, 0),
     ("hand2-rate", {"hand": {"t_min": 1e-300}}, 2),
@@ -862,10 +902,12 @@ def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path
     # the dwell warning's 1/(mu c) with mu c underflowed to 0; hand2 barely
     # feels the gradient and fails hand2_bounded
     ("instability", {"hand": {"c": 5e-324}, "solver": {"h": 0.04}, "params": {"hand_t_end": 3000.0}}, 1),
+    # a horizon before the first jump at t = 1 scores no period and no jump
+    ("hand2-rate", {"solver": {"t_end": 0.5}}, 1),
 ], ids=["instability-t-max-huge", "hand2-t-max-huge", "robustness-t-max-huge", "hand2-t-min-tiny",
         "discretization-t-min-tiny", "restart-sweep-t-min-huge", "restart-sweep-x0-huge",
         "hand2-c-tiny", "discretization-c-tiny", "hand1-h-huge", "hand1-t-end-tiny", "hand1-c-huge",
-        "instability-c-subnormal"])
+        "instability-c-subnormal", "hand2-t-end-short"])
 def test_cli_run_boundary_values_exit_cleanly(scenario, extra, code, tmp_path, capsys):
     # values at the ends of the float range that once ended in a traceback
     # (a float ** that overflows, a timer window squared to 0, an infinite
@@ -928,16 +970,38 @@ def test_instability_tiny_offset_reaches_a_verdict(cost, x0, tmp_path):
 def test_discretization_order_tiny_offset_fits_its_orders(tmp_path):
     # the global errors of an offset of 1e-170 square below the smallest
     # normal double: each is scaled before its norm, so no error reads 0 and
-    # both fitted orders land in their bands
+    # both fitted orders land in their bands. Its cost gaps underflow to 0,
+    # so the stability runs score no period and no jump, and fail.
     path = _write_config(tmp_path, "discretization-order", params={"x0": 1e-170}, solver={"t_end": 10.0})
-    assert main(["run", path, "--quiet"]) == 0
+    assert main(["run", path, "--quiet"]) == 1
     with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
     fitted, p = summary["results"]["fitted_order"], summary["config"]["params"]
     for scheme in ("euler", "rk4"):
         lo, hi = p["%s_order" % scheme]
         assert lo <= fitted[scheme] <= hi
-    assert summary["checks"]["euler_order_near_one"] and summary["checks"]["rk4_order_near_four"]
+    assert summary["checks"] == {"euler_order_near_one": True, "rk4_order_near_four": True,
+                                 "stability_for_all_smaller_h": False}
+
+
+@pytest.mark.parametrize("extra, jumps", [
+    ({"solver": {"t_end": 0.5}}, 0),
+    ({"solver": {"t_end": 10.0}, "params": {"x0": 1e-170}}, 9),
+], ids=["t-end-short", "x0-tiny"])
+def test_hand2_checks_that_score_nothing_fail(extra, jumps, tmp_path, capsys):
+    # a horizon before the first jump leaves contraction and the jump
+    # identity nothing to score; so does an offset whose gaps underflow to
+    # 0, over nine jumps. Each fails, says why, and counts 0 periods.
+    path = _write_config(tmp_path, "hand2-rate", **extra)
+    assert main(["run", path]) == 1
+    out = capsys.readouterr().out
+    assert "per_period_contraction: no periods scored" in out and "jump_identity_matches: no jumps scored" in out
+    with open(tmp_path / "out" / "summary.json", encoding="utf-8") as fh:
+        summary = json.load(fh)
+    assert summary["checks"] == {"exponential_bound": True, "per_period_contraction": False,
+                                 "energy_monotone": True, "jump_identity_matches": False}
+    assert summary["results"]["periods_checked"] == 0 and summary["results"]["jumps"] == jumps
+    assert summary["results"]["closed_form_worst_rel_err"] is None
 
 
 def test_hand2_jump_identity_fails_on_non_finite_energy(tmp_path):
@@ -963,9 +1027,10 @@ def test_hand2_jump_identity_scores_a_non_finite_energy_change_at_zero_form():
                tags=np.array([0, 0, 1], dtype=np.int8), meta={"h": 0.5})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        worst_rel = _hand2_checks(tr, f, HandParams(t_min=1.0, t_max=2.0, c=1.0),
-                                  default_config("hand2-rate")["params"], 0.5)[3]
-    assert math.isnan(worst_rel)
+        ident = check_jump_identity(tr, f, HandParams(t_min=1.0, t_max=2.0, c=1.0),
+                                    default_config("hand2-rate")["params"]["closed_form_tol"])
+    assert math.isnan(ident.detail["worst_rel_err"])
+    assert not ident.satisfied and ident.checked == 1 and ident.violation_times == [tr.time(2)]
 
 
 def _resolved_pert(**section):

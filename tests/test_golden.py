@@ -19,7 +19,12 @@ termination reason and the settling records. The discretization-order
 digests (a shrunk step grid and horizon) were recorded before that change,
 which left them alone. The hand1-rate summary.json was recorded again when
 the params.check_t_form config key was removed: before it, it was 91a3c5df,
-which differs only in that key of the config echo.
+which differs only in that key of the config echo. The summary.json of the
+other six scenarios was recorded again when the config keys no run read
+were removed and uniformity-probe's params.x_offset became params.x0: each
+differs from the one before (discretization-order 0a07264b, hand2-rate
+544471dc, instability 7ce08ec4, restart-sweep 7207c7d2, robustness-margin
+ef8b68b8, uniformity-probe 56d35593) only in the config echo.
 
 The engine cross-check grid below pins the engine paths the shrunk configs
 may leave out: every integrator and jump policy, a square wave on each of
@@ -82,38 +87,38 @@ DIGESTS = {
     },
     "instability": {
         "plot.gp": "0c2817efa753cf4ae12a934dcd8bab551114fc38d6c38d0958afbc59d2371a62",
-        "summary.json": "7ce08ec49cf4aae76e54b1863bb7ab62e77ef20f6c567593cf7b16fe3552fd93",
+        "summary.json": "f4981abc6304c33eb44209700f37e6a768296461b7af3a1c21ce229c4ca43a99",
         "trace_hand2.csv": "e2a2683ed338568c0e6693d2b56199ea451458c55605f62c1dba2b188cc28a95",
         "trace_rep1.csv": "af699699b5c8be164cdd29851126ae907ff32774e0364b617eb2e40488138aeb",
         "trace_rep2.csv": "b66e1136ce5cde149fb47377f28caa940751a3b13f1712f832d50308f89de28a",
     },
     "restart-sweep": {
         "plot.gp": "eabad3ec6665687a2d2ea05da7633acaec8fdd6cdaf0a0d2e6871d40bd503501",
-        "summary.json": "7207c7d28ddbf768b042b71132a64c6cbace5f5be50e633f95a0abed9353ad0f",
+        "summary.json": "88d742e28b1eb2407fb7388d5f35974adccda5182f5e1d1362eed39c6b86680e",
         "sweep.csv": "19f36d386867f2db6f45f98890a1f2f603b8474bdcb670b2c1fdd8439e68e75d",
     },
     "hand2-rate": {
         "plot.gp": "4dedd59e7d9ebd509c0d75f1b1effb67d79dc3be9ecdc30260771dc27730e2c4",
-        "summary.json": "544471dc552b014ff3fa968efa2ae543f264fc2b5b8636b8f97ac3f31bce8e79",
+        "summary.json": "4c3ff120cbcd382174c4db48a0e777762e544c27930ef007fd41604f19c4a680",
         "trace.csv": "c5d72a91d3962f29fdfb91684e81b42765679bb98a3f11d4be2ee2982d166ecb",
     },
     "robustness-margin": {
         "bisection.csv": "10bf5f5ef7bed45fea33086113f204fbc12ee2e52412d5f61519b94b5838cf48",
         "plot.gp": "7751f5bed3719aa2905e8d0b147ef88be086c8b21e877439ee64727a2f41de0a",
-        "summary.json": "ef8b68b84debbe457db6dfb1b583d1f922705cc29e9bdd8408c10902b59fbef3",
+        "summary.json": "03f2ab9894983aa99577e36f776f2c6243090f583b988e5c8baa984a412cfe79",
     },
     "uniformity-probe": {
         "limiting_integral.csv": "7d237a192964207dc883c39d74ebe0280c6be82c1de14a171996d3a36436dbf8",
         "plot.gp": "9aeb317d6587352a8bb209a3d0f507db0d8ea9dfccc0ef101b25b40d956e4bb0",
         "probe_hand1.csv": "c7415668fd22af8eb88f35afb0e09ddf26626dbc84304ada94a0866ea9b2194f",
         "probe_ode.csv": "43297559f1541b42d707741ba6edbd45bbcbf51f32dcbd62becb4e7f9496b617",
-        "summary.json": "56d35593dc5c893d8bbbe4568a5ff4eb0f927e4083e9955519727635f30ebce5",
+        "summary.json": "f8f20ea51faaa70a01b962adfd2e053c0a15a4c3c26fb6ec8d4896b2b5e8c13f",
     },
     "discretization-order": {
         "orders.csv": "42ff809d24c1af9b5ac30ebfd47f3807a29cf8c25578204ab8f33fb10bc91283",
         "plot.gp": "d4824ae70f1f4927624e9188f430bf5e3a4934b4c9d1c70e0d18c9767fae54e1",
         "stability.csv": "dd56ee90cb13d69c979f15076930b0819c60ac0551f05dea39dae6a5c4b05afc",
-        "summary.json": "0a07264b45dd903960754693f67b4e4b4295b957f4ca5f640b12f1b86dc396b6",
+        "summary.json": "b36a03821bf6cc81561ca46c6081bc21bd29a7671e2e28b79d8505ac1db00241",
     },
 }
 
