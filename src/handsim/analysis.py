@@ -52,7 +52,8 @@ class RateReport:
     negative means violated), worst_margin is their minimum (inf when none
     is scored) and checked their count. A margin that is not finite is a
     violation and makes worst_margin nan. reason, None where the check
-    holds, says why not (_verdict).
+    holds, says why not (_verdict). bound is the bound_checks record a
+    certified-bound check scored (bound_margins), None for other checks.
     """
 
     worst_margin: float
@@ -60,6 +61,7 @@ class RateReport:
     violation_times: List[HybridTime] = field(default_factory=list)
     checked: int = 0
     detail: dict = field(default_factory=dict)
+    bound: Optional[dict] = None
 
     @property
     def satisfied(self) -> bool:
@@ -237,7 +239,7 @@ def _bound_report(trace: Trace, f: CostFunction, bc: dict, detail: dict) -> Rate
     worst, bad, rows, why = bound_margins(bc, trace.ts, trace.js, trace.zs[:, -1], f.gap(trace.zs[:, : f.dim]),
                                           trace.tags == TAG_FAULT)
     return RateReport(worst_margin=worst, reason=why, violation_times=[trace.time(k) for k in bad],
-                      checked=len(rows), detail=detail)
+                      checked=len(rows), detail=detail, bound=bc)
 
 
 def check_inverse_square_rate(trace: Trace, f: CostFunction, beta: float, tol: float = 0.0) -> RateReport:
@@ -295,7 +297,8 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
     """Per-period contraction: across every completed flow period the cost gap
     at the pre-jump state is at most (k0 + slack) times its value at the
     period's start (the previous jump row, or the initial row). A period
-    started on the minimizer has nothing to contract and is not scored."""
+    started on the minimizer has nothing to contract and is not scored;
+    detail["worst_ratio"] is the largest scored ratio (nan for none)."""
     _require_minimizer(f)
     if f.mu is None:
         raise ValueError("contraction check needs mu on the cost")
@@ -306,8 +309,10 @@ def check_period_contraction(trace: Trace, f: CostFunction, params: HandParams,
     gap_end = f.gap(trace.zs[jumps - 1, :n])
     scored = np.flatnonzero(~(gap_start <= 0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        margins = (k0 + slack) - gap_end[scored] / gap_start[scored]
-    return _scored_report(trace, margins, jumps[scored] - 1, "periods", {"k0": k0, "slack": slack})
+        ratios = gap_end[scored] / gap_start[scored]
+        margins = (k0 + slack) - ratios
+    return _scored_report(trace, margins, jumps[scored] - 1, "periods",
+                          {"k0": k0, "slack": slack, "worst_ratio": float(ratios.max()) if ratios.size else math.nan})
 
 
 def check_jump_identity(trace: Trace, f: CostFunction, params: HandParams, tol: float) -> RateReport:

@@ -2,12 +2,13 @@
 
 Both flow the restarting field, the averaged ODE form at p = 2 with the
 timer tau as its clock, while tau is inside [t_min, t_max] and reset the
-timer to t_min on jumps. The two differ in the jump set and in what the
-jump does to the state:
+timer to t_min on jumps. Both jump where tau is in [t_med, t_max] or in a
+roundoff band around t_max (_restarting_system). The two differ in t_med
+and in what the jump does to the state:
 
   variant 1: jumps allowed anywhere in tau in [t_med, t_max]; the jump keeps
              (x1, x2) and only resets the timer.
-  variant 2: jumps exactly at tau = t_max; the jump also resets the momentum
+  variant 2: jumps at tau = t_max; the jump also resets the momentum
              variable to the current position (x2+ = x1), which under strong
              convexity contracts the cost gap by a fixed factor per period
              provided the timer window satisfies the dwell condition
@@ -39,7 +40,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class HandParams:
-    """Timer window and gradient weight: 0 < t_min < t_max, c > 0.
+    """Timer window and gradient weight: 0 < t_min < t_max, c > 0, the window
+    wider than the jump band, so that a jump's timer t_min is outside it.
 
     t_med (variant-1 only) is the earliest timer value at which a restart may
     fire; it defaults to t_max, which makes restarts periodic.
@@ -57,6 +59,8 @@ class HandParams:
             )
         if not math.isfinite(self.t_max):
             raise ValueError("t_max must be finite")
+        if not self.t_max - self.t_min > _band(self.t_max):
+            raise ValueError("timer window [%r, %r] is no wider than the jump band" % (self.t_min, self.t_max))
         if not (self.c > 0.0):
             raise ValueError("c must be positive, got %r" % (self.c,))
         if self.t_med is not None and not (self.t_min < self.t_med <= self.t_max):
@@ -83,23 +87,22 @@ def _timer_test(name: str, condition: str, **bounds):
     return test
 
 
-def _restarting_system(kind: str, f: CostFunction, params: HandParams, G, t_med: float,
-                       point_jump: bool) -> HybridSystem:
+def _band(t_max: float) -> float:
+    """Half-width of the jump set's roundoff band around t_max."""
+    return 1e-9 * max(1.0, t_max)
+
+
+def _restarting_system(kind: str, f: CostFunction, params: HandParams, G) -> HybridSystem:
     """The restarting system: the averaged ODE form at p = 2 with the timer
     as its clock, flowing while tau is in [t_min, t_max] and jumping by G
-    where tau is in [t_med, t_max] (at t_max when point_jump)."""
+    where tau is in [min(t_med, t_max - band), t_max + band]. The timer adds
+    up fixed steps in floating point, so it meets t_max only up to roundoff;
+    the band keeps such a restart from slipping a step."""
     flow = make_rep2_flow(OdeParams(c=params.c), f)
-    window = "%s{lo} <= {tau} <= t_max{hi}"
-    t_max = float(params.t_max)
-    in_C = _timer_test("in_C", window % "t_min", t_min=float(params.t_min), t_max=t_max)
-    if point_jump:
-        # the timer accumulates fixed steps in floating point, so an exact
-        # deadline is reached only up to roundoff; the band keeps deadline
-        # hits from slipping one step per period
-        tol = 1e-9 * max(1.0, t_max)
-        in_D = _timer_test("in_D", "neg_tol{lo} <= {tau} - t_max <= tol{hi}", t_max=t_max, tol=tol, neg_tol=-tol)
-    else:
-        in_D = _timer_test("in_D", window % "t_med", t_med=float(t_med), t_max=t_max)
+    t_max, band = float(params.t_max), _band(params.t_max)
+    t_med = params.t_max if params.t_med is None else params.t_med
+    in_C = _timer_test("in_C", "t_min{lo} <= {tau} <= t_max{hi}", t_min=float(params.t_min), t_max=t_max)
+    in_D = _timer_test("in_D", "t_lo{lo} <= {tau} <= t_hi{hi}", t_lo=min(float(t_med), t_max - band), t_hi=t_max + band)
     meta = {"kind": kind, "t_min": params.t_min, "t_med": t_med, "t_max": params.t_max, "c": params.c,
             "cost": f.name}
     return HybridSystem(dim=f.dim, F=flow, G=G, in_C=in_C, in_D=in_D, meta=meta)
@@ -115,8 +118,7 @@ def hand1(f: CostFunction, params: HandParams) -> HybridSystem:
     def G(z, _t_min=params.t_min):
         return [*z[:-1], _t_min]
 
-    t_med = params.t_med if params.t_med is not None else params.t_max
-    return _restarting_system("hand1", f, params, G, t_med, point_jump=False)
+    return _restarting_system("hand1", f, params, G)
 
 
 def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
@@ -141,7 +143,7 @@ def hand2(f: CostFunction, params: HandParams) -> HybridSystem:
     def G(z, _n=f.dim, _t_min=params.t_min):
         return [*z[:_n], *z[:_n], _t_min]
 
-    return _restarting_system("hand2", f, params, G, params.t_max, point_jump=True)
+    return _restarting_system("hand2", f, params, G)
 
 
 def validate_dwell(params: HandParams, mu: float) -> bool:

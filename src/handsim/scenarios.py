@@ -403,8 +403,8 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
     zero disturbance), offset (params.x0, the initial offset from the
     minimizer, one number per coordinate), hand_solver
     (instability's hand2 run), integrals (uniformity-probe's damping masses,
-    one per params.s_values), gap0 (the initial cost gap) and dstar and
-    t_eps (restart-sweep's optimal period and its time estimate)."""
+    one per params.s_values), gap0 (the initial cost gap) and restart-sweep's
+    dstar, t_eps, grid and windows (optimal period, time estimate, periods, windows)."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     if "scenario" not in data:
@@ -476,6 +476,11 @@ def _resolve(data: dict) -> Tuple[dict, SimpleNamespace]:
         if not math.isfinite(run.dstar + run.t_eps):
             raise ConfigError("params.t_min, params.c, params.x0 and params.eps must give a finite "
                               "restart period and time estimate")
+        run.grid = np.exp(np.linspace(*[math.log(s * run.dstar) for s in p["span"]], p["n_grid"]))
+        try:
+            run.windows = [HandParams(t_min=p["t_min"], t_max=p["t_min"] + float(dT), c=p["c"]) for dT in run.grid]
+        except ValueError as e:
+            raise ConfigError("params.span: %s" % e)
     if scenario == "robustness-margin" and p["eps_lo"] > p["eps_hi"]:
         raise ConfigError("params.eps_lo must not exceed params.eps_hi")
     return config, run
@@ -898,7 +903,7 @@ def _run_hand1_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
             "worst_margin": rep.worst_margin,
             "energy_monotone": mono.satisfied,
         }
-        return entry, {"kind": "inverse-square", "beta": beta, "tol": tol, "t_min": hp.t_min}, ok
+        return entry, dict(rep.bound, t_min=hp.t_min), ok
 
     summary = {"config": config, "checks": {}, "traces": {}, "bound_checks": {}}
     artifacts = []
@@ -946,36 +951,26 @@ def _run_hand2_rate(config: dict, run: SimpleNamespace, out_dir: str, quiet: boo
         },
         "results": {
             "worst_bound_margin": rep.worst_margin,
-            "worst_contraction_ratio": con.worst_margin,
+            "worst_contraction_ratio": con.detail["worst_ratio"],
             "periods_checked": con.checked,
             "jumps": len(trace.events),
             "closed_form_worst_rel_err": ident.detail["worst_rel_err"],
         },
-        # the audit re-verifies the monitor's own constants
-        "bound_checks": {
-            fname: {
-                "kind": "exponential",
-                "k_a": rep.detail["k_a"],
-                "k_b": rep.detail["k_b"],
-                "delta_t": rep.detail["dT"],
-                "r0_sq": rep.detail["r0sq"],
-                "tol": p["tol"],
-            }
-        },
+        # the record the monitor scored, which the audit re-verifies
+        "bound_checks": {fname: rep.bound},
         "artifacts": [fname, "summary.json", "plot.gp"],
     }
     if not quiet:
-        print("  exponential bound %s (margin %.3g), contraction worst %.4g over %d periods"
+        print("  exponential bound %s (margin %.3g), contraction worst ratio %.4g over %d periods"
               % ("holds" if rep.satisfied else "VIOLATED", rep.worst_margin,
-                 con.worst_margin, con.checked))
+                 con.detail["worst_ratio"], con.checked))
         for name, report in zip(summary["checks"], reports):
             if not report.satisfied:
                 print("  %s: %s" % (name, report.reason))
-    bc = summary["bound_checks"][fname]
     plot = (_gnuplot_header("exponential decay of the cost gap")
             + "set logscale y\nset xlabel 't'\nset ylabel 'f gap'\n"
             + "ka=%s\nkb=%s\ndT=%s\nr0sq=%s\n"
-            % tuple(format_float(bc[k]) for k in ("k_a", "k_b", "delta_t", "r0_sq"))
+            % tuple(format_float(rep.bound[k]) for k in ("k_a", "k_b", "delta_t", "r0_sq"))
             + "alpha(t)=(t-dT > 0 ? t-dT : 0)/(dT+1)\n"
             + "plot 'trace.csv' using 1:%d with lines title 'measured gap', \\\n"
               "     'trace.csv' using 1:(ka*exp(-kb*alpha($1+$2))*r0sq) with lines dashtype 2 title 'certified bound'\n"
@@ -987,9 +982,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
     f = run.f
     p = config["params"]
     t_min, c, eps, n = p["t_min"], p["c"], p["eps"], p["n_grid"]
-    dstar, t_eps, gap0 = run.dstar, run.t_eps, run.gap0
-    lo, hi = (s * dstar for s in p["span"])
-    grid = np.exp(np.linspace(math.log(lo), math.log(hi), n))
+    dstar, t_eps, gap0, grid = run.dstar, run.t_eps, run.gap0, run.grid
 
     rows = []
     measured = np.full(n, math.inf)
@@ -997,8 +990,7 @@ def _run_restart_sweep(config: dict, run: SimpleNamespace, out_dir: str, quiet: 
     # one independent hand2 run per grid period, all from the same state;
     # the systems are built here, so their dwell warnings are this process's
     z0 = _hand_z0(f, run.offset, t_min)
-    windows = [HandParams(t_min=t_min, t_max=t_min + float(dT), c=c) for dT in grid]
-    systems = [(hand2(f, hp), hp) for hp in windows]
+    systems = [(hand2(f, hp), hp) for hp in run.windows]
 
     # the pre-jump rows, which every jump records, are all a run is read for
     cfg = replace(run.solver, record_stride=2 ** 62)

@@ -283,9 +283,10 @@ def test_check_inverse_square_rate_on_first_flow(tmp_path):
     rep = check_inverse_square_rate(tr, f, beta, tol=tol)
     assert not rep.satisfied and math.isnan(rep.worst_margin)
     assert rep.violation_times == [tr.time(7)]
+    # the report carries the record it scored, which the offline check audits
+    assert rep.bound == {"kind": "inverse-square", "beta": beta, "tol": tol}
     write_trace_csv(str(tmp_path / "trace.csv"), tr, f, params.c, target_distance_fn(f, params))
-    write_summary_json(str(tmp_path / "summary.json"),
-                       {"bound_checks": {"trace.csv": {"kind": "inverse-square", "beta": beta, "tol": tol}}})
+    write_summary_json(str(tmp_path / "summary.json"), {"bound_checks": {"trace.csv": rep.bound}})
     assert main(["check", str(tmp_path / "trace.csv"), "--bound", "inverse-square"]) == 1
 
 
@@ -308,8 +309,11 @@ def test_check_exponential_rate_and_contraction():
     assert rep.detail["k0"] == pytest.approx(0.5)
     assert rep.detail["k_a"] == pytest.approx(1.0)
     assert rep.detail["r0sq"] == pytest.approx(25.0)
+    d = rep.detail
+    assert rep.bound == {"kind": "exponential", "k_a": d["k_a"], "k_b": d["k_b"], "delta_t": d["dT"],
+                         "r0_sq": d["r0sq"], "tol": 0.0}
     con = check_period_contraction(tr, f, params, slack=1e-3)
-    assert con.satisfied
+    assert con.satisfied and con.bound is None
     # one contraction ratio per completed flow period
     assert con.checked >= 30
 
@@ -326,8 +330,11 @@ def test_period_contraction_scores_each_block_of_rows():
     starts = [0] + jumps[:-1]
     k0 = k1_constant(params.c, f.mu, params.t_min, params.t_max)
     con = check_period_contraction(tr, f, params, slack=1e-3)
-    margins = [(k0 + 1e-3) - f.gap(tr.zs[k - 1, :1]) / f.gap(tr.zs[s, :1]) for s, k in zip(starts, jumps)]
+    ratios = [f.gap(tr.zs[k - 1, :1]) / f.gap(tr.zs[s, :1]) for s, k in zip(starts, jumps)]
+    margins = [(k0 + 1e-3) - ratio for ratio in ratios]
     assert con.satisfied and con.checked == len(jumps) >= 6 and con.worst_margin == min(margins)
+    # the detail reports the ratio itself, not its margin
+    assert con.detail["worst_ratio"] == max(ratios) < k0
     # a pre-jump row far from the minimizer fails its own period only
     tr.zs[jumps[1] - 1, 0] *= 10.0
     con = check_period_contraction(tr, f, params, slack=1e-3)
@@ -351,7 +358,7 @@ def test_a_check_that_scores_nothing_fails_and_says_why():
     for rep, reason in ((con, "no periods scored"), (ident, "no jumps scored")):
         assert not rep.satisfied and rep.reason == reason and rep.checked == 0
         assert rep.worst_margin == math.inf and rep.violation_times == []
-    assert math.isnan(ident.detail["worst_rel_err"])
+    assert math.isnan(ident.detail["worst_rel_err"]) and math.isnan(con.detail["worst_ratio"])
     mono = check_monotonicity(short, f, params.c, slack_per_step=1.0)
     assert mono.satisfied and mono.reason is None and mono.checked == len(short) - 1
     short.tags[1:] = TAG_FAULT

@@ -115,6 +115,19 @@ def test_settable_value_count_is_pinned():
     assert len(_LEAF_CASES) == 151
 
 
+def test_src_line_count_is_capped():
+    # the lines of src/handsim/*.py, as wc -l counts them, which the roadmap
+    # tracks as a size metric (lower is better): a change that grows src/
+    # raises this ceiling in its own diff, and says why
+    src = os.path.dirname(os.path.abspath(core.__file__))
+    total = 0
+    for name in sorted(os.listdir(src)):
+        if name.endswith(".py"):
+            with open(os.path.join(src, name), encoding="utf-8") as fh:
+                total += fh.read().count("\n")
+    assert total <= 3807
+
+
 @pytest.mark.parametrize("scenario, key", _LEAF_CASES)
 def test_every_leaf_refuses_values_of_another_type(scenario, key):
     default = dict(_leaves(default_config(scenario)))[key]
@@ -783,6 +796,9 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     assert (tmp_path / "out" / "bisection.csv").exists()
 
 
+_NARROW = "hand: timer window [1.0, 1.0000000001] is no wider than the jump band"
+
+
 @pytest.mark.parametrize("scenario, extra, message", [
     ("hand2-rate", {"params": {"x0": [1.0, 2.0]}}, "params.x0"),
     ("hand2-rate", {"params": {"x0": None}}, "params.x0"),
@@ -858,6 +874,17 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
     ("robustness-margin", {"disturbance": {"value": 0.1}}, "unknown key 'disturbance.value'"),
     ("uniformity-probe", {"ode": {"t0": 2.0}}, "unknown key 'ode.t0'"),
     ("uniformity-probe", {"params": {"x_offset": 1.0}}, "unknown key 'params.x_offset'"),
+    # a timer window no wider than the jump band around t_max: a jump's timer
+    # t_min lies in the jump set, and the run jumps again without a flow step
+    ("hand1-rate", {"hand": {"t_min": 1.0, "t_max": 1.0000000001, "t_med": None}}, _NARROW),
+    ("hand2-rate", {"hand": {"t_min": 1.0, "t_max": 1.0000000001}}, _NARROW),
+    ("instability", {"hand": {"t_min": 1.0, "t_max": 1.0000000001}}, _NARROW),
+    ("discretization-order", {"hand": {"t_min": 1.0, "t_max": 1.0000000001}}, _NARROW),
+    ("robustness-margin", {"hand": {"t_min": 1.0, "t_max": 1.0000000001}}, _NARROW),
+    ("uniformity-probe", {"hand": {"t_min": 1.0, "t_max": 1.0000000001}}, _NARROW),
+    # restart-sweep builds its windows from params.span; the narrowest is
+    # span[0] times the optimal period
+    ("restart-sweep", {"params": {"span": [1e-12, 2.0]}}, "params.span: timer window"),
 ], ids=["hand2-x0-length", "hand2-x0-null", "uniformity-x-offset-length", "instability-hand-t-end",
         "instability-zero-offset", "hand2-x0-nan", "restart-sweep-x0-inf", "uniformity-eps-nan",
         "restart-sweep-zero-budget", "restart-sweep-zero-t-min", "restart-sweep-negative-c",
@@ -875,7 +902,9 @@ def test_cli_robustness_margin_rejects_constant_disturbance(tmp_path, capsys):
         "instability-max-jumps", "instability-jump-policy", "discretization-h", "discretization-integrator",
         "discretization-jump-policy", "discretization-record-stride", "restart-sweep-record-stride",
         "robustness-disturbance-eps", "robustness-disturbance-value", "uniformity-ode-t0",
-        "uniformity-x-offset"])
+        "uniformity-x-offset", "hand1-narrow-window", "hand2-narrow-window", "instability-narrow-window",
+        "discretization-narrow-window", "robustness-narrow-window", "uniformity-narrow-window",
+        "restart-sweep-narrow-span"])
 def test_cli_run_param_errors_leave_no_output(scenario, extra, message, tmp_path, capsys):
     # checked while the config resolves, before the output directory exists
     path = _write_config(tmp_path, scenario, **extra)
@@ -1002,6 +1031,7 @@ def test_hand2_checks_that_score_nothing_fail(extra, jumps, tmp_path, capsys):
                                  "energy_monotone": True, "jump_identity_matches": False}
     assert summary["results"]["periods_checked"] == 0 and summary["results"]["jumps"] == jumps
     assert summary["results"]["closed_form_worst_rel_err"] is None
+    assert summary["results"]["worst_contraction_ratio"] is None
 
 
 def test_hand2_jump_identity_fails_on_non_finite_energy(tmp_path):

@@ -417,10 +417,10 @@ def test_kernel_text_is_identity_free_and_shares_stage_factors(dim):
 # the segment kernels of the seven bundled configs, named by the crc32 of
 # their source (core._compiled), and the sha256 of those sources in name order
 BUNDLED_SEGMENTS = """
-    2409a86d 3987c08e 4f6a74dd 6e7e933f 728fd960 77b45a82 7c329ae0 7e704042 9294f5ae 9bef1e7b
-    a1975f2a c621a164 d4537833 eaeb93bd
+    22f8383a 2845e081 2a74e2b3 3987c08e 3b36867e 77b45a82 7cc3895a 7e704042 98660d63 9bef1e7b
+    bb0e50ab d4537833 f1db5ace
 """.split()
-BUNDLED_SEGMENTS_SHA256 = "76f428cdd4ef6d5f734e6f6be810ce66972aabb207d13aef88c9c0fa4e4a4571"
+BUNDLED_SEGMENTS_SHA256 = "abc72c478abac84c99ea7f80918cdf0ff48cb28e322108aaef467ea81a136d12"
 
 # the bundled configs shrunk: h and the horizons enter no kernel's text
 SHRUNK = {
@@ -448,10 +448,11 @@ def _recording(monkeypatch):
 
 
 def test_bundled_configs_keep_their_segment_kernels(tmp_path, monkeypatch):
-    # the seven configs, run in one process, generate these 14 segment
-    # kernels, name for name and byte for byte, 7 replay kernels and 6
+    # the seven configs, run in one process, generate these 13 segment
+    # kernels, name for name and byte for byte, 7 replay kernels and 5
     # table builds (no timer window or square wave period enters any text:
-    # restart-sweep's 15 periods share one of each); the replay loops test
+    # restart-sweep's 15 periods share one of each, and hand1 and hand2
+    # share one jump-set test); the replay loops test
     # no membership and compute no clock factor: each reads the clock's
     # values from its table alone; the runs stay in this process, where the
     # spy records them
@@ -468,7 +469,7 @@ def test_bundled_configs_keep_their_segment_kernels(tmp_path, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == BUNDLED_SEGMENTS_SHA256
     replays = {rep for rep in made if rep is not None and rep.__name__ == "replay"}
     assert len({rep.__code__.co_filename for rep in replays}) == 7
-    assert len({rep.build.__code__.co_filename for rep in replays}) == 6
+    assert len({rep.build.__code__.co_filename for rep in replays}) == 5
     for rep in replays:
         _assert_replay_loop(rep)
 
@@ -680,7 +681,7 @@ def test_segment_loop_computes_no_time_or_key(kind, monkeypatch):
     for kernel in kernels:
         source, _ = _loop_text(kernel)
         e = "" if kind == "zero" else ", e"
-        assert source.startswith(("def seg(F, z, src, h, n%s, neg_tol, t_max, t_min, tol):" % e,
+        assert source.startswith(("def seg(F, z, src, h, n%s, t_hi, t_lo, t_max, t_min):" % e,
                                   "def replay(z, h, n, table%s):" % e)), source
         assert not re.search(r"\b(?:t|k|t_stop|fmod|floor|key|until)\b", source), source
 
@@ -721,31 +722,33 @@ def test_square_wave_periods_share_one_kernel(monkeypatch):
 def test_timer_windows_share_their_tests_and_kernels(monkeypatch):
     # the timer bounds are arguments, not text: hand1 (with and without
     # t_med) and hand2 on two windows, the second with t_max above 1 and so
-    # a wider point-jump band, share their compiled membership tests and get
-    # the same kernel objects from simulate, and their runs match the
-    # per-step path's
+    # a wider jump band, share their compiled membership tests, hand1's with
+    # hand2's too, and get the same kernel objects from simulate, and their
+    # runs match the per-step path's
     f = sphere_cost(1)
     cfg = SolverConfig(h=0.01, t_end=6.0, integrator="rk4", record_stride=40)
     z0 = np.array([1.0, 0.5, 0.5])
     made = _recording(monkeypatch)
+    systems, kernels = [], []
     for hand, t_med in ((hand1, 1.1), (hand2, None)):
-        systems = [hand(f, HandParams(t_min=0.5, t_max=0.9, c=4.0)),
-                   hand(f, HandParams(t_min=0.25, t_max=1.4, c=4.0, t_med=t_med))]
-        a, b = systems
-        assert a.in_C.__code__ is b.in_C.__code__ and a.in_D.__code__ is b.in_D.__code__
+        a, b = (hand(f, HandParams(t_min=0.5, t_max=0.9, c=4.0)),
+                hand(f, HandParams(t_min=0.25, t_max=1.4, c=4.0, t_med=t_med)))
         assert a.in_C.bounds != b.in_C.bounds and a.in_D.bounds != b.in_D.bounds
-        kernels = []
-        for sys in systems:
+        for sys in (a, b):
             del made[:]
             tr = simulate(sys, z0, cfg)
+            systems.append(sys)
             kernels.append(made[:2])
             _assert_same_trace(tr, simulate(_per_step(sys), z0, cfg))
             assert len(tr.events) > 2 and tr.meta["replayed_steps"] > 0
-        assert None not in kernels[0] and all(x is y for x, y in zip(*kernels))
+    first = systems[0]
+    for sys in systems[1:]:
+        assert sys.in_C.__code__ is first.in_C.__code__ and sys.in_D.__code__ is first.in_D.__code__
+    assert None not in kernels[0] and all(x is y for other in kernels[1:] for x, y in zip(kernels[0], other))
     # the kernels take one value per name: tests that give t_max two are refused
     a, b = (hand2(f, HandParams(t_min=0.5, t_max=t_max, c=4.0)) for t_max in (0.9, 1.4))
     with pytest.raises(ValueError, match="bound t_max two values"):
-        simulate(dataclasses.replace(a, in_D=b.in_D), z0, cfg)
+        simulate(dataclasses.replace(a, in_D=b.in_C), z0, cfg)
 
 
 def test_solver_integrators_are_the_tableaus():

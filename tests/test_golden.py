@@ -24,7 +24,13 @@ other six scenarios was recorded again when the config keys no run read
 were removed and uniformity-probe's params.x_offset became params.x0: each
 differs from the one before (discretization-order 0a07264b, hand2-rate
 544471dc, instability 7ce08ec4, restart-sweep 7207c7d2, robustness-margin
-ef8b68b8, uniformity-probe 56d35593) only in the config echo.
+ef8b68b8, uniformity-probe 56d35593) only in the config echo. Three were
+recorded again when hand1's jump set took in the roundoff band around t_max
+that hand2's had: uniformity-probe's probe_hand1.csv (was c7415668) and
+summary.json (was f8f20ea5) moved with the hand1 phase runs, which now
+restart at t = 3, 6 and not one step late; hand2-rate's summary.json (was
+4c3ff120) moved when its worst_contraction_ratio became the largest
+measured ratio and not the contraction check's margin.
 
 The engine cross-check grid below pins the engine paths the shrunk configs
 may leave out: every integrator and jump policy, a square wave on each of
@@ -99,7 +105,7 @@ DIGESTS = {
     },
     "hand2-rate": {
         "plot.gp": "4dedd59e7d9ebd509c0d75f1b1effb67d79dc3be9ecdc30260771dc27730e2c4",
-        "summary.json": "4c3ff120cbcd382174c4db48a0e777762e544c27930ef007fd41604f19c4a680",
+        "summary.json": "b85f93e09cdc16f77084da8f0ae31d550acb8fb6ed6398ae034ba8082deb4998",
         "trace.csv": "c5d72a91d3962f29fdfb91684e81b42765679bb98a3f11d4be2ee2982d166ecb",
     },
     "robustness-margin": {
@@ -110,9 +116,9 @@ DIGESTS = {
     "uniformity-probe": {
         "limiting_integral.csv": "7d237a192964207dc883c39d74ebe0280c6be82c1de14a171996d3a36436dbf8",
         "plot.gp": "9aeb317d6587352a8bb209a3d0f507db0d8ea9dfccc0ef101b25b40d956e4bb0",
-        "probe_hand1.csv": "c7415668fd22af8eb88f35afb0e09ddf26626dbc84304ada94a0866ea9b2194f",
+        "probe_hand1.csv": "d0a7e800e08260a428c7cd2335befafaf970cc4cea08fec3627fcb3143b1fa6d",
         "probe_ode.csv": "43297559f1541b42d707741ba6edbd45bbcbf51f32dcbd62becb4e7f9496b617",
-        "summary.json": "f8f20ea51faaa70a01b962adfd2e053c0a15a4c3c26fb6ec8d4896b2b5e8c13f",
+        "summary.json": "121bf1058fc29cf731794ee89fd5715765cd706a91cebb54d6a2a6f8ed75c6d4",
     },
     "discretization-order": {
         "orders.csv": "42ff809d24c1af9b5ac30ebfd47f3807a29cf8c25578204ab8f33fb10bc91283",

@@ -18,6 +18,7 @@ from handsim import (
     validate_dwell,
 )
 from handsim.core import compile_source
+from handsim.hands import _band, _timer_test
 
 
 def test_hand1_jump_resets_only_the_timer():
@@ -113,6 +114,22 @@ def test_hand_params_validation():
         HandParams(t_min=0.0, t_max=1.0, c=1.0)
 
 
+@pytest.mark.parametrize("t_min, t_max, ok", [(1.0, 1.0 + 1e-10, False), (1.0, 1.0 + 1e-8, True),
+                                              (5e-324, 1e-320, False), (1e6 - 5e-4, 1e6, False),
+                                              (1e6 - 2e-3, 1e6, True)])
+def test_a_window_no_wider_than_the_jump_band_is_refused(t_min, t_max, ok):
+    # a jump sets the timer to t_min; in a window no wider than the band
+    # around t_max that lies in the jump set, and a run would jump there
+    # again and again without a flow step
+    assert (t_max - t_min > _band(t_max)) == ok
+    if ok:
+        sys = hand1(sphere_cost(1), HandParams(t_min=t_min, t_max=t_max, c=1.0))
+        assert sys.in_D([1.0, 1.0, t_max]) and not sys.in_D(sys.G([1.0, 1.0, t_max]))
+    else:
+        with pytest.raises(ValueError, match="no wider than the jump band"):
+            HandParams(t_min=t_min, t_max=t_max, c=1.0)
+
+
 def test_validate_dwell_boundary_cases():
     # t_max^2 - t_min^2 must exceed 1/(mu c)
     assert validate_dwell(HandParams(t_min=1.0, t_max=2.0, c=1.0), mu=1.0) is True
@@ -186,6 +203,27 @@ def test_target_distance_fn_matches_direct_call():
         assert dist(z) == target_distance(z, f.xstar, params)
 
 
+@pytest.mark.parametrize("integrator", ["rk4", "euler"])
+@pytest.mark.parametrize("policy", ["earliest", "latest", "uniform"])
+@pytest.mark.parametrize("t_max, whole", [(4.0, True), (4.005, False)])
+def test_hand1_restarts_on_the_step_hand2_does(t_max, whole, policy, integrator):
+    # hand1 at its default t_med = t_max and hand2 share one jump set, so on
+    # one window, start and solver they restart at the same hybrid times. A
+    # window a whole number of steps long reaches t_max up to roundoff, and
+    # the jump fires there, inside the band; otherwise the timer steps over
+    # the band and both jump from that overshoot state
+    f = sphere_cost(1)
+    hp = HandParams(t_min=1.0, t_max=t_max, c=0.25)
+    cfg = SolverConfig(h=0.01, t_end=10.0, integrator=integrator, jump_policy=policy, policy_seed=3)
+    traces = [simulate(hand(f, hp), np.array([1.0, 1.0, 1.0]), cfg) for hand in (hand1, hand2)]
+    times = [[tr.time(k) for k in tr.events] for tr in traces]
+    assert len(times[0]) == 3 and times[0] == times[1]
+    band = _band(t_max)
+    for tr in traces:
+        pre = tr.zs[tr.events - 1, -1]
+        assert (np.abs(pre - t_max) <= band).all() if whole else (pre > t_max + band).all(), pre
+
+
 @pytest.mark.parametrize("t_min, t_med, t_max", [(1.0, 2.0, 3.0), (0.5, None, 0.9), (0.25, 1.1, 1.4),
                                                  (5e-324, 1e-322, 1e-320), (1.0, 1e300, 1e300)])
 def test_timer_tests_decide_as_the_inflation_formulas(t_min, t_med, t_max):
@@ -193,30 +231,40 @@ def test_timer_tests_decide_as_the_inflation_formulas(t_min, t_med, t_max):
     # the membership closures and as nothing by the engine's exit test, give
     # the decisions of the conditions written out in inflation, at every
     # clock value and inflation on the grid: bounds, their neighbours and
-    # their inflated values, +-0, subnormals, +-inf and nan
+    # their inflated values, +-0, subnormals, +-inf and nan. hand1 and hand2
+    # share one jump set rule, [min(t_med, t_max - tol), t_max + tol]. A
+    # window no wider than the band (the subnormal row) builds no system, so
+    # its tests are compiled from the systems' condition texts directly
     f = sphere_cost(1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        systems = [hand1(f, HandParams(t_min=t_min, t_max=t_max, c=1.0, t_med=t_med)),
-                   hand2(f, HandParams(t_min=t_min, t_max=t_max, c=1.0))]
-    t_med = t_max if t_med is None else t_med
-    tol = 1e-9 * max(1.0, t_max)
+    tol = _band(t_max)
+    med = t_max if t_med is None else t_med
+    shape = hand1(f, HandParams())
+    tests = [(_timer_test("in_C", shape.in_C.condition, t_min=t_min, t_max=t_max), med),
+             (_timer_test("in_D", shape.in_D.condition, t_lo=min(med, t_max - tol), t_hi=t_max + tol), med)]
+    if t_max - t_min > tol:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            systems = [hand1(f, HandParams(t_min=t_min, t_max=t_max, c=1.0, t_med=t_med)),
+                       hand2(f, HandParams(t_min=t_min, t_max=t_max, c=1.0))]
+        tests += [(test, sys.meta["t_med"]) for sys in systems for test in (sys.in_C, sys.in_D)]
+    else:
+        with pytest.raises(ValueError, match="no wider than the jump band"):
+            HandParams(t_min=t_min, t_max=t_max, c=1.0)
     reference = {
-        "in_C": lambda tau, i: t_min - i <= tau <= t_max + i,
-        "in_D": lambda tau, i: t_med - i <= tau <= t_max + i,
-        "band": lambda tau, i: -(i + tol) <= tau - t_max <= i + tol,
+        "in_C": lambda tau, i, med: t_min - i <= tau <= t_max + i,
+        "in_D": lambda tau, i, med: min(med, t_max - tol) - i <= tau <= t_max + tol + i,
     }
     inflations = [0.0, -0.0, 5e-324, 1e-300, tol, 0.25, math.inf, math.nan]
-    edges = [t_min, t_med, t_max, t_max - tol, t_max + tol]
+    edges = [t_min, med, t_max, t_max - tol, t_max + tol]
     near = [v for e in edges for i in inflations for v in (e - i, e + i)]
     taus = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf, -math.inf, math.nan]
     taus += [x for v in near for x in (v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf))]
-    for sys in systems:
-        for test, name in ((sys.in_C, "in_C"), (sys.in_D, "band" if sys is systems[1] else "in_D")):
-            exit_test = compile_source("def exit_test(tau):\n    return %s\n"
-                                       % test.condition.format(tau="tau", lo="", hi=""), "exit_test", **test.bounds)
-            for tau in taus:
-                z = [0.0, 0.0, tau]
-                for i in inflations:
-                    assert test(z, i) == reference[name](tau, i), (name, tau, i)
-                assert exit_test(tau) == reference[name](tau, 0.0), (name, tau)
+    for test, med in tests:
+        name = test.__name__
+        exit_test = compile_source("def exit_test(tau):\n    return %s\n"
+                                   % test.condition.format(tau="tau", lo="", hi=""), "exit_test", **test.bounds)
+        for tau in taus:
+            z = [0.0, 0.0, tau]
+            for i in inflations:
+                assert test(z, i) == reference[name](tau, i, med), (name, med, tau, i)
+            assert exit_test(tau) == reference[name](tau, 0.0, med), (name, med, tau)
