@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -441,14 +442,28 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     wrong number of components raises ValueError, e5 is added and the
     finite test made on that list, and no numpy array is built for it.
 
+    Settled restart periods are copied. Where there is no stop_condition,
+    no "uniform" draw, no e1, e3, e4, e5 or e6 channel, and e2 is absent or
+    piecewise-constant, the loop's future from a post-jump state is that
+    state's alone until the horizon, e2's next switch or the jump budget.
+    Each post-jump state is keyed by its bits (so -0.0 is not 0.0) and the
+    step at which e2 next switches, no later than the horizon step. When a
+    key comes again after flow steps, the rows since its last visit are one
+    exact cycle, and the loop appends copies of them for as many whole
+    cycles as end before that switch step and keep j <= max_jumps, each row
+    shifted by the cycle's steps and jumps and sharing its recorded z, and
+    resumes there. A row's t is its step count times h, as the loop
+    computes t. meta counts copied_steps; flow_steps counts them too.
+
     Recording: the initial state, every record_stride-th flow step, both
     sides of every jump, and the final state. stop_condition(t, j, z) is
-    evaluated at recorded points only; when it fires the run terminates with
-    reason "condition". Other termination reasons: "horizon", "jump_cap"
-    (the next required jump would exceed max_jumps; the pre-jump state is the
-    final sample), "fault" (non-finite state, or a jump landing outside
-    C union D, with the fault kind kept on the trace and the last finite
-    state on its fault row).
+    evaluated after the initial record, after a record_stride record and
+    after a jump's post-jump record, never at the pre-jump row or the final
+    sample; when it fires the run terminates with reason "condition". Other
+    termination reasons: "horizon", "jump_cap" (the next required jump
+    would exceed max_jumps; the pre-jump state is the final sample), "fault"
+    (non-finite state, or a jump landing outside C union D, with the fault
+    kind kept on the trace and the last finite state on its fault row).
 
     A state in C intersect D jumps under the "earliest" policy, flows under
     "latest" unless the next flow step would leave C, and under "uniform"
@@ -525,11 +540,11 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         if not (in_C(z, infl(sig3, 0.0)) or in_D(z, infl(sig6, 0.0))):
             raise ValueError("initial state outside C union D (tau=%g)" % z[-1])
 
-    ts, js, zs, tags = [], [], [], []
+    ks, js, zs, tags = [], [], [], []
 
-    def record(t, j, z, tag):
+    def record(k, j, z, tag):
         # a state is kept as given: the loop never mutates one it recorded
-        ts.append(t)
+        ks.append(k)
         js.append(j)
         zs.append(z)
         tags.append(tag)
@@ -596,7 +611,14 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         replayed_steps += end[1]
         return end
 
-    record(0.0, 0, z, TAG_FLOW)
+    # post-jump states by bits and switch step: (row, step, j) of their last
+    # visit, where the state alone fixes the future (see above)
+    periodic = (stop_condition is None and rng is None and (sig2 is None or next_switch is not None)
+                and all(sig is None for sig in (sig1, sig3, sig4, sig5, sig6)))
+    seen = {}
+    copied_steps = 0
+
+    record(0, 0, z, TAG_FLOW)
     stop_hit = stop_condition is not None and stop_condition(0.0, 0, z)
 
     k_step = 0
@@ -648,7 +670,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
                     fault = FaultRecord(t, j, "blowup", "non-finite state before jump")
                     termination = "fault"
                     break
-                record(t, j, z, TAG_FLOW)
+                record(k_step, j, z, TAG_FLOW)
                 since_record = 0
             z_in = z if sig4 is None else [a + e for a, e in zip(z, sig4(t).tolist())]
             z_post = list(map(float, G(z_in)))
@@ -663,12 +685,35 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             j += 1
             z = z_post
             from_flow = False
-            record(t, j, z, TAG_JUMP)
+            record(k_step, j, z, TAG_JUMP)
             since_record = 0
             if not (in_C(z, infl(sig3, t)) or in_D(z, infl(sig6, t))):
                 fault = FaultRecord(t, j, "escaped", "jump landed outside C union D (tau=%g)" % z[-1])
                 termination = "fault"
                 break
+            if periodic:
+                # a state seen before after flow steps closes one exact cycle
+                # of rows: copy whole cycles that end before the switch step
+                # (at most the horizon step; "latest" looks ahead at a cycle's
+                # last step, under e2's value there) and within the budget
+                n = _horizon_steps(k_step, 1 << 62, h, t_stop)
+                switch = k_step + (n if next_switch is None else next_switch(k_step, h, n))
+                key = (array("d", z).tobytes(), switch)
+                row, k0, j0 = seen.get(key, (0, k_step, j))
+                if k0 < k_step:
+                    dk, dj = k_step - k0, j - j0
+                    cycles = min((switch - 1 - k_step) // dk, (max_jumps - j) // dj)
+                    kc, jc, zc, tc = ks[row + 1:], js[row + 1:], zs[row + 1:], tags[row + 1:]
+                    for c in range(1, cycles + 1):
+                        ks.extend([k + c * dk for k in kc])
+                        js.extend([i + c * dj for i in jc])
+                        zs.extend(zc)
+                        tags.extend(tc)
+                    k_step += cycles * dk
+                    j += cycles * dj
+                    t = k_step * h
+                    copied_steps += cycles * dk
+                seen[key] = (len(ks) - 1, k_step, j)
             stop_hit = stop_condition is not None and stop_condition(t, j, z)
             continue
 
@@ -685,7 +730,7 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
             termination = "fault"
             break
         if since_record >= stride:
-            record(t, j, z, TAG_FLOW)
+            record(k_step, j, z, TAG_FLOW)
             since_record = 0
             stop_hit = stop_condition is not None and stop_condition(t, j, z)
 
@@ -700,12 +745,12 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
     # row, which repeats the last recorded state, the last finite one
     if termination != "fault" and since_record > 0:
         if _all_finite(z):
-            record(t, j, z, TAG_FLOW)
+            record(k_step, j, z, TAG_FLOW)
         else:
             fault = FaultRecord(t, j, "blowup", "non-finite state at horizon")
             termination = "fault"
     if termination == "fault":
-        record(fault.t, fault.j, zs[-1], TAG_FAULT)
+        record(k_step, fault.j, zs[-1], TAG_FAULT)
     meta = dict(sys.meta)
     meta.update(
         h=h,
@@ -719,10 +764,11 @@ def simulate(sys: HybridSystem, z0, cfg: SolverConfig,
         flow_steps=k_step,
         replayed_steps=replayed_steps,
         clock_tables=clock_tables,
+        copied_steps=copied_steps,
     )
     return Trace(
         dim=sys.dim,
-        ts=np.asarray(ts, dtype=float),
+        ts=np.asarray(ks, dtype=float) * h,
         js=np.asarray(js, dtype=np.int64),
         zs=np.asarray(zs, dtype=float),
         tags=np.asarray(tags, dtype=np.int8),

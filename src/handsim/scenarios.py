@@ -768,8 +768,9 @@ def _run_instability(config: dict, run: SimpleNamespace, out_dir: str, quiet: bo
             "diverged": trace.termination == "condition" or trace.termination == "fault",
         }
 
-    # at two workers this process runs rep1 and rep2, the worker hand2 and its longer CSV
-    runs = dict(zip(("rep1", "hand2", "rep2"), _fan_out(one, ("rep1", "hand2", "rep2"))))
+    # at two workers this process runs rep1 and hand2, whose settled restart
+    # periods simulate copies, and the worker rep2
+    runs = dict(zip(("rep1", "rep2", "hand2"), _fan_out(one, ("rep1", "rep2", "hand2"))))
     summary = {"config": config, "runs": runs,
                "checks": {"rep1_diverges": runs["rep1"]["diverged"], "rep2_diverges": runs["rep2"]["diverged"],
                           "hand2_bounded": runs["hand2"]["bounded"]},

@@ -29,7 +29,7 @@ from handsim import (
 )
 from handsim.core import TAG_FAULT, TAG_JUMP, compile_components
 from handsim.dynamics import _switch_steps, make_rep1_flow, make_rep2_flow, make_signal
-from handsim import core, engine
+from handsim import core, engine, scenarios
 from handsim.engine import TABLEAUS, _step_kernel, flow_only_system
 from handsim.hands import _timer_test, hand1
 from handsim.scenarios import apply_override, load_config, run_scenario
@@ -1027,8 +1027,8 @@ def test_jump_rows_tagged():
         assert tr.zs[k, -1] == pytest.approx(1.0, abs=1e-12)  # post-jump timer
 
 
-def _without_replay(meta):
-    return {k: v for k, v in meta.items() if k not in ("replayed_steps", "clock_tables")}
+def _without_path_counts(meta):
+    return {k: v for k, v in meta.items() if k not in ("replayed_steps", "clock_tables", "copied_steps")}
 
 
 def _assert_same_trace(a, b):
@@ -1037,8 +1037,8 @@ def _assert_same_trace(a, b):
     assert np.array_equal(a.zs, b.zs)
     assert np.array_equal(a.tags, b.tags)
     assert a.termination == b.termination
-    # the replay counts say how the steps were taken, not what they gave
-    assert _without_replay(a.meta) == _without_replay(b.meta)
+    # the replay and copy counts say how the steps were taken, not what they gave
+    assert _without_path_counts(a.meta) == _without_path_counts(b.meta)
     # the rows above hold each jump's two states and the fault's state
     assert np.array_equal(a.events, b.events)
     assert a.fault == b.fault
@@ -1297,6 +1297,127 @@ def test_replayed_segment_fault_matches_per_step_calls(case, integrator):
     else:
         assert fused.fault.j > 200 and fused.meta["replayed_steps"] > 1000
         assert ref.meta["replayed_steps"] == 0
+
+
+def _uncopied(sys, z0, cfg, pert=None):
+    """The run under a stop condition that never fires, which keeps every
+    period in the loop."""
+    tr = simulate(sys, z0, cfg, pert, stop_condition=lambda t, j, z: False)
+    assert tr.meta["copied_steps"] == 0
+    return tr
+
+
+def _assert_same_bits(a, b):
+    # array_equal holds -0.0 equal to 0.0; the bytes tell them apart
+    _assert_same_trace(a, b)
+    for name in ("ts", "js", "zs", "tags"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def _settling_hand2(f, integrator="euler", t_end=200.0, max_jumps=10**6, **channels):
+    """hand2 from an offset of 1, periods of about 90 steps, records every
+    37 steps; under a constant e2 its post-jump state repeats bit for bit
+    some 40 time units in."""
+    m = 2 * f.dim + 1
+    sys = hand2(f, HandParams(t_min=0.5, t_max=1.4, c=1.0))
+    z0 = np.concatenate([f.xstar + 1.0, f.xstar, [0.5]])
+    cfg = SolverConfig(h=0.01, t_end=t_end, integrator=integrator, record_stride=37, max_jumps=max_jumps)
+    channels.setdefault("e2", DisturbanceSpec.constant([0.01] * m))
+    return sys, z0, cfg, PerturbationSet(**channels)
+
+
+@pytest.mark.parametrize("integrator", ["euler", "rk4"])
+@pytest.mark.parametrize("f", [sphere_cost(1), COUPLED2], ids=["dim1", "dim2"])
+@pytest.mark.parametrize("case", ["constant", "square", "jump_cap"])
+def test_copied_periods_equal_the_loop_run(case, f, integrator):
+    # once the post-jump state repeats, simulate copies whole periods, and
+    # the trace is the loop's bit for bit. The horizon (20,000 steps) falls
+    # inside a period; the square wave on x2 switches every 60 time units,
+    # some 66 periods, so each copy stops short of a switch and copying
+    # resumes once the run settles at the other sign; a budget of 100 jumps
+    # ends the copies before the horizon
+    m = 2 * f.dim + 1
+    kwargs = {}
+    if case == "square":
+        axis = np.eye(m)[f.dim]
+        kwargs["e2"] = DisturbanceSpec.square_wave(m, 0.01, 120.0, axis)
+    elif case == "jump_cap":
+        kwargs["max_jumps"] = 100
+    sys, z0, cfg, pert = _settling_hand2(f, integrator, **kwargs)
+    tr = simulate(sys, z0, cfg, pert)
+    _assert_same_bits(tr, _uncopied(sys, z0, cfg, pert))
+    assert tr.termination == ("jump_cap" if case == "jump_cap" else "horizon")
+    assert 0 < tr.meta["copied_steps"] < tr.meta["flow_steps"]
+    if case == "square":
+        # more is copied than up to the first switch
+        first = simulate(sys, z0, dataclasses.replace(cfg, t_end=60.0), pert)
+        assert tr.meta["copied_steps"] > first.meta["copied_steps"]
+
+
+@pytest.mark.parametrize("case", ["uniform", "e1", "e4", "sinusoid", "stop"])
+def test_periods_are_copied_only_where_the_state_fixes_the_future(case):
+    # the constant-e2 run above copies; a uniform draw, an e1 or e4
+    # channel, an e2 that is not piecewise-constant and a stop condition
+    # each keep every period in the loop
+    f = sphere_cost(1)
+    kwargs = {}
+    if case == "e1":
+        kwargs["e1"] = DisturbanceSpec.constant([1e-3, 0.0, 0.0])
+    elif case == "e4":
+        kwargs["e4"] = DisturbanceSpec.constant([1e-3, 0.0, 0.0])
+    elif case == "sinusoid":
+        kwargs["e2"] = DisturbanceSpec.sinusoid(3, 0.01, 1e4, [0.0, 1.0, 0.0])
+    sys, z0, cfg, pert = _settling_hand2(f, **kwargs)
+    if case == "uniform":
+        cfg = dataclasses.replace(cfg, jump_policy="uniform")
+    if case == "stop":
+        tr = simulate(sys, z0, cfg, pert, stop_condition=lambda t, j, z: t > 150.0)
+        assert tr.termination == "condition"
+    else:
+        tr = simulate(sys, z0, cfg, pert)
+        assert tr.termination == "horizon"
+    assert len(tr.events) > 100 and tr.meta["copied_steps"] == 0
+
+
+def test_post_jump_states_are_keyed_by_their_bits():
+    # x1 and x2 hold their bits over a flow, and the jump sets x1 to x2 *
+    # -0.0: the post-jump states are [0.0, 2, 0.5] once and then
+    # [-0.0, 2, 0.5] at every jump, equal as floats from the first. Keyed
+    # by bits, the first repeat is the third jump, and no whole period fits
+    # before the horizon, half a period on: a key of float values would
+    # copy the first period's +0.0 rows there. Over a longer horizon the
+    # periods copied are the -0.0 ones
+    still = compile_components("still", 3, ["{0} * 0.0", "{1} * 0.0", "1.0"])
+    sys = dataclasses.replace(hand2(sphere_cost(1), HandParams(t_min=0.5, t_max=1.4, c=1.0)), F=still,
+                              G=lambda z: [z[1] * -0.0, 2.0, 0.5])
+    z0 = np.array([0.0, -1.0, 0.5])
+    for t_end, copied in ((3.15, False), (30.0, True)):
+        cfg = SolverConfig(h=0.01, t_end=t_end, record_stride=37)
+        tr = simulate(sys, z0, cfg)
+        _assert_same_bits(tr, _uncopied(sys, z0, cfg))
+        assert np.signbit(tr.zs[tr.events, 0]).tolist() == [False] + [True] * (len(tr.events) - 1)
+        assert (tr.meta["copied_steps"] > 0) == copied
+
+
+def test_instability_workload_copies_its_settled_hand2_periods(tmp_path, monkeypatch):
+    # the instability scenario at h 0.04 and hand_t_end 3000: hand2's
+    # post-jump state after its 36th jump of 675 equals the one before it,
+    # and so does every later one, so 70,929 of its 75,000 flow steps are
+    # copied; the two ODE forms stop on their escape condition and copy none
+    monkeypatch.setenv("HAND_SIM_THREADS", "1")
+    metas = []
+
+    def recording(*args, **kwargs):
+        tr = simulate(*args, **kwargs)
+        metas.append(tr.meta)
+        return tr
+
+    monkeypatch.setattr(scenarios, "simulate", recording)
+    cfg = load_config(os.path.join(CONFIGS, "instability.json"))
+    cfg = apply_override(apply_override(cfg, "solver.h", 0.04), "params.hand_t_end", 3000.0)
+    assert run_scenario(cfg, out_dir=str(tmp_path), quiet=True) == 0
+    assert sorted((m["kind"], m["flow_steps"], m["copied_steps"]) for m in metas) == [
+        ("hand2", 75000, 70929), ("ode-rep1", 70000, 0), ("ode-rep2", 71000, 0)]
 
 
 def test_generated_code_shows_in_tracebacks():
